@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import NO_EDGE, ColoredGraph, residues
+from .core import ColoredGraph, residues
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -63,7 +63,16 @@ def trace_path(graph: ColoredGraph, start: int, color: int) -> int:
 
 
 def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
-    """Build the boundary graph by tracing alternating paths."""
+    """The boundary graph, built once per graph by tracing alternating
+    paths and kept in the graph's memo under a key no color bitmask
+    takes."""
+    bg = graph._memo.get("boundary")
+    if bg is None:
+        bg = graph._memo["boundary"] = _build_boundary_graph(graph)
+    return bg
+
+
+def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
     d = graph.dimension
     boundary = graph.boundary_vertices()
     if not boundary:
@@ -80,12 +89,7 @@ def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
                 edges.append((index[v], index[w], j))
     bgraph = ColoredGraph.from_edges(d - 1, len(boundary), edges,
                                      require_connected=False)
-    comps = residues(bgraph, range(d)).components
-    comp_map = [0] * len(boundary)
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_map[v] = k
-    return BoundaryGraph(bgraph, tuple(boundary), tuple(comp_map))
+    return BoundaryGraph(bgraph, boundary, residues(bgraph, range(d)).labels)
 
 
 def boundary_g(graph: ColoredGraph, colors: Iterable[int]) -> int:

@@ -105,31 +105,14 @@ class RegularizationIdentityReport:
 
 def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     """True when every component of the boundary residue on the triple is
-    a 2-sphere gem (surface Euler characteristic 2)."""
+    a 2-sphere gem (surface Euler characteristic 2): its bicolored cycles
+    outnumber half its vertices by two."""
     dec = residues(bgraph, triple)
-    for comp in dec.components:
-        comp_set = set(comp)
-        q, pair_sum = len(comp) // 2, 0
-        for pair in combinations(sorted(triple), 2):
-            seen = set()
-            count = 0
-            for v in comp:
-                if v in seen:
-                    continue
-                count += 1
-                stack = [v]
-                seen.add(v)
-                while stack:
-                    w = stack.pop()
-                    for c in pair:
-                        m = bgraph.mate(w, c)
-                        if m in comp_set and m not in seen:
-                            seen.add(m)
-                            stack.append(m)
-            pair_sum += count
-        if pair_sum - q != 2:
-            return False
-    return True
+    excess = [-(len(comp) // 2) for comp in dec.components]
+    for pair in combinations(sorted(triple), 2):
+        for comp in residues(bgraph, pair).components:
+            excess[dec.labels[comp[0]]] += 1
+    return all(e == 2 for e in excess)
 
 
 def check_regularization_identities(graph: ColoredGraph, singular_color: int
@@ -307,6 +290,14 @@ class BoundReport:
         }
 
 
+def _skip_one_triples(eps: CyclicPermutation) -> list[tuple[int, ...]]:
+    """The five sorted color triples {e_i, e_i+2, e_i+4} of a cyclic
+    order of 0..4, for i = 0..4."""
+    o = eps.order
+    return [tuple(sorted((o[i], o[(i + 2) % 5], o[(i + 4) % 5])))
+            for i in range(5)]
+
+
 def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
                        m_hat: int) -> BoundReport:
     """Check the genus and G-degree lower bounds on one regular gem whose
@@ -332,15 +323,9 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
         g = residues(contracted, tri).count
         base = (m + 1) if 4 in tri else (m_hat + 1)
         t_table[tri] = g - base
-    consistent = True
-    for eps, s in slack.items():
-        o = eps.order
-        total = 0
-        for i in range(5):
-            tri = tuple(sorted({o[i], o[(i + 2) % 5], o[(i + 4) % 5]}))
-            total += t_table[tri]
-        if s != total:
-            consistent = False
+    consistent = all(
+        s == sum(t_table[tri] for tri in _skip_one_triples(eps))
+        for eps, s in slack.items())
     return BoundReport(
         genus_bound=genus_bound,
         gdegree_bound=gdegree_bound,
@@ -400,19 +385,11 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     inner = m_hat + h
     with_final = m + 1
     semi = all(v == (with_final if 4 in k else inner) for k, v in counts.items())
-    witnesses = []
-    for eps in enumerate_cyclic_permutations(4):
-        o = eps.order
-        good = True
-        for i in range(5):
-            tri = tuple(sorted({o[i], o[(i + 2) % 5], o[(i + 4) % 5]}))
-            want = inner if i in (1, 3) else with_final
-            if counts[tri] != want:
-                good = False
-                break
-        if good:
-            witnesses.append(eps)
-    return SemisimpleReport(semi, tuple(witnesses), counts, inner, with_final)
+    witnesses = tuple(
+        eps for eps in enumerate_cyclic_permutations(4)
+        if all(counts[tri] == (inner if i in (1, 3) else with_final)
+               for i, tri in enumerate(_skip_one_triples(eps))))
+    return SemisimpleReport(semi, witnesses, counts, inner, with_final)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ class ColoredGraph:
     color_maps: tuple[tuple[int, ...], ...]
     is_regular: bool = field(compare=False)
     is_bipartite: bool = field(compare=False)
+    # residue decompositions by color bitmask, and the boundary graph;
+    # filled on first use, and dropped with the graph
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @property
     def colors(self) -> range:
@@ -188,12 +192,14 @@ class ResidueDecomposition:
 
     Components are sorted vertex tuples, ordered by least vertex; the
     parallel ``regular`` tuple flags components in which every vertex
-    meets every color of the set.
+    meets every color of the set, and ``labels[v]`` is the index of the
+    component holding vertex ``v``.
     """
 
     color_set: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     regular: tuple[bool, ...]
+    labels: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -204,29 +210,46 @@ class ResidueDecomposition:
         return sum(self.regular)
 
     def component_of(self, vertex: int) -> int:
-        for i, comp in enumerate(self.components):
-            if vertex in comp:
-                return i
-        raise ValueError(f"vertex {vertex} not in any component")
+        if not 0 <= vertex < len(self.labels):
+            raise ValueError(f"vertex {vertex} not in any component")
+        return self.labels[vertex]
 
 
 def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition:
-    """Decompose the graph into components of the given color subgraph."""
-    color_set = _check_colors(graph, colors)
-    uf = UnionFind(graph.num_vertices)
-    for c in color_set:
-        row = graph.color_maps[c]
-        for u in range(graph.num_vertices):
-            if row[u] > u:
-                uf.union(u, row[u])
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.num_vertices):
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = sorted(tuple(sorted(g)) for g in groups.values())
-    flags = tuple(
-        all(graph.has_color(v, c) for v in comp for c in color_set)
-        for comp in comps)
-    return ResidueDecomposition(tuple(sorted(color_set)), tuple(comps), flags)
+    """Decompose the graph into components of the given color subgraph.
+
+    Each decomposition is computed once per graph and kept in the
+    graph's memo."""
+    mask = _color_mask(graph, colors)
+    dec = graph._memo.get(mask)
+    if dec is None:
+        dec = graph._memo[mask] = _decompose(graph, mask)
+    return dec
+
+
+def _decompose(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
+    """Uncached decomposition on the colors of a bitmask."""
+    color_set = tuple(c for c in graph.colors if mask >> c & 1)
+    rows = [graph.color_maps[c] for c in color_set]
+    labels = [NO_EDGE] * graph.num_vertices
+    comps = []
+    for start in range(graph.num_vertices):
+        if labels[start] == NO_EDGE:
+            k = labels[start] = len(comps)
+            comp, stack = [start], [start]
+            while stack:
+                u = stack.pop()
+                for row in rows:
+                    v = row[u]
+                    if v != NO_EDGE and labels[v] == NO_EDGE:
+                        labels[v] = k
+                        comp.append(v)
+                        stack.append(v)
+            comps.append(tuple(sorted(comp)))
+    irregular = {labels[v] for row in rows
+                 for v in range(graph.num_vertices) if row[v] == NO_EDGE}
+    flags = tuple(k not in irregular for k in range(len(comps)))
+    return ResidueDecomposition(color_set, tuple(comps), flags, tuple(labels))
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:
@@ -235,12 +258,13 @@ def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:
     return dec.count, dec.regular_count
 
 
-def _check_colors(graph: ColoredGraph, colors: Iterable[int]) -> frozenset[int]:
-    cs = frozenset(colors)
-    for c in cs:
+def _color_mask(graph: ColoredGraph, colors: Iterable[int]) -> int:
+    mask = 0
+    for c in colors:
         if not (0 <= c <= graph.dimension):
             raise InvalidColorError(f"color {c} outside 0..{graph.dimension}")
-    return cs
+        mask |= 1 << c
+    return mask
 
 
 @dataclass(frozen=True)
@@ -263,7 +287,8 @@ class VertexClassification:
 
 def classify_vertices(graph: ColoredGraph) -> VertexClassification:
     boundary = graph.boundary_vertices()
-    internal = tuple(v for v in range(graph.num_vertices) if v not in set(boundary))
+    final = graph.color_maps[graph.dimension]
+    internal = tuple(v for v in range(graph.num_vertices) if final[v] != NO_EDGE)
     if len(boundary) % 2 or len(internal) % 2:
         raise OddBoundaryCountError("boundary and internal counts must be even")
     return VertexClassification(boundary, internal,

@@ -73,14 +73,16 @@ def parse_gemfile(text: str) -> GemFile:
     for key in ("dimension", "vertices", "edges"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
-    if not isinstance(doc["dimension"], int) or not isinstance(doc["vertices"], int):
+    # type() and not isinstance(): JSON true and false decode to bool,
+    # a subclass of int
+    if type(doc["dimension"]) is not int or type(doc["vertices"]) is not int:
         raise ParseError("dimension and vertices must be integers")
     if not isinstance(doc["edges"], list):
         raise ParseError("edges must be an array")
     edges = []
     for k, item in enumerate(doc["edges"]):
         if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(x, int) for x in item)):
+                or not all(type(x) is int for x in item)):
             raise ParseError(f"edges[{k}] must be three integers, got {item!r}")
         edges.append(tuple(item))
     name = doc.get("name")

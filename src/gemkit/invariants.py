@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from .boundary import boundary_g, boundary_graph
-from .core import ColoredGraph, classify_vertices, residues
+from .core import ColoredGraph, classify_vertices, count_g, residues
 from .errors import NoBoundaryError, NonIntegralGenusError, NotRegularError
 
 
@@ -222,14 +222,8 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     from .boundary import boundary_component_count
 
     cls = classify_vertices(graph)
-    pairs = {}
-    for pair in combinations(graph.colors, 2):
-        dec = residues(graph, pair)
-        pairs[pair] = (dec.count, dec.regular_count)
-    triples = {}
-    for tri in combinations(graph.colors, 3):
-        dec = residues(graph, tri)
-        triples[tri] = (dec.count, dec.regular_count)
+    pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
+    triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}
     fv = f_vector(graph)
     table = rho_table(graph)
     return InvariantReport(

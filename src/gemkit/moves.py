@@ -48,15 +48,11 @@ def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
     out = []
     all_colors = set(graph.colors)
     for j in graph.colors:
-        dec = residues(graph, all_colors - {j})
-        comp_of = {}
-        for k, comp in enumerate(dec.components):
-            for v in comp:
-                comp_of[v] = k
+        labels = residues(graph, all_colors - {j}).labels
         row = graph.color_maps[j]
         for u in range(graph.num_vertices):
             v = row[u]
-            if v > u and comp_of[u] != comp_of[v]:
+            if v > u and labels[u] != labels[v]:
                 out.append(DipoleSite(j, (u, v)))
     return out
 
@@ -145,7 +141,8 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     if not (0 <= color < d):
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
     added = []
-    for comp, reg in zip(*_path_components(graph, color)):
+    dec = residues(graph, {color, d})
+    for comp, reg in zip(dec.components, dec.regular):
         if not reg:
             ends = [v for v in comp if not graph.has_color(v, d)]
             if len(ends) != 2:
@@ -157,11 +154,6 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     if not capped.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")
     return capped, tuple(added)
-
-
-def _path_components(graph, color):
-    dec = residues(graph, {color, graph.dimension})
-    return dec.components, dec.regular
 
 
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:
@@ -207,25 +199,19 @@ def regularize(graph: ColoredGraph,
     if set(per_component) != set(range(bg.num_components)):
         raise InvalidColorError(
             f"need one color per boundary component 0..{bg.num_components - 1}")
-    comp_of_parent = {bg.parent_vertex_map[i]: bg.component_map[i]
-                      for i in range(len(bg.parent_vertex_map))}
     added = []
     edges = list(graph.edges())
     for comp_index in sorted(per_component):
         c = per_component[comp_index]
         if not (0 <= c < d):
             raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-        for comp, reg in zip(*_path_components(graph, c)):
-            if reg:
-                continue
-            ends = [v for v in comp if not graph.has_color(v, d)]
-            if comp_of_parent[ends[0]] != comp_index:
-                continue
-            if comp_of_parent[ends[1]] != comp_index:
-                raise InternalInconsistencyError(
-                    f"path {ends} straddles boundary components")
-            added.append((ends[0], ends[1]))
-            edges.append((ends[0], ends[1], d))
+        # the color-c edges of the boundary graph join the two ends of
+        # each {c, d}-path, and never leave a boundary component
+        for i, k in enumerate(bg.graph.color_maps[c]):
+            if i < k and bg.component_map[i] == comp_index:
+                ends = (bg.parent_vertex_map[i], bg.parent_vertex_map[k])
+                added.append(ends)
+                edges.append((*ends, d))
     out = ColoredGraph.from_edges(d, graph.num_vertices, edges)
     if not out.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")

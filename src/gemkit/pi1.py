@@ -62,10 +62,6 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     i, j = min(i, j), max(i, j)
     rest = set(graph.colors) - {i, j}
     gens = residues(graph, rest)
-    gen_of = {}
-    for k, comp in enumerate(gens.components):
-        for v in comp:
-            gen_of[v] = k
 
     cycles = []
     dec = residues(graph, {i, j})
@@ -76,7 +72,8 @@ def presentation(graph: ColoredGraph, i: int, j: int,
         word = []
         v, color = start, i
         for t in range(len(comp)):
-            word.append((gen_of[v] + 1) if t % 2 == 0 else -(gen_of[v] + 1))
+            gen = gens.labels[v] + 1
+            word.append(gen if t % 2 == 0 else -gen)
             v = graph.mate(v, color)
             color = j if color == i else i
         if v != start:
@@ -88,18 +85,11 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     # residues missing one of the two colors
     left = residues(graph, set(graph.colors) - {i})
     right = residues(graph, set(graph.colors) - {j})
-    left_of, right_of = {}, {}
-    for k, comp in enumerate(left.components):
-        for v in comp:
-            left_of[v] = k
-    for k, comp in enumerate(right.components):
-        for v in comp:
-            right_of[v] = k
     uf = UnionFind(left.count + right.count)
     tree = []
     for k, comp in enumerate(gens.components):
-        a = left_of[comp[0]]
-        b = left.count + right_of[comp[0]]
+        a = left.labels[comp[0]]
+        b = left.count + right.labels[comp[0]]
         if uf.union(a, b):
             tree.append((k + 1,))
 

@@ -54,6 +54,13 @@ class TestExitCodes:
         code, _, err = run_cli("validate", str(bad))
         assert code == 2
 
+    def test_boolean_integers_are_parse_errors(self, tmp_path):
+        bad = tmp_path / "bad.gem"
+        bad.write_text('{"dimension": 2, "vertices": 2, '
+                       '"edges": [[0,1,0],[false,true,true],[0,1,2]]}')
+        code, out, err = run_cli("validate", str(bad))
+        assert code == 2 and b"Traceback" not in err
+
     def test_validation_error_is_three(self, tmp_path):
         bad = tmp_path / "bad.gem"
         bad.write_text(json.dumps({
@@ -187,3 +194,40 @@ class TestPipelines:
         assert code == 0
         sub_code, sub_out, _ = run_cli("--json", "euler", str(GEMS / "s4_2.gem"))
         assert captured.out.encode() == sub_out
+
+    def test_payload_json_matches_one_call(self, tmp_path):
+        from gemkit import ball_gem, order_two_gem
+        from gemkit.cli import _payload_json
+        from gemkit.gemio import catalog_add, catalog_scan
+
+        store = tmp_path / "store.jsonl"
+        for graph in (order_two_gem(4), ball_gem(4), ball_gem(3)):
+            catalog_add(store, graph)
+        records, _ = catalog_scan(store)
+        payload = {"command": "catalog", "ok": True, "records": records,
+                   "corrupt_lines": [], "pair": (0, 1), "name": "b\u00e9",
+                   "nested": {"z": [[1, 2], {"y": None}], "a": 0.5}}
+        assert _payload_json(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"))
+
+    def test_check_names_failing_colors(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from gemkit import checks
+
+        real = checks.check_regularization_identities
+
+        def failing_at_two(graph, color):
+            report = real(graph, color)
+            return replace(report, lemma_ok=False) if color == 2 else report
+
+        monkeypatch.setattr(checks, "check_regularization_identities",
+                            failing_at_two)
+        code = main(["check", str(GEMS / "b4_2.gem"), "--suite", "lemma"])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == (
+            "lemma identities: VIOLATED for color(s) 2 of 4")
+        code = main(["check", str(GEMS / "b4_2.gem"), "--suite", "corollary"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == (
+            "corollary identities: hold for all 4 color choices")

@@ -52,6 +52,9 @@ class TestParsing:
         lambda d: d.__setitem__("edges", [[0, 1]]),
         lambda d: d.__setitem__("edges", [[0, 1, "x"]]),
         lambda d: d.__setitem__("name", 7),
+        lambda d: d.__setitem__("dimension", True),
+        lambda d: d.__setitem__("vertices", False),
+        lambda d: d["edges"].__setitem__(1, [False, True, True]),
     ])
     def test_schema_errors(self, tmp_path, mutate):
         doc = json.loads(S4_TEXT)

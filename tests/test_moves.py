@@ -169,6 +169,20 @@ class TestRegularize:
         assert len(record.added_edges) == len(shell.boundary_vertices()) // 2
         assert out.num_vertices == shell.num_vertices
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3),
+           st.integers(0, 3))
+    def test_per_component_caps_like_cap_boundary(self, p, seed, a, b):
+        g = random_boundary_gem(4, p, max(0, p - 2), seed=seed)
+        choice = {k: (a, b)[k % 2] for k in range(boundary_component_count(g))}
+        out, record = regularize(g, per_component=choice)
+        capped_a, added_a = cap_boundary(g, a)
+        added_b = cap_boundary(g, b)[1]
+        assert len(record.added_edges) == len(g.boundary_vertices()) // 2
+        assert set(record.added_edges) <= set(added_a) | set(added_b)
+        if a == b:
+            assert out == capped_a and set(record.added_edges) == set(added_a)
+
     def test_per_component_needs_all_components(self, shell):
         with pytest.raises(InvalidColorError):
             regularize(shell, per_component={0: 0})

@@ -1,0 +1,132 @@
+"""The per-graph residue memo: memoized decompositions agree with the
+uncached one and the brute-force oracle, rewrites start from an empty
+memo, and a full invariant report decomposes each color subset of each
+graph once and builds the boundary graph once."""
+
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bruteforce as bf
+from gemkit import boundary, core
+from gemkit.boundary import boundary_graph
+from gemkit.core import random_boundary_gem, random_gem, residues
+from gemkit.invariants import f_vector, invariant_report, rho_table
+from gemkit.moves import (
+    cancel_1_dipole,
+    cap_boundary,
+    insert_1_dipole,
+    swap_colors,
+)
+
+
+def sample_gem(d, p, seed, with_boundary):
+    if with_boundary and p > 1:
+        return random_boundary_gem(d, p, seed % p, seed=seed)
+    return random_gem(d, p, seed=seed)
+
+
+class TestMemoizedResidues:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_uncached_and_bruteforce(self, d, p, seed, with_boundary,
+                                             rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        edges = list(g.edges())
+        masks = list(range(2 ** (d + 1)))
+        rng.shuffle(masks)
+        for mask in masks + masks:  # the second pass reads the memo
+            colors = {c for c in g.colors if mask >> c & 1}
+            dec = residues(g, colors)
+            assert dec == core._decompose(g, mask)
+            assert list(dec.components) == bf.bfs_components(
+                g.num_vertices, edges, colors)
+            assert dec.regular_count == bf.count_regular_components(
+                g.num_vertices, edges, colors)
+            assert len(dec.labels) == g.num_vertices
+            for k, comp in enumerate(dec.components):
+                assert all(dec.component_of(v) == k for v in comp)
+        assert len(g._memo) == len(masks)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20))
+    def test_boundary_graph_built_once(self, d, p, seed):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        bg = boundary_graph(g)
+        assert boundary_graph(g) is bg
+        assert bg.component_map == residues(bg.graph, range(d)).labels
+
+
+class TestRewritesStartEmpty:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20))
+    def test_new_graphs_have_empty_memo(self, d, p, seed):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        f_vector(g)
+        boundary_graph(g)
+        assert g._memo
+        u = seed % g.num_vertices
+        grown, site, _ = insert_1_dipole(g, (u, g.mate(u, 0)), 0)
+        # insertion only decomposes its own result, to test the new site
+        no_zero = sum(1 << c for c in range(1, d + 1))
+        assert list(grown._memo) == [no_zero]
+        assert grown._memo[no_zero] == core._decompose(grown, no_zero)
+        f_vector(grown)
+        capped, _ = cap_boundary(g, seed % d)
+        rewrites = [cancel_1_dipole(grown, site), capped,
+                    swap_colors(g, 0, d - 1)]
+        assert all(out._memo == {} for out in rewrites)
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariant_report_decomposes_each_subset_once(self, monkeypatch,
+                                                          seed):
+        graph = random_boundary_gem(4, 40, 20, seed=seed)
+        decomposed, built = [], []
+        real_decompose = core._decompose
+        real_build = boundary._build_boundary_graph
+
+        def counting_decompose(g, mask):
+            decomposed.append((g, mask))  # keeps g alive, so ids stay unique
+            return real_decompose(g, mask)
+
+        def counting_build(g):
+            built.append(g)
+            return real_build(g)
+
+        monkeypatch.setattr(core, "_decompose", counting_decompose)
+        monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
+        invariant_report(graph)
+        keys = [(id(g), mask) for g, mask in decomposed]
+        assert len(keys) == len(set(keys))
+        assert len(keys) <= 250
+        assert len(built) == 1 and built[0] is graph
+
+
+def test_concurrent_readers_share_one_graph():
+    """Threads reading one graph race on its memo; every write stores the
+    value any other thread would compute, so all see the serial answers."""
+    def answers(g):
+        return (f_vector(g), rho_table(g), boundary_graph(g).component_map)
+
+    expected = answers(random_boundary_gem(4, 24, 10, seed=11))
+    shared = random_boundary_gem(4, 24, 10, seed=11)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.append(answers(shared)))
+                   for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == [expected] * len(workers)
