@@ -50,21 +50,9 @@ class BoundaryGraph:
         return ColoredGraph.from_edges(self.graph.dimension, len(verts), edges)
 
 
-def trace_path(graph: ColoredGraph, start: int, color: int) -> int:
-    """Other endpoint of the maximal {color, d}-path leaving a boundary
-    vertex; the walk departs along ``color`` and stops at the first
-    vertex missing the next required color."""
-    d = graph.dimension
-    cur, nxt = start, color
-    while graph.has_color(cur, nxt):
-        cur = graph.mate(cur, nxt)
-        nxt = d if nxt == color else color
-    return cur
-
-
 def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
-    """The boundary graph, built once per graph by tracing alternating
-    paths and kept in the graph's memo under a key no color bitmask
+    """The boundary graph, built once per graph from the {j, d}-residue
+    labels and kept in the graph's memo under a key no color bitmask
     takes."""
     bg = graph._memo.get("boundary")
     if bg is None:
@@ -77,16 +65,21 @@ def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
     boundary = graph.boundary_vertices()
     if not boundary:
         raise NoBoundaryError("graph is regular: empty boundary")
-    index = {v: i for i, v in enumerate(boundary)}
     edges = []
-    for v in boundary:
-        for j in range(d):
-            w = trace_path(graph, v, j)
-            if w not in index:
-                raise InternalInconsistencyError(
-                    f"{{{j},{d}}}-path from {v} ends at internal vertex {w}")
-            if index[v] < index[w]:
-                edges.append((index[v], index[w], j))
+    for j in range(d):
+        # a boundary vertex ends the {j, d}-path through it, so the
+        # boundary vertices of each {j, d}-residue come in one pair
+        labels = residues(graph, {j, d}).labels
+        first = {}
+        for i, v in enumerate(boundary):
+            k = first.pop(labels[v], None)
+            if k is None:
+                first[labels[v]] = i
+            else:
+                edges.append((k, i, j))
+        if first:
+            raise InternalInconsistencyError(
+                f"{len(first)} {{{j},{d}}}-residue(s) hold one boundary vertex")
     bgraph = ColoredGraph.from_edges(d - 1, len(boundary), edges,
                                      require_connected=False)
     return BoundaryGraph(bgraph, boundary, residues(bgraph, range(d)).labels)

@@ -28,32 +28,6 @@ from .errors import (
 NO_EDGE = -1
 
 
-class UnionFind:
-    """Union-find with path compression; tracks the number of sets."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
-
-
 @dataclass(frozen=True)
 class ColoredGraph:
     """Immutable properly edge-colored multigraph in G_d.
@@ -126,7 +100,7 @@ def _build(dimension, num_vertices, edges, require_connected):
         raise PreconditionError(f"dimension must be >= 1, got {d}")
     if num_vertices <= 0:
         raise PreconditionError("graph must have at least one vertex")
-    maps = [[NO_EDGE] * num_vertices for _ in range(d + 1)]
+    edges = list(edges)
     for u, v, c in edges:
         if not (0 <= c <= d):
             raise InvalidColorError(f"color {c} outside 0..{d}")
@@ -135,6 +109,14 @@ def _build(dimension, num_vertices, edges, require_connected):
                 f"edge ({u},{v},{c}) has an endpoint outside 0..{num_vertices - 1}")
         if u == v:
             raise LoopEdgeError(f"loop at vertex {u} with color {c}")
+    # every color below d is a perfect matching, so a short edge list is
+    # rejected before the color maps are allocated
+    if d * num_vertices > 2 * len(edges):
+        raise MissingColorError(
+            f"{len(edges)} edges cannot give {num_vertices} vertices "
+            f"every color below {d}")
+    maps = [[NO_EDGE] * num_vertices for _ in range(d + 1)]
+    for u, v, c in edges:
         if maps[c][u] != NO_EDGE or maps[c][v] != NO_EDGE:
             raise DuplicateColorError(
                 f"vertex {u if maps[c][u] != NO_EDGE else v} meets two color-{c} edges")
@@ -148,21 +130,19 @@ def _build(dimension, num_vertices, edges, require_connected):
     if n_boundary % 2:
         raise OddBoundaryCountError(
             f"{n_boundary} boundary vertices; count must be even")
-    if require_connected:
-        uf = UnionFind(num_vertices)
-        for c in range(d + 1):
-            for u in range(num_vertices):
-                if maps[c][u] > u:
-                    uf.union(u, maps[c][u])
-        if uf.count != 1:
-            raise DisconnectedError(f"{uf.count} connected components")
-    return ColoredGraph(
+    graph = ColoredGraph(
         dimension=d,
         num_vertices=num_vertices,
         color_maps=tuple(tuple(row) for row in maps),
         is_regular=(n_boundary == 0),
         is_bipartite=_bipartite(num_vertices, maps),
     )
+    if require_connected:
+        # uncached, so that a new graph starts with an empty memo
+        count = _decompose(graph, (1 << (d + 1)) - 1).count
+        if count != 1:
+            raise DisconnectedError(f"{count} connected components")
+    return graph
 
 
 def _bipartite(num_vertices, maps) -> bool:

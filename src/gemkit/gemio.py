@@ -170,24 +170,26 @@ def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
 def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 name: Optional[str] = None) -> tuple[dict, bool]:
     """Append the gem's record unless its digest is already present.
-    Returns (record, added).  Appends hold an exclusive lock."""
+    Returns (record, added).  Appends hold an exclusive lock; the record
+    is built only when it is appended."""
     store = Path(store_path)
     store.touch(exist_ok=True)
-    record = catalog_record(graph, name)
+    digest = gemfile_from_graph(graph).digest()
     with store.open("r+", encoding="utf-8") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
             for line in fh:
-                line = line.strip()
-                if not line:
+                # only a line holding the digest text can be its record
+                if digest not in line:
                     continue
                 try:
                     existing = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if isinstance(existing, dict) and existing.get("digest") == record["digest"]:
+                if isinstance(existing, dict) and existing.get("digest") == digest:
                     existing.pop("added_at", None)
                     return existing, False
+            record = catalog_record(graph, name)
             stored = dict(record)
             stored["added_at"] = datetime.now(timezone.utc).isoformat()
             fh.write(json.dumps(stored, sort_keys=True) + "\n")

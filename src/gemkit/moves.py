@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .boundary import boundary_graph
 from .core import NO_EDGE, ColoredGraph, residues
 from .errors import (
     InternalInconsistencyError,
@@ -135,25 +136,34 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     """Join the two boundary endpoints of every maximal {color, d}-path by
     a new final-color edge.  Returns the capped (regular) graph and the
     added edges; colors are not swapped."""
-    d = graph.dimension
     if graph.is_regular:
         raise NoBoundaryError("nothing to cap: graph is regular")
-    if not (0 <= color < d):
+    return _cap(graph, [color] * boundary_graph(graph).num_components)
+
+
+def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
+    """Cap boundary component k along the boundary graph's color-choice[k]
+    edges, each of which joins the two ends of one {c, d}-path, and list
+    the added edges by the least vertex of the path they close."""
+    d = graph.dimension
+    if not all(0 <= c < d for c in choice):
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    added = []
-    dec = residues(graph, {color, d})
-    for comp, reg in zip(dec.components, dec.regular):
-        if not reg:
-            ends = [v for v in comp if not graph.has_color(v, d)]
-            if len(ends) != 2:
-                raise InternalInconsistencyError(
-                    f"{{{color},{d}}}-component {comp} has {len(ends)} loose ends")
-            added.append((ends[0], ends[1]))
+    bg = boundary_graph(graph)
+    paths = []
+    for i, k in enumerate(bg.component_map):
+        c = choice[k]
+        j = bg.graph.color_maps[c][i]
+        if i < j:
+            u, v = bg.parent_vertex_map[i], bg.parent_vertex_map[j]
+            dec = residues(graph, {c, d})
+            paths.append((dec.components[dec.labels[u]][0], u, v))
+    paths.sort()
+    added = tuple((u, v) for _, u, v in paths)
     edges = list(graph.edges()) + [(u, v, d) for u, v in added]
     capped = ColoredGraph.from_edges(d, graph.num_vertices, edges)
     if not capped.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")
-    return capped, tuple(added)
+    return capped, added
 
 
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:
@@ -177,8 +187,6 @@ def regularize(graph: ColoredGraph,
     component index -> color) each component is capped with its own color
     and the swap is skipped.
     """
-    from .boundary import boundary_graph
-
     d = graph.dimension
     if graph.is_regular:
         raise NoBoundaryError("graph is already regular")
@@ -195,30 +203,15 @@ def regularize(graph: ColoredGraph,
         )
         return swap_colors(capped, singular_color, d), record
 
-    bg = boundary_graph(graph)
-    if set(per_component) != set(range(bg.num_components)):
+    n = boundary_graph(graph).num_components
+    if set(per_component) != set(range(n)):
         raise InvalidColorError(
-            f"need one color per boundary component 0..{bg.num_components - 1}")
-    added = []
-    edges = list(graph.edges())
-    for comp_index in sorted(per_component):
-        c = per_component[comp_index]
-        if not (0 <= c < d):
-            raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-        # the color-c edges of the boundary graph join the two ends of
-        # each {c, d}-path, and never leave a boundary component
-        for i, k in enumerate(bg.graph.color_maps[c]):
-            if i < k and bg.component_map[i] == comp_index:
-                ends = (bg.parent_vertex_map[i], bg.parent_vertex_map[k])
-                added.append(ends)
-                edges.append((*ends, d))
-    out = ColoredGraph.from_edges(d, graph.num_vertices, edges)
-    if not out.is_regular:
-        raise InternalInconsistencyError("capping left boundary vertices")
+            f"need one color per boundary component 0..{n - 1}")
+    out, added = _cap(graph, [per_component[k] for k in range(n)])
     record = RegularizationRecord(
         singular_color_choice=None,
         per_component_choice=tuple(sorted(per_component.items())),
-        added_edges=tuple(added),
+        added_edges=added,
         color_swap=None,
     )
     return out, record

@@ -13,10 +13,34 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, UnionFind, residues
+from .core import ColoredGraph, residues
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
+
+
+class UnionFind:
+    """Union-find with path compression."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
 
 @dataclass(frozen=True)

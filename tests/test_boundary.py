@@ -17,6 +17,7 @@ from gemkit import (
 from gemkit.errors import InvalidColorError, NoBoundaryError, NotRegularError
 from gemkit.moves import insert_1_dipole
 
+import bruteforce as bf
 from corpus import k33_graph, pseudo_shell_graph
 
 
@@ -104,6 +105,15 @@ class TestSphericity:
 
 
 class TestBoundaryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 10), st.integers(0, 2 ** 20))
+    def test_matches_walk_oracle(self, d, p, seed):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        bg = boundary_graph(g)
+        n, edges = bf.boundary_edges(d, g.num_vertices, list(g.edges()))
+        assert bg.graph.num_vertices == n
+        assert sorted(bg.graph.edges()) == sorted(edges)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2 ** 20))
     def test_boundary_edges_per_color(self, p, seed):

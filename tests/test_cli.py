@@ -69,6 +69,15 @@ class TestExitCodes:
         code, _, err = run_cli("validate", str(bad))
         assert code == 3
 
+    def test_impossible_vertex_count_is_three(self, tmp_path):
+        # rejected from the edge count, before any per-vertex allocation
+        bad = tmp_path / "huge.gem"
+        bad.write_text(json.dumps({
+            "dimension": 4, "vertices": 10 ** 12, "edges": [[0, 1, 0]]}))
+        code, _, err = run_cli("validate", str(bad))
+        assert code == 3
+        assert b"invalid gem:" in err and b"Traceback" not in err
+
     def test_precondition_is_three(self):
         # G-degree of a boundary gem is undefined
         code, _, _ = run_cli("gdegree", str(GEMS / "b4_2.gem"))

@@ -55,6 +55,13 @@ class TestValidate:
         with pytest.raises(MissingColorError):
             validate(4, 2, [(0, 1, c) for c in range(3)])
 
+    @pytest.mark.parametrize("dimension, vertices", [(4, 10 ** 12),
+                                                     (10 ** 12, 2)])
+    def test_too_few_edges_rejected_before_allocation(self, dimension,
+                                                      vertices):
+        with pytest.raises(MissingColorError):
+            validate(dimension, vertices, [(0, 1, 0)])
+
     def test_out_of_range_vertex(self):
         with pytest.raises(LoopEdgeError):
             validate(4, 2, [(0, 5, 0)])

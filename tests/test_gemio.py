@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gemkit import ball_gem, order_two_gem
+from gemkit import ball_gem, gemio, order_two_gem
 from gemkit.errors import ParseError, ValidationError
 from gemkit.gemio import (
     GemFile,
@@ -126,6 +126,44 @@ class TestCatalog:
         assert added1 and not added2
         assert rec1["digest"] == rec2["digest"]
         assert len(store.read_text().splitlines()) == 1
+
+    def test_resubmission_builds_no_report(self, tmp_path, monkeypatch, s4,
+                                           b4):
+        store = tmp_path / "store.jsonl"
+        first, _ = catalog_add(store, s4, name="s4")
+        catalog_add(store, b4, name="b4")
+        before = store.read_bytes()
+        reports = []
+        real_report = gemio.invariant_report
+
+        def counting_report(graph):
+            reports.append(graph)
+            return real_report(graph)
+
+        monkeypatch.setattr(gemio, "invariant_report", counting_report)
+        again, added = catalog_add(store, s4, name="renamed")
+        assert not added and reports == []
+        assert again == first and store.read_bytes() == before
+
+    def test_name_equal_to_a_digest_is_not_a_record(self, tmp_path, s4, b4):
+        store = tmp_path / "store.jsonl"
+        b4_digest = gemfile_from_graph(b4).digest()
+        catalog_add(store, s4, name=b4_digest)
+        rec, added = catalog_add(store, b4, name="b4")
+        assert added and rec["digest"] == b4_digest
+        again, added = catalog_add(store, b4)
+        assert not added and again == rec
+        assert len(store.read_text().splitlines()) == 2
+
+    def test_corrupt_line_with_digest_is_skipped(self, tmp_path, s4):
+        store = tmp_path / "store.jsonl"
+        digest = gemfile_from_graph(s4).digest()
+        store.write_text(f'{{"digest": "{digest}", broken\n')
+        rec, added = catalog_add(store, s4, name="s4")
+        assert added and rec["digest"] == digest
+        hits, warnings = catalog_scan(store)
+        assert [r["name"] for r in hits] == ["s4"]
+        assert [w.line_number for w in warnings] == [1]
 
     def test_scan_filters(self, tmp_path, s4, b4, k33):
         store = tmp_path / "store.jsonl"

@@ -181,7 +181,20 @@ class TestRegularize:
         assert len(record.added_edges) == len(g.boundary_vertices()) // 2
         assert set(record.added_edges) <= set(added_a) | set(added_b)
         if a == b:
-            assert out == capped_a and set(record.added_edges) == set(added_a)
+            assert out == capped_a and record.added_edges == added_a
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 10), st.integers(0, 2 ** 20),
+           st.integers(0, 4))
+    def test_capping_order_is_least_path_vertex(self, d, p, seed, c):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        c %= d
+        _, added = cap_boundary(g, c)
+        dec = residues(g, {c, d})
+        least = [dec.components[dec.component_of(u)][0] for u, _ in added]
+        assert least == sorted(least)
+        assert all(dec.component_of(u) == dec.component_of(v) and u < v
+                   for u, v in added)
 
     def test_per_component_needs_all_components(self, shell):
         with pytest.raises(InvalidColorError):
