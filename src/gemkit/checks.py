@@ -29,8 +29,6 @@ from .invariants import (
     enumerate_cyclic_permutations,
     euler_characteristic,
     gurau_degree,
-    rho_boundary,
-    rho_closed,
     rho_table,
 )
 from .moves import cap_boundary, full_contraction
@@ -148,10 +146,10 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
 
     cases = []
     transfer_ok = True
-    for eps in enumerate_cyclic_permutations(d):
+    capped_table = rho_table(capped)
+    for eps, rho_in in rho_table(graph).items():
         e0, e_last = eps.order[0], eps.order[d - 1]
-        rho_in = rho_boundary(graph, eps)
-        rho_cap = rho_closed(capped, eps)
+        rho_cap = capped_table[eps]
         dg_ends = residues(bg.graph, {e0, e_last}).count
         dg_0c = residues(bg.graph, {e0, c}).count
         dg_lc = residues(bg.graph, {e_last, c}).count

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (and every checked identity holds), 1 a checked
 identity or bound fails, 2 usage or parse error, 3 validation or
-precondition error.  With --json a single machine-readable object is
-printed; its content is byte-identical across runs on the same input.
+precondition error, 4 internal error (an unexpected exception, reported
+as one ``internal error: <Type>: <message>`` line on stderr).  With
+--json a single machine-readable object is printed; its content is
+byte-identical across runs on the same input.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import checks, gemio, moves, pi1
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> ColoredGraph:
@@ -437,9 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands.
+    Parsing returns a fresh namespace and leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -451,6 +461,9 @@ def main(argv=None) -> int:
     except GemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -161,8 +161,11 @@ def export_dot(graph: ColoredGraph, path: str | Path,
 
 
 def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
-    gf = gemfile_from_graph(graph, name)
-    record = {"digest": gf.digest(), "name": name}
+    return _record(graph, gemfile_from_graph(graph).digest(), name)
+
+
+def _record(graph: ColoredGraph, digest: str, name: Optional[str]) -> dict:
+    record = {"digest": digest, "name": name}
     record.update(invariant_report(graph).to_jsonable())
     return record
 
@@ -189,7 +192,7 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 if isinstance(existing, dict) and existing.get("digest") == digest:
                     existing.pop("added_at", None)
                     return existing, False
-            record = catalog_record(graph, name)
+            record = _record(graph, digest, name)
             stored = dict(record)
             stored["added_at"] = datetime.now(timezone.utc).isoformat()
             fh.write(json.dumps(stored, sort_keys=True) + "\n")

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .boundary import boundary_g, boundary_graph
+from .boundary import boundary_g
 from .core import ColoredGraph, classify_vertices, count_g, residues
 from .errors import NoBoundaryError, NonIntegralGenusError, NotRegularError
 
@@ -45,7 +45,20 @@ class CyclicPermutation:
         return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
     def label(self) -> str:
-        return ",".join(str(c) for c in self.order)
+        # kept on the instance (past the frozen __setattr__): the orders
+        # of a dimension are built once per process, and so their labels
+        text = self.__dict__.get("_label")
+        if text is None:
+            text = self.__dict__["_label"] = ",".join(map(str, self.order))
+        return text
+
+    @classmethod
+    def _unchecked(cls, order: tuple[int, ...]) -> "CyclicPermutation":
+        """A representative already known to be canonical, without the
+        checks of ``__post_init__``."""
+        eps = object.__new__(cls)
+        object.__setattr__(eps, "order", order)
+        return eps
 
     @staticmethod
     def canonical(seq: Iterable[int]) -> "CyclicPermutation":
@@ -59,13 +72,60 @@ class CyclicPermutation:
         return CyclicPermutation(rot + (d,))
 
 
-def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
-    """All d!/2 canonical cyclic permutations of 0..d, sorted."""
+class _Sweep(NamedTuple):
+    """The d!/2 canonical orders of one dimension, sorted, and for each
+    the positions it reads in a pair-count row: a count per color pair
+    of 0..d in ``pairs`` order, then a boundary count per pair.  An
+    order reads its d+1 consecutive pairs and the boundary count of the
+    two colors next to d."""
+
+    pairs: tuple[tuple[int, int], ...]
+    orders: tuple[CyclicPermutation, ...]
+    reads: tuple[Sequence[int], ...]
+
+
+# Sweeps up to this dimension are kept for the life of the process
+# (labels included, about 0.9 MB at d=7 and 7.7 MB at d=8); a d=9 sweep
+# would keep 71 MB, so larger ones are rebuilt on each call.
+_SWEEP_CACHE_MAX_D = 8
+_sweeps: dict[int, _Sweep] = {}
+
+
+def _sweep(d: int) -> _Sweep:
+    sweep = _sweeps.get(d)
+    if sweep is None:
+        sweep = _build_sweep(d)
+        if d <= _SWEEP_CACHE_MAX_D:
+            _sweeps[d] = sweep
+    return sweep
+
+
+def _build_sweep(d: int) -> _Sweep:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    out = [CyclicPermutation(perm + (d,))
-           for perm in permutations(range(d)) if perm[0] < perm[-1]]
-    return sorted(out)
+    pairs = tuple(combinations(range(d + 1), 2))
+    index = {}
+    for k, (a, b) in enumerate(pairs):
+        index[a, b] = index[b, a] = k
+    n_pairs = len(pairs)
+    # bytes hold the positions in a quarter of a tuple's memory
+    pack = bytes if 2 * n_pairs <= 256 else tuple
+    orders, reads = [], []
+    # permutations() yields lexicographic order, so the representatives
+    # (first color below the one before d, then d) come out sorted
+    for perm in permutations(range(d)):
+        if perm[0] < perm[-1]:
+            order = perm + (d,)
+            orders.append(CyclicPermutation._unchecked(order))
+            reads.append(pack([*map(index.__getitem__,
+                                    zip(order, order[1:] + order[:1])),
+                               n_pairs + index[perm[0], perm[-1]]]))
+    return _Sweep(pairs, tuple(orders), tuple(reads))
+
+
+def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
+    """All d!/2 canonical cyclic permutations of 0..d, sorted."""
+    return list(_sweep(d).orders)
 
 
 def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
@@ -125,24 +185,66 @@ def rho(graph: ColoredGraph, eps: CyclicPermutation) -> Fraction:
     return rho_closed(graph, eps) if graph.is_regular else rho_boundary(graph, eps)
 
 
+def _doubled_genera(graph: ColoredGraph
+                    ) -> tuple[tuple[CyclicPermutation, ...], list[int]]:
+    """Twice the genus for every canonical order, sorted, read from the
+    graph's pair table.
+
+    The formulas of ``rho_closed`` and ``rho_boundary`` depend on an
+    order only through its d+1 consecutive pairs and, with boundary,
+    the boundary-graph count on the two colors next to d; so the counts
+    of all pairs are read once and each order sums its entries.
+    """
+    d = graph.dimension
+    sweep = _sweep(d)
+    pairs = sweep.pairs
+    if graph.is_regular:
+        counts = [residues(graph, pair).count for pair in pairs]
+        ends = [0] * len(pairs)
+        base = 2 + (d - 1) * (graph.num_vertices // 2)
+    else:
+        cls = classify_vertices(graph)
+        counts = [residues(graph, pair).regular_count for pair in pairs]
+        ends = [boundary_g(graph, pair) if pair[1] < d else 0
+                for pair in pairs]
+        base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
+    row = counts + ends
+    doubled = [base - sum(map(row.__getitem__, reads))
+               for reads in sweep.reads]
+    if graph.is_bipartite:
+        for eps, value in zip(sweep.orders, doubled):
+            if value % 2:
+                _as_genus(value, True, eps)  # raises NonIntegralGenusError
+    return sweep.orders, doubled
+
+
+def _genus_table(orders: tuple[CyclicPermutation, ...], doubled: list[int]
+                 ) -> dict[CyclicPermutation, Fraction]:
+    halves = {value: Fraction(value, 2) for value in set(doubled)}
+    return dict(zip(orders, map(halves.__getitem__, doubled)))
+
+
 def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
-    return {eps: rho(graph, eps)
-            for eps in enumerate_cyclic_permutations(graph.dimension)}
+    """Genus for every cyclic order, keyed in canonical (sorted) order;
+    equal to ``{eps: rho(graph, eps) for eps in
+    enumerate_cyclic_permutations(d)}``."""
+    return _genus_table(*_doubled_genera(graph))
 
 
 def regular_genus(graph: ColoredGraph) -> tuple[Fraction, list[CyclicPermutation]]:
     """Minimum genus over all cyclic orders, with the argmin list in
     canonical order."""
-    table = rho_table(graph)
-    best = min(table.values())
-    return best, [eps for eps in sorted(table) if table[eps] == best]
+    orders, doubled = _doubled_genera(graph)
+    best = min(doubled)
+    return Fraction(best, 2), [eps for eps, value in zip(orders, doubled)
+                               if value == best]
 
 
 def gurau_degree(graph: ColoredGraph) -> Fraction:
     """Sum of the genus values over all d!/2 cyclic orders."""
     if not graph.is_regular:
         raise NotRegularError("G-degree is defined for regular graphs")
-    return sum(rho_table(graph).values(), Fraction(0))
+    return Fraction(sum(_doubled_genera(graph)[1]), 2)
 
 
 @dataclass(frozen=True)
@@ -186,8 +288,11 @@ class InvariantReport:
                           for k, v in sorted(self.g_triples.items())},
             "f_vector": list(self.f_vector),
             "chi": self.chi,
+            # keyed by the order tuples, which sort like the permutations
+            # but compare without a Python-level call
             "rho": {eps.label(): str(val)
-                    for eps, val in sorted(self.rho_by_perm.items())},
+                    for eps, val in sorted(self.rho_by_perm.items(),
+                                           key=lambda item: item[0].order)},
             "rho_min": str(self.rho_min),
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
@@ -225,7 +330,7 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
     triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}
     fv = f_vector(graph)
-    table = rho_table(graph)
+    orders, doubled = _doubled_genera(graph)
     return InvariantReport(
         dimension=graph.dimension,
         num_vertices=graph.num_vertices,
@@ -239,8 +344,8 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
         g_triples=triples,
         f_vector=fv,
         chi=sum((-1) ** h * n for h, n in enumerate(fv)),
-        rho_by_perm=table,
-        rho_min=min(table.values()),
-        omega_g=sum(table.values(), Fraction(0)) if graph.is_regular else None,
+        rho_by_perm=_genus_table(orders, doubled),
+        rho_min=Fraction(min(doubled), 2),
+        omega_g=Fraction(sum(doubled), 2) if graph.is_regular else None,
         bound_checks=_parameter_free_checks(graph),
     )

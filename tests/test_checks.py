@@ -13,12 +13,15 @@ from gemkit import (
     check_omega_pairing,
     check_regularization_identities,
     check_semisimple,
+    enumerate_cyclic_permutations,
     gem_complexity_relation,
     lower_bound_thm,
     order_two_gem,
     partner_permutation,
     random_boundary_gem,
     random_gem,
+    rho_boundary,
+    rho_closed,
     validate,
 )
 from gemkit.errors import (
@@ -27,7 +30,7 @@ from gemkit.errors import (
     PreconditionError,
     ResidueShapeError,
 )
-from gemkit.moves import full_contraction, insert_1_dipole
+from gemkit.moves import cap_boundary, full_contraction, insert_1_dipole
 
 from corpus import grow_by_insertions, k33_graph
 
@@ -78,6 +81,20 @@ class TestRegularizationIdentities:
                 assert case.rho_capped == case.rho_input
             elif case.paper_applicable:
                 assert case.paper_ok
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 7), st.integers(0, 2 ** 20),
+           st.integers(0, 3))
+    def test_transfer_reads_the_per_order_genus(self, p, p_dot, seed, c):
+        # the report's genus values are those of the per-order formulas,
+        # case by case in canonical order
+        g = random_boundary_gem(4, p, p_dot % p, seed=seed)
+        capped, _ = cap_boundary(g, c)
+        report = check_regularization_identities(g, c)
+        orders = enumerate_cyclic_permutations(4)
+        assert [case.eps for case in report.transfer] == orders
+        assert [(case.rho_input, case.rho_capped) for case in report.transfer] == [
+            (rho_boundary(g, eps), rho_closed(capped, eps)) for eps in orders]
 
 
 class TestOmegaPairing:

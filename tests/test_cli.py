@@ -83,6 +83,21 @@ class TestExitCodes:
         code, _, _ = run_cli("gdegree", str(GEMS / "b4_2.gem"))
         assert code == 3
 
+    def test_unexpected_exception_is_four(self, capsys, monkeypatch):
+        from gemkit import cli
+
+        def broken(graph):
+            raise RuntimeError("boom")
+
+        # the euler command now fails inside, as a bug would
+        monkeypatch.setattr(cli, "euler_characteristic", broken)
+        code = main(["--json", "euler", str(GEMS / "s4_2.gem")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in captured.err
+
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
                              "--chi", "1", "--m", "3", "--mhat", "0", "--h", "1")
@@ -240,3 +255,44 @@ class TestPipelines:
         assert code == 0
         assert capsys.readouterr().out.strip() == (
             "corollary identities: hold for all 4 color choices")
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; every call must act
+    as the only call of a fresh process."""
+
+    def _in_process(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # usage errors exit from argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err.encode()
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, tmp_path):
+        store = tmp_path / "store.jsonl"
+        for name in ("s4_2", "b4_2", "k33"):
+            assert main(["catalog", "add", str(store),
+                         str(GEMS / f"{name}.gem"), "--name", name]) == 0
+        capsys.readouterr()
+        sequence = [
+            ("--json", "catalog", "scan", str(store), "--where", "rho_min=0",
+             "--where", "regular=true"),
+            ("--json", "catalog", "scan", str(store)),
+            ("--json", "genus", str(GEMS / "k33.gem"), "--all-perms"),
+            ("--json", "genus", str(GEMS / "k33.gem")),
+            ("--json", "genus"),                      # usage error: no FILE
+            ("--json", "info", str(GEMS / "b4_2.gem")),
+            ("--json", "check", str(GEMS / "b4_2.gem"), "--suite", "bogus"),
+            ("--json", "genus", str(GEMS / "k33.gem")),
+        ]
+        results = [self._in_process(capsys, argv) for argv in sequence]
+        assert [r[0] for r in results] == [0, 0, 0, 0, 2, 0, 2, 0]
+        scan_filtered = json.loads(results[0][1])
+        scan_all = json.loads(results[1][1])
+        assert [r["name"] for r in scan_filtered["records"]] == ["s4_2"]
+        assert scan_all["count"] == 3
+        assert "table" in json.loads(results[2][1])
+        assert "table" not in json.loads(results[3][1])
+        for argv, result in zip(sequence, results):
+            assert result == run_cli(*argv), argv

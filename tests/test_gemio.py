@@ -145,6 +145,24 @@ class TestCatalog:
         assert not added and reports == []
         assert again == first and store.read_bytes() == before
 
+    def test_new_record_hashes_once(self, tmp_path, monkeypatch, b4):
+        store = tmp_path / "store.jsonl"
+        expected = catalog_record(b4, "b4")
+        digests = []
+        real_digest = GemFile.digest
+
+        def counting_digest(self):
+            digests.append(self)
+            return real_digest(self)
+
+        monkeypatch.setattr(GemFile, "digest", counting_digest)
+        rec, added = catalog_add(store, b4, name="b4")
+        assert added and len(digests) == 1
+        assert rec == expected
+        stored = json.loads(store.read_text())
+        assert stored.pop("added_at")
+        assert stored == expected
+
     def test_name_equal_to_a_digest_is_not_a_record(self, tmp_path, s4, b4):
         store = tmp_path / "store.jsonl"
         b4_digest = gemfile_from_graph(b4).digest()

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from gemkit import (
     random_boundary_gem,
     random_gem,
     regular_genus,
+    residues,
     rho_boundary,
     rho_closed,
     rho_table,
     validate,
 )
-from gemkit.errors import NoBoundaryError, NotRegularError
+from gemkit.errors import NoBoundaryError, NonIntegralGenusError, NotRegularError
+from gemkit.invariants import rho
 from gemkit.moves import insert_1_dipole, regularize
 
 
@@ -179,3 +183,154 @@ class TestInvariantReport:
         a = json.dumps(invariant_report(b4).to_jsonable(), sort_keys=True)
         b = json.dumps(invariant_report(b4).to_jsonable(), sort_keys=True)
         assert a == b
+
+
+def _gem(d, p, p_dot, seed, boundary):
+    """A random regular gem, or one with boundary when p allows it."""
+    if boundary and p > 1:
+        return random_boundary_gem(d, p, p_dot % p, seed=seed)
+    return random_gem(d, p, seed=seed)
+
+
+GEMS_D2_TO_6 = st.builds(
+    _gem, st.integers(2, 6), st.integers(1, 4), st.integers(0, 3),
+    st.integers(0, 2 ** 20), st.booleans())
+
+
+class TestPairTable:
+    """``rho_table`` reads each order's genus from the pair counts; the
+    per-order formulas and the brute-force oracles are its reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(GEMS_D2_TO_6)
+    def test_equals_per_order_formulas(self, g):
+        expected = [(eps, rho(g, eps))
+                    for eps in enumerate_cyclic_permutations(g.dimension)]
+        assert list(rho_table(g).items()) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(GEMS_D2_TO_6, st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                  max_size=3))
+    def test_sampled_orders_match_bruteforce(self, g, picks):
+        d, n, edges = g.dimension, g.num_vertices, list(g.edges())
+        oracle = bf.rho_closed if g.is_regular else bf.rho_boundary
+        table = rho_table(g)
+        orders = bf.cyclic_classes(d)
+        for k in picks:
+            eps = orders[k % len(orders)]
+            assert table[CyclicPermutation(eps)] == oracle(d, n, edges, eps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2 ** 20))
+    def test_degree_closed_form(self, d, p, seed):
+        # every color pair is consecutive in (d-1)! of the d!/2 orders
+        g = random_gem(d, p, seed=seed)
+        pair_sum = sum(residues(g, pair).count
+                       for pair in combinations(range(d + 1), 2))
+        omega = (Fraction(factorial(d), 2) * (1 + Fraction((d - 1) * p, 2))
+                 - Fraction(factorial(d - 1), 2) * pair_sum)
+        assert gurau_degree(g) == omega
+
+    @settings(max_examples=30, deadline=None)
+    @given(GEMS_D2_TO_6)
+    def test_report_aggregates(self, g):
+        rep = invariant_report(g)
+        assert rep.rho_by_perm == rho_table(g)
+        assert rep.rho_min == min(rep.rho_by_perm.values())
+        if g.is_regular:
+            assert rep.omega_g == sum(rep.rho_by_perm.values(), Fraction(0))
+            assert rep.omega_g == gurau_degree(g)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_orders_sorted_and_canonical(self, d):
+        orders = enumerate_cyclic_permutations(d)
+        assert [eps.order for eps in orders] == bf.cyclic_classes(d)
+        assert orders == sorted(orders)
+        # the checked constructor accepts every one of them
+        assert [CyclicPermutation(eps.order) for eps in orders] == orders
+        assert [eps.label() for eps in orders] == [
+            ",".join(map(str, eps)) for eps in bf.cyclic_classes(d)]
+
+    def test_enumeration_is_a_fresh_list(self):
+        first = enumerate_cyclic_permutations(4)
+        first.clear()
+        assert len(enumerate_cyclic_permutations(4)) == 12
+
+    def test_bipartite_check_names_the_first_order(self, monkeypatch, s4):
+        # one extra {0, 1} component makes every order with 0 and 1
+        # adjacent half-integral on the bipartite order-two gem; both
+        # paths must stop at the same order
+        import gemkit.invariants as inv
+
+        real = inv.residues
+
+        class Shifted:
+            def __init__(self, dec):
+                self.count = dec.count + 1
+
+        def shifted(graph, colors):
+            dec = real(graph, colors)
+            return Shifted(dec) if set(colors) == {0, 1} else dec
+
+        monkeypatch.setattr(inv, "residues", shifted)
+        with pytest.raises(NonIntegralGenusError) as fast:
+            rho_table(s4)
+        with pytest.raises(NonIntegralGenusError) as slow:
+            for eps in enumerate_cyclic_permutations(4):
+                rho(s4, eps)
+        assert str(fast.value) == str(slow.value)
+        assert "(0, 1, 2, 3, 4)" in str(fast.value)
+
+    def test_sweeps_above_the_cap_are_not_kept(self, monkeypatch):
+        import gc
+        import tracemalloc
+
+        import gemkit.invariants as inv
+
+        monkeypatch.setattr(inv, "_SWEEP_CACHE_MAX_D", 4)
+        monkeypatch.setattr(inv, "_sweeps", {})
+        invariant_report(random_boundary_gem(5, 3, 1, seed=3)).to_jsonable()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # the graph, and with it its memo, is gone before measuring
+            invariant_report(random_boundary_gem(5, 3, 1, seed=4)).to_jsonable()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 5 not in inv._sweeps
+        assert grown < 4_000  # the 60 orders with labels take about 25 KB
+        rho_table(order_two_gem(4))
+        assert list(inv._sweeps) == [4]
+
+    def test_concurrent_first_use_of_a_dimension(self, monkeypatch):
+        # threads race to build and keep the d=5 orders and their labels;
+        # every write stores what any other thread would compute
+        import sys
+        import threading
+
+        import gemkit.invariants as inv
+
+        expected = invariant_report(
+            random_boundary_gem(5, 4, 1, seed=2)).to_jsonable()
+        monkeypatch.setattr(inv, "_sweeps", {})
+        results = []
+
+        def work():
+            g = random_boundary_gem(5, 4, 1, seed=2)
+            results.append(invariant_report(g).to_jsonable())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert results == [expected] * len(workers)
