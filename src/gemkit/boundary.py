@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import ColoredGraph, residues
+from .core import NO_EDGE, ColoredGraph, _from_maps, residues
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -44,10 +44,9 @@ class BoundaryGraph:
         if not verts:
             raise ValueError(f"no boundary component {index}")
         relabel = {v: i for i, v in enumerate(verts)}
-        keep = set(verts)
-        edges = [(relabel[u], relabel[v], c)
-                 for u, v, c in self.graph.edges() if u in keep]
-        return ColoredGraph.from_edges(self.graph.dimension, len(verts), edges)
+        return _from_maps(self.graph.dimension,
+                          [[relabel[row[v]] for v in verts]
+                           for row in self.graph.color_maps])
 
 
 def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
@@ -65,7 +64,7 @@ def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
     boundary = graph.boundary_vertices()
     if not boundary:
         raise NoBoundaryError("graph is regular: empty boundary")
-    edges = []
+    maps = [[NO_EDGE] * len(boundary) for _ in range(d)]
     for j in range(d):
         # a boundary vertex ends the {j, d}-path through it, so the
         # boundary vertices of each {j, d}-residue come in one pair
@@ -76,12 +75,11 @@ def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
             if k is None:
                 first[labels[v]] = i
             else:
-                edges.append((k, i, j))
+                maps[j][k], maps[j][i] = i, k
         if first:
             raise InternalInconsistencyError(
                 f"{len(first)} {{{j},{d}}}-residue(s) hold one boundary vertex")
-    bgraph = ColoredGraph.from_edges(d - 1, len(boundary), edges,
-                                     require_connected=False)
+    bgraph = _from_maps(d - 1, maps, require_connected=False)
     return BoundaryGraph(bgraph, boundary, residues(bgraph, range(d)).labels)
 
 

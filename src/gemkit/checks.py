@@ -34,10 +34,6 @@ from .invariants import (
 from .moves import cap_boundary, full_contraction
 
 
-def _fmt(value) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # capping identities
 
@@ -58,12 +54,12 @@ class TransferCase:
         return {
             "eps": self.eps.label(),
             "case": "adjacent" if self.adjacent else "nonadjacent",
-            "rho_input": _fmt(self.rho_input),
-            "rho_capped": _fmt(self.rho_capped),
-            "paper_rhs": None if self.paper_rhs is None else _fmt(self.paper_rhs),
+            "rho_input": str(self.rho_input),
+            "rho_capped": str(self.rho_capped),
+            "paper_rhs": None if self.paper_rhs is None else str(self.paper_rhs),
             "paper_applicable": self.paper_applicable,
             "paper_ok": self.paper_ok,
-            "universal_rhs": _fmt(self.universal_rhs),
+            "universal_rhs": str(self.universal_rhs),
             "universal_ok": self.universal_ok,
         }
 
@@ -201,8 +197,8 @@ class OmegaPairingReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "omega": _fmt(self.omega),
-            "pair_sums": {eps.label(): _fmt(v)
+            "omega": str(self.omega),
+            "pair_sums": {eps.label(): str(v)
                           for eps, v in sorted(self.pair_sums.items())},
             "sum_constant": self.sum_constant,
             "factor_ok": self.factor_ok,
@@ -275,8 +271,8 @@ class BoundReport:
         return {
             "genus_bound": self.genus_bound,
             "gdegree_bound": self.gdegree_bound,
-            "omega": _fmt(self.omega),
-            "slack": {eps.label(): _fmt(v) for eps, v in sorted(self.slack.items())},
+            "omega": str(self.omega),
+            "slack": {eps.label(): str(v) for eps, v in sorted(self.slack.items())},
             "genus_ok": self.genus_ok,
             "gdegree_ok": self.gdegree_ok,
             "genus_equality": self.genus_equality,
@@ -446,7 +442,7 @@ class ComplexityReport:
         return self.matches or not self.claimed_minimal
 
     def to_jsonable(self) -> dict:
-        return {"relation_value": self.relation_value, "omega": _fmt(self.omega),
+        return {"relation_value": self.relation_value, "omega": str(self.omega),
                 "matches": self.matches, "claimed_minimal": self.claimed_minimal,
                 "note": self.note, "ok": self.ok}
 

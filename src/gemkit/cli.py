@@ -37,10 +37,6 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
-def _load(path: str) -> ColoredGraph:
-    return gemio.read_gem(path)
-
-
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -65,7 +61,7 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     cls = classify_vertices(graph)
     payload = {
         "command": "validate", "ok": True,
@@ -81,7 +77,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     report = invariant_report(graph)
     payload = {"command": "info", **report.to_jsonable()}
     human = [
@@ -101,7 +97,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     bg = boundary_graph(graph)
     out_graph = bg.graph if args.component is None \
         else bg.component_subgraph(args.component)
@@ -120,7 +116,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_regularize(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     out_graph, record = moves.regularize(graph, singular_color=args.singular_color)
     gemio.write_gem(out_graph, args.output, name=args.name)
     payload = {
@@ -138,7 +134,7 @@ def cmd_regularize(args) -> int:
 
 
 def cmd_dipoles(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     sites = moves.find_1_dipoles(graph)
     payload = {
         "command": "dipoles", "ok": True,
@@ -161,7 +157,7 @@ def cmd_dipoles(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     result = moves.full_contraction(graph)
     gemio.write_gem(result, args.output, name=args.name)
     payload = {"command": "contract", "ok": True,
@@ -174,13 +170,18 @@ def cmd_contract(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    graph = _load(args.file)
-    best, argmin = regular_genus(graph)
+    graph = gemio.read_gem(args.file)
+    if args.all_perms:
+        # one sweep: the minimum and its argmin come from the table
+        table = rho_table(graph)
+        best = min(table.values())
+        argmin = [eps for eps, value in table.items() if value == best]
+    else:
+        best, argmin = regular_genus(graph)
     payload = {"command": "genus", "ok": True, "rho_min": str(best),
                "argmin": [eps.label() for eps in argmin]}
     human = [f"rho = {best} (attained by {len(argmin)} cyclic order(s))"]
     if args.all_perms:
-        table = rho_table(graph)
         payload["table"] = {eps.label(): str(v) for eps, v in sorted(table.items())}
         human += [f"  ({eps.label()}) -> {v}" for eps, v in sorted(table.items())]
     _emit(args, payload, human)
@@ -188,7 +189,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_gdegree(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     omega = gurau_degree(graph)
     _emit(args, {"command": "gdegree", "ok": True, "omega_g": str(omega)},
           [f"omega_G = {omega}"])
@@ -196,7 +197,7 @@ def cmd_gdegree(args) -> int:
 
 
 def cmd_fvector(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     fv = f_vector(graph)
     _emit(args, {"command": "fvector", "ok": True, "f_vector": list(fv)},
           [f"f = {fv}"])
@@ -204,14 +205,14 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     chi = euler_characteristic(graph)
     _emit(args, {"command": "euler", "ok": True, "chi": chi}, [f"chi = {chi}"])
     return EXIT_OK
 
 
 def cmd_pi1(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     try:
         i, j = (int(x) for x in args.pair.split(","))
     except ValueError as exc:
@@ -271,7 +272,7 @@ def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
 
 
 def cmd_check(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     suite = args.suite
     if suite == "lemma" or suite == "corollary":
         reports = {c: checks.check_regularization_identities(graph, c)
@@ -312,7 +313,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     report = checks.check_bound_on_gem(graph, args.chi, args.m, args.h, args.mhat)
     payload = {"command": "bound", "ok": report.ok, **report.to_jsonable()}
     human = [
@@ -338,7 +339,7 @@ def cmd_catalog(args) -> int:
     if args.action == "add":
         if args.file is None:
             raise ParseError("catalog add needs a gem FILE")
-        graph = _load(args.file)
+        graph = gemio.read_gem(args.file)
         record, added = gemio.catalog_add(args.store, graph, name=args.name)
         payload = {"command": "catalog", "action": "add", "ok": True,
                    "added": added, "record": record}
@@ -359,7 +360,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    graph = _load(args.file)
+    graph = gemio.read_gem(args.file)
     gemio.export_dot(graph, args.output, name=args.name or "gem")
     _emit(args, {"command": "export-dot", "ok": True, "output": str(args.output)},
           [f"wrote {args.output}"])
@@ -449,7 +450,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    try:
+        args = _shared_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help or a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ParseError as exc:

@@ -75,9 +75,8 @@ class ColoredGraph:
     @staticmethod
     def from_edges(dimension: int,
                    num_vertices: int,
-                   edges: Iterable[tuple[int, int, int]],
-                   require_connected: bool = True) -> "ColoredGraph":
-        return _build(dimension, num_vertices, edges, require_connected)
+                   edges: Iterable[tuple[int, int, int]]) -> "ColoredGraph":
+        return _build(dimension, num_vertices, edges)
 
 
 def validate(dimension: int,
@@ -90,10 +89,11 @@ def validate(dimension: int,
     """
     if dimension < 2:
         raise PreconditionError(f"dimension must be >= 2, got {dimension}")
-    return _build(dimension, num_vertices, edges, require_connected=True)
+    return _build(dimension, num_vertices, edges)
 
 
-def _build(dimension, num_vertices, edges, require_connected):
+def _build(dimension, num_vertices, edges):
+    """Turn an edge list into color maps, checking each edge on the way."""
     d = dimension
     if d < 1:
         # dimension-1 graphs arise internally as boundaries of surface gems
@@ -122,48 +122,57 @@ def _build(dimension, num_vertices, edges, require_connected):
                 f"vertex {u if maps[c][u] != NO_EDGE else v} meets two color-{c} edges")
         maps[c][u] = v
         maps[c][v] = u
+    return _from_maps(d, maps)
+
+
+def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
+    """The graph on one color map per color 0..dimension, after the checks
+    every graph gets: each map an involution without fixed points, every
+    color below d at every vertex, an even boundary and, unless waived,
+    one component.  Rewrites edit maps and build their result here."""
+    d, n = dimension, len(maps[0])
+    # loops first, as the edge path reports them before a repeated color
+    for c, row in enumerate(maps):
+        for v, w in enumerate(row):
+            if w == v or not NO_EDGE <= w < n:
+                raise LoopEdgeError(f"color-{c} map sends vertex {v} to {w}")
+    for c, row in enumerate(maps):
+        for v, w in enumerate(row):
+            if w != NO_EDGE and row[w] != v:
+                raise DuplicateColorError(f"vertex {w} meets two color-{c} edges")
     for c in range(d):
-        for v in range(num_vertices):
-            if maps[c][v] == NO_EDGE:
-                raise MissingColorError(f"vertex {v} has no color-{c} edge")
-    n_boundary = sum(1 for v in range(num_vertices) if maps[d][v] == NO_EDGE)
+        if NO_EDGE in maps[c]:
+            raise MissingColorError(
+                f"vertex {maps[c].index(NO_EDGE)} has no color-{c} edge")
+    n_boundary = maps[d].count(NO_EDGE)
     if n_boundary % 2:
         raise OddBoundaryCountError(
             f"{n_boundary} boundary vertices; count must be even")
-    graph = ColoredGraph(
-        dimension=d,
-        num_vertices=num_vertices,
-        color_maps=tuple(tuple(row) for row in maps),
-        is_regular=(n_boundary == 0),
-        is_bipartite=_bipartite(num_vertices, maps),
-    )
-    if require_connected:
-        # uncached, so that a new graph starts with an empty memo
-        count = _decompose(graph, (1 << (d + 1)) - 1).count
-        if count != 1:
-            raise DisconnectedError(f"{count} connected components")
-    return graph
-
-
-def _bipartite(num_vertices, maps) -> bool:
-    side = [NO_EDGE] * num_vertices
-    for start in range(num_vertices):
+    # one traversal 2-colors the vertices and counts the components
+    side = [NO_EDGE] * n
+    count, bipartite = 0, True
+    for start in range(n):
         if side[start] != NO_EDGE:
             continue
-        side[start] = 0
-        stack = [start]
+        count += 1
+        side[start], stack = 0, [start]
         while stack:
             u = stack.pop()
+            s = 1 - side[u]
             for row in maps:
                 v = row[u]
                 if v == NO_EDGE:
                     continue
                 if side[v] == NO_EDGE:
-                    side[v] = 1 - side[u]
+                    side[v] = s
                     stack.append(v)
-                elif side[v] == side[u]:
-                    return False
-    return True
+                elif side[v] != s:
+                    bipartite = False
+    if require_connected and count != 1:
+        raise DisconnectedError(f"{count} connected components")
+    return ColoredGraph(dimension=d, num_vertices=n,
+                        color_maps=tuple(map(tuple, maps)),
+                        is_regular=(n_boundary == 0), is_bipartite=bipartite)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boundary import boundary_graph
-from .core import NO_EDGE, ColoredGraph, residues
+from .core import NO_EDGE, ColoredGraph, _from_maps, residues
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -89,15 +89,16 @@ def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
                 f"endpoints {site.vertices} joined by a second color-{c} edge")
         if a != NO_EDGE and b != NO_EDGE:
             welds.append((a, b, c))
-    removed = {x, y}
-    relabel = {}
-    for v in range(graph.num_vertices):
-        if v not in removed:
-            relabel[v] = len(relabel)
-    edges = [(relabel[u], relabel[v], c) for u, v, c in graph.edges()
-             if u not in removed and v not in removed]
-    edges.extend((relabel[a], relabel[b], c) for a, b, c in welds)
-    return ColoredGraph.from_edges(graph.dimension, graph.num_vertices - 2, edges)
+    kept = [v for v in range(graph.num_vertices) if v != x and v != y]
+    # relabel[NO_EDGE] is the last slot, so a missing edge stays missing
+    # and an edge to x or y is dropped
+    relabel = [NO_EDGE] * (graph.num_vertices + 1)
+    for i, v in enumerate(kept):
+        relabel[v] = i
+    maps = [[relabel[row[v]] for v in kept] for row in graph.color_maps]
+    for a, b, c in welds:
+        maps[c][relabel[a]], maps[c][relabel[b]] = relabel[b], relabel[a]
+    return _from_maps(graph.dimension, maps)
 
 
 def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
@@ -116,18 +117,13 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
         raise NoSuchEdgeError(f"no color-{color} edge ({u},{v})")
     n = graph.num_vertices
     x, y = n, n + 1
-    edges = list(graph.edges())
+    maps = [list(row) + [NO_EDGE, NO_EDGE] for row in graph.color_maps]
     for c in graph.colors:
-        if c == color:
-            continue
         a = graph.mate(u, c)
-        if a == NO_EDGE:
-            continue
-        edges.remove((min(u, a), max(u, a), c))
-        edges.append((u, x, c))
-        edges.append((y, a, c))
-    edges.append((x, y, color))
-    out = ColoredGraph.from_edges(graph.dimension, n + 2, edges)
+        if c != color and a != NO_EDGE:
+            maps[c][u], maps[c][x], maps[c][y], maps[c][a] = x, u, a, y
+    maps[color][x], maps[color][y] = y, x
+    out = _from_maps(graph.dimension, maps)
     site = DipoleSite(color, (x, y))
     return out, site, is_1_dipole(out, site)
 
@@ -159,8 +155,10 @@ def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
             paths.append((dec.components[dec.labels[u]][0], u, v))
     paths.sort()
     added = tuple((u, v) for _, u, v in paths)
-    edges = list(graph.edges()) + [(u, v, d) for u, v in added]
-    capped = ColoredGraph.from_edges(d, graph.num_vertices, edges)
+    final = list(graph.color_maps[d])
+    for u, v in added:
+        final[u], final[v] = v, u
+    capped = _from_maps(d, graph.color_maps[:d] + (final,))
     if not capped.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")
     return capped, added
@@ -169,10 +167,7 @@ def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:
     maps = list(graph.color_maps)
     maps[a], maps[b] = maps[b], maps[a]
-    return ColoredGraph.from_edges(
-        graph.dimension, graph.num_vertices,
-        [(u, row[u], c) for c, row in enumerate(maps)
-         for u in range(graph.num_vertices) if u < row[u]])
+    return _from_maps(graph.dimension, maps)
 
 
 def regularize(graph: ColoredGraph,

@@ -83,6 +83,14 @@ class TestExitCodes:
         code, _, _ = run_cli("gdegree", str(GEMS / "b4_2.gem"))
         assert code == 3
 
+    def test_usage_error_returns_two_in_process(self, capsys):
+        assert main(["info"]) == 2
+        assert "usage: gemkit info" in capsys.readouterr().err
+
+    def test_help_returns_zero_in_process(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gemkit")
+
     def test_unexpected_exception_is_four(self, capsys, monkeypatch):
         from gemkit import cli
 
@@ -233,6 +241,22 @@ class TestPipelines:
                    "nested": {"z": [[1, 2], {"y": None}], "a": 0.5}}
         assert _payload_json(payload) == json.dumps(
             payload, sort_keys=True, separators=(",", ":"))
+
+    def test_genus_all_perms_sweeps_once(self, capsys, monkeypatch):
+        from gemkit import invariants
+
+        calls = []
+        real = invariants._doubled_genera
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(invariants, "_doubled_genera", counting)
+        argv = ["--json", "genus", str(GEMS / "k33.gem"), "--all-perms"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
 
     def test_check_names_failing_colors(self, capsys, monkeypatch):
         from dataclasses import replace
