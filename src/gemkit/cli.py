@@ -99,6 +99,8 @@ def cmd_info(args) -> int:
 def cmd_boundary(args) -> int:
     graph = gemio.read_gem(args.file)
     bg = boundary_graph(graph)
+    if args.component is not None and not 0 <= args.component < bg.num_components:
+        raise ParseError(f"no boundary component with index {args.component}")
     out_graph = bg.graph if args.component is None \
         else bg.component_subgraph(args.component)
     gemio.write_gem(out_graph, args.output, name=args.name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -179,20 +180,27 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
 class ResidueDecomposition:
     """Connected components of the subgraph keeping one color subset.
 
-    Components are sorted vertex tuples, ordered by least vertex; the
-    parallel ``regular`` tuple flags components in which every vertex
-    meets every color of the set, and ``labels[v]`` is the index of the
-    component holding vertex ``v``.
+    ``labels[v]`` is the index of the component holding vertex ``v``,
+    components being indexed by least vertex; the parallel ``regular``
+    tuple flags components in which every vertex meets every color of
+    the set.
     """
 
     color_set: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
     regular: tuple[bool, ...]
     labels: tuple[int, ...]
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Components as sorted vertex tuples, ordered by least vertex."""
+        comps = [[] for _ in self.regular]
+        for v, k in enumerate(self.labels):
+            comps[k].append(v)
+        return tuple(map(tuple, comps))
+
     @property
     def count(self) -> int:
-        return len(self.components)
+        return len(self.regular)
 
     @property
     def regular_count(self) -> int:
@@ -217,28 +225,26 @@ def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition
 
 
 def _decompose(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
-    """Uncached decomposition on the colors of a bitmask."""
+    """Uncached decomposition on the colors of a bitmask: one search per
+    component labels it, and flags it irregular on meeting a missing edge."""
     color_set = tuple(c for c in graph.colors if mask >> c & 1)
     rows = [graph.color_maps[c] for c in color_set]
     labels = [NO_EDGE] * graph.num_vertices
-    comps = []
+    regular = []
     for start in range(graph.num_vertices):
         if labels[start] == NO_EDGE:
-            k = labels[start] = len(comps)
-            comp, stack = [start], [start]
-            while stack:
-                u = stack.pop()
+            k = labels[start] = len(regular)
+            whole, queue = True, [start]
+            for u in queue:
                 for row in rows:
                     v = row[u]
-                    if v != NO_EDGE and labels[v] == NO_EDGE:
+                    if v == NO_EDGE:
+                        whole = False
+                    elif labels[v] == NO_EDGE:
                         labels[v] = k
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(tuple(sorted(comp)))
-    irregular = {labels[v] for row in rows
-                 for v in range(graph.num_vertices) if row[v] == NO_EDGE}
-    flags = tuple(k not in irregular for k in range(len(comps)))
-    return ResidueDecomposition(color_set, tuple(comps), flags, tuple(labels))
+                        queue.append(v)
+            regular.append(whole)
+    return ResidueDecomposition(color_set, tuple(regular), tuple(labels))
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:

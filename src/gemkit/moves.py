@@ -12,6 +12,7 @@ from typing import Optional
 from .boundary import boundary_graph
 from .core import NO_EDGE, ColoredGraph, _from_maps, residues
 from .errors import (
+    DisconnectedError,
     InternalInconsistencyError,
     InvalidColorError,
     NoBoundaryError,
@@ -45,7 +46,8 @@ class RegularizationRecord:
 
 def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
     """All single-color edges joining distinct residue components of the
-    complementary colors, ordered by color then least vertex."""
+    complementary colors, ordered by color then least vertex; on a gem
+    with boundary, sites whose cancellation disconnects it are left out."""
     out = []
     all_colors = set(graph.colors)
     for j in graph.colors:
@@ -55,7 +57,7 @@ def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
             v = row[u]
             if v > u and labels[u] != labels[v]:
                 out.append(DipoleSite(j, (u, v)))
-    return out
+    return out if graph.is_regular else [s for s in out if is_1_dipole(graph, s)]
 
 
 def is_1_dipole(graph: ColoredGraph, site: DipoleSite) -> bool:
@@ -63,7 +65,12 @@ def is_1_dipole(graph: ColoredGraph, site: DipoleSite) -> bool:
     if graph.mate(u, site.color) != v:
         raise NoSuchEdgeError(f"no color-{site.color} edge {site.vertices}")
     dec = residues(graph, set(graph.colors) - {site.color})
-    return dec.component_of(u) != dec.component_of(v)
+    if dec.component_of(u) == dec.component_of(v):
+        return False
+    try:  # with boundary, cancelling can also split the gem in two
+        return graph.is_regular or _cancel(graph, site) is not None
+    except DisconnectedError:
+        return False
 
 
 def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
@@ -74,8 +81,12 @@ def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
     becomes a boundary vertex.
     """
     if not is_1_dipole(graph, site):
-        raise NotADipoleError(
-            f"endpoints of {site.vertices} share a component without color {site.color}")
+        raise NotADipoleError(f"color-{site.color} edge {site.vertices} is not a "
+                              "1-dipole, or cancelling it disconnects the gem")
+    return _cancel(graph, site)
+
+
+def _cancel(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
     x, y = site.vertices
     welds = []
     for c in graph.colors:
@@ -124,8 +135,9 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
             maps[c][u], maps[c][x], maps[c][y], maps[c][a] = x, u, a, y
     maps[color][x], maps[color][y] = y, x
     out = _from_maps(graph.dimension, maps)
-    site = DipoleSite(color, (x, y))
-    return out, site, is_1_dipole(out, site)
+    # cancelling the new pair restores the connected input: test residues
+    labels = residues(out, set(out.colors) - {color}).labels
+    return out, DipoleSite(color, (x, y)), labels[x] != labels[y]
 
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
@@ -159,6 +171,9 @@ def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
     for u, v in added:
         final[u], final[v] = v, u
     capped = _from_maps(d, graph.color_maps[:d] + (final,))
+    # the input's decompositions without color d are the capped graph's
+    capped._memo.update((m, dec) for m, dec in graph._memo.copy().items()
+                        if isinstance(m, int) and not m >> d & 1)
     if not capped.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")
     return capped, added

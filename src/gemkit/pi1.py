@@ -288,20 +288,22 @@ def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
 
 def abelianization_rank(pres: GroupPresentation) -> tuple[int, list[int]]:
     """Free rank and nontrivial elementary divisors of the abelianized
-    group, from the Smith form of the relator exponent-sum matrix."""
+    group.  A one-letter relator kills its generator, a unit of the Smith
+    diagonal; the Smith form runs on the other relators and generators."""
     gens = pres.num_generators
-    if gens == 0:
-        return 0, []
+    killed = {abs(w[0]) for w in pres.relators if len(w) == 1}
+    column = {g: k for k, g in enumerate(
+        g for g in range(1, gens + 1) if g not in killed)}
     matrix = []
     for word in pres.relators:
-        row = [0] * gens
-        for t in word:
-            row[abs(t) - 1] += 1 if t > 0 else -1
-        matrix.append(row)
-    if not matrix:
-        return gens, []
+        if len(word) > 1:
+            row = [0] * len(column)
+            for t in word:
+                if abs(t) not in killed:
+                    row[column[abs(t)]] += 1 if t > 0 else -1
+            matrix.append(row)
     diag = _smith_diagonal(matrix)
-    return gens - len(diag), [e for e in diag if e > 1]
+    return len(column) - len(diag), [e for e in diag if e > 1]
 
 
 def rank_bounds(pres: GroupPresentation) -> tuple[int, int]:

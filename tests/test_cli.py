@@ -61,6 +61,15 @@ class TestExitCodes:
         code, out, err = run_cli("validate", str(bad))
         assert code == 2 and b"Traceback" not in err
 
+    @pytest.mark.parametrize("index", ["2", "5", "-1"])
+    def test_missing_boundary_component_is_two(self, tmp_path, index):
+        out = tmp_path / "bd.gem"
+        code, _, err = run_cli("boundary", str(GEMS / "shell.gem"),
+                               "--component", index, "-o", str(out))
+        assert code == 2
+        assert err == f"error: no boundary component with index {index}\n".encode()
+        assert not out.exists()
+
     def test_validation_error_is_three(self, tmp_path):
         bad = tmp_path / "bad.gem"
         bad.write_text(json.dumps({

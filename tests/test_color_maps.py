@@ -5,9 +5,10 @@ graph its own edge list validates to, and hostile gem documents exit
 cleanly from the CLI."""
 
 import json
+import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
@@ -135,6 +136,9 @@ class TestRewritesRevalidate:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
            st.booleans(), st.randoms(use_true_random=False))
+    # boundary gems with a site whose cancellation would disconnect the gem
+    @example(2, 5, 1048576, True, random.Random(0))
+    @example(2, 3, 49, True, random.Random(0))
     def test_every_rewrite_output_validates(self, d, p, seed, with_boundary,
                                             rng):
         g = sample_gem(d, p, seed, with_boundary)

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gemkit import (
@@ -34,12 +35,24 @@ from gemkit.moves import (
     swap_colors,
 )
 
+import bruteforce as bf
 from corpus import grow_by_insertions, shell_gem
 
 
 def random_edge(graph, rng):
     edges = list(graph.edges())
     return edges[rng.randrange(len(edges))]
+
+
+def cancelled_components(graph, site):
+    """Components left by cancelling a site, counted on the edge list: the
+    pair's other edges are dropped, and welded where both ends have one."""
+    x, y = site.vertices
+    kept = [(u, v, c) for u, v, c in graph.edges() if not {u, v} & {x, y}]
+    welds = [(graph.mate(x, c), graph.mate(y, c), c) for c in graph.colors
+             if c != site.color and graph.has_color(x, c) and graph.has_color(y, c)]
+    comps = bf.bfs_components(graph.num_vertices, kept + welds)
+    return len(comps) - 2  # x and y are left isolated
 
 
 class TestFindDipoles:
@@ -57,6 +70,30 @@ class TestFindDipoles:
     def test_deterministic_order(self):
         g = grow_by_insertions(order_two_gem(4), 4, random.Random(3))
         assert find_1_dipoles(g) == find_1_dipoles(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20))
+    @example(2, 5, 1048576)  # site (2, 8) of color 0 would disconnect
+    @example(2, 3, 49)  # site (1, 4) of color 0 would disconnect
+    def test_listed_sites_cancel_on_boundary_gems(self, d, p, seed):
+        """A residue-separated edge is listed exactly when cancelling it
+        keeps the gem connected; an unlisted one is refused by name."""
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        listed = find_1_dipoles(g)
+        for j in g.colors:
+            labels = residues(g, set(g.colors) - {j}).labels
+            for u in range(g.num_vertices):
+                v = g.mate(u, j)
+                if v < u or labels[u] == labels[v]:
+                    continue
+                site = DipoleSite(j, (u, v))
+                assert (site in listed) == (cancelled_components(g, site) == 1)
+                if site in listed:
+                    cancel_1_dipole(g, site)
+                else:
+                    with pytest.raises(NotADipoleError,
+                                       match=re.escape(f"color-{j} edge {site.vertices}")):
+                        cancel_1_dipole(g, site)
 
 
 class TestCancel:

@@ -152,6 +152,53 @@ class TestSmithOracle:
         assert ours == ref_diag
 
 
+def full_matrix_rank(pres):
+    """Free rank and divisors from the Smith form of the whole exponent-sum
+    matrix, with no relator split off."""
+    from gemkit.pi1 import _smith_diagonal
+
+    gens = pres.num_generators
+    matrix = []
+    for word in pres.relators:
+        row = [0] * gens
+        for t in word:
+            row[abs(t) - 1] += 1 if t > 0 else -1
+        matrix.append(row)
+    diag = _smith_diagonal(matrix) if gens else []
+    return gens - len(diag), [e for e in diag if e > 1]
+
+
+@st.composite
+def unit_heavy_presentations(draw):
+    """Relator lists with repeated and negative one-letter relators, empty
+    words, words summing to zero and generators no relator mentions."""
+    gens = draw(st.integers(0, 6))
+    if gens == 0:
+        words = st.lists(st.just(()), max_size=3)
+        return GroupPresentation(0, draw(words), draw(words))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    unit = letter.map(lambda t: (t,))
+    word = st.one_of(unit, st.just(()), letter.map(lambda t: (t, -t)),
+                     st.lists(letter, max_size=7).map(tuple))
+    return GroupPresentation(gens, tuple(draw(st.lists(word, max_size=8))),
+                             tuple(draw(st.lists(unit, max_size=gens + 1))))
+
+
+class TestUnitRowSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_heavy_presentations())
+    def test_matches_full_smith_form(self, pres):
+        assert abelianization_rank(pres) == full_matrix_rank(pres)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 20))
+    def test_matches_full_smith_form_on_gems(self, p, seed):
+        g = random_gem(4, p, seed=seed)
+        for i, j in combinations(g.colors, 2):
+            pres = presentation(g, i, j)
+            assert abelianization_rank(pres) == full_matrix_rank(pres)
+
+
 class TestRankBounds:
     def test_torus(self, k33):
         assert rank_bounds(presentation(k33, 0, 1)) == (2, 2)

@@ -1,7 +1,8 @@
 """The per-graph residue memo: memoized decompositions agree with the
 uncached one and the brute-force oracle, rewrites start from an empty
-memo, and a full invariant report decomposes each color subset of each
-graph once and builds the boundary graph once."""
+memo (a capped graph from the input's decompositions below d), and a
+full invariant report decomposes each color subset of each graph once
+and builds the boundary graph once."""
 
 import sys
 import threading
@@ -61,6 +62,62 @@ class TestMemoizedResidues:
         assert bg.component_map == residues(bg.graph, range(d)).labels
 
 
+def sort_based_search(graph, mask):
+    """The earlier decomposition, kept as an oracle: sorted component
+    tuples from the search, then a pass over every row for missing edges.
+    Returns (components, regular flags, labels)."""
+    rows = [graph.color_maps[c] for c in graph.colors if mask >> c & 1]
+    labels = [core.NO_EDGE] * graph.num_vertices
+    comps = []
+    for start in range(graph.num_vertices):
+        if labels[start] == core.NO_EDGE:
+            k = labels[start] = len(comps)
+            comp, stack = [start], [start]
+            while stack:
+                u = stack.pop()
+                for row in rows:
+                    v = row[u]
+                    if v != core.NO_EDGE and labels[v] == core.NO_EDGE:
+                        labels[v] = k
+                        comp.append(v)
+                        stack.append(v)
+            comps.append(tuple(sorted(comp)))
+    irregular = {labels[v] for row in rows
+                 for v in range(graph.num_vertices) if row[v] == core.NO_EDGE}
+    flags = tuple(k not in irregular for k in range(len(comps)))
+    return tuple(comps), flags, tuple(labels)
+
+
+class TestLabelsFirstSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 8), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_every_mask_matches_oracles(self, d, p, seed, with_boundary):
+        g = sample_gem(d, p, seed, with_boundary)
+        edges = list(g.edges())
+        for mask in range(2 ** (d + 1)):
+            colors = {c for c in g.colors if mask >> c & 1}
+            dec = core._decompose(g, mask)
+            comps = bf.bfs_components(g.num_vertices, edges, colors)
+            met = {v: set() for v in range(g.num_vertices)}
+            for u, v, c in edges:
+                if c in colors:
+                    met[u].add(c)
+                    met[v].add(c)
+            labels = [None] * g.num_vertices
+            for k, comp in enumerate(comps):
+                for v in comp:
+                    labels[v] = k
+            assert dec.components is dec.components
+            assert list(dec.components) == comps
+            assert dec.labels == tuple(labels)
+            assert dec.regular == tuple(all(met[v] == colors for v in comp)
+                                        for comp in comps)
+            assert dec.count == len(comps)
+            assert (dec.components, dec.regular, dec.labels) == \
+                sort_based_search(g, mask)
+
+
 class TestRewritesStartEmpty:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20))
@@ -76,10 +133,16 @@ class TestRewritesStartEmpty:
         assert list(grown._memo) == [no_zero]
         assert grown._memo[no_zero] == core._decompose(grown, no_zero)
         f_vector(grown)
-        capped, _ = cap_boundary(g, seed % d)
-        rewrites = [cancel_1_dipole(grown, site), capped,
-                    swap_colors(g, 0, d - 1)]
+        rewrites = [cancel_1_dipole(grown, site), swap_colors(g, 0, d - 1)]
         assert all(out._memo == {} for out in rewrites)
+        # capping keeps the input's maps below d, so it takes over exactly
+        # the input's decompositions that leave out color d
+        capped, _ = cap_boundary(g, seed % d)
+        below_d = {m for m in g._memo if isinstance(m, int) and not m >> d & 1}
+        assert below_d and set(capped._memo) == below_d
+        for mask, dec in capped._memo.items():
+            assert dec is g._memo[mask]
+            assert dec == core._decompose(capped, mask)
 
 
 class TestWorkCount:
