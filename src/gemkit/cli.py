@@ -273,6 +273,20 @@ def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
     return {"sites": results}, [f"checked {len(sites)} dipole site(s)"], ok
 
 
+def _mismatches(suite: str, report, d: int) -> list[str]:
+    """The values of one color's capping report that miss their prediction."""
+    if suite == "corollary":
+        return [f"order {t.eps.label()}: rho_cap = {t.rho_capped}, "
+                + (f"universal rhs = {t.universal_rhs}" if not t.universal_ok
+                   else f"paper rhs = {t.paper_rhs}")
+                for t in report.transfer if not t.universal_ok or t.paper_ok is False]
+    out = [f"g_{i}{d} = {lhs} after capping, predicted {rhs}"
+           for i, (lhs, rhs) in sorted(report.lemma_mixed.items()) if lhs != rhs]
+    if len(set(report.lemma_singular)) > 1:
+        out.append(f"lemma_singular = {report.lemma_singular}")
+    return out
+
+
 def cmd_check(args) -> int:
     graph = gemio.read_gem(args.file)
     suite = args.suite
@@ -290,6 +304,8 @@ def cmd_check(args) -> int:
         else:
             human = [f"{suite} identities: VIOLATED for color(s) "
                      f"{', '.join(map(str, failing))} of {graph.dimension}"]
+            human += [f"  color {c}: {miss[0]}" for c in failing
+                      if (miss := _mismatches(suite, reports[c], graph.dimension))]
     elif suite == "omega":
         report = checks.check_omega_pairing(graph)
         ok = report.ok

@@ -129,8 +129,8 @@ def _build(dimension, num_vertices, edges):
 def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
     """The graph on one color map per color 0..dimension, after the checks
     every graph gets: each map an involution without fixed points, every
-    color below d at every vertex, an even boundary and, unless waived,
-    one component.  Rewrites edit maps and build their result here."""
+    color below d at every vertex and, unless waived, one component.
+    Rewrites edit maps and build their result here."""
     d, n = dimension, len(maps[0])
     # loops first, as the edge path reports them before a repeated color
     for c, row in enumerate(maps):
@@ -145,10 +145,8 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
         if NO_EDGE in maps[c]:
             raise MissingColorError(
                 f"vertex {maps[c].index(NO_EDGE)} has no color-{c} edge")
+    # even: color 0 pairs all n vertices, and color d all but the boundary
     n_boundary = maps[d].count(NO_EDGE)
-    if n_boundary % 2:
-        raise OddBoundaryCountError(
-            f"{n_boundary} boundary vertices; count must be even")
     # one traversal 2-colors the vertices and counts the components
     side = [NO_EDGE] * n
     count, bipartite = 0, True
@@ -217,7 +215,11 @@ def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition
 
     Each decomposition is computed once per graph and kept in the
     graph's memo."""
-    mask = _color_mask(graph, colors)
+    return _residues_by_mask(graph, _color_mask(graph, colors))
+
+
+def _residues_by_mask(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
+    """``residues`` on a bitmask of colors already known to be in 0..d."""
     dec = graph._memo.get(mask)
     if dec is None:
         dec = graph._memo[mask] = _decompose(graph, mask)

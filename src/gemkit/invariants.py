@@ -7,13 +7,15 @@ since it would mean the input was not what it claimed to be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .boundary import boundary_g
-from .core import ColoredGraph, classify_vertices, count_g, residues
+from .core import (ColoredGraph, _residues_by_mask, classify_vertices, count_g,
+                   residues)
 from .errors import NoBoundaryError, NonIntegralGenusError, NotRegularError
 
 
@@ -45,12 +47,8 @@ class CyclicPermutation:
         return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
     def label(self) -> str:
-        # kept on the instance (past the frozen __setattr__): the orders
-        # of a dimension are built once per process, and so their labels
-        text = self.__dict__.get("_label")
-        if text is None:
-            text = self.__dict__["_label"] = ",".join(map(str, self.order))
-        return text
+        # an order from a sweep carries the sweep's label on the instance
+        return self.__dict__.get("_label") or ",".join(map(str, self.order))
 
     @classmethod
     def _unchecked(cls, order: tuple[int, ...]) -> "CyclicPermutation":
@@ -73,14 +71,15 @@ class CyclicPermutation:
 
 
 class _Sweep(NamedTuple):
-    """The d!/2 canonical orders of one dimension, sorted, and for each
-    the positions it reads in a pair-count row: a count per color pair
-    of 0..d in ``pairs`` order, then a boundary count per pair.  An
-    order reads its d+1 consecutive pairs and the boundary count of the
-    two colors next to d."""
+    """The d!/2 canonical orders of one dimension, sorted, with their
+    labels, and for each the positions it reads in a pair-count row: a
+    count per color pair of 0..d in ``pairs`` order, then a boundary
+    count per pair.  An order reads its d+1 consecutive pairs and the
+    boundary count of the two colors next to d."""
 
     pairs: tuple[tuple[int, int], ...]
     orders: tuple[CyclicPermutation, ...]
+    labels: tuple[str, ...]
     reads: tuple[Sequence[int], ...]
 
 
@@ -110,17 +109,21 @@ def _build_sweep(d: int) -> _Sweep:
     n_pairs = len(pairs)
     # bytes hold the positions in a quarter of a tuple's memory
     pack = bytes if 2 * n_pairs <= 256 else tuple
-    orders, reads = [], []
+    orders, labels, reads = [], [], []
     # permutations() yields lexicographic order, so the representatives
     # (first color below the one before d, then d) come out sorted
     for perm in permutations(range(d)):
         if perm[0] < perm[-1]:
             order = perm + (d,)
-            orders.append(CyclicPermutation._unchecked(order))
+            eps = CyclicPermutation._unchecked(order)
+            # set past the frozen __setattr__, for label() to read
+            eps.__dict__["_label"] = text = ",".join(map(str, order))
+            orders.append(eps)
+            labels.append(text)
             reads.append(pack([*map(index.__getitem__,
                                     zip(order, order[1:] + order[:1])),
                                n_pairs + index[perm[0], perm[-1]]]))
-    return _Sweep(pairs, tuple(orders), tuple(reads))
+    return _Sweep(pairs, tuple(orders), tuple(labels), tuple(reads))
 
 
 def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
@@ -132,14 +135,10 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     """Simplex counts of the associated cell complex: the number of
     h-simplices labeled by a color set B equals the component count of
     the residue on the complementary colors."""
-    d = graph.dimension
-    all_colors = set(graph.colors)
-    fv = []
-    for h in range(d + 1):
-        total = 0
-        for labels in combinations(sorted(all_colors), h + 1):
-            total += residues(graph, all_colors - set(labels)).count
-        fv.append(total)
+    full = (1 << graph.dimension + 1) - 1
+    fv = [0] * (graph.dimension + 1)
+    for labels in range(1, full + 1):  # every nonempty B, as a bitmask
+        fv[labels.bit_count() - 1] += _residues_by_mask(graph, full ^ labels).count
     return tuple(fv)
 
 
@@ -185,10 +184,9 @@ def rho(graph: ColoredGraph, eps: CyclicPermutation) -> Fraction:
     return rho_closed(graph, eps) if graph.is_regular else rho_boundary(graph, eps)
 
 
-def _doubled_genera(graph: ColoredGraph
-                    ) -> tuple[tuple[CyclicPermutation, ...], list[int]]:
-    """Twice the genus for every canonical order, sorted, read from the
-    graph's pair table.
+def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
+    """The sweep of the graph's dimension and twice the genus for each of
+    its orders, read from the graph's pair table.
 
     The formulas of ``rho_closed`` and ``rho_boundary`` depend on an
     order only through its d+1 consecutive pairs and, with boundary,
@@ -215,13 +213,13 @@ def _doubled_genera(graph: ColoredGraph
         for eps, value in zip(sweep.orders, doubled):
             if value % 2:
                 _as_genus(value, True, eps)  # raises NonIntegralGenusError
-    return sweep.orders, doubled
+    return sweep, doubled
 
 
-def _genus_table(orders: tuple[CyclicPermutation, ...], doubled: list[int]
+def _genus_table(sweep: _Sweep, doubled: list[int]
                  ) -> dict[CyclicPermutation, Fraction]:
     halves = {value: Fraction(value, 2) for value in set(doubled)}
-    return dict(zip(orders, map(halves.__getitem__, doubled)))
+    return dict(zip(sweep.orders, map(halves.__getitem__, doubled)))
 
 
 def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
@@ -234,9 +232,9 @@ def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
 def regular_genus(graph: ColoredGraph) -> tuple[Fraction, list[CyclicPermutation]]:
     """Minimum genus over all cyclic orders, with the argmin list in
     canonical order."""
-    orders, doubled = _doubled_genera(graph)
+    sweep, doubled = _doubled_genera(graph)
     best = min(doubled)
-    return Fraction(best, 2), [eps for eps, value in zip(orders, doubled)
+    return Fraction(best, 2), [eps for eps, value in zip(sweep.orders, doubled)
                                if value == best]
 
 
@@ -252,7 +250,8 @@ class InvariantReport:
     """Bundle of per-gem invariants for reports and catalog records.
 
     ``bound_checks`` holds the parameter-free identity checks that apply
-    to the gem (None where a check's hypotheses do not).
+    to the gem (None where a check's hypotheses do not).  ``rho_by_perm``
+    is built on first read from the twice-genus integers and their sweep.
     """
 
     dimension: int
@@ -267,12 +266,18 @@ class InvariantReport:
     g_triples: dict[tuple[int, ...], tuple[int, int]]
     f_vector: tuple[int, ...]
     chi: int
-    rho_by_perm: dict[CyclicPermutation, Fraction]
     rho_min: Fraction
     omega_g: Optional[Fraction]
     bound_checks: dict[str, Optional[bool]]
+    _sweep: _Sweep = field(repr=False, compare=False)
+    _doubled: list[int] = field(repr=False)
+
+    @cached_property
+    def rho_by_perm(self) -> dict[CyclicPermutation, Fraction]:
+        return _genus_table(self._sweep, self._doubled)
 
     def to_jsonable(self) -> dict:
+        text = {value: str(Fraction(value, 2)) for value in set(self._doubled)}
         return {
             "dimension": self.dimension,
             "vertices": self.num_vertices,
@@ -288,11 +293,9 @@ class InvariantReport:
                           for k, v in sorted(self.g_triples.items())},
             "f_vector": list(self.f_vector),
             "chi": self.chi,
-            # keyed by the order tuples, which sort like the permutations
-            # but compare without a Python-level call
-            "rho": {eps.label(): str(val)
-                    for eps, val in sorted(self.rho_by_perm.items(),
-                                           key=lambda item: item[0].order)},
+            # in sweep order; the canonical JSON sorts the keys anyway
+            "rho": dict(zip(self._sweep.labels,
+                            map(text.__getitem__, self._doubled))),
             "rho_min": str(self.rho_min),
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
@@ -330,7 +333,7 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
     triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}
     fv = f_vector(graph)
-    orders, doubled = _doubled_genera(graph)
+    sweep, doubled = _doubled_genera(graph)
     return InvariantReport(
         dimension=graph.dimension,
         num_vertices=graph.num_vertices,
@@ -344,8 +347,9 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
         g_triples=triples,
         f_vector=fv,
         chi=sum((-1) ** h * n for h, n in enumerate(fv)),
-        rho_by_perm=_genus_table(orders, doubled),
         rho_min=Fraction(min(doubled), 2),
         omega_g=Fraction(sum(doubled), 2) if graph.is_regular else None,
         bound_checks=_parameter_free_checks(graph),
+        _sweep=sweep,
+        _doubled=doubled,
     )

@@ -60,15 +60,19 @@ def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
     return out if graph.is_regular else [s for s in out if is_1_dipole(graph, s)]
 
 
-def is_1_dipole(graph: ColoredGraph, site: DipoleSite) -> bool:
+def _separated(graph: ColoredGraph, site: DipoleSite) -> bool:
+    """Whether the site joins two residue components of the other colors."""
     u, v = site.vertices
     if graph.mate(u, site.color) != v:
         raise NoSuchEdgeError(f"no color-{site.color} edge {site.vertices}")
     dec = residues(graph, set(graph.colors) - {site.color})
-    if dec.component_of(u) == dec.component_of(v):
-        return False
+    return dec.component_of(u) != dec.component_of(v)
+
+
+def is_1_dipole(graph: ColoredGraph, site: DipoleSite) -> bool:
     try:  # with boundary, cancelling can also split the gem in two
-        return graph.is_regular or _cancel(graph, site) is not None
+        return _separated(graph, site) and (
+            graph.is_regular or _cancel(graph, site) is not None)
     except DisconnectedError:
         return False
 
@@ -80,10 +84,13 @@ def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
     leaves no weld partner; that edge is dropped and its far endpoint
     becomes a boundary vertex.
     """
-    if not is_1_dipole(graph, site):
-        raise NotADipoleError(f"color-{site.color} edge {site.vertices} is not a "
-                              "1-dipole, or cancelling it disconnects the gem")
-    return _cancel(graph, site)
+    try:  # only with boundary can cancelling split the gem in two
+        if _separated(graph, site):
+            return _cancel(graph, site)
+    except DisconnectedError:
+        pass
+    raise NotADipoleError(f"color-{site.color} edge {site.vertices} is not a "
+                          "1-dipole, or cancelling it disconnects the gem")
 
 
 def _cancel(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:

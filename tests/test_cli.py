@@ -10,7 +10,7 @@ import pytest
 
 from gemkit import validate
 from gemkit.cli import main
-from gemkit.gemio import write_gem
+from gemkit.gemio import read_gem, write_gem
 
 ROOT = Path(__file__).resolve().parent.parent
 GEMS = ROOT / "gems"
@@ -159,6 +159,8 @@ class TestGolden:
         ("bound_pipeline.json",
          ("--json", "bound", str(GOLDEN / "b4_pipeline.gem"),
           "--chi", "1", "--m", "0", "--mhat", "0", "--h", "1", "--semisimple")),
+        ("info_d6_boundary.json",
+         ("--json", "info", str(GOLDEN / "info_d6_boundary.gem"))),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES, ids=lambda c: str(c)[:24])
@@ -266,6 +268,77 @@ class TestPipelines:
         assert main(argv) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
+
+    def test_info_above_the_sweep_cap_builds_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from gemkit import invariants, random_boundary_gem
+
+        path = tmp_path / "d5.gem"
+        write_gem(random_boundary_gem(5, 3, 1, seed=5), path)
+        argv = ["--json", "info", str(path)]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        builds = []
+        real = invariants._build_sweep
+
+        def counting(d):
+            builds.append(d)
+            return real(d)
+
+        monkeypatch.setattr(invariants, "_SWEEP_CACHE_MAX_D", 4)
+        monkeypatch.setattr(invariants, "_sweeps", {})
+        monkeypatch.setattr(invariants, "_build_sweep", counting)
+        assert main(argv) == 0
+        assert builds == [5]
+        assert capsys.readouterr().out == default
+
+    def test_check_names_first_mismatch(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from gemkit import checks
+
+        real = checks.check_regularization_identities
+
+        def mismatched(graph, color):
+            report = real(graph, color)
+            if color == 1:  # one lemma count and one universal transfer
+                lhs, rhs = report.lemma_mixed[0]
+                case = report.transfer[2]
+                return replace(
+                    report, lemma_mixed={**report.lemma_mixed, 0: (lhs, rhs + 1)},
+                    lemma_ok=False, transfer_ok=False, transfer=(
+                        *report.transfer[:2],
+                        replace(case, universal_rhs=case.universal_rhs + 1,
+                                universal_ok=False),
+                        *report.transfer[3:]))
+            if color == 3:  # the singular count and one paper transfer
+                capped, g_cd, predicted = report.lemma_singular
+                case = report.transfer[0]
+                return replace(
+                    report, lemma_singular=(capped, g_cd, predicted + 2),
+                    lemma_ok=False, transfer_ok=False, transfer=(
+                        replace(case, paper_rhs=case.paper_rhs - 1,
+                                paper_ok=False), *report.transfer[1:]))
+            return report
+
+        gem = str(GEMS / "b4_2.gem")
+        one, three = real(read_gem(gem), 1), real(read_gem(gem), 3)
+        monkeypatch.setattr(checks, "check_regularization_identities", mismatched)
+        assert main(["check", gem, "--suite", "lemma"]) == 1
+        lhs, rhs = one.lemma_mixed[0]
+        capped, g_cd, predicted = three.lemma_singular
+        assert capsys.readouterr().out.splitlines() == [
+            "lemma identities: VIOLATED for color(s) 1, 3 of 4",
+            f"  color 1: g_04 = {lhs} after capping, predicted {rhs + 1}",
+            f"  color 3: lemma_singular = ({capped}, {g_cd}, {predicted + 2})"]
+        assert main(["check", gem, "--suite", "corollary"]) == 1
+        u, p = one.transfer[2], three.transfer[0]
+        assert capsys.readouterr().out.splitlines() == [
+            "corollary identities: VIOLATED for color(s) 1, 3 of 4",
+            f"  color 1: order {u.eps.label()}: rho_cap = {u.rho_capped}, "
+            f"universal rhs = {u.universal_rhs + 1}",
+            f"  color 3: order {p.eps.label()}: rho_cap = {p.rho_capped}, "
+            f"paper rhs = {p.paper_rhs - 1}"]
 
     def test_check_names_failing_colors(self, capsys, monkeypatch):
         from dataclasses import replace

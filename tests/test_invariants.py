@@ -73,11 +73,12 @@ class TestFVector:
         assert f_vector(k33) == (3, 9, 6)
         assert euler_characteristic(k33) == 0
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2 ** 20))
-    def test_matches_bruteforce(self, p, seed):
-        g = random_boundary_gem(4, p, max(0, p - 2), seed=seed)
-        assert f_vector(g) == bf.f_vector(4, g.num_vertices, list(g.edges()))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(2, 8), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_matches_bruteforce(self, d, p, seed, boundary):
+        g = _gem(d, p, max(0, p - 2), seed, boundary)
+        assert f_vector(g) == bf.f_vector(d, g.num_vertices, list(g.edges()))
 
 
 class TestRho:
@@ -240,6 +241,16 @@ class TestPairTable:
         if g.is_regular:
             assert rep.omega_g == sum(rep.rho_by_perm.values(), Fraction(0))
             assert rep.omega_g == gurau_degree(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.builds(_gem, st.integers(2, 7), st.integers(1, 3),
+                     st.integers(0, 2), st.integers(0, 2 ** 20), st.booleans()))
+    def test_report_json_equals_per_order_formulas(self, g):
+        rep = invariant_report(g)
+        assert rep.to_jsonable()["rho"] == {
+            eps.label(): str(rho(g, eps))
+            for eps in enumerate_cyclic_permutations(g.dimension)}
+        assert rep.rho_by_perm == rho_table(g)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_orders_sorted_and_canonical(self, d):

@@ -97,6 +97,29 @@ class TestFindDipoles:
 
 
 class TestCancel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_graph_build_per_boundary_cancellation(self, seed):
+        """On a gem with boundary the connectivity test and the result
+        are the same cancelled graph, built once."""
+        import gemkit.moves as moves
+
+        g = grow_by_insertions(shell_gem(), 6, random.Random(seed))
+        sites = find_1_dipoles(g)
+        assert not g.is_regular and sites
+        builds = []
+        real = moves._from_maps
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_from_maps", counting)
+            for site in sites:
+                builds.clear()
+                cancel_1_dipole(g, site)
+                assert len(builds) == 1
+
     def test_insert_then_cancel_is_identity(self, s4):
         bigger, site, _ = insert_1_dipole(s4, (0, 1), 0)
         assert cancel_1_dipole(bigger, site) == s4
