@@ -113,7 +113,7 @@ def sphericity_heuristic(component: ColoredGraph) -> Sphericity:
     certifies a sphere when the minimum vanishes.  Complete for surface
     components; sound for 3-dimensional ones.
     """
-    from .invariants import regular_genus
+    from .invariants import regular_genus  # invariants imports boundary
 
     if not component.is_regular:
         raise NotRegularError("sphericity test needs a regular component")

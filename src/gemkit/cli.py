@@ -183,9 +183,10 @@ def cmd_genus(args) -> int:
     payload = {"command": "genus", "ok": True, "rho_min": str(best),
                "argmin": [eps.label() for eps in argmin]}
     human = [f"rho = {best} (attained by {len(argmin)} cyclic order(s))"]
-    if args.all_perms:
-        payload["table"] = {eps.label(): str(v) for eps, v in sorted(table.items())}
-        human += [f"  ({eps.label()}) -> {v}" for eps, v in sorted(table.items())]
+    if args.all_perms and args.json:  # the table is in canonical order
+        payload["table"] = {eps.label(): str(v) for eps, v in table.items()}
+    elif args.all_perms:
+        human += [f"  ({eps.label()}) -> {v}" for eps, v in table.items()]
     _emit(args, payload, human)
     return EXIT_OK
 

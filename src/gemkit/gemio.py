@@ -15,6 +15,7 @@ import json
 import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -34,8 +35,8 @@ class GemFile:
     metadata: Optional[dict] = None
 
     def canonical(self) -> "GemFile":
-        edges = sorted((min(u, v), max(u, v), c) for u, v, c in self.edges)
-        edges.sort(key=lambda e: (e[2], e[0], e[1]))
+        edges = sorted(((min(u, v), max(u, v), c) for u, v, c in self.edges),
+                       key=operator.itemgetter(2, 0, 1))
         return GemFile(self.dimension, self.vertices, tuple(edges),
                        self.name, self.metadata)
 
@@ -216,7 +217,6 @@ def parse_filter(expr: str) -> tuple[str, str, str]:
 
 
 def _coerce(value):
-    from fractions import Fraction
     if isinstance(value, bool) or value is None:
         return value
     text = str(value)

@@ -13,10 +13,10 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .boundary import boundary_g
+from .boundary import boundary_component_count, boundary_g
 from .core import (ColoredGraph, _residues_by_mask, classify_vertices, count_g,
                    residues)
-from .errors import NoBoundaryError, NonIntegralGenusError, NotRegularError
+from .errors import GemError, NoBoundaryError, NonIntegralGenusError, NotRegularError
 
 
 @dataclass(frozen=True, order=True)
@@ -303,8 +303,7 @@ class InvariantReport:
 
 
 def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
-    from . import checks
-    from .errors import GemError
+    from . import checks  # checks imports invariants
 
     out: dict[str, Optional[bool]] = {
         "omega_pairing": None,
@@ -327,8 +326,6 @@ def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
 
 
 def invariant_report(graph: ColoredGraph) -> InvariantReport:
-    from .boundary import boundary_component_count
-
     cls = classify_vertices(graph)
     pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
     triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}

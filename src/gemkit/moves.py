@@ -21,6 +21,7 @@ from .errors import (
     NotRegularError,
     WeldMismatchError,
 )
+from .invariants import euler_characteristic, rho_table
 
 
 @dataclass(frozen=True, order=True)
@@ -238,8 +239,6 @@ def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     """Greedily cancel 1-dipoles, non-final colors first, until none are
     left.  With ``verify`` the Euler characteristic and every genus value
     are asserted unchanged after each cancellation."""
-    from .invariants import euler_characteristic, rho_table
-
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
     d = graph.dimension

@@ -10,6 +10,7 @@ generator, negative for its inverse.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -157,133 +158,75 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
     return tuple(out)
 
 
-def _renumber(words: list[Word], removed: int) -> list[Word]:
-    def shift(t: int) -> int:
-        a = abs(t)
-        return (a - 1 if a > removed else a) * (1 if t > 0 else -1)
-    return [tuple(shift(t) for t in w) for w in words]
-
-
 def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
                     ) -> GroupPresentation:
     """Free/cyclic reduction, empty-relator removal, and elimination of
     generators that occur exactly once in some relator, substituting in
     the rest.  Runs to a fixed point under a bounded pass budget."""
-    gens = pres.num_generators
     words = [_cyclic_reduce(w) for w in pres.relators]
+    eliminated = set()
     for _ in range(max_passes):
         words = sorted({w for w in words if w}, key=lambda w: (len(w), w))
-        candidate = None
         for wi, word in enumerate(words):
-            for g in range(1, gens + 1):
-                if sum(1 for t in word if abs(t) == g) == 1:
-                    candidate = (wi, g)
-                    break
-            if candidate:
+            once = [g for g, n in Counter(map(abs, word)).items() if n == 1]
+            if once:
                 break
-        if candidate is None:
+        else:
             break
-        wi, g = candidate
+        g = min(once)
         word = words.pop(wi)
         k = next(idx for idx, t in enumerate(word) if abs(t) == g)
         rest = word[k + 1:] + word[:k]  # relator rotated to end at g
         image = tuple(-t for t in reversed(rest)) if word[k] > 0 else rest
         words = [_cyclic_reduce(_substitute(w, g, image)) for w in words]
-        words = _renumber(words, g)
-        gens -= 1
-    words = sorted({w for w in words if w}, key=lambda w: (len(w), w))
-    return GroupPresentation(
-        num_generators=gens,
-        cycle_relators=tuple(words),
-        tree_relators=(),
-        color_pair=pres.color_pair,
-        compact_manifold_reading=pres.compact_manifold_reading,
-        singular_manifold_reading=pres.singular_manifold_reading,
-    )
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+        eliminated.add(g)
+    # the survivors, in ascending order, become 1..k; the map is increasing
+    # and keeps signs, so it keeps the (len, w) order and the dedup
+    survivors = [g for g in range(1, pres.num_generators + 1) if g not in eliminated]
+    number = {g: k for k, g in enumerate(survivors, 1)}
+    words = sorted({tuple(number[t] if t > 0 else -number[-t] for t in w)
+                    for w in words if w}, key=lambda w: (len(w), w))
+    return replace(pres, num_generators=len(survivors),
+                   cycle_relators=tuple(words), tree_relators=())
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (divisibility chain), by integer
-    row and column operations."""
+    """Diagonal of the Smith normal form (nonzero, each entry dividing the
+    next).  The smallest nonzero entry, ties by (row, column), is the
+    pivot; division with remainder clears its row and column, and a
+    remainder is the next pivot.  A cleared pivot that divides every entry
+    is recorded and struck out; otherwise a row with an entry it does not
+    divide is added to the pivot row."""
     m = [row[:] for row in matrix]
-    rows, cols = len(m), len(m[0]) if m else 0
     diag = []
-    top = 0
-    while top < min(rows, cols):
-        pivot = None
-        for r in range(top, rows):
-            for c in range(top, cols):
-                if m[r][c] and (pivot is None or abs(m[r][c]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        m[top], m[r0] = m[r0], m[top]
-        for row in m:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            for r in range(top + 1, rows):
-                v = m[r][top]
-                if not v:
-                    continue
-                pivot_val = m[top][top]
-                if v % pivot_val == 0:
-                    q = v // pivot_val
-                    m[r] = [m[r][c] - q * m[top][c] for c in range(cols)]
-                else:
-                    # the combination shrinks the pivot to the gcd
-                    x, y, g = _xgcd(pivot_val, v)
-                    a, b = pivot_val // g, v // g
-                    m[top], m[r] = (
-                        [x * m[top][c] + y * m[r][c] for c in range(cols)],
-                        [-b * m[top][c] + a * m[r][c] for c in range(cols)])
-            for c in range(top + 1, cols):
-                v = m[top][c]
-                if not v:
-                    continue
-                pivot_val = m[top][top]
-                if v % pivot_val == 0:
-                    q = v // pivot_val
-                    for row in m:
-                        row[c] -= q * row[top]
-                else:
-                    x, y, g = _xgcd(pivot_val, v)
-                    a, b = pivot_val // g, v // g
-                    for row in m:
-                        row[top], row[c] = (
-                            x * row[top] + y * row[c],
-                            -b * row[top] + a * row[c])
-            if all(m[r][top] == 0 for r in range(top + 1, rows)) and \
-               all(m[top][c] == 0 for c in range(top + 1, cols)):
-                break
-        # enforce divisibility of the remaining block by the pivot
-        stray = None
-        for r in range(top + 1, rows):
-            for c in range(top + 1, cols):
-                if m[r][c] % m[top][top]:
-                    stray = r
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            for c in range(cols):
-                m[top][c] += m[stray][c]
+    while True:
+        entries = [(abs(x), r, c) for r, row in enumerate(m)
+                   for c, x in enumerate(row) if x]
+        if not entries:
+            return diag
+        _, r0, c0 = min(entries)
+        top = m[r0]
+        p = top[c0]
+        for r, row in enumerate(m):
+            q = row[c0] // p
+            if q and r != r0:
+                m[r] = [x - q * y for x, y in zip(row, top)]
+        for c, x in enumerate(top):
+            q = x // p
+            if q and c != c0:
+                for row in m:
+                    row[c] -= q * row[c0]
+        if any(row[c0] for row in m if row is not top) or \
+           any(x for c, x in enumerate(top) if c != c0):
             continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return diag
+        stray = next((row for row in m if any(x % p for x in row)), None)
+        if stray is None:
+            diag.append(abs(p))
+            del m[r0]
+            for row in m:
+                del row[c0]
+        else:
+            m[r0] = [x + y for x, y in zip(top, stray)]
 
 
 def abelianization_rank(pres: GroupPresentation) -> tuple[int, list[int]]:

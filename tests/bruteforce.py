@@ -7,6 +7,7 @@ code with the package under test.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 
 def bfs_components(num_vertices, edges, colors=None):
@@ -138,6 +139,32 @@ def rho_boundary(dimension, num_vertices, edges, eps):
     dg = count_components(bn, bedges, {eps[0], eps[d - 1]})
     val = total + (1 - d) * p_dot + (2 - d) * p_bar + dg
     return Fraction(2 - val, 2)
+
+
+def determinant(square):
+    """Exact integer determinant by cofactor expansion along the first row."""
+    if not square:
+        return 1
+    return sum((-1) ** c * x * determinant([row[:c] + row[c + 1:] for row in square[1:]])
+               for c, x in enumerate(square[0]) if x)
+
+
+def smith_diagonal(matrix):
+    """Nonzero invariant factors of an integer matrix from its determinantal
+    divisors: D_0 = 1, D_k is the gcd of all k x k minors, and the factors
+    are D_k / D_(k-1) for k = 1..r, r the largest k with D_k != 0."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                dk = gcd(dk, determinant([[matrix[r][c] for c in cs] for r in rs]))
+        if dk == 0:
+            break  # every larger minor expands into k x k ones
+        divisors.append(dk)
+    return [b // a for a, b in zip(divisors, divisors[1:])]
 
 
 S4_2 = dict(dimension=4, vertices=2,

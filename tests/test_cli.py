@@ -161,6 +161,13 @@ class TestGolden:
           "--chi", "1", "--m", "0", "--mhat", "0", "--h", "1", "--semisimple")),
         ("info_d6_boundary.json",
          ("--json", "info", str(GOLDEN / "info_d6_boundary.gem"))),
+        ("pi1_k33.json", ("--json", "pi1", "gems/k33.gem", "--pair", "0,1")),
+        ("pi1_d3_03.json",
+         ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "0,3")),
+        ("pi1_d3_03_simplified.json",
+         ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "0,3", "--simplify")),
+        ("pi1_d3_23_simplified.json",
+         ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "2,3", "--simplify")),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES, ids=lambda c: str(c)[:24])
