@@ -224,7 +224,8 @@ def cmd_pi1(args) -> int:
     if args.simplify:
         pres = pi1.tietze_simplify(pres)
     free_rank, divisors = pi1.abelianization_rank(pres)
-    lower, upper = pi1.rank_bounds(pres)
+    lower = free_rank + len(divisors)
+    upper = pi1.tietze_simplify(pres).num_generators
     payload = {
         "command": "pi1", "ok": True, "pair": [min(i, j), max(i, j)],
         "generators": pres.num_generators,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -219,34 +219,115 @@ def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition
 
 
 def _residues_by_mask(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
-    """``residues`` on a bitmask of colors already known to be in 0..d."""
+    """``residues`` on a bitmask of colors already known to be in 0..d:
+    a walk for at most two colors, else a merge onto a decomposed prefix."""
     dec = graph._memo.get(mask)
     if dec is None:
-        dec = graph._memo[mask] = _decompose(graph, mask)
+        kernel = _walk if mask.bit_count() <= 2 else _merge
+        dec = graph._memo[mask] = kernel(graph, mask)
     return dec
 
 
-def _decompose(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
-    """Uncached decomposition on the colors of a bitmask: one search per
-    component labels it, and flags it irregular on meeting a missing edge."""
-    color_set = tuple(c for c in graph.colors if mask >> c & 1)
-    rows = [graph.color_maps[c] for c in color_set]
-    labels = [NO_EDGE] * graph.num_vertices
+@cache
+def _colors_of(mask: int) -> tuple[int, ...]:
+    """The colors of a bitmask, ascending; one tuple per mask, shared."""
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
+    """Decomposition on at most two colors a, b (a = b for one color):
+    every component is a vertex, an edge, an alternating cycle or an
+    alternating path.  From
+    each unlabelled vertex, the least of its component, follow a, b, a, ...
+    back to the start; a walk that meets a missing edge is on a path, and
+    the rest of the path lies the other way, along b, a, b, ..."""
+    color_set = _colors_of(mask)
+    n = graph.num_vertices
+    if not color_set:
+        return ResidueDecomposition(color_set, (True,) * n, tuple(range(n)))
+    a, b = graph.color_maps[color_set[0]], graph.color_maps[color_set[-1]]
+    labels = [NO_EDGE] * n
     regular = []
-    for start in range(graph.num_vertices):
-        if labels[start] == NO_EDGE:
-            k = labels[start] = len(regular)
-            whole, queue = True, [start]
-            for u in queue:
-                for row in rows:
-                    v = row[u]
-                    if v == NO_EDGE:
-                        whole = False
-                    elif labels[v] == NO_EDGE:
-                        labels[v] = k
-                        queue.append(v)
-            regular.append(whole)
+    for start in range(n):
+        if labels[start] != NO_EDGE:
+            continue
+        k = labels[start] = len(regular)
+        u = start
+        while True:
+            v = a[u]
+            if v == NO_EDGE:
+                break
+            labels[v] = k
+            u = b[v]
+            if u == start or u == NO_EDGE:
+                break
+            labels[u] = k
+        closed = v != NO_EDGE and u == start
+        regular.append(closed)
+        if closed:
+            continue
+        u = start
+        while True:
+            v = b[u]
+            if v == NO_EDGE:
+                break
+            labels[v] = k
+            u = a[v]
+            if u == NO_EDGE:
+                break
+            labels[u] = k
     return ResidueDecomposition(color_set, tuple(regular), tuple(labels))
+
+
+def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
+    """Decomposition on three or more colors: the components of a prefix
+    of the mask (its lowest colors), united along the edges of each color
+    above it.  The prefix is the longest one already decomposed, and at
+    least the two lowest colors, a walk; when colors are queried in
+    ascending bitmask order it is the mask without its top color.  Union
+    by least index keeps every component's parent pointer at or below its
+    own index, so numbering the roots in index order numbers the merged
+    components by least vertex, as the prefix's are."""
+    color_set = _colors_of(mask)
+    i = len(color_set) - 1
+    prefix = mask ^ 1 << color_set[i]
+    while i > 2 and prefix not in graph._memo:
+        i -= 1
+        prefix ^= 1 << color_set[i]
+    base = _residues_by_mask(graph, prefix)
+    labels = base.labels
+    whole = list(base.regular)
+    up = list(range(len(whole)))
+    for top in color_set[i:]:
+        for v, w in enumerate(graph.color_maps[top]):
+            if w < v:  # each edge once, and every missing edge (NO_EDGE < 0)
+                if w == NO_EDGE:
+                    whole[labels[v]] = False
+                    continue
+                x, y = up[labels[v]], up[labels[w]]
+                if x == y:
+                    continue
+                while up[x] != x:
+                    up[x] = x = up[up[x]]
+                while up[y] != y:
+                    up[y] = y = up[up[y]]
+                if x < y:
+                    up[y] = x
+                elif y < x:
+                    up[x] = y
+    # up[k] becomes k's merged number: a root takes the next one, and any
+    # other k its parent's, numbered already as the parent's index is lower
+    regular = []
+    for k, r in enumerate(up):
+        if r == k:
+            up[k] = len(regular)
+            regular.append(whole[k])
+        else:
+            up[k] = m = up[r]
+            if not whole[k]:
+                regular[m] = False
+    return ResidueDecomposition(color_set, tuple(regular),
+                                tuple([up[k] for k in labels]))
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:

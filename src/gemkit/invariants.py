@@ -137,8 +137,11 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     the residue on the complementary colors."""
     full = (1 << graph.dimension + 1) - 1
     fv = [0] * (graph.dimension + 1)
-    for labels in range(1, full + 1):  # every nonempty B, as a bitmask
-        fv[labels.bit_count() - 1] += _residues_by_mask(graph, full ^ labels).count
+    # the complement of every nonempty B, as a bitmask, in ascending order:
+    # each mask without its top color is decomposed before it, so every
+    # merge unites along one color
+    for mask in range(full):
+        fv[(full ^ mask).bit_count() - 1] += _residues_by_mask(graph, mask).count
     return tuple(fv)
 
 

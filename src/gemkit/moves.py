@@ -143,9 +143,12 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
             maps[c][u], maps[c][x], maps[c][y], maps[c][a] = x, u, a, y
     maps[color][x], maps[color][y] = y, x
     out = _from_maps(graph.dimension, maps)
-    # cancelling the new pair restores the connected input: test residues
-    labels = residues(out, set(out.colors) - {color}).labels
-    return out, DipoleSite(color, (x, y)), labels[x] != labels[y]
+    # {x, u} is a whole residue of the other colors when no edge of theirs
+    # leaves it; then y lies in another residue, and the site is a dipole
+    inside = (x, u, NO_EDGE)
+    separated = all(out.color_maps[c][x] in inside and out.color_maps[c][u] in inside
+                    for c in out.colors if c != color)
+    return out, DipoleSite(color, (x, y)), separated
 
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:

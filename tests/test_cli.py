@@ -276,6 +276,22 @@ class TestPipelines:
         assert len(calls) == 1
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
 
+    def test_pi1_abelianizes_once(self, capsys, monkeypatch):
+        from gemkit import pi1
+
+        calls = []
+        real = pi1.abelianization_rank
+
+        def counting(pres):
+            calls.append(pres)
+            return real(pres)
+
+        monkeypatch.setattr(pi1, "abelianization_rank", counting)
+        argv = ["pi1", str(GEMS / "k33.gem"), "--pair", "0,1", "--simplify"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
+
     def test_info_above_the_sweep_cap_builds_once(self, tmp_path, capsys,
                                                   monkeypatch):
         from gemkit import invariants, random_boundary_gem

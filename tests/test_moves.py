@@ -183,6 +183,25 @@ class TestInsert:
         assert genuine
         assert set(rho_table(bigger).values()) == set(rho_table(b4).values())
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans(), st.integers(0, 10 ** 6))
+    def test_flag_is_the_residue_test(self, d, p, seed, with_boundary, pick):
+        if with_boundary and p > 1:
+            g = random_boundary_gem(d, p, seed % p, seed=seed)
+        else:
+            g = random_gem(d, p, seed=seed)
+        rng = random.Random(pick)
+        for color in g.colors:
+            ends = [u for u in range(g.num_vertices) if g.has_color(u, color)]
+            if not ends:
+                continue
+            u = rng.choice(ends)
+            bigger, site, genuine = insert_1_dipole(g, (u, g.mate(u, color)), color)
+            x, y = site.vertices
+            labels = residues(bigger, set(bigger.colors) - {color}).labels
+            assert genuine == (labels[x] != labels[y])
+
 
 class TestRegularize:
     def test_b4_capping_gives_order_two_sphere(self, b4, s4):

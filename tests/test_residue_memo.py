@@ -1,5 +1,6 @@
-"""The per-graph residue memo: memoized decompositions agree with the
-uncached one and the brute-force oracle, rewrites start from an empty
+"""The per-graph residue memo: memoized decompositions, built by walks
+and merges along the color lattice in any query order, agree with an
+uncached search and the brute-force oracle, rewrites start from an empty
 memo (a capped graph from the input's decompositions below d), and a
 full invariant report decomposes each color subset of each graph once
 and builds the boundary graph once."""
@@ -19,6 +20,7 @@ from gemkit.invariants import f_vector, invariant_report, rho_table
 from gemkit.moves import (
     cancel_1_dipole,
     cap_boundary,
+    find_1_dipoles,
     insert_1_dipole,
     swap_colors,
 )
@@ -28,6 +30,30 @@ def sample_gem(d, p, seed, with_boundary):
     if with_boundary and p > 1:
         return random_boundary_gem(d, p, seed % p, seed=seed)
     return random_gem(d, p, seed=seed)
+
+
+def bfs_decompose(graph, mask):
+    """Uncached decomposition on the colors of a bitmask, kept as an
+    oracle: one search per component labels it, and flags it irregular
+    on meeting a missing edge."""
+    color_set = tuple(c for c in graph.colors if mask >> c & 1)
+    rows = [graph.color_maps[c] for c in color_set]
+    labels = [core.NO_EDGE] * graph.num_vertices
+    regular = []
+    for start in range(graph.num_vertices):
+        if labels[start] == core.NO_EDGE:
+            k = labels[start] = len(regular)
+            whole, queue = True, [start]
+            for u in queue:
+                for row in rows:
+                    v = row[u]
+                    if v == core.NO_EDGE:
+                        whole = False
+                    elif labels[v] == core.NO_EDGE:
+                        labels[v] = k
+                        queue.append(v)
+            regular.append(whole)
+    return core.ResidueDecomposition(color_set, tuple(regular), tuple(labels))
 
 
 class TestMemoizedResidues:
@@ -43,7 +69,7 @@ class TestMemoizedResidues:
         for mask in masks + masks:  # the second pass reads the memo
             colors = {c for c in g.colors if mask >> c & 1}
             dec = residues(g, colors)
-            assert dec == core._decompose(g, mask)
+            assert dec == bfs_decompose(g, mask)
             assert list(dec.components) == bf.bfs_components(
                 g.num_vertices, edges, colors)
             assert dec.regular_count == bf.count_regular_components(
@@ -97,7 +123,8 @@ class TestLabelsFirstSearch:
         edges = list(g.edges())
         for mask in range(2 ** (d + 1)):
             colors = {c for c in g.colors if mask >> c & 1}
-            dec = core._decompose(g, mask)
+            dec = residues(g, colors)
+            assert dec == bfs_decompose(g, mask)
             comps = bf.bfs_components(g.num_vertices, edges, colors)
             met = {v: set() for v in range(g.num_vertices)}
             for u, v, c in edges:
@@ -127,11 +154,9 @@ class TestRewritesStartEmpty:
         boundary_graph(g)
         assert g._memo
         u = seed % g.num_vertices
-        grown, site, _ = insert_1_dipole(g, (u, g.mate(u, 0)), 0)
-        # insertion only decomposes its own result, to test the new site
-        no_zero = sum(1 << c for c in range(1, d + 1))
-        assert list(grown._memo) == [no_zero]
-        assert grown._memo[no_zero] == core._decompose(grown, no_zero)
+        grown, site, genuine = insert_1_dipole(g, (u, g.mate(u, 0)), 0)
+        # insertion tests the new site on the new vertices' own edges
+        assert genuine and grown._memo == {}
         f_vector(grown)
         rewrites = [cancel_1_dipole(grown, site), swap_colors(g, 0, d - 1)]
         assert all(out._memo == {} for out in rewrites)
@@ -142,7 +167,62 @@ class TestRewritesStartEmpty:
         assert below_d and set(capped._memo) == below_d
         for mask, dec in capped._memo.items():
             assert dec is g._memo[mask]
-            assert dec == core._decompose(capped, mask)
+            assert dec == bfs_decompose(capped, mask)
+
+
+class TestLatticeOrder:
+    """Every query order reaches the same decompositions, on fresh,
+    capped and cancelled graphs: a merge starts from the longest
+    memoized prefix of its colors, down to the walk on the two lowest,
+    and unites along one color or several."""
+
+    @staticmethod
+    def check_every_mask(g, rng):
+        edges = list(g.edges())
+        masks = list(range(2 ** (g.dimension + 1)))
+        rng.shuffle(masks)
+        for mask in masks:
+            colors = {c for c in g.colors if mask >> c & 1}
+            dec = residues(g, colors)
+            want = bfs_decompose(g, mask)
+            assert dec.labels == want.labels
+            assert dec.regular == want.regular
+            assert dec.color_set == want.color_set == tuple(sorted(colors))
+            assert dec.components == want.components
+            assert list(dec.components) == bf.bfs_components(
+                g.num_vertices, edges, colors)
+            assert dec.regular_count == bf.count_regular_components(
+                g.num_vertices, edges, colors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 7), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_any_order_on_fresh_capped_and_cancelled(self, d, p, seed,
+                                                     with_boundary, rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        # the input of the cap leaves a random part of the lattice memoized
+        b = random_boundary_gem(d, p, seed % p, seed=seed)
+        for mask in rng.sample(range(2 ** (d + 1)), rng.randrange(2 ** (d + 1))):
+            residues(b, {c for c in b.colors if mask >> c & 1})
+        capped, _ = cap_boundary(b, seed % d)
+        assert all(not m >> d & 1 for m in capped._memo if isinstance(m, int))
+        u, c = rng.randrange(g.num_vertices), rng.randrange(d)
+        grown, _, _ = insert_1_dipole(g, (u, g.mate(u, c)), c)
+        cancelled = cancel_1_dipole(grown, rng.choice(find_1_dipoles(grown)))
+        for graph in (g, capped, cancelled):
+            self.check_every_mask(graph, rng)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_paths_walked_from_their_middle(self, seed):
+        g = random_boundary_gem(4, 12, 5, seed=seed)
+        d, mid = g.dimension, 0
+        for c in range(d):
+            dec = residues(g, {c, d})
+            assert dec == bfs_decompose(g, 1 << c | 1 << d)
+            for comp, whole in zip(dec.components, dec.regular):
+                # a path's least vertex has both edges when it is no end
+                mid += not whole and g.has_color(comp[0], d)
+        assert mid
 
 
 class TestWorkCount:
@@ -151,18 +231,20 @@ class TestWorkCount:
                                                           seed):
         graph = random_boundary_gem(4, 40, 20, seed=seed)
         decomposed, built = [], []
-        real_decompose = core._decompose
         real_build = boundary._build_boundary_graph
 
-        def counting_decompose(g, mask):
-            decomposed.append((g, mask))  # keeps g alive, so ids stay unique
-            return real_decompose(g, mask)
+        def counting(kernel):
+            def run(g, mask):
+                decomposed.append((g, mask))  # keeps g alive, so ids stay unique
+                return kernel(g, mask)
+            return run
 
         def counting_build(g):
             built.append(g)
             return real_build(g)
 
-        monkeypatch.setattr(core, "_decompose", counting_decompose)
+        monkeypatch.setattr(core, "_walk", counting(core._walk))
+        monkeypatch.setattr(core, "_merge", counting(core._merge))
         monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
         invariant_report(graph)
         keys = [(id(g), mask) for g, mask in decomposed]
