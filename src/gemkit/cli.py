@@ -221,11 +221,15 @@ def cmd_pi1(args) -> int:
     except ValueError as exc:
         raise ParseError(f"--pair wants I,J with integers, got {args.pair!r}") from exc
     pres = pi1.presentation(graph, i, j)
+    upper = None
     if args.simplify:
-        pres = pi1.tietze_simplify(pres)
+        pres, settled = pi1._tietze(pres)
+        if settled:  # a fixed point simplifies to itself
+            upper = pres.num_generators
     free_rank, divisors = pi1.abelianization_rank(pres)
     lower = free_rank + len(divisors)
-    upper = pi1.tietze_simplify(pres).num_generators
+    if upper is None:
+        upper = pi1.tietze_simplify(pres).num_generators
     payload = {
         "command": "pi1", "ok": True, "pair": [min(i, j), max(i, j)],
         "generators": pres.num_generators,

@@ -209,6 +209,16 @@ class ResidueDecomposition:
             raise ValueError(f"vertex {vertex} not in any component")
         return self.labels[vertex]
 
+    @classmethod
+    def _unchecked(cls, color_set: tuple[int, ...], regular: tuple[bool, ...],
+                   labels: tuple[int, ...]) -> "ResidueDecomposition":
+        """A decomposition from the kernels, its fields filled in directly
+        rather than through the frozen ``__init__``, which costs three
+        times as much."""
+        dec = object.__new__(cls)
+        dec.__dict__.update(color_set=color_set, regular=regular, labels=labels)
+        return dec
+
 
 def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition:
     """Decompose the graph into components of the given color subgraph.
@@ -244,7 +254,8 @@ def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     color_set = _colors_of(mask)
     n = graph.num_vertices
     if not color_set:
-        return ResidueDecomposition(color_set, (True,) * n, tuple(range(n)))
+        return ResidueDecomposition._unchecked(color_set, (True,) * n,
+                                                tuple(range(n)))
     a, b = graph.color_maps[color_set[0]], graph.color_maps[color_set[-1]]
     labels = [NO_EDGE] * n
     regular = []
@@ -276,7 +287,8 @@ def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
             if u == NO_EDGE:
                 break
             labels[u] = k
-    return ResidueDecomposition(color_set, tuple(regular), tuple(labels))
+    return ResidueDecomposition._unchecked(color_set, tuple(regular),
+                                           tuple(labels))
 
 
 def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
@@ -326,8 +338,8 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
             up[k] = m = up[r]
             if not whole[k]:
                 regular[m] = False
-    return ResidueDecomposition(color_set, tuple(regular),
-                                tuple([up[k] for k in labels]))
+    return ResidueDecomposition._unchecked(color_set, tuple(regular),
+                                           tuple([up[k] for k in labels]))
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:

@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .boundary import boundary_component_count, boundary_g
-from .core import (ColoredGraph, _residues_by_mask, classify_vertices, count_g,
-                   residues)
+from .core import (NO_EDGE, ColoredGraph, _residues_by_mask, classify_vertices,
+                   count_g, residues)
 from .errors import GemError, NoBoundaryError, NonIntegralGenusError, NotRegularError
 
 
@@ -134,14 +134,23 @@ def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
 def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     """Simplex counts of the associated cell complex: the number of
     h-simplices labeled by a color set B equals the component count of
-    the residue on the complementary colors."""
-    full = (1 << graph.dimension + 1) - 1
-    fv = [0] * (graph.dimension + 1)
-    # the complement of every nonempty B, as a bitmask, in ascending order:
-    # each mask without its top color is decomposed before it, so every
-    # merge unites along one color
-    for mask in range(full):
-        fv[(full ^ mask).bit_count() - 1] += _residues_by_mask(graph, mask).count
+    the residue on the complementary colors.
+
+    A residue on no color has a component per vertex, and one on a
+    single color a component per edge and per vertex the color misses;
+    only complements of two or more colors are decomposed."""
+    d, n = graph.dimension, graph.num_vertices
+    full = (1 << d + 1) - 1
+    fv = [0] * (d + 1)
+    fv[d] = n
+    for row in graph.color_maps:
+        fv[d - 1] += (n + row.count(NO_EDGE)) // 2
+    # the complement of every B of at most d - 1 colors, as a bitmask, in
+    # ascending order: each mask without its top color is decomposed
+    # before it, so every merge unites along one color
+    for mask in range(3, full):
+        if mask & mask - 1:
+            fv[(full ^ mask).bit_count() - 1] += _residues_by_mask(graph, mask).count
     return tuple(fv)
 
 

@@ -7,10 +7,10 @@ All rewrites return new graphs; inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .boundary import boundary_graph
-from .core import NO_EDGE, ColoredGraph, _from_maps, residues
+from .core import NO_EDGE, ColoredGraph, _from_maps, _residues_by_mask, residues
 from .errors import (
     DisconnectedError,
     InternalInconsistencyError,
@@ -21,7 +21,7 @@ from .errors import (
     NotRegularError,
     WeldMismatchError,
 )
-from .invariants import euler_characteristic, rho_table
+from .invariants import _doubled_genera, euler_characteristic
 
 
 @dataclass(frozen=True, order=True)
@@ -49,16 +49,27 @@ def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
     """All single-color edges joining distinct residue components of the
     complementary colors, ordered by color then least vertex; on a gem
     with boundary, sites whose cancellation disconnects it are left out."""
-    out = []
-    all_colors = set(graph.colors)
-    for j in graph.colors:
-        labels = residues(graph, all_colors - {j}).labels
-        row = graph.color_maps[j]
-        for u in range(graph.num_vertices):
-            v = row[u]
+    sites = list(_separated_sites(graph))
+    if graph.is_regular:
+        return sites
+    return [s for s in sites if _stays_connected(graph, s)]
+
+
+def _first_site(graph: ColoredGraph) -> Optional[DipoleSite]:
+    """The first separated edge, or None; on a regular gem, the first site
+    ``find_1_dipoles`` lists.  Colors past it are not decomposed."""
+    return next(_separated_sites(graph), None)
+
+
+def _separated_sites(graph: ColoredGraph) -> Iterator[DipoleSite]:
+    """The edges joining two residue components of the other colors, by
+    color then least vertex."""
+    full = (1 << graph.dimension + 1) - 1
+    for j, row in enumerate(graph.color_maps):
+        labels = _residues_by_mask(graph, full ^ 1 << j).labels
+        for u, v in enumerate(row):
             if v > u and labels[u] != labels[v]:
-                out.append(DipoleSite(j, (u, v)))
-    return out if graph.is_regular else [s for s in out if is_1_dipole(graph, s)]
+                yield DipoleSite(j, (u, v))
 
 
 def _separated(graph: ColoredGraph, site: DipoleSite) -> bool:
@@ -70,12 +81,34 @@ def _separated(graph: ColoredGraph, site: DipoleSite) -> bool:
     return dec.component_of(u) != dec.component_of(v)
 
 
-def is_1_dipole(graph: ColoredGraph, site: DipoleSite) -> bool:
-    try:  # with boundary, cancelling can also split the gem in two
-        return _separated(graph, site) and (
-            graph.is_regular or _cancel(graph, site) is not None)
-    except DisconnectedError:
-        return False
+def _stays_connected(graph: ColoredGraph, site: DipoleSite) -> bool:
+    """Whether cancelling a separated site leaves one component, found by
+    a search of the graph without the pair, along the welds, that stops
+    once it has met every other neighbour of the pair; no graph is built.
+    Every component left holds such a neighbour."""
+    x, y = site.vertices
+    maps = graph.color_maps
+    ends = {row[v] for row in maps for v in (x, y)} - {x, y, NO_EDGE}
+    if not ends:
+        return False  # nothing is left
+    seen = [False] * graph.num_vertices
+    seen[x] = seen[y] = True
+    start = min(ends)
+    seen[start] = True
+    stack, left = [start], len(ends) - 1
+    while left and stack:
+        u = stack.pop()
+        for row in maps:
+            w = row[u]
+            if w == x:  # the weld to y's mate of this color, if any
+                w = row[y]
+            elif w == y:
+                w = row[x]
+            if w != NO_EDGE and not seen[w]:
+                seen[w] = True
+                left -= w in ends
+                stack.append(w)
+    return not left
 
 
 def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
@@ -240,25 +273,24 @@ def regularize(graph: ColoredGraph,
 
 def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     """Greedily cancel 1-dipoles, non-final colors first, until none are
-    left.  With ``verify`` the Euler characteristic and every genus value
-    are asserted unchanged after each cancellation."""
+    left: each step cancels the first site ``find_1_dipoles`` would list.
+    With ``verify`` the Euler characteristic and every genus value are
+    asserted unchanged after each cancellation."""
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
-    d = graph.dimension
     current = graph
     chi = euler_characteristic(current) if verify else None
-    rhos = rho_table(current) if verify else None
+    # twice the genus of every order, in sweep order: the genus table
+    genera = _doubled_genera(current)[1] if verify else None
     while True:
-        sites = find_1_dipoles(current)
-        if not sites:
+        site = _first_site(current)
+        if site is None:
             return current
-        inner = [s for s in sites if s.color < d]
-        site = inner[0] if inner else sites[0]
         current = cancel_1_dipole(current, site)
         if verify:
             if euler_characteristic(current) != chi:
                 raise InternalInconsistencyError(
                     f"Euler characteristic changed cancelling {site}")
-            if rho_table(current) != rhos:
+            if _doubled_genera(current)[1] != genera:
                 raise InternalInconsistencyError(
                     f"genus table changed cancelling {site}")

@@ -163,31 +163,60 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
     """Free/cyclic reduction, empty-relator removal, and elimination of
     generators that occur exactly once in some relator, substituting in
     the rest.  Runs to a fixed point under a bounded pass budget."""
-    words = [_cyclic_reduce(w) for w in pres.relators]
+    return _tietze(pres, max_passes)[0]
+
+
+def _tietze(pres: GroupPresentation, max_passes: int = 200
+            ) -> tuple[GroupPresentation, bool]:
+    """``tietze_simplify``, and whether it stopped at a fixed point rather
+    than on its pass budget.
+
+    Each pass eliminates one generator from the first relator, in
+    (length, word) order, that has a letter occurring once in it.  While
+    a one-letter relator is left, that is the least one by signed value:
+    its generator is deleted from the words holding it, and no word is
+    sorted.  Every word is kept cyclically reduced, so a word without the
+    eliminated generator stays as it is."""
+    words = {w for w in map(_cyclic_reduce, pres.relators) if w}
+    units = {w[0] for w in words if len(w) == 1}
     eliminated = set()
+    settled = False
     for _ in range(max_passes):
-        words = sorted({w for w in words if w}, key=lambda w: (len(w), w))
-        for wi, word in enumerate(words):
-            once = [g for g, n in Counter(map(abs, word)).items() if n == 1]
-            if once:
-                break
+        if units:
+            t = min(units)
+            word, g, image = (t,), abs(t), ()
         else:
-            break
-        g = min(once)
-        word = words.pop(wi)
-        k = next(idx for idx, t in enumerate(word) if abs(t) == g)
-        rest = word[k + 1:] + word[:k]  # relator rotated to end at g
-        image = tuple(-t for t in reversed(rest)) if word[k] > 0 else rest
-        words = [_cyclic_reduce(_substitute(w, g, image)) for w in words]
+            for word in sorted(words, key=lambda w: (len(w), w)):
+                once = [g for g, n in Counter(map(abs, word)).items() if n == 1]
+                if once:
+                    break
+            else:
+                settled = True
+                break
+            g = min(once)
+            k = next(idx for idx, t in enumerate(word) if abs(t) == g)
+            rest = word[k + 1:] + word[:k]  # relator rotated to end at g
+            image = tuple(-t for t in reversed(rest)) if word[k] > 0 else rest
+        words.remove(word)
+        hit = [w for w in words if g in w or -g in w]
+        words.difference_update(hit)
+        units.discard(g)
+        units.discard(-g)
+        for w in hit:
+            w = _cyclic_reduce(_substitute(w, g, image))
+            if w:
+                words.add(w)
+                if len(w) == 1:
+                    units.add(w[0])
         eliminated.add(g)
     # the survivors, in ascending order, become 1..k; the map is increasing
-    # and keeps signs, so it keeps the (len, w) order and the dedup
+    # and keeps signs, so it keeps the (len, w) order
     survivors = [g for g in range(1, pres.num_generators + 1) if g not in eliminated]
     number = {g: k for k, g in enumerate(survivors, 1)}
-    words = sorted({tuple(number[t] if t > 0 else -number[-t] for t in w)
-                    for w in words if w}, key=lambda w: (len(w), w))
+    words = sorted((tuple(number[t] if t > 0 else -number[-t] for t in w)
+                    for w in words), key=lambda w: (len(w), w))
     return replace(pres, num_generators=len(survivors),
-                   cycle_relators=tuple(words), tree_relators=())
+                   cycle_relators=tuple(words), tree_relators=()), settled
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -167,6 +167,59 @@ def smith_diagonal(matrix):
     return [b // a for a, b in zip(divisors, divisors[1:])]
 
 
+def _cyclic_reduce(word):
+    out = []
+    for t in word:
+        if out and out[-1] == -t:
+            out.pop()
+        else:
+            out.append(t)
+    while len(out) >= 2 and out[0] == -out[-1]:
+        out.pop()
+        out.pop(0)
+    return tuple(out)
+
+
+def tietze_simplify(num_generators, relators, max_passes=200):
+    """The sequential Tietze loop: each pass sorts the distinct nonempty
+    words by (length, word), takes the first with a generator occurring
+    once, eliminates the least such generator by substituting the rest of
+    its relator everywhere, and cyclically reduces every word.  Returns
+    the survivors' count and the sorted words, renumbered 1..k."""
+    words = [_cyclic_reduce(w) for w in relators]
+    eliminated = set()
+    for _ in range(max_passes):
+        words = sorted({w for w in words if w}, key=lambda w: (len(w), w))
+        choice = None
+        for wi, word in enumerate(words):
+            once = [g for g in set(map(abs, word))
+                    if sum(abs(t) == g for t in word) == 1]
+            if once:
+                choice = wi, min(once)
+                break
+        if choice is None:
+            break
+        wi, g = choice
+        word = words.pop(wi)
+        k = [abs(t) for t in word].index(g)
+        rest = word[k + 1:] + word[:k]
+        image = tuple(-t for t in reversed(rest)) if word[k] > 0 else rest
+        inverse = tuple(-t for t in reversed(image))
+        substituted = []
+        for w in words:
+            out = []
+            for t in w:
+                out.extend(image if t == g else inverse if t == -g else (t,))
+            substituted.append(_cyclic_reduce(out))
+        words = substituted
+        eliminated.add(g)
+    survivors = [g for g in range(1, num_generators + 1) if g not in eliminated]
+    number = {g: k for k, g in enumerate(survivors, 1)}
+    words = {tuple(number[t] if t > 0 else -number[-t] for t in w)
+             for w in words if w}
+    return len(survivors), sorted(words, key=lambda w: (len(w), w))
+
+
 S4_2 = dict(dimension=4, vertices=2,
             edges=[(0, 1, c) for c in range(5)])
 B4_2 = dict(dimension=4, vertices=2,

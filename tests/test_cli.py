@@ -292,6 +292,25 @@ class TestPipelines:
         assert len(calls) == 1
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
 
+    @pytest.mark.parametrize("simplify", [True, False])
+    def test_pi1_runs_tietze_once(self, capsys, monkeypatch, simplify):
+        """A simplification that settled gives the upper rank bound itself."""
+        from gemkit import pi1
+
+        calls = []
+        real = pi1._tietze
+
+        def counting(pres, *args):
+            calls.append(pres)
+            return real(pres, *args)
+
+        monkeypatch.setattr(pi1, "_tietze", counting)
+        argv = ["--json", "pi1", str(GEMS / "k33.gem"), "--pair", "0,1"]
+        argv += ["--simplify"] * simplify
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
+
     def test_info_above_the_sweep_cap_builds_once(self, tmp_path, capsys,
                                                   monkeypatch):
         from gemkit import invariants, random_boundary_gem

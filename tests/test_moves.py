@@ -18,6 +18,8 @@ from gemkit import (
     validate,
 )
 from gemkit.errors import (
+    DisconnectedError,
+    InternalInconsistencyError,
     InvalidColorError,
     NoBoundaryError,
     NoSuchEdgeError,
@@ -34,6 +36,9 @@ from gemkit.moves import (
     regularize,
     swap_colors,
 )
+
+import gemkit.moves as moves
+from gemkit.core import ColoredGraph
 
 import bruteforce as bf
 from corpus import grow_by_insertions, shell_gem
@@ -94,6 +99,60 @@ class TestFindDipoles:
                     with pytest.raises(NotADipoleError,
                                        match=re.escape(f"color-{j} edge {site.vertices}")):
                         cancel_1_dipole(g, site)
+
+
+def separated_sites(graph):
+    """Every edge joining two residue components of the other colors."""
+    out = []
+    for j in graph.colors:
+        labels = residues(graph, set(graph.colors) - {j}).labels
+        out += [DipoleSite(j, (u, v)) for u, v, c in graph.edges()
+                if c == j and labels[u] != labels[v]]
+    return out
+
+
+def cancels(graph, site):
+    try:
+        moves._cancel(graph, site)
+    except DisconnectedError:
+        return False
+    return True
+
+
+class TestBoundarySiteSearch:
+    """On a gem with boundary a listed site is one whose cancellation is
+    connected, found by a search of the graph without building it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 7), st.integers(0, 2 ** 20))
+    @example(2, 5, 1048576)
+    @example(2, 3, 49)
+    def test_listed_exactly_when_cancellation_is_connected(self, d, p, seed):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        want = [s for s in separated_sites(g) if cancels(g, s)]
+        assert find_1_dipoles(g) == want
+
+    def test_pair_that_is_the_whole_graph(self):
+        # a dimension-1 boundary graph: the cancellation would leave nothing
+        g = ColoredGraph.from_edges(1, 2, [(0, 1, 0)])
+        assert separated_sites(g) == [DipoleSite(0, (0, 1))]
+        assert not cancels(g, DipoleSite(0, (0, 1)))
+        assert find_1_dipoles(g) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_listing_builds_no_graph(self, seed):
+        g = grow_by_insertions(shell_gem(), 12, random.Random(seed))
+        builds = []
+        real = moves._from_maps
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_from_maps", counting)
+            sites = find_1_dipoles(g)
+        assert sites and not builds
 
 
 class TestCancel:
@@ -329,6 +388,72 @@ class TestFullContraction:
     def test_verify_flag_checks_invariants(self):
         g = grow_by_insertions(order_two_gem(4), 5, random.Random(1))
         assert full_contraction(g, verify=True) == order_two_gem(4)
+
+
+def inner_first(graph):
+    """The site full contraction cancels, chosen from the whole list."""
+    sites = find_1_dipoles(graph)
+    inner = [s for s in sites if s.color < graph.dimension]
+    return inner[0] if inner else (sites[0] if sites else None)
+
+
+class TestFirstSite:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.integers(0, 12))
+    def test_matches_inner_first_choice(self, d, p, seed, inserts):
+        rng = random.Random(seed)
+        for g in (random_gem(d, p, seed=seed),
+                  grow_by_insertions(order_two_gem(d), inserts, rng)):
+            assert moves._first_site(g) == inner_first(g)
+
+    def test_none_without_sites(self, s4):
+        assert moves._first_site(s4) is None
+        assert moves._first_site(full_contraction(random_gem(4, 3, seed=0))) is None
+
+    def test_only_final_color_sites(self, s4):
+        g, site, _ = insert_1_dipole(s4, (0, 1), 4)
+        assert {s.color for s in find_1_dipoles(g)} == {4}
+        assert moves._first_site(g) == DipoleSite(4, (0, 1)) == inner_first(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_along_shell_contractions(self, seed):
+        """Contracting a capped shell gem ends on final-color sites only."""
+        g = grow_by_insertions(shell_gem(), 8, random.Random(seed))
+        g, _ = regularize(g, singular_color=seed % 4)
+        final_only = 0
+        while (site := moves._first_site(g)) is not None:
+            assert site == inner_first(g)
+            final_only += site.color == g.dimension
+            g = cancel_1_dipole(g, site)
+        assert inner_first(g) is None and final_only
+
+
+class TestVerifyPass:
+    """A cancellation that moved an invariant is named by the verify pass."""
+
+    def run_with(self, monkeypatch, result):
+        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
+        monkeypatch.setattr(moves, "cancel_1_dipole", lambda graph, site: result)
+        return g, moves._first_site(g)
+
+    def test_euler_characteristic_change(self, monkeypatch):
+        other = random_gem(4, 3, seed=0)
+        assert euler_characteristic(other) != 2
+        g, site = self.run_with(monkeypatch, other)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+                f"Euler characteristic changed cancelling {site}")):
+            full_contraction(g)
+
+    def test_genus_table_change(self, monkeypatch):
+        other = random_gem(4, 2, seed=0)
+        assert euler_characteristic(other) == 2
+        assert rho_table(other) != rho_table(order_two_gem(4))
+        g, site = self.run_with(monkeypatch, other)
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+                f"genus table changed cancelling {site}")):
+            full_contraction(g)
+        assert full_contraction(g, verify=False) == other
 
 
 class TestShellPipeline:

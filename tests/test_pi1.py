@@ -10,13 +10,14 @@ from gemkit import (
     abelianization_rank,
     order_two_gem,
     presentation,
+    random_boundary_gem,
     random_gem,
     rank_bounds,
     tietze_simplify,
 )
 from gemkit.errors import InvalidColorPairError
 from gemkit.moves import insert_1_dipole
-from gemkit.pi1 import _smith_diagonal
+from gemkit.pi1 import _smith_diagonal, _tietze
 
 import bruteforce as bf
 from corpus import grow_by_insertions, k33_graph
@@ -111,6 +112,76 @@ class TestTietze:
         g = random_gem(4, p, seed=seed)
         pres = presentation(g, 0, 2)
         assert abelianization_rank(tietze_simplify(pres)) == abelianization_rank(pres)
+
+
+PASSES = (0, 1, 3, 200)
+
+
+def check_against_oracle(pres):
+    """Every pass budget gives the sequential loop's result; a run that
+    settled is a fixed point, and one that ran out of passes used them
+    all."""
+    for max_passes in PASSES:
+        out, settled = _tietze(pres, max_passes)
+        assert tietze_simplify(pres, max_passes) == out
+        want = bf.tietze_simplify(pres.num_generators, pres.relators, max_passes)
+        assert (out.num_generators, list(out.relators)) == want
+        if settled:
+            assert tietze_simplify(out) == out
+        else:
+            eliminated = pres.num_generators - out.num_generators
+            assert eliminated == max_passes
+
+
+@st.composite
+def unit_rich_presentations(draw):
+    """Random relator lists holding two or more one-letter relators."""
+    gens = draw(st.integers(2, 7))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    units = draw(st.lists(letter.map(lambda t: (t,)), min_size=2, max_size=gens))
+    words = draw(st.lists(st.lists(letter, max_size=9).map(tuple), max_size=6))
+    order = draw(st.permutations(units + words))
+    return make_pres(gens, order)
+
+
+class TestTietzeOracle:
+    """The one-letter passes and the set of words give the sequential
+    loop's output pass for pass."""
+
+    def test_pinned_example(self):
+        # deleting both one-letter generators at once, then reducing,
+        # would leave no generator; one at a time leaves one
+        pres = make_pres(4, [(1,), (2,), (3, 4, 3, -2, -3, -1, -2, -1, 2),
+                             (-4, -1, -3, 1, -4), (4, -2, 2, 1, -3, 2, -2, -1)])
+        out = tietze_simplify(pres)
+        assert out.num_generators == 1
+        assert out.relators == ((1, 1), (-1, -1, -1))
+        assert rank_bounds(pres) == (0, 1)
+        check_against_oracle(pres)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_rich_presentations())
+    def test_random_words(self, pres):
+        check_against_oracle(pres)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_every_pair_of_gems(self, d, p, seed, with_boundary):
+        if with_boundary:
+            g = random_boundary_gem(d, p + 1, seed % (p + 1), seed=seed)
+        else:
+            g = random_gem(d, p, seed=seed)
+        for i, j in combinations(g.colors, 2):
+            check_against_oracle(presentation(g, i, j))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 20))
+    def test_every_pair_of_grown_manifold_gems(self, d, seed):
+        rng = random.Random(seed)
+        g = grow_by_insertions(order_two_gem(d), rng.randint(0, 12), rng)
+        for i, j in combinations(g.colors, 2):
+            check_against_oracle(presentation(g, i, j))
 
 
 class TestAbelianization:

@@ -253,6 +253,25 @@ class TestWorkCount:
         assert len(built) == 1 and built[0] is graph
 
 
+class TestSmallMasks:
+    """``f_vector`` counts residues on no color and on one color without
+    decomposing them; ``residues`` still walks them, to the same counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_f_vector_skips_small_masks(self, d, p, seed, with_boundary):
+        g = sample_gem(d, p, seed, with_boundary)
+        fv = f_vector(g)
+        assert fv == bf.f_vector(d, g.num_vertices, list(g.edges()))
+        masks = {m for m in g._memo if isinstance(m, int)}
+        assert masks == {m for m in range(2 ** (d + 1) - 1) if m.bit_count() >= 2}
+        assert fv[d] == residues(g, []).count == g.num_vertices
+        assert fv[d - 1] == sum(residues(g, {c}).count for c in g.colors)
+        for c in g.colors:
+            assert residues(g, {c}) == bfs_decompose(g, 1 << c)
+
+
 def test_concurrent_readers_share_one_graph():
     """Threads reading one graph race on its memo; every write stores the
     value any other thread would compute, so all see the serial answers."""
