@@ -13,19 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .boundary import boundary_graph
-from .core import ColoredGraph, classify_vertices, count_g, residues
+from .boundary import BoundaryGraph, boundary_graph
+from .core import (ColoredGraph, _least_vertices, _residues_by_mask,
+                   classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
+    InvalidColorError,
     NotRegularError,
     PreconditionError,
     ResidueShapeError,
 )
 from .invariants import (
     CyclicPermutation,
+    _doubled_genera,
+    _sweep,
+    _Sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
     gurau_degree,
@@ -102,11 +108,68 @@ def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     a 2-sphere gem (surface Euler characteristic 2): its bicolored cycles
     outnumber half its vertices by two."""
     dec = residues(bgraph, triple)
-    excess = [-(len(comp) // 2) for comp in dec.components]
+    labels = dec.labels
+    twice = [0] * dec.count  # twice the excess, per component
+    for k in labels:
+        twice[k] -= 1
     for pair in combinations(sorted(triple), 2):
-        for comp in residues(bgraph, pair).components:
-            excess[dec.labels[comp[0]]] += 1
-    return all(e == 2 for e in excess)
+        for v in _least_vertices(residues(bgraph, pair).labels):
+            twice[labels[v]] += 2
+    return all(t == 4 for t in twice)
+
+
+class _CappingRecord(NamedTuple):
+    """What the capping checks of one boundary gem share, whatever the
+    singular color.  Counts are keyed by color bitmask: ``counts`` holds
+    the boundary graph's on one and on two colors below d, ``triples``
+    its count on three when every component there is a 2-sphere gem and
+    None otherwise, and ``mixed[i]`` the input's (g, g_dot) on {i, d}.
+    ``doubled`` is twice the input's genus per order of ``sweep``, and
+    ``ends`` each order's two colors next to d."""
+
+    boundary: BoundaryGraph
+    p_bar: int
+    counts: dict[int, int]
+    triples: dict[int, Optional[int]]
+    mixed: tuple[tuple[int, int], ...]
+    sweep: _Sweep
+    doubled: list[int]
+    ends: tuple[tuple[int, int], ...]
+    chi: int
+
+
+def _capping_record(graph: ColoredGraph) -> _CappingRecord:
+    """The capping record, built once per graph and kept in the graph's
+    memo under a key no color bitmask takes."""
+    record = graph._memo.get("capping")
+    if record is None:
+        record = graph._memo["capping"] = _build_capping_record(graph)
+    return record
+
+
+def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
+    d = graph.dimension
+    bg = boundary_graph(graph)
+    counts = {1 << a | 1 << b: _residues_by_mask(bg.graph, 1 << a | 1 << b).count
+              for a in range(d) for b in range(a, d)}
+    triples = {}
+    for tri in combinations(range(d), 3):
+        mask = 1 << tri[0] | 1 << tri[1] | 1 << tri[2]
+        triples[mask] = (_residues_by_mask(bg.graph, mask).count
+                         if _spherical_triple(bg.graph, frozenset(tri)) else None)
+    mixed = tuple(count_g(graph, (i, d)) for i in range(d))
+    sweep, doubled = _doubled_genera(graph)
+    return _CappingRecord(
+        boundary=bg,
+        p_bar=classify_vertices(graph).p_bar,
+        counts=counts,
+        triples=triples,
+        mixed=mixed,
+        sweep=sweep,
+        doubled=doubled,
+        ends=tuple((eps.order[0], eps.order[d - 1]) for eps in sweep.orders),
+        chi=euler_characteristic(graph),
+    )
 
 
 def check_regularization_identities(graph: ColoredGraph, singular_color: int
@@ -119,11 +182,16 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     form additionally needs every involved tricolored boundary residue to
     be a union of sphere gems; when that fails the case is recorded as
     inapplicable and only the universal half-integer transfer is checked.
+
+    What does not depend on the color is read from the graph's capping
+    record, and genus values are compared as twice-genus integers.
     """
     d = graph.dimension
     c = singular_color
-    bg = boundary_graph(graph)
-    p_bar = classify_vertices(graph).p_bar
+    if not graph.is_regular and not 0 <= c < d:
+        raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
+    rec = _capping_record(graph)  # a regular graph raises NoBoundaryError
+    p_bar, counts = rec.p_bar, rec.counts
     capped, _ = cap_boundary(graph, c)
 
     lemma_mixed = {}
@@ -131,41 +199,51 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     for i in range(d):
         if i == c:
             continue
-        lhs = residues(capped, {i, d}).count
-        rhs = count_g(graph, {i, d})[1] + residues(bg.graph, {i, c}).count
+        lhs = _residues_by_mask(capped, 1 << i | 1 << d).count
+        rhs = rec.mixed[i][1] + counts[1 << i | 1 << c]
         lemma_mixed[i] = (lhs, rhs)
         lemma_ok = lemma_ok and lhs == rhs
-    lhs_cd = residues(capped, {c, d}).count
-    g_cd, gdot_cd = count_g(graph, {c, d})
+    lhs_cd = _residues_by_mask(capped, 1 << c | 1 << d).count
+    g_cd, gdot_cd = rec.mixed[c]
     lemma_singular = (lhs_cd, g_cd, gdot_cd + p_bar)
     lemma_ok = lemma_ok and lhs_cd == g_cd == gdot_cd + p_bar
 
+    # by the two colors next to d: whether c is one of them, and what the
+    # universal and (None where inapplicable) paper forms add to twice rho
+    shifts = {}
+    for e0, e_last in set(rec.ends):
+        dg_ends = counts[1 << e0 | 1 << e_last]
+        universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
+                     - counts[1 << e_last | 1 << c])
+        if c == e0 or c == e_last:
+            shifts[e0, e_last] = True, universal, 0
+        else:
+            dg_triple = rec.triples[1 << e0 | 1 << e_last | 1 << c]
+            shifts[e0, e_last] = False, universal, (
+                None if dg_triple is None else 2 * (dg_ends - dg_triple))
+    rows = []
+    for ends, doubled_in, doubled_cap in zip(
+            rec.ends, rec.doubled, _doubled_genera(capped)[1]):
+        adjacent, universal, paper = shifts[ends]
+        rows.append((adjacent, doubled_in, doubled_cap, doubled_in + universal,
+                     None if paper is None else doubled_in + paper))
+    values = {value for row in rows for value in row[1:]}
+    values.discard(None)
+    halves = {value: Fraction(value, 2) for value in values}
     cases = []
     transfer_ok = True
-    capped_table = rho_table(capped)
-    for eps, rho_in in rho_table(graph).items():
-        e0, e_last = eps.order[0], eps.order[d - 1]
-        rho_cap = capped_table[eps]
-        dg_ends = residues(bg.graph, {e0, e_last}).count
-        dg_0c = residues(bg.graph, {e0, c}).count
-        dg_lc = residues(bg.graph, {e_last, c}).count
-        universal_rhs = rho_in + Fraction(p_bar + dg_ends - dg_0c - dg_lc, 2)
-        universal_ok = rho_cap == universal_rhs
-        adjacent = c in (e0, e_last)
-        if adjacent:
-            paper_rhs: Optional[Fraction] = rho_in
-            applicable = True
-        else:
-            applicable = _spherical_triple(bg.graph, frozenset({e0, e_last, c}))
-            dg_triple = residues(bg.graph, {e0, e_last, c}).count
-            paper_rhs = rho_in + dg_ends - dg_triple if applicable else None
-        paper_ok = None if paper_rhs is None else rho_cap == paper_rhs
-        cases.append(TransferCase(eps, adjacent, rho_in, rho_cap, paper_rhs,
-                                  applicable, paper_ok, universal_rhs, universal_ok))
+    for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
+            rec.sweep.orders, rows):
+        universal_ok = doubled_cap == universal
+        paper_ok = None if paper is None else doubled_cap == paper
+        cases.append(TransferCase(
+            eps, adjacent, halves[doubled_in], halves[doubled_cap],
+            None if paper is None else halves[paper], paper is not None,
+            paper_ok, halves[universal], universal_ok))
         transfer_ok = transfer_ok and universal_ok and paper_ok is not False
 
-    chi_delta = euler_characteristic(capped) - euler_characteristic(graph)
-    h = bg.num_components
+    chi_delta = euler_characteristic(capped) - rec.chi
+    h = rec.boundary.num_components
     return RegularizationIdentityReport(
         singular_color=c,
         h=h,
@@ -213,21 +291,31 @@ def partner_permutation(eps: CyclicPermutation) -> CyclicPermutation:
     return CyclicPermutation.canonical((o[1], o[3], o[0], o[2], o[4]))
 
 
+@cache
+def _partner_indices() -> tuple[int, ...]:
+    """The sweep index of each d = 4 order's partner, in sweep order."""
+    orders = _sweep(4).orders
+    index = {eps.order: k for k, eps in enumerate(orders)}
+    return tuple(index[partner_permutation(eps).order] for eps in orders)
+
+
 def check_omega_pairing(graph: ColoredGraph) -> OmegaPairingReport:
     """For 5-colored regular graphs: each order and its partner cover all
     ten color pairs, so their genus sum is order-independent and six
-    times it is the G-degree."""
+    times it is the G-degree.  The sums are taken of twice-genus
+    integers."""
     if graph.dimension != 4:
         raise DimensionError("pairing identity is specific to dimension 4")
     if not graph.is_regular:
         raise NotRegularError("G-degree pairing needs a regular graph")
-    table = rho_table(graph)
-    omega = sum(table.values(), Fraction(0))
-    sums = {eps: table[eps] + table[partner_permutation(eps)] for eps in table}
-    values = set(sums.values())
+    sweep, doubled = _doubled_genera(graph)
+    omega = sum(doubled)
+    sums = [doubled[k] + doubled[j] for k, j in enumerate(_partner_indices())]
+    values = set(sums)
+    halves = {value: Fraction(value, 2) for value in values | {omega}}
     return OmegaPairingReport(
-        omega=omega,
-        pair_sums=sums,
+        omega=halves[omega],
+        pair_sums=dict(zip(sweep.orders, map(halves.__getitem__, sums))),
         sum_constant=len(values) == 1,
         factor_ok=all(omega == 6 * s for s in values),
     )

@@ -296,10 +296,7 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     of the mask (its lowest colors), united along the edges of each color
     above it.  The prefix is the longest one already decomposed, and at
     least the two lowest colors, a walk; when colors are queried in
-    ascending bitmask order it is the mask without its top color.  Union
-    by least index keeps every component's parent pointer at or below its
-    own index, so numbering the roots in index order numbers the merged
-    components by least vertex, as the prefix's are."""
+    ascending bitmask order it is the mask without its top color."""
     color_set = _colors_of(mask)
     i = len(color_set) - 1
     prefix = mask ^ 1 << color_set[i]
@@ -307,11 +304,25 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
         i -= 1
         prefix ^= 1 << color_set[i]
     base = _residues_by_mask(graph, prefix)
-    labels = base.labels
-    whole = list(base.regular)
+    return _unite(color_set, base.labels, list(base.regular),
+                  [enumerate(graph.color_maps[top]) for top in color_set[i:]])
+
+
+def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
+           whole: list[bool], rows: Iterable[Iterable[tuple[int, int]]]
+           ) -> ResidueDecomposition:
+    """The components labelled by ``labels`` (numbered by least vertex,
+    ``whole`` flagging the regular ones) united along the edges of each
+    row of (vertex, mate) pairs, as ``enumerate`` gives them from a color
+    map: a pair counts when the mate is the lower vertex, and a mate
+    NO_EDGE makes the vertex's component irregular.  Union by least index
+    keeps every component's parent pointer at or below its own index, so
+    numbering the roots in index order numbers the united components by
+    least vertex, as the given ones are."""
     up = list(range(len(whole)))
-    for top in color_set[i:]:
-        for v, w in enumerate(graph.color_maps[top]):
+    united = False
+    for row in rows:
+        for v, w in row:
             if w < v:  # each edge once, and every missing edge (NO_EDGE < 0)
                 if w == NO_EDGE:
                     whole[labels[v]] = False
@@ -325,8 +336,12 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
                     up[y] = y = up[up[y]]
                 if x < y:
                     up[y] = x
+                    united = True
                 elif y < x:
                     up[x] = y
+                    united = True
+    if not united:  # the components stay as they are
+        return ResidueDecomposition._unchecked(color_set, tuple(whole), labels)
     # up[k] becomes k's merged number: a root takes the next one, and any
     # other k its parent's, numbered already as the parent's index is lower
     regular = []
@@ -340,6 +355,16 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
                 regular[m] = False
     return ResidueDecomposition._unchecked(color_set, tuple(regular),
                                            tuple([up[k] for k in labels]))
+
+
+def _least_vertices(labels: Sequence[int]) -> list[int]:
+    """The least vertex of each component, by label: components are
+    numbered by least vertex, so each label first occurs there."""
+    least = []
+    for v, k in enumerate(labels):
+        if k == len(least):
+            least.append(v)
+    return least
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:

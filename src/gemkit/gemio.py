@@ -60,8 +60,9 @@ class GemFile:
 
 
 def gemfile_from_graph(graph: ColoredGraph, name: Optional[str] = None) -> GemFile:
+    # the graph lists its edges in canonical order already
     return GemFile(graph.dimension, graph.num_vertices,
-                   tuple(graph.edges()), name).canonical()
+                   tuple(graph.edges()), name)
 
 
 def parse_gemfile(text: str) -> GemFile:
@@ -219,6 +220,8 @@ def parse_filter(expr: str) -> tuple[str, str, str]:
 def _coerce(value):
     if isinstance(value, bool) or value is None:
         return value
+    if type(value) is int:
+        return value  # compares as Fraction(str(value)) would
     text = str(value)
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
@@ -235,7 +238,8 @@ def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
     """Records matching every filter expression (``field OP value``),
     plus parse problems as warnings; scanning never aborts on a corrupt
     line."""
-    parsed = [parse_filter(f) for f in filters]
+    parsed = [(field, _OPS[op], _coerce(raw))
+              for field, op, raw in map(parse_filter, filters)]
     records, warnings = [], []
     store = Path(store_path)
     if not store.exists():
@@ -253,12 +257,12 @@ def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
                 warnings.append(StoreCorruptError(str(exc), line_number=lineno))
                 continue
             keep = True
-            for field, op, raw in parsed:
+            for field, op, literal in parsed:
                 if field not in rec:
                     keep = False
                     break
                 try:
-                    keep = _OPS[op](_coerce(rec[field]), _coerce(raw))
+                    keep = op(_coerce(rec[field]), literal)
                 except TypeError:
                     keep = False
                 if not keep:

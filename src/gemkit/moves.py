@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .boundary import boundary_graph
-from .core import NO_EDGE, ColoredGraph, _from_maps, _residues_by_mask, residues
+from .core import (NO_EDGE, ColoredGraph, _from_maps, _least_vertices,
+                   _residues_by_mask, _unite, residues)
 from .errors import (
     DisconnectedError,
     InternalInconsistencyError,
@@ -201,25 +202,37 @@ def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
     if not all(0 <= c < d for c in choice):
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
     bg = boundary_graph(graph)
+    # the labels of each chosen {c, d}-residue, and its paths' least vertices
+    residue = {}
+    for c in set(choice):
+        labels = _residues_by_mask(graph, 1 << c | 1 << d).labels
+        residue[c] = labels, _least_vertices(labels)
     paths = []
     for i, k in enumerate(bg.component_map):
         c = choice[k]
         j = bg.graph.color_maps[c][i]
         if i < j:
             u, v = bg.parent_vertex_map[i], bg.parent_vertex_map[j]
-            dec = residues(graph, {c, d})
-            paths.append((dec.components[dec.labels[u]][0], u, v))
+            labels, least = residue[c]
+            paths.append((least[labels[u]], u, v))
     paths.sort()
     added = tuple((u, v) for _, u, v in paths)
     final = list(graph.color_maps[d])
     for u, v in added:
         final[u], final[v] = v, u
     capped = _from_maps(d, graph.color_maps[:d] + (final,))
-    # the input's decompositions without color d are the capped graph's
-    capped._memo.update((m, dec) for m, dec in graph._memo.copy().items()
-                        if isinstance(m, int) and not m >> d & 1)
     if not capped.is_regular:
         raise InternalInconsistencyError("capping left boundary vertices")
+    # the input's decompositions are the capped graph's: as they are without
+    # color d, and with it once united along the added edges (u < v, so
+    # each as its pair (v, u)); every component of the regular capped
+    # graph is regular
+    joins = [(v, u) for u, v in added]
+    memo = capped._memo
+    for m, dec in graph._memo.copy().items():
+        if isinstance(m, int):
+            memo[m] = _unite(dec.color_set, dec.labels, [True] * dec.count,
+                             (joins,)) if m >> d & 1 else dec
     return capped, added
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, residues
+from .core import ColoredGraph, _least_vertices, residues
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
@@ -90,20 +90,20 @@ def presentation(graph: ColoredGraph, i: int, j: int,
 
     cycles = []
     dec = residues(graph, {i, j})
-    for comp, regular in zip(dec.components, dec.regular):
+    mate_i, mate_j = graph.color_maps[i], graph.color_maps[j]
+    gen = gens.labels
+    for start, regular in zip(_least_vertices(dec.labels), dec.regular):
         if not regular:
             continue  # an {i,j}-path contributes no cycle relator
-        start = comp[0]
         word = []
-        v, color = start, i
-        for t in range(len(comp)):
-            gen = gens.labels[v] + 1
-            word.append(gen if t % 2 == 0 else -gen)
-            v = graph.mate(v, color)
-            color = j if color == i else i
-        if v != start:
-            raise InvalidColorPairError(
-                f"{{{i},{j}}}-component {comp} did not close up")
+        v = start
+        while True:  # a regular component is an {i,j}-cycle
+            word.append(gen[v] + 1)
+            v = mate_i[v]
+            word.append(-gen[v] - 1)
+            v = mate_j[v]
+            if v == start:
+                break
         cycles.append(tuple(word))
 
     # spanning forest of the bipartite incidence of generators with the
@@ -112,10 +112,8 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     right = residues(graph, set(graph.colors) - {j})
     uf = UnionFind(left.count + right.count)
     tree = []
-    for k, comp in enumerate(gens.components):
-        a = left.labels[comp[0]]
-        b = left.count + right.labels[comp[0]]
-        if uf.union(a, b):
+    for k, v in enumerate(_least_vertices(gens.labels)):
+        if uf.union(left.labels[v], left.count + right.labels[v]):
             tree.append((k + 1,))
 
     tag_a = tag_b = None

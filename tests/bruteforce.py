@@ -141,6 +141,106 @@ def rho_boundary(dimension, num_vertices, edges, eps):
     return Fraction(2 - val, 2)
 
 
+def _is_sphere_union(num_vertices, edges, triple):
+    """Whether every component of the residue on three colors is a
+    2-sphere gem: its bicolored cycles outnumber half its vertices by
+    two (Euler characteristic 2)."""
+    cycles = [comp for pair in combinations(sorted(triple), 2)
+              for comp in bfs_components(num_vertices, edges, set(pair))]
+    for comp in bfs_components(num_vertices, edges, set(triple)):
+        inside = sum(1 for cycle in cycles if cycle[0] in comp)
+        if inside - len(comp) // 2 != 2:
+            return False
+    return True
+
+
+def regularization_identities(dimension, num_vertices, edges, c):
+    """The capping checks of one boundary gem for singular color c, in the
+    form of the package's ``RegularizationIdentityReport.to_jsonable()``:
+    the ends of every maximal {c, d}-path joined by a new color-d edge,
+    every count found by search on the input, the capped graph and the
+    boundary graph, and every genus compared as a Fraction."""
+    d = dimension
+    mate = {k: {} for k in range(d + 1)}
+    for u, v, k in edges:
+        mate[k][u] = v
+        mate[k][v] = u
+    boundary = sorted(v for v in range(num_vertices) if v not in mate[d])
+    p_bar = len(boundary) // 2
+    capped = list(edges)
+    for u in boundary:
+        cur, nxt = u, c
+        while cur in mate[nxt]:
+            cur = mate[nxt][cur]
+            nxt = d if nxt == c else c
+        if u < cur:
+            capped.append((u, cur, d))
+    bn, bedges = boundary_edges(d, num_vertices, edges)
+
+    def bcount(*colors):
+        return count_components(bn, bedges, set(colors))
+
+    lemma_mixed = {}
+    for i in range(d):
+        if i != c:
+            lemma_mixed[str(i)] = [
+                count_components(num_vertices, capped, {i, d}),
+                count_regular_components(num_vertices, edges, {i, d})
+                + bcount(i, c)]
+    lemma_singular = [count_components(num_vertices, capped, {c, d}),
+                      count_components(num_vertices, edges, {c, d}),
+                      count_regular_components(num_vertices, edges, {c, d})
+                      + p_bar]
+    lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
+                and len(set(lemma_singular)) == 1)
+
+    transfer = []
+    transfer_ok = True
+    for eps in cyclic_classes(d):
+        rho_in = rho_boundary(d, num_vertices, edges, eps)
+        rho_cap = rho_closed(d, num_vertices, capped, eps)
+        e0, e_last = eps[0], eps[d - 1]
+        universal = rho_in + Fraction(
+            p_bar + bcount(e0, e_last) - bcount(e0, c) - bcount(e_last, c), 2)
+        adjacent = c in (e0, e_last)
+        if adjacent:
+            paper = rho_in
+        elif _is_sphere_union(bn, bedges, {e0, e_last, c}):
+            paper = rho_in + bcount(e0, e_last) - bcount(e0, e_last, c)
+        else:
+            paper = None
+        paper_ok = None if paper is None else rho_cap == paper
+        transfer.append({
+            "eps": ",".join(map(str, eps)),
+            "case": "adjacent" if adjacent else "nonadjacent",
+            "rho_input": str(rho_in),
+            "rho_capped": str(rho_cap),
+            "paper_rhs": None if paper is None else str(paper),
+            "paper_applicable": paper is not None,
+            "paper_ok": paper_ok,
+            "universal_rhs": str(universal),
+            "universal_ok": rho_cap == universal,
+        })
+        transfer_ok = transfer_ok and rho_cap == universal and paper_ok is not False
+
+    h = count_components(bn, bedges, None)
+    chi_delta = (euler_characteristic(d, num_vertices, capped)
+                 - euler_characteristic(d, num_vertices, edges))
+    return {
+        "singular_color": c,
+        "h": h,
+        "p_bar": p_bar,
+        "lemma_mixed": lemma_mixed,
+        "lemma_singular": lemma_singular,
+        "lemma_ok": lemma_ok,
+        "transfer": transfer,
+        "transfer_ok": transfer_ok,
+        "chi_delta": chi_delta,
+        "chi_law_ok": chi_delta == h,
+        "ok": lemma_ok and transfer_ok,
+    }
+
+
 def determinant(square):
     """Exact integer determinant by cofactor expansion along the first row."""
     if not square:

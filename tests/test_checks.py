@@ -26,12 +26,16 @@ from gemkit import (
 )
 from gemkit.errors import (
     DimensionError,
+    InvalidColorError,
+    NoBoundaryError,
     NotRegularError,
     PreconditionError,
     ResidueShapeError,
 )
+from gemkit.invariants import invariant_report
 from gemkit.moves import cap_boundary, full_contraction, insert_1_dipole
 
+import bruteforce as bf
 from corpus import grow_by_insertions, k33_graph
 
 
@@ -95,6 +99,41 @@ class TestRegularizationIdentities:
         assert [case.eps for case in report.transfer] == orders
         assert [(case.rho_input, case.rho_capped) for case in report.transfer] == [
             (rho_boundary(g, eps), rho_closed(capped, eps)) for eps in orders]
+
+
+class TestCappingRecord:
+    """The capping checks read what does not depend on the singular color
+    from one record per graph; every color's report equals the slow path
+    that rebuilds everything, before and after the memo is filled."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 5), st.integers(2, 7), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_every_color_matches_the_slow_path(self, d, p, seed, report_first,
+                                               rng):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        edges = list(g.edges())
+        expected = {c: bf.regularization_identities(d, g.num_vertices, edges, c)
+                    for c in range(d)}
+        if report_first:
+            invariant_report(g)
+        for _ in range(2):
+            colors = list(range(d))
+            rng.shuffle(colors)
+            for c in colors:
+                report = check_regularization_identities(g, c)
+                assert report.to_jsonable() == expected[c]
+            invariant_report(g)
+
+    def test_bad_color_memoizes_nothing(self, s4):
+        g = random_boundary_gem(4, 6, 2, seed=3)
+        for c in (-1, 4, 9):
+            with pytest.raises(InvalidColorError):
+                check_regularization_identities(g, c)
+        assert g._memo == {}
+        with pytest.raises(NoBoundaryError):
+            check_regularization_identities(s4, 0)
+        assert "capping" not in s4._memo
 
 
 class TestOmegaPairing:

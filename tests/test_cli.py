@@ -168,6 +168,8 @@ class TestGolden:
          ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "0,3", "--simplify")),
         ("pi1_d3_23_simplified.json",
          ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "2,3", "--simplify")),
+        ("check_omega_s4_2.json",
+         ("--json", "check", "gems/s4_2.gem", "--suite", "omega")),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES, ids=lambda c: str(c)[:24])
@@ -175,6 +177,22 @@ class TestGolden:
         code, out, _ = run_cli(*argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_bytes()
+
+    def test_catalog_matches_golden(self, tmp_path):
+        """``catalog add`` of every bundled gem into an empty store, then
+        the two scan filters of the survey benchmark."""
+        store = str(tmp_path / "store.jsonl")
+        out = b""
+        for gem in sorted(GEMS.glob("*.gem")):
+            code, text, _ = run_cli("--json", "catalog", "add", store, str(gem))
+            assert code == 0
+            out += text
+        for where in ("regular=true", "boundary_components>=1"):
+            code, text, _ = run_cli("--json", "catalog", "scan", store,
+                                    "--where", where)
+            assert code == 0
+            out += text
+        assert out == (GOLDEN / "catalog_bundled.jsonl").read_bytes()
 
 
 class TestPipelines:

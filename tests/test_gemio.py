@@ -1,8 +1,10 @@
 import json
+import operator
+from fractions import Fraction
 
 import pytest
 
-from gemkit import ball_gem, gemio, order_two_gem
+from gemkit import ball_gem, gemio, order_two_gem, random_boundary_gem
 from gemkit.errors import ParseError, ValidationError
 from gemkit.gemio import (
     GemFile,
@@ -195,6 +197,52 @@ class TestCatalog:
         assert {r["name"] for r in hits} == {"s4"}
         hits, _ = catalog_scan(store, ["chi>=1", "regular=True"])
         assert {r["name"] for r in hits} == {"s4"}
+
+    def test_scan_filters_match_text_coercion(self, tmp_path, s4, b4, k33):
+        """Every filter compares as it would with both sides coerced from
+        their text: bools and None as they are, then true/false,
+        none/null, a rational, or else the text itself."""
+        def from_text(value):
+            if isinstance(value, bool) or value is None:
+                return value
+            text = str(value)
+            if text.lower() in ("true", "false"):
+                return text.lower() == "true"
+            if text.lower() in ("none", "null"):
+                return None
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                return text
+
+        store = tmp_path / "store.jsonl"
+        for name, graph in (("s4", s4), ("b4", b4), ("k33", k33),
+                            (None, random_boundary_gem(4, 5, 2, seed=7))):
+            catalog_add(store, graph, name=name)
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        for rec in records:
+            rec.pop("added_at")
+        ops = {"=": operator.eq, "==": operator.eq, "!=": operator.ne,
+               "<=": operator.le, ">=": operator.ge, "<": operator.lt,
+               ">": operator.gt}
+        literals = ("0", "1", "-1", "2", "1/2", "3/2", "0.5", "1/0", "true",
+                    "False", "none", "null", "s4", "", "[5, 10, 10, 5, 2]")
+        fields = ("chi", "p_bar", "rho_min", "omega_g", "regular", "name",
+                  "f_vector", "missing")
+        for field in fields:
+            for op, compare in ops.items():
+                for literal in literals:
+                    want = []
+                    for rec in records:
+                        try:
+                            keep = field in rec and compare(
+                                from_text(rec[field]), from_text(literal))
+                        except TypeError:
+                            keep = False
+                        if keep:
+                            want.append(rec)
+                    hits, _ = catalog_scan(store, [f"{field}{op}{literal}"])
+                    assert hits == want, (field, op, literal)
 
     def test_scan_empty_store(self, tmp_path):
         hits, warnings = catalog_scan(tmp_path / "missing.jsonl", [])

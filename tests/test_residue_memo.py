@@ -1,19 +1,21 @@
 """The per-graph residue memo: memoized decompositions, built by walks
 and merges along the color lattice in any query order, agree with an
 uncached search and the brute-force oracle, rewrites start from an empty
-memo (a capped graph from the input's decompositions below d), and a
-full invariant report decomposes each color subset of each graph once
-and builds the boundary graph once."""
+memo (a capped graph from every decomposition of the input, joined along
+the added edges where it holds color d), and a full invariant report
+decomposes each color subset of each graph once, no subset of a capped
+graph, and builds the boundary graph and the capping record once."""
 
 import sys
 import threading
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from gemkit import boundary, core
+from gemkit import boundary, checks, core
 from gemkit.boundary import boundary_graph
 from gemkit.core import random_boundary_gem, random_gem, residues
 from gemkit.invariants import f_vector, invariant_report, rho_table
@@ -145,6 +147,22 @@ class TestLabelsFirstSearch:
                 sort_based_search(g, mask)
 
 
+def check_capped_memo(graph, capped):
+    """The capped graph's memo holds exactly the input's masks: below d
+    the input's own decompositions, and with d a new one, regular, that
+    equals the uncached search on the capped graph."""
+    d = graph.dimension
+    masks = {m for m in graph._memo if isinstance(m, int)}
+    with_d = {m for m in masks if m >> d & 1}
+    assert set(capped._memo) == masks
+    for mask, dec in capped._memo.items():
+        if mask in with_d:
+            assert dec is not graph._memo[mask] and all(dec.regular)
+        else:
+            assert dec is graph._memo[mask]
+        assert dec == bfs_decompose(capped, mask)
+
+
 class TestRewritesStartEmpty:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20))
@@ -160,14 +178,14 @@ class TestRewritesStartEmpty:
         f_vector(grown)
         rewrites = [cancel_1_dipole(grown, site), swap_colors(g, 0, d - 1)]
         assert all(out._memo == {} for out in rewrites)
-        # capping keeps the input's maps below d, so it takes over exactly
-        # the input's decompositions that leave out color d
+        # capping keeps the input's maps below d and adds color-d edges
+        # only, so it takes over every decomposition of the input: those
+        # that leave out color d as they are, and the others joined along
+        # the added edges
         capped, _ = cap_boundary(g, seed % d)
-        below_d = {m for m in g._memo if isinstance(m, int) and not m >> d & 1}
-        assert below_d and set(capped._memo) == below_d
-        for mask, dec in capped._memo.items():
-            assert dec is g._memo[mask]
-            assert dec == bfs_decompose(capped, mask)
+        masks = {m for m in g._memo if isinstance(m, int)}
+        assert {m >> d & 1 for m in masks} == {0, 1}  # f_vector filled both
+        check_capped_memo(g, capped)
 
 
 class TestLatticeOrder:
@@ -205,7 +223,7 @@ class TestLatticeOrder:
         for mask in rng.sample(range(2 ** (d + 1)), rng.randrange(2 ** (d + 1))):
             residues(b, {c for c in b.colors if mask >> c & 1})
         capped, _ = cap_boundary(b, seed % d)
-        assert all(not m >> d & 1 for m in capped._memo if isinstance(m, int))
+        check_capped_memo(b, capped)
         u, c = rng.randrange(g.num_vertices), rng.randrange(d)
         grown, _, _ = insert_1_dipole(g, (u, g.mate(u, c)), c)
         cancelled = cancel_1_dipole(grown, rng.choice(find_1_dipoles(grown)))
@@ -243,14 +261,41 @@ class TestWorkCount:
             built.append(g)
             return real_build(g)
 
+        records, triples, capped = [], [], []
+        real_record = checks._build_capping_record
+        real_triple = checks._spherical_triple
+        real_cap = checks.cap_boundary
+
+        def counting_record(g):
+            records.append(g)
+            return real_record(g)
+
+        def counting_triple(bgraph, triple):
+            triples.append(triple)
+            return real_triple(bgraph, triple)
+
+        def counting_cap(g, color):
+            out = real_cap(g, color)
+            capped.append(out[0])
+            return out
+
         monkeypatch.setattr(core, "_walk", counting(core._walk))
         monkeypatch.setattr(core, "_merge", counting(core._merge))
         monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
+        monkeypatch.setattr(checks, "_build_capping_record", counting_record)
+        monkeypatch.setattr(checks, "_spherical_triple", counting_triple)
+        monkeypatch.setattr(checks, "cap_boundary", counting_cap)
         invariant_report(graph)
         keys = [(id(g), mask) for g, mask in decomposed]
         assert len(keys) == len(set(keys))
         assert len(keys) <= 250
         assert len(built) == 1 and built[0] is graph
+        # the four capped graphs inherit every decomposition they read
+        assert len(capped) == 4
+        assert {id(g) for g, _ in decomposed} == {
+            id(graph), id(boundary_graph(graph).graph)}
+        assert len(records) == 1 and records[0] is graph
+        assert len(triples) <= comb(graph.dimension, 3)
 
 
 class TestSmallMasks:
@@ -276,7 +321,9 @@ def test_concurrent_readers_share_one_graph():
     """Threads reading one graph race on its memo; every write stores the
     value any other thread would compute, so all see the serial answers."""
     def answers(g):
-        return (f_vector(g), rho_table(g), boundary_graph(g).component_map)
+        return (f_vector(g), rho_table(g), boundary_graph(g).component_map,
+                [checks.check_regularization_identities(g, c).to_jsonable()
+                 for c in range(g.dimension)])
 
     expected = answers(random_boundary_gem(4, 24, 10, seed=11))
     shared = random_boundary_gem(4, 24, 10, seed=11)
