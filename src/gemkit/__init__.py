@@ -50,8 +50,6 @@ from .invariants import (
     gurau_degree,
     invariant_report,
     regular_genus,
-    rho_boundary,
-    rho_closed,
     rho_table,
 )
 from .moves import (

@@ -11,7 +11,7 @@ checkers work on the intermediate capped graph directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -41,11 +41,49 @@ from .moves import cap_boundary, full_contraction
 
 
 # ---------------------------------------------------------------------------
+# report encoding
+
+
+def _key(key) -> str:
+    if isinstance(key, tuple):
+        return "".join(map(str, key))
+    return str(_jsonable(key))
+
+
+def _jsonable(value):
+    """The JSON form of a report value: a Fraction as text, an order by
+    its label, a sequence as a list, a dict in sorted key order with text
+    keys (a color tuple as its digits) and a report as its own form."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, CyclicPermutation):
+        return value.label()
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {_key(k): _jsonable(v) for k, v in sorted(value.items())}
+    if isinstance(value, _Report):
+        return value.to_jsonable()
+    return value
+
+
+class _Report:
+    """A check report: its JSON form holds every field, then ``ok`` when
+    the report defines it."""
+
+    def to_jsonable(self) -> dict:
+        out = {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        if hasattr(type(self), "ok"):
+            out["ok"] = self.ok
+        return out
+
+
+# ---------------------------------------------------------------------------
 # capping identities
 
 
 @dataclass(frozen=True)
-class TransferCase:
+class TransferCase(_Report):
     eps: CyclicPermutation
     adjacent: bool                 # chosen color cyclically adjacent to d
     rho_input: Fraction
@@ -57,21 +95,13 @@ class TransferCase:
     universal_ok: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "eps": self.eps.label(),
-            "case": "adjacent" if self.adjacent else "nonadjacent",
-            "rho_input": str(self.rho_input),
-            "rho_capped": str(self.rho_capped),
-            "paper_rhs": None if self.paper_rhs is None else str(self.paper_rhs),
-            "paper_applicable": self.paper_applicable,
-            "paper_ok": self.paper_ok,
-            "universal_rhs": str(self.universal_rhs),
-            "universal_ok": self.universal_ok,
-        }
+        out = super().to_jsonable()
+        out["case"] = "adjacent" if out.pop("adjacent") else "nonadjacent"
+        return out
 
 
 @dataclass(frozen=True)
-class RegularizationIdentityReport:
+class RegularizationIdentityReport(_Report):
     singular_color: int
     h: int
     p_bar: int
@@ -86,21 +116,6 @@ class RegularizationIdentityReport:
     @property
     def ok(self) -> bool:
         return self.lemma_ok and self.transfer_ok
-
-    def to_jsonable(self) -> dict:
-        return {
-            "singular_color": self.singular_color,
-            "h": self.h,
-            "p_bar": self.p_bar,
-            "lemma_mixed": {str(i): list(v) for i, v in sorted(self.lemma_mixed.items())},
-            "lemma_singular": list(self.lemma_singular),
-            "lemma_ok": self.lemma_ok,
-            "transfer": [t.to_jsonable() for t in self.transfer],
-            "transfer_ok": self.transfer_ok,
-            "chi_delta": self.chi_delta,
-            "chi_law_ok": self.chi_law_ok,
-            "ok": self.ok,
-        }
 
 
 def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
@@ -263,7 +278,7 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
 
 
 @dataclass(frozen=True)
-class OmegaPairingReport:
+class OmegaPairingReport(_Report):
     omega: Fraction
     pair_sums: dict[CyclicPermutation, Fraction]
     sum_constant: bool
@@ -273,20 +288,12 @@ class OmegaPairingReport:
     def ok(self) -> bool:
         return self.sum_constant and self.factor_ok
 
-    def to_jsonable(self) -> dict:
-        return {
-            "omega": str(self.omega),
-            "pair_sums": {eps.label(): str(v)
-                          for eps, v in sorted(self.pair_sums.items())},
-            "sum_constant": self.sum_constant,
-            "factor_ok": self.factor_ok,
-            "ok": self.ok,
-        }
-
 
 def partner_permutation(eps: CyclicPermutation) -> CyclicPermutation:
     """The complementary cyclic order pairing the remaining color pairs:
     (e1, e3, e0, e2, 4) for (e0, e1, e2, e3, 4)."""
+    if eps.dimension != 4:
+        raise DimensionError("partner orders are specific to dimension 4")
     o = eps.order
     return CyclicPermutation.canonical((o[1], o[3], o[0], o[2], o[4]))
 
@@ -339,7 +346,7 @@ def lower_bound_thm(chi_m: int, m: int, h: int, m_hat: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     genus_bound: int
     gdegree_bound: int
     omega: Fraction
@@ -354,22 +361,6 @@ class BoundReport:
     @property
     def ok(self) -> bool:
         return self.genus_ok and self.gdegree_ok
-
-    def to_jsonable(self) -> dict:
-        return {
-            "genus_bound": self.genus_bound,
-            "gdegree_bound": self.gdegree_bound,
-            "omega": str(self.omega),
-            "slack": {eps.label(): str(v) for eps, v in sorted(self.slack.items())},
-            "genus_ok": self.genus_ok,
-            "gdegree_ok": self.gdegree_ok,
-            "genus_equality": self.genus_equality,
-            "gdegree_equality": self.gdegree_equality,
-            "t_table": {"".join(map(str, k)): v
-                        for k, v in sorted(self.t_table.items())},
-            "slack_consistent": self.slack_consistent,
-            "ok": self.ok,
-        }
 
 
 def _skip_one_triples(eps: CyclicPermutation) -> list[tuple[int, ...]]:
@@ -427,22 +418,12 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
 
 
 @dataclass(frozen=True)
-class SemisimpleReport:
+class SemisimpleReport(_Report):
     semi_simple: bool
     weak_semi_simple: tuple[CyclicPermutation, ...]
     triple_counts: dict[tuple[int, ...], int]
     expected_inner: int        # for triples inside 0..3
     expected_with_final: int   # for triples containing color 4
-
-    def to_jsonable(self) -> dict:
-        return {
-            "semi_simple": self.semi_simple,
-            "weak_semi_simple": [eps.label() for eps in self.weak_semi_simple],
-            "triple_counts": {"".join(map(str, k)): v
-                              for k, v in sorted(self.triple_counts.items())},
-            "expected_inner": self.expected_inner,
-            "expected_with_final": self.expected_with_final,
-        }
 
 
 def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
@@ -479,7 +460,7 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
 
 
 @dataclass(frozen=True)
-class DehnSommervilleReport:
+class DehnSommervilleReport(_Report):
     lhs: int
     rhs: int
     chi: int
@@ -488,10 +469,6 @@ class DehnSommervilleReport:
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
-
-    def to_jsonable(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "chi": self.chi,
-                "triple_sum": self.triple_sum, "ok": self.ok}
 
 
 def check_dehn_sommerville(graph: ColoredGraph) -> DehnSommervilleReport:
@@ -518,7 +495,7 @@ def check_dehn_sommerville(graph: ColoredGraph) -> DehnSommervilleReport:
 
 
 @dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(_Report):
     relation_value: int
     omega: Fraction
     matches: bool
@@ -528,11 +505,6 @@ class ComplexityReport:
     @property
     def ok(self) -> bool:
         return self.matches or not self.claimed_minimal
-
-    def to_jsonable(self) -> dict:
-        return {"relation_value": self.relation_value, "omega": str(self.omega),
-                "matches": self.matches, "claimed_minimal": self.claimed_minimal,
-                "note": self.note, "ok": self.ok}
 
 
 def gem_complexity_relation(graph: ColoredGraph, chi_m: int,

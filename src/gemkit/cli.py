@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success (and every checked identity holds), 1 a checked
-identity or bound fails, 2 usage or parse error, 3 validation or
+identity or bound fails, 2 usage, parse or file error, 3 validation or
 precondition error, 4 internal error (an unexpected exception, reported
 as one ``internal error: <Type>: <message>`` line on stderr).  With
 --json a single machine-readable object is printed; its content is
@@ -14,10 +14,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from . import checks, gemio, moves, pi1
-from .boundary import boundary_component_count, boundary_graph
+from .boundary import boundary_graph
 from .core import ColoredGraph, classify_vertices
 from .errors import GemError, ParseError, ValidationError
 from .invariants import (
@@ -480,7 +479,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:

@@ -98,10 +98,14 @@ def parse_gemfile(text: str) -> GemFile:
 
 
 def read_gem(path: str | Path) -> ColoredGraph:
-    """Parse and validate a gem file; schema problems raise ParseError,
-    graph problems raise ValidationError wrapping the core error."""
-    gf = parse_gemfile(Path(path).read_text(encoding="utf-8"))
-    return graph_from_gemfile(gf)
+    """Parse and validate a gem file; schema problems and text that is
+    not UTF-8 raise ParseError, graph problems raise ValidationError
+    wrapping the core error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return graph_from_gemfile(parse_gemfile(text))
 
 
 def graph_from_gemfile(gf: GemFile) -> ColoredGraph:
@@ -172,6 +176,14 @@ def _record(graph: ColoredGraph, digest: str, name: Optional[str]) -> dict:
     return record
 
 
+def _load_line(line: str):
+    """One store line as JSON.  Bad bytes are read as lone surrogates,
+    which UTF-8 cannot encode, so their line raises ValueError as corrupt."""
+    if not line.isascii():  # lines gemkit writes are ASCII
+        line.encode("utf-8")
+    return json.loads(line)
+
+
 def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 name: Optional[str] = None) -> tuple[dict, bool]:
     """Append the gem's record unless its digest is already present.
@@ -180,7 +192,7 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
     store = Path(store_path)
     store.touch(exist_ok=True)
     digest = gemfile_from_graph(graph).digest()
-    with store.open("r+", encoding="utf-8") as fh:
+    with store.open("r+", encoding="utf-8", errors="surrogateescape") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
             for line in fh:
@@ -188,8 +200,8 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 if digest not in line:
                     continue
                 try:
-                    existing = json.loads(line)
-                except json.JSONDecodeError:
+                    existing = _load_line(line)
+                except ValueError:
                     continue
                 if isinstance(existing, dict) and existing.get("digest") == digest:
                     existing.pop("added_at", None)
@@ -244,13 +256,13 @@ def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
     store = Path(store_path)
     if not store.exists():
         return records, warnings
-    with store.open(encoding="utf-8") as fh:
+    with store.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _load_line(line)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not an object")
             except ValueError as exc:

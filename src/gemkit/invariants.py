@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_g
 from .core import (NO_EDGE, ColoredGraph, _residues_by_mask, classify_vertices,
                    count_g, residues)
-from .errors import GemError, NoBoundaryError, NonIntegralGenusError, NotRegularError
+from .errors import GemError, NonIntegralGenusError, NotRegularError
 
 
 @dataclass(frozen=True, order=True)
@@ -40,11 +40,6 @@ class CyclicPermutation:
     @property
     def dimension(self) -> int:
         return len(self.order) - 1
-
-    def consecutive_pairs(self) -> list[tuple[int, int]]:
-        """The d+1 cyclically consecutive color pairs."""
-        o = self.order
-        return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
     def label(self) -> str:
         # an order from a sweep carries the sweep's label on the instance
@@ -80,7 +75,7 @@ class _Sweep(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
     orders: tuple[CyclicPermutation, ...]
     labels: tuple[str, ...]
-    reads: tuple[Sequence[int], ...]
+    reads: tuple[bytes, ...]
 
 
 # Sweeps up to this dimension are kept for the life of the process
@@ -107,8 +102,6 @@ def _build_sweep(d: int) -> _Sweep:
     for k, (a, b) in enumerate(pairs):
         index[a, b] = index[b, a] = k
     n_pairs = len(pairs)
-    # bytes hold the positions in a quarter of a tuple's memory
-    pack = bytes if 2 * n_pairs <= 256 else tuple
     orders, labels, reads = [], [], []
     # permutations() yields lexicographic order, so the representatives
     # (first color below the one before d, then d) come out sorted
@@ -120,9 +113,10 @@ def _build_sweep(d: int) -> _Sweep:
             eps.__dict__["_label"] = text = ",".join(map(str, order))
             orders.append(eps)
             labels.append(text)
-            reads.append(pack([*map(index.__getitem__,
-                                    zip(order, order[1:] + order[:1])),
-                               n_pairs + index[perm[0], perm[-1]]]))
+            # bytes hold the positions in a quarter of a tuple's memory
+            reads.append(bytes([*map(index.__getitem__,
+                                     zip(order, order[1:] + order[:1])),
+                                n_pairs + index[perm[0], perm[-1]]]))
     return _Sweep(pairs, tuple(orders), tuple(labels), tuple(reads))
 
 
@@ -158,52 +152,14 @@ def euler_characteristic(graph: ColoredGraph) -> int:
     return sum((-1) ** h * n for h, n in enumerate(f_vector(graph)))
 
 
-def _as_genus(double_value: int, bipartite: bool, eps) -> Fraction:
-    rho = Fraction(double_value, 2)
-    if bipartite and rho.denominator != 1:
-        raise NonIntegralGenusError(
-            f"bipartite graph produced genus {rho} at {eps.order}")
-    return rho
-
-
-def rho_closed(graph: ColoredGraph, eps: CyclicPermutation) -> Fraction:
-    """Genus of the regular embedding surface for one cyclic color order
-    (regular graphs)."""
-    if not graph.is_regular:
-        raise NotRegularError("closed genus formula needs a regular graph")
-    d = graph.dimension
-    p = graph.num_vertices // 2
-    total = sum(residues(graph, pair).count for pair in eps.consecutive_pairs())
-    return _as_genus(2 - total - (1 - d) * p, graph.is_bipartite, eps)
-
-
-def rho_boundary(graph: ColoredGraph, eps: CyclicPermutation) -> Fraction:
-    """Boundary version of the genus formula: regular bicolored components
-    only, vertex-class weights, plus the count of boundary cycles in the
-    two colors cyclically adjacent to d."""
-    if graph.is_regular:
-        raise NoBoundaryError("boundary genus formula needs a boundary graph")
-    d = graph.dimension
-    cls = classify_vertices(graph)
-    total = sum(residues(graph, pair).regular_count
-                for pair in eps.consecutive_pairs())
-    dg = boundary_g(graph, {eps.order[0], eps.order[d - 1]})
-    val = total + (1 - d) * cls.p_dot + (2 - d) * cls.p_bar + dg
-    return _as_genus(2 - val, graph.is_bipartite, eps)
-
-
-def rho(graph: ColoredGraph, eps: CyclicPermutation) -> Fraction:
-    return rho_closed(graph, eps) if graph.is_regular else rho_boundary(graph, eps)
-
-
 def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
     """The sweep of the graph's dimension and twice the genus for each of
     its orders, read from the graph's pair table.
 
-    The formulas of ``rho_closed`` and ``rho_boundary`` depend on an
-    order only through its d+1 consecutive pairs and, with boundary,
-    the boundary-graph count on the two colors next to d; so the counts
-    of all pairs are read once and each order sums its entries.
+    At an order, 2 - 2·rho sums the counts of its d+1 consecutive pairs
+    and (1 - d)·p; with boundary, regular components only, (1 - d)·p_dot
+    + (2 - d)·p_bar and the boundary graph's count on the two colors next
+    to d.  So all pair counts are read once and each order sums its own.
     """
     d = graph.dimension
     sweep = _sweep(d)
@@ -224,7 +180,9 @@ def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
     if graph.is_bipartite:
         for eps, value in zip(sweep.orders, doubled):
             if value % 2:
-                _as_genus(value, True, eps)  # raises NonIntegralGenusError
+                raise NonIntegralGenusError(
+                    f"bipartite graph produced genus {Fraction(value, 2)} "
+                    f"at {eps.order}")
     return sweep, doubled
 
 
@@ -235,9 +193,9 @@ def _genus_table(sweep: _Sweep, doubled: list[int]
 
 
 def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
-    """Genus for every cyclic order, keyed in canonical (sorted) order;
-    equal to ``{eps: rho(graph, eps) for eps in
-    enumerate_cyclic_permutations(d)}``."""
+    """Genus of the regular embedding for every cyclic order, keyed in
+    canonical (sorted) order: ``rho_table(graph)[eps]`` is the genus at
+    eps."""
     return _genus_table(*_doubled_genera(graph))
 
 

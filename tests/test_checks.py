@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,20 +22,22 @@ from gemkit import (
     partner_permutation,
     random_boundary_gem,
     random_gem,
-    rho_boundary,
-    rho_closed,
+    residues,
     validate,
 )
 from gemkit.errors import (
     DimensionError,
+    GemError,
     InvalidColorError,
     NoBoundaryError,
     NotRegularError,
     PreconditionError,
     ResidueShapeError,
 )
+from gemkit.gemio import read_gem
 from gemkit.invariants import invariant_report
-from gemkit.moves import cap_boundary, full_contraction, insert_1_dipole
+from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
+                          regularize)
 
 import bruteforce as bf
 from corpus import grow_by_insertions, k33_graph
@@ -90,15 +94,18 @@ class TestRegularizationIdentities:
     @given(st.integers(2, 8), st.integers(0, 7), st.integers(0, 2 ** 20),
            st.integers(0, 3))
     def test_transfer_reads_the_per_order_genus(self, p, p_dot, seed, c):
-        # the report's genus values are those of the per-order formulas,
-        # case by case in canonical order
+        # the report's genus values are those of the per-order formulas
+        # of the brute-force oracles, case by case in canonical order
         g = random_boundary_gem(4, p, p_dot % p, seed=seed)
         capped, _ = cap_boundary(g, c)
         report = check_regularization_identities(g, c)
         orders = enumerate_cyclic_permutations(4)
+        n, edges = g.num_vertices, list(g.edges())
+        capped_edges = list(capped.edges())
         assert [case.eps for case in report.transfer] == orders
         assert [(case.rho_input, case.rho_capped) for case in report.transfer] == [
-            (rho_boundary(g, eps), rho_closed(capped, eps)) for eps in orders]
+            (bf.rho_boundary(4, n, edges, eps.order),
+             bf.rho_closed(4, n, capped_edges, eps.order)) for eps in orders]
 
 
 class TestCappingRecord:
@@ -151,6 +158,11 @@ class TestOmegaPairing:
     def test_wrong_dimension(self, k33):
         with pytest.raises(DimensionError):
             check_omega_pairing(k33)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_partner_needs_dimension_four(self, d):
+        with pytest.raises(DimensionError):
+            partner_permutation(CyclicPermutation(tuple(range(d + 1))))
 
     def test_boundary_rejected(self, b4):
         with pytest.raises(NotRegularError):
@@ -273,3 +285,41 @@ class TestComplexityRelation:
     def test_closed_manifold_mismatch_noted(self, s4):
         report = gem_complexity_relation(s4, 2)
         assert not report.matches and report.relation_value == 6
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GEMS = Path(__file__).resolve().parent.parent / "gems"
+
+
+def bundled_report_forms() -> dict:
+    """``to_jsonable()`` of the complexity and semi-simplicity reports on
+    every bundled gem (regularized on color 0 when it has boundary), on a
+    copy grown by three dipole insertions and on that copy contracted;
+    a report that raises is recorded by its error's class name."""
+    out = {}
+    for k, path in enumerate(sorted(GEMS.glob("*.gem"))):
+        g = read_gem(path)
+        if not g.is_regular:
+            g, _ = regularize(g, singular_color=0)
+        grown = grow_by_insertions(g, 3, random.Random(k))
+        for label, x in (("gem", g), ("grown", grown),
+                         ("contracted", full_contraction(grown, verify=False))):
+            entry = {"complexity": [
+                gem_complexity_relation(x, chi, claimed).to_jsonable()
+                for chi in (0, 1, 2) for claimed in (False, True)]}
+            if x.dimension == 4:
+                h = residues(x, range(4)).count
+                entry["semisimple"] = []
+                for m in (0, 1):
+                    try:
+                        entry["semisimple"].append(
+                            check_semisimple(x, m, 0, h).to_jsonable())
+                    except GemError as exc:
+                        entry["semisimple"].append(type(exc).__name__)
+            out[f"{path.stem}/{label}"] = entry
+    return out
+
+
+def test_report_forms_match_golden():
+    text = json.dumps(bundled_report_forms(), sort_keys=True, indent=1) + "\n"
+    assert text == (GOLDEN / "reports_bundled.json").read_text()

@@ -115,6 +115,28 @@ class TestExitCodes:
         assert captured.err == "internal error: RuntimeError: boom\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("case", [
+        "missing", "directory", "not_utf8", "scan_directory", "add_missing",
+        "output_directory_missing"])
+    def test_unusable_path_is_two(self, tmp_path, capsys, case):
+        (tmp_path / "dir.gem").mkdir()
+        (tmp_path / "latin1.gem").write_bytes(b'{"name": "\xe9"}')
+        argv = {
+            "missing": ["info", str(tmp_path / "missing.gem")],
+            "directory": ["info", str(tmp_path / "dir.gem")],
+            "not_utf8": ["info", str(tmp_path / "latin1.gem")],
+            "scan_directory": ["catalog", "scan", str(tmp_path / "dir.gem")],
+            "add_missing": ["catalog", "add", str(tmp_path / "store.jsonl"),
+                            str(tmp_path / "missing.gem")],
+            "output_directory_missing": ["contract", str(GEMS / "s4_2.gem"),
+                                         "-o", str(tmp_path / "no" / "out.gem")],
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
                              "--chi", "1", "--m", "3", "--mhat", "0", "--h", "1")
@@ -170,6 +192,13 @@ class TestGolden:
          ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "2,3", "--simplify")),
         ("check_omega_s4_2.json",
          ("--json", "check", "gems/s4_2.gem", "--suite", "omega")),
+        ("check_corollary_shell.json",
+         ("--json", "check", "gems/shell.gem", "--suite", "corollary")),
+        # random_boundary_gem(4, 4, 2, seed=4): twelve transfer cases per
+        # color have no paper form
+        ("check_lemma_rb4.json",
+         ("--json", "check", str(GOLDEN / "check_lemma_rb4.gem"),
+          "--suite", "lemma")),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES, ids=lambda c: str(c)[:24])
@@ -177,6 +206,15 @@ class TestGolden:
         code, out, _ = run_cli(*argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_bytes()
+
+    def test_failing_check_matches_golden(self):
+        # full_contraction(random_gem(4, 3, seed=0), verify=False) is no
+        # singular manifold: the Dehn-Sommerville relation fails
+        code, out, _ = run_cli("--json", "check",
+                               str(GOLDEN / "check_dehn_contracted.gem"),
+                               "--suite", "dehn")
+        assert code == 1
+        assert out == (GOLDEN / "check_dehn_contracted.json").read_bytes()
 
     def test_catalog_matches_golden(self, tmp_path):
         """``catalog add`` of every bundled gem into an empty store, then

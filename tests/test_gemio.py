@@ -258,6 +258,25 @@ class TestCatalog:
         assert {r["name"] for r in hits} == {"s4", "b4"}
         assert [w.line_number for w in warnings] == [2]
 
+    def test_undecodable_bytes_are_a_corrupt_line(self, tmp_path, s4, b4):
+        store = tmp_path / "store.jsonl"
+        catalog_add(store, s4, name="s4")
+        digest = gemfile_from_graph(b4).digest()
+        with store.open("ab") as fh:
+            fh.write(b'{"digest": "\xff\xfe"}\n')
+            # the b4 digest on a line with a bad byte is no record of b4
+            fh.write(b'{"digest": "%s", "name": "\xff"}\n' % digest.encode())
+            fh.write('{"digest": "caf\u00e9", "name": "\u00e9t\u00e9"}\n'
+                     .encode("utf-8"))
+        rec, added = catalog_add(store, s4, name="again")
+        assert not added and rec["name"] == "s4"
+        rec, added = catalog_add(store, b4, name="b4")
+        assert added
+        hits, warnings = catalog_scan(store)
+        assert [r["name"] for r in hits] == ["s4", "\u00e9t\u00e9", "b4"]
+        assert hits[1]["digest"] == "caf\u00e9"
+        assert [w.line_number for w in warnings] == [2, 3]
+
     def test_filter_parse_error(self):
         with pytest.raises(ParseError):
             parse_filter("rho_min ~ 0")
