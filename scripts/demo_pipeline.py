@@ -20,6 +20,7 @@ from gemkit import (
     invariant_report,
     sphericity_heuristic,
 )
+from gemkit.errors import GemError
 from gemkit.gemio import read_gem
 from gemkit.moves import full_contraction, regularize
 
@@ -70,9 +71,14 @@ def main() -> int:
           f"{'met' if bound.gdegree_ok else 'VIOLATED'}"
           + (" with equality" if bound.gdegree_equality else ""))
 
-    semis = check_semisimple(contracted, args.m, args.mhat, h)
-    print(f"semi-simple: {semis.semi_simple}; weak witnesses: "
-          f"{len(semis.weak_semi_simple)}/12")
+    try:
+        semis = check_semisimple(contracted, args.m, args.mhat, h)
+    except GemError as exc:
+        # e.g. full contraction merged the singular vertices of a shell
+        print(f"semi-simple: not applicable ({exc})")
+    else:
+        print(f"semi-simple: {semis.semi_simple}; weak witnesses: "
+              f"{len(semis.weak_semi_simple)}/12")
 
     complexity = gem_complexity_relation(contracted, args.chi)
     print(f"gem-complexity relation: 6(chi - 1 + p - 1) = "

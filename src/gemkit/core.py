@@ -21,12 +21,13 @@ from .errors import (
     InvalidColorError,
     LoopEdgeError,
     MissingColorError,
-    OddBoundaryCountError,
     PreconditionError,
     SamplingExhaustedError,
 )
 
 NO_EDGE = -1
+# samples drawn before a random gem gives up on a connected one
+_MAX_TRIES = 2000
 
 
 @dataclass(frozen=True)
@@ -404,8 +405,6 @@ def classify_vertices(graph: ColoredGraph) -> VertexClassification:
     boundary = graph.boundary_vertices()
     final = graph.color_maps[graph.dimension]
     internal = tuple(v for v in range(graph.num_vertices) if final[v] != NO_EDGE)
-    if len(boundary) % 2 or len(internal) % 2:
-        raise OddBoundaryCountError("boundary and internal counts must be even")
     return VertexClassification(boundary, internal,
                                 len(boundary) // 2, len(internal) // 2)
 
@@ -444,7 +443,7 @@ def ball_gem(d: int) -> ColoredGraph:
     return validate(d, 2, [(0, 1, c) for c in range(d)])
 
 
-def random_gem(d: int, p: int, seed: int, max_tries: int = 2000) -> ColoredGraph:
+def random_gem(d: int, p: int, seed: int) -> ColoredGraph:
     """Random connected regular gem: one uniform perfect matching per
     color on 2p vertices, rejection-sampled until connected.
 
@@ -452,12 +451,10 @@ def random_gem(d: int, p: int, seed: int, max_tries: int = 2000) -> ColoredGraph
     """
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
-    rng = random.Random(seed)
-    return _sample(d, p, p, rng, max_tries)
+    return _sample(d, p, p, random.Random(seed))
 
 
-def random_boundary_gem(d: int, p: int, p_dot: int, seed: int,
-                        max_tries: int = 2000) -> ColoredGraph:
+def random_boundary_gem(d: int, p: int, p_dot: int, seed: int) -> ColoredGraph:
     """Random connected member of G_d with boundary: perfect matchings on
     colors below d and a partial final-color matching covering 2*p_dot
     vertices.  Requires 0 <= p_dot < p."""
@@ -465,13 +462,12 @@ def random_boundary_gem(d: int, p: int, p_dot: int, seed: int,
         raise PreconditionError(f"p must be >= 1, got {p}")
     if not (0 <= p_dot < p):
         raise PreconditionError("need 0 <= p_dot < p for a boundary gem")
-    rng = random.Random(seed)
-    return _sample(d, p, p_dot, rng, max_tries)
+    return _sample(d, p, p_dot, random.Random(seed))
 
 
-def _sample(d, p, p_dot, rng, max_tries):
+def _sample(d, p, p_dot, rng):
     n = 2 * p
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         edges = []
         for c in range(d):
             perm = list(range(n))
@@ -485,4 +481,4 @@ def _sample(d, p, p_dot, rng, max_tries):
         except DisconnectedError:
             continue
     raise SamplingExhaustedError(
-        f"no connected sample in {max_tries} tries (d={d}, p={p}, p_dot={p_dot})")
+        f"no connected sample in {_MAX_TRIES} tries (d={d}, p={p}, p_dot={p_dot})")

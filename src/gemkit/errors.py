@@ -32,10 +32,6 @@ class DisconnectedError(ValidationError):
     pass
 
 
-class OddBoundaryCountError(ValidationError):
-    pass
-
-
 class InvalidColorError(GemError):
     pass
 
@@ -62,10 +58,6 @@ class DimensionError(GemError):
 
 class NotADipoleError(GemError):
     pass
-
-
-class WeldMismatchError(GemError):
-    """Dipole cancellation would leave unmatched hanging edges."""
 
 
 class NoSuchEdgeError(GemError):

@@ -153,7 +153,7 @@ def export_dot(graph: ColoredGraph, path: str | Path,
     for v in range(graph.num_vertices):
         shape = "doublecircle" if v in boundary else "circle"
         lines.append(f'  {v} [shape={shape}];')
-    for u, v, c in sorted(graph.edges(), key=lambda e: (e[2], e[0], e[1])):
+    for u, v, c in graph.edges():
         color = PALETTE[c % len(PALETTE)]
         lines.append(f'  {u} -- {v} [color="{color}", label="{c}"];')
     lines.append("}")

@@ -11,16 +11,14 @@ from typing import Iterator, Optional
 
 from .boundary import boundary_graph
 from .core import (NO_EDGE, ColoredGraph, _from_maps, _least_vertices,
-                   _residues_by_mask, _unite, residues)
+                   _residues_by_mask, _unite)
 from .errors import (
-    DisconnectedError,
     InternalInconsistencyError,
     InvalidColorError,
     NoBoundaryError,
     NoSuchEdgeError,
     NotADipoleError,
     NotRegularError,
-    WeldMismatchError,
 )
 from .invariants import _doubled_genera, euler_characteristic
 
@@ -47,47 +45,45 @@ class RegularizationRecord:
 
 
 def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
-    """All single-color edges joining distinct residue components of the
-    complementary colors, ordered by color then least vertex; on a gem
-    with boundary, sites whose cancellation disconnects it are left out."""
-    sites = list(_separated_sites(graph))
-    if graph.is_regular:
-        return sites
-    return [s for s in sites if _stays_connected(graph, s)]
+    """All 1-dipoles, ordered by color then least vertex; on a gem with
+    boundary, edges whose cancellation disconnects it are left out."""
+    return list(_sites(graph))
 
 
 def _first_site(graph: ColoredGraph) -> Optional[DipoleSite]:
-    """The first separated edge, or None; on a regular gem, the first site
-    ``find_1_dipoles`` lists.  Colors past it are not decomposed."""
-    return next(_separated_sites(graph), None)
+    """The first site ``find_1_dipoles`` lists, or None.  Colors past it
+    are not decomposed."""
+    return next(_sites(graph), None)
 
 
-def _separated_sites(graph: ColoredGraph) -> Iterator[DipoleSite]:
-    """The edges joining two residue components of the other colors, by
-    color then least vertex."""
-    full = (1 << graph.dimension + 1) - 1
+def _sites(graph: ColoredGraph) -> Iterator[DipoleSite]:
     for j, row in enumerate(graph.color_maps):
-        labels = _residues_by_mask(graph, full ^ 1 << j).labels
+        labels = _labels_without(graph, j)
         for u, v in enumerate(row):
-            if v > u and labels[u] != labels[v]:
+            if v > u and _is_1_dipole(graph, labels, u, v):
                 yield DipoleSite(j, (u, v))
 
 
-def _separated(graph: ColoredGraph, site: DipoleSite) -> bool:
-    """Whether the site joins two residue components of the other colors."""
-    u, v = site.vertices
-    if graph.mate(u, site.color) != v:
-        raise NoSuchEdgeError(f"no color-{site.color} edge {site.vertices}")
-    dec = residues(graph, set(graph.colors) - {site.color})
-    return dec.component_of(u) != dec.component_of(v)
+def _labels_without(graph: ColoredGraph, color: int) -> tuple[int, ...]:
+    """The residue labels of the colors other than ``color``."""
+    full = (1 << graph.dimension + 1) - 1
+    return _residues_by_mask(graph, full ^ 1 << color).labels
 
 
-def _stays_connected(graph: ColoredGraph, site: DipoleSite) -> bool:
-    """Whether cancelling a separated site leaves one component, found by
-    a search of the graph without the pair, along the welds, that stops
-    once it has met every other neighbour of the pair; no graph is built.
-    Every component left holds such a neighbour."""
-    x, y = site.vertices
+def _is_1_dipole(graph: ColoredGraph, labels, x: int, y: int) -> bool:
+    """Whether the edge x-y is a 1-dipole, given the residue labels of the
+    colors other than its own: its ends lie in different residues, and
+    welding them leaves one component, as it always does on a regular gem
+    (every color pairs all vertices of a residue, so no vertex cuts it)."""
+    return labels[x] != labels[y] and (graph.is_regular
+                                       or _stays_connected(graph, x, y))
+
+
+def _stays_connected(graph: ColoredGraph, x: int, y: int) -> bool:
+    """Whether welding x and y leaves one component, found by a search of
+    the graph without the pair, along the welds, that stops once it has
+    met every other neighbour of the pair; no graph is built.  Every
+    component left holds such a neighbour."""
     maps = graph.color_maps
     ends = {row[v] for row in maps for v in (x, y)} - {x, y, NO_EDGE}
     if not ends:
@@ -113,35 +109,21 @@ def _stays_connected(graph: ColoredGraph, site: DipoleSite) -> bool:
 
 
 def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
-    """Remove the dipole pair and weld the hanging same-colored edges.
-
-    A color present at exactly one endpoint (only the final color can be)
-    leaves no weld partner; that edge is dropped and its far endpoint
-    becomes a boundary vertex.
-    """
-    try:  # only with boundary can cancelling split the gem in two
-        if _separated(graph, site):
-            return _cancel(graph, site)
-    except DisconnectedError:
-        pass
-    raise NotADipoleError(f"color-{site.color} edge {site.vertices} is not a "
-                          "1-dipole, or cancelling it disconnects the gem")
+    """Remove the dipole pair and weld the hanging same-colored edges."""
+    (x, y), c = site.vertices, site.color
+    if graph.mate(x, c) != y:
+        raise NoSuchEdgeError(f"no color-{c} edge {site.vertices}")
+    if not _is_1_dipole(graph, _labels_without(graph, c), x, y):
+        raise NotADipoleError(f"color-{c} edge {site.vertices} is not a "
+                              "1-dipole, or cancelling it disconnects the gem")
+    return _weld(graph, x, y)
 
 
-def _cancel(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
-    x, y = site.vertices
-    welds = []
-    for c in graph.colors:
-        if c == site.color:
-            continue
-        a, b = graph.mate(x, c), graph.mate(y, c)
-        if a in (x, y) or b in (x, y):
-            # a second edge between the endpoints cannot occur on a genuine
-            # dipole; reaching this means the input graph is corrupt
-            raise WeldMismatchError(
-                f"endpoints {site.vertices} joined by a second color-{c} edge")
-        if a != NO_EDGE and b != NO_EDGE:
-            welds.append((a, b, c))
+def _weld(graph: ColoredGraph, x: int, y: int) -> ColoredGraph:
+    """The graph without x and y, in which, for every color with mates at
+    both that are not each other, those mates are joined.  A color joining
+    x to y goes with them; a color at only one of them loses its edge, and
+    the far end becomes a boundary vertex."""
     kept = [v for v in range(graph.num_vertices) if v != x and v != y]
     # relabel[NO_EDGE] is the last slot, so a missing edge stays missing
     # and an edge to x or y is dropped
@@ -149,8 +131,10 @@ def _cancel(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
     for i, v in enumerate(kept):
         relabel[v] = i
     maps = [[relabel[row[v]] for v in kept] for row in graph.color_maps]
-    for a, b, c in welds:
-        maps[c][relabel[a]], maps[c][relabel[b]] = relabel[b], relabel[a]
+    for row, out in zip(graph.color_maps, maps):
+        a, b = relabel[row[x]], relabel[row[y]]
+        if a != NO_EDGE and b != NO_EDGE:
+            out[a], out[b] = b, a
     return _from_maps(graph.dimension, maps)
 
 
@@ -189,8 +173,6 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     """Join the two boundary endpoints of every maximal {color, d}-path by
     a new final-color edge.  Returns the capped (regular) graph and the
     added edges; colors are not swapped."""
-    if graph.is_regular:
-        raise NoBoundaryError("nothing to cap: graph is regular")
     return _cap(graph, [color] * boundary_graph(graph).num_components)
 
 

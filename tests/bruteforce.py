@@ -76,6 +76,27 @@ def euler_characteristic(dimension, num_vertices, edges):
     return sum((-1) ** h * n for h, n in enumerate(fv))
 
 
+def weld(dimension, num_vertices, edges, x, y):
+    """The edge list, sorted by (color, u, v), left by deleting x and y and
+    joining, for every color, the other ends of x's and y's edges of that
+    color when both exist and are not x and y themselves; the other
+    vertices keep their order, renumbered 0..num_vertices - 3."""
+    mate = {c: {} for c in range(dimension + 1)}
+    for u, v, c in edges:
+        mate[c][u] = v
+        mate[c][v] = u
+    kept = [(u, v, c) for u, v, c in edges if u not in (x, y) and v not in (x, y)]
+    for c in range(dimension + 1):
+        a, b = mate[c].get(x), mate[c].get(y)
+        if a is not None and b is not None and a != y:
+            kept.append((a, b, c))
+    index = {v: i for i, v in enumerate(w for w in range(num_vertices)
+                                        if w not in (x, y))}
+    out = [(min(index[u], index[v]), max(index[u], index[v]), c)
+           for u, v, c in kept]
+    return sorted(out, key=lambda e: (e[2], e[0], e[1]))
+
+
 def cyclic_classes(d):
     """Canonical cyclic permutations of {0..d}: last entry d, first entry
     smaller than the entry before d; one per rotation/reflection class."""

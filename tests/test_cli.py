@@ -199,6 +199,16 @@ class TestGolden:
         ("check_lemma_rb4.json",
          ("--json", "check", str(GOLDEN / "check_lemma_rb4.gem"),
           "--suite", "lemma")),
+        ("dipoles_shell.json", ("--json", "dipoles", "gems/shell.gem")),
+        ("check_dipole_shell.json",
+         ("--json", "check", "gems/shell.gem", "--suite", "dipole")),
+        ("check_dipole_shell_h2.json",
+         ("--json", "check", "gems/shell_h2.gem", "--suite", "dipole")),
+        # grow_by_insertions(order_two_gem(4), 5, random.Random(14)): 12
+        # vertices, regular
+        ("check_dipole_grown.json",
+         ("--json", "check", str(GOLDEN / "check_dipole_grown.gem"),
+          "--suite", "dipole")),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES, ids=lambda c: str(c)[:24])
@@ -244,6 +254,18 @@ class TestPipelines:
         assert code == 0
         code, out, _ = run_cli("--json", "euler", str(con))
         assert json.loads(out)["chi"] == 2
+
+    @pytest.mark.parametrize("gem", ["shell.gem", "shell_h2.gem"])
+    def test_demo_on_shell_gems(self, gem):
+        """Full contraction merges a shell's singular vertices, so the
+        semi-simplicity check does not apply; the bound still holds."""
+        proc = subprocess.run(
+            [sys.executable, "scripts/demo_pipeline.py", f"gems/{gem}", "--chi", "0"],
+            capture_output=True, text=True, cwd=ROOT)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert ("semi-simple: not applicable (expected 2 components without "
+                "color 4, got 1)\n") in proc.stdout
+        assert "genus bound 0: met with equality\n" in proc.stdout
 
     def test_boundary_component_extraction(self, tmp_path):
         out = tmp_path / "bd.gem"

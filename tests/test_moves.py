@@ -113,7 +113,7 @@ def separated_sites(graph):
 
 def cancels(graph, site):
     try:
-        moves._cancel(graph, site)
+        moves._weld(graph, *site.vertices)
     except DisconnectedError:
         return False
     return True
@@ -153,6 +153,53 @@ class TestBoundarySiteSearch:
             mp.setattr(moves, "_from_maps", counting)
             sites = find_1_dipoles(g)
         assert sites and not builds
+
+
+def sample_gem(d, p, seed, with_boundary):
+    if with_boundary and p > 1:
+        return random_boundary_gem(d, p, seed % p, seed=seed)
+    return random_gem(d, p, seed=seed)
+
+
+class TestOneRule:
+    """A 1-dipole is an edge whose ends lie in different residues of the
+    other colors and whose weld leaves one component; cancelling it is the
+    weld, and every other edge is refused by name."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans())
+    @example(2, 5, 1048576, True)
+    @example(2, 1, 0, False)  # two vertices: every edge is refused
+    def test_cancel_is_the_oracle_weld_of_listed_sites(self, d, p, seed,
+                                                       with_boundary):
+        g = sample_gem(d, p, seed, with_boundary)
+        n, edges = g.num_vertices, list(g.edges())
+        listed = find_1_dipoles(g)
+        assert listed == sorted(listed)
+        for u, v, c in edges:
+            site = DipoleSite(c, (u, v))
+            other = set(g.colors) - {c}
+            apart = not any({u, v} <= set(comp)
+                            for comp in bf.bfs_components(n, edges, other))
+            welded = bf.weld(d, n, edges, u, v)
+            connected = n > 2 and len(bf.bfs_components(n - 2, welded)) == 1
+            assert (site in listed) == (apart and connected)
+            if site in listed:
+                out = cancel_1_dipole(g, site)
+                assert (out.dimension, out.num_vertices) == (d, n - 2)
+                assert list(out.edges()) == welded
+            else:
+                with pytest.raises(NotADipoleError, match=re.escape(
+                        f"color-{c} edge {(u, v)} is not a 1-dipole")):
+                    cancel_1_dipole(g, site)
+        for c in g.colors:
+            v = next(w for w in range(1, n) if g.mate(0, c) != w) if n > 2 else None
+            if v is None:
+                continue
+            with pytest.raises(NoSuchEdgeError, match=re.escape(
+                    f"no color-{c} edge {(0, v)}")):
+                cancel_1_dipole(g, DipoleSite(c, (0, v)))
 
 
 class TestCancel:
@@ -406,6 +453,17 @@ class TestFirstSite:
         for g in (random_gem(d, p, seed=seed),
                   grow_by_insertions(order_two_gem(d), inserts, rng)):
             assert moves._first_site(g) == inner_first(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 7), st.integers(0, 2 ** 20),
+           st.integers(0, 8))
+    @example(2, 5, 1048576, 0)  # separated edges before the first listed
+    def test_first_listed_on_boundary_gems(self, d, p, seed, inserts):
+        rng = random.Random(seed)
+        for g in (random_boundary_gem(d, p, seed % p, seed=seed),
+                  grow_by_insertions(ball_gem(d), inserts, rng)):
+            sites = find_1_dipoles(g)
+            assert moves._first_site(g) == (sites[0] if sites else None)
 
     def test_none_without_sites(self, s4):
         assert moves._first_site(s4) is None
