@@ -99,6 +99,14 @@ class TransferCase(_Report):
         out["case"] = "adjacent" if out.pop("adjacent") else "nonadjacent"
         return out
 
+    @classmethod
+    def _unchecked(cls, **values) -> "TransferCase":
+        """A case with its fields filled in directly rather than through
+        the frozen ``__init__``, which costs more than twice as much."""
+        case = object.__new__(cls)
+        case.__dict__.update(values)
+        return case
+
 
 @dataclass(frozen=True)
 class RegularizationIdentityReport(_Report):
@@ -251,10 +259,12 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
             rec.sweep.orders, rows):
         universal_ok = doubled_cap == universal
         paper_ok = None if paper is None else doubled_cap == paper
-        cases.append(TransferCase(
-            eps, adjacent, halves[doubled_in], halves[doubled_cap],
-            None if paper is None else halves[paper], paper is not None,
-            paper_ok, halves[universal], universal_ok))
+        cases.append(TransferCase._unchecked(
+            eps=eps, adjacent=adjacent, rho_input=halves[doubled_in],
+            rho_capped=halves[doubled_cap],
+            paper_rhs=None if paper is None else halves[paper],
+            paper_applicable=paper is not None, paper_ok=paper_ok,
+            universal_rhs=halves[universal], universal_ok=universal_ok))
         transfer_ok = transfer_ok and universal_ok and paper_ok is not False
 
     chi_delta = euler_characteristic(capped) - rec.chi

@@ -7,15 +7,18 @@ since it would mean the input was not what it claimed to be.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_g
-from .core import (NO_EDGE, ColoredGraph, _residues_by_mask, classify_vertices,
-                   count_g, residues)
+from .core import (NO_EDGE, ColoredGraph, _colors_of, _residues_by_mask,
+                   classify_vertices, count_g, residues)
 from .errors import GemError, NonIntegralGenusError, NotRegularError
 
 
@@ -67,20 +70,29 @@ class CyclicPermutation:
 
 class _Sweep(NamedTuple):
     """The d!/2 canonical orders of one dimension, sorted, with their
-    labels, and for each the positions it reads in a pair-count row: a
-    count per color pair of 0..d in ``pairs`` order, then a boundary
-    count per pair.  An order reads its d+1 consecutive pairs and the
-    boundary count of the two colors next to d."""
+    labels, and the positions they read in a pair-count row: a count per
+    color pair of 0..d in ``pairs`` order, then a boundary count per
+    pair.  An order reads its d+1 consecutive pairs and the boundary
+    count of the two colors next to d.
+
+    ``columns[k]`` holds every order's k-th position as a 16-bit lane,
+    little-endian: the position in the low byte, the pad ``_PAD`` in the
+    high one.  So one translation of a column turns positions into
+    counts, and adding the columns as integers sums every order at once.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     orders: tuple[CyclicPermutation, ...]
     labels: tuple[str, ...]
-    reads: tuple[bytes, ...]
+    columns: tuple[bytes, ...]
 
+
+# the pad of a lane's high byte; row positions stay below it up to d = 15
+_PAD = 255
 
 # Sweeps up to this dimension are kept for the life of the process
-# (labels included, about 0.9 MB at d=7 and 7.7 MB at d=8); a d=9 sweep
-# would keep 71 MB, so larger ones are rebuilt on each call.
+# (labels included, 0.86 MiB at d=7 and 7.0 MiB at d=8 by tracemalloc);
+# a d=9 sweep would keep 65 MiB, so larger ones are rebuilt on each call.
 _SWEEP_CACHE_MAX_D = 8
 _sweeps: dict[int, _Sweep] = {}
 
@@ -102,7 +114,8 @@ def _build_sweep(d: int) -> _Sweep:
     for k, (a, b) in enumerate(pairs):
         index[a, b] = index[b, a] = k
     n_pairs = len(pairs)
-    orders, labels, reads = [], [], []
+    orders, labels = [], []
+    reads = bytearray()  # the d+2 positions of each order, one after another
     # permutations() yields lexicographic order, so the representatives
     # (first color below the one before d, then d) come out sorted
     for perm in permutations(range(d)):
@@ -113,16 +126,27 @@ def _build_sweep(d: int) -> _Sweep:
             eps.__dict__["_label"] = text = ",".join(map(str, order))
             orders.append(eps)
             labels.append(text)
-            # bytes hold the positions in a quarter of a tuple's memory
-            reads.append(bytes([*map(index.__getitem__,
-                                     zip(order, order[1:] + order[:1])),
-                                n_pairs + index[perm[0], perm[-1]]]))
-    return _Sweep(pairs, tuple(orders), tuple(labels), tuple(reads))
+            reads.extend(map(index.__getitem__,
+                             zip(order, order[1:] + order[:1])))
+            reads.append(n_pairs + index[perm[0], perm[-1]])
+    columns = []
+    lanes = bytearray([_PAD]) * (2 * len(orders))
+    for k in range(d + 2):
+        lanes[::2] = reads[k::d + 2]
+        columns.append(bytes(lanes))
+    return _Sweep(pairs, tuple(orders), tuple(labels), tuple(columns))
 
 
 def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
     """All d!/2 canonical cyclic permutations of 0..d, sorted."""
     return list(_sweep(d).orders)
+
+
+@cache
+def _one_smaller(mask: int) -> tuple[int, ...]:
+    """The bitmasks of one color fewer than a mask; one tuple per mask,
+    shared."""
+    return tuple(mask ^ 1 << c for c in _colors_of(mask))
 
 
 def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
@@ -131,20 +155,33 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     the residue on the complementary colors.
 
     A residue on no color has a component per vertex, and one on a
-    single color a component per edge and per vertex the color misses;
-    only complements of two or more colors are decomposed."""
+    single color a component per edge and per vertex the color misses.
+    Adding a color to a residue only merges its components, so a residue
+    is connected when one on a color fewer is; only the other complements
+    of two or more colors are decomposed."""
     d, n = graph.dimension, graph.num_vertices
     full = (1 << d + 1) - 1
     fv = [0] * (d + 1)
     fv[d] = n
-    for row in graph.color_maps:
-        fv[d - 1] += (n + row.count(NO_EDGE)) // 2
+    connected = set()  # the masks whose residue is one component
+    for c, row in enumerate(graph.color_maps):
+        count = (n + row.count(NO_EDGE)) // 2
+        fv[d - 1] += count
+        if count == 1:
+            connected.add(1 << c)
     # the complement of every B of at most d - 1 colors, as a bitmask, in
-    # ascending order: each mask without its top color is decomposed
-    # before it, so every merge unites along one color
+    # ascending order: a mask is decomposed only when the mask without
+    # its top color is disconnected, and so decomposed before it, so
+    # every merge unites along one color
     for mask in range(3, full):
         if mask & mask - 1:
-            fv[(full ^ mask).bit_count() - 1] += _residues_by_mask(graph, mask).count
+            if connected.isdisjoint(_one_smaller(mask)):
+                count = _residues_by_mask(graph, mask).count
+            else:
+                count = 1
+            if count == 1:
+                connected.add(mask)
+            fv[(full ^ mask).bit_count() - 1] += count
     return tuple(fv)
 
 
@@ -175,9 +212,28 @@ def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
                 for pair in pairs]
         base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
     row = counts + ends
-    doubled = [base - sum(map(row.__getitem__, reads))
-               for reads in sweep.reads]
-    if graph.is_bipartite:
+    n = len(sweep.orders)
+    # on a bipartite graph the orders are walked for an odd value
+    walk = graph.is_bipartite
+    if max(row) < _PAD:
+        # a lane's sum is at most (d+2)·254 < 2**16, so no lane carries
+        # into the next one; the pad reads 0
+        table = bytes(row).ljust(256, b"\0")
+        packed = sum(int.from_bytes(column.translate(table), "little")
+                     for column in sweep.columns)
+        sums = array("H", packed.to_bytes(2 * n, "little"))
+        if sys.byteorder == "big":
+            sums.byteswap()
+        if walk:  # only when some lane's low bit differs from base's
+            ones = int.from_bytes(b"\1\0" * n, "little")
+            walk = packed & ones != (ones if base & 1 else 0)
+    else:
+        # a count of 255 or more has no byte: sum each order on its own
+        sums = [0] * n
+        for column in sweep.columns:
+            sums = list(map(add, sums, map(row.__getitem__, column[::2])))
+    doubled = [base - s for s in sums]
+    if walk:
         for eps, value in zip(sweep.orders, doubled):
             if value % 2:
                 raise NonIntegralGenusError(

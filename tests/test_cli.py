@@ -183,6 +183,9 @@ class TestGolden:
           "--chi", "1", "--m", "0", "--mhat", "0", "--h", "1", "--semisimple")),
         ("info_d6_boundary.json",
          ("--json", "info", str(GOLDEN / "info_d6_boundary.gem"))),
+        # random_boundary_gem(7, 4, 2, seed=7): 2520 orders
+        ("info_d7_boundary.json",
+         ("--json", "info", str(GOLDEN / "info_d7_boundary.gem"))),
         ("pi1_k33.json", ("--json", "pi1", "gems/k33.gem", "--pair", "0,1")),
         ("pi1_d3_03.json",
          ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "0,3")),

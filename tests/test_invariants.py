@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -180,6 +181,25 @@ GEMS_D2_TO_6 = st.builds(
     st.integers(0, 2 ** 20), st.booleans())
 
 
+def _matched_01_gem(n, boundary):
+    """A bipartite d = 4 gem on n vertices whose colors 0 and 1 match the
+    same pairs {2i, 2i + 1}, so its {0, 1} residue has n/2 components.
+    Colors 0 and 2 close one Hamiltonian cycle; colors 3 and 4 match even
+    vertices to odd ones at random, color 4 on half the pairs with
+    boundary."""
+    rng = random.Random(0)
+    edges = [(2 * i, 2 * i + 1, c) for i in range(n // 2) for c in (0, 1)]
+    edges += [(2 * i + 1, (2 * i + 2) % n, 2) for i in range(n // 2)]
+    for c in (3, 4):
+        odd = list(range(1, n, 2))
+        rng.shuffle(odd)
+        pairs = list(zip(range(0, n, 2), odd))
+        if c == 4 and boundary:
+            pairs = pairs[:n // 4]
+        edges += [(u, v, c) for u, v in pairs]
+    return validate(4, n, edges)
+
+
 def _oracle_table(g) -> dict[tuple[int, ...], Fraction]:
     """The brute-force genus of every canonical order, by its tuple."""
     d, n, edges = g.dimension, g.num_vertices, list(g.edges())
@@ -257,10 +277,24 @@ class TestPairTable:
         first.clear()
         assert len(enumerate_cyclic_permutations(4)) == 12
 
+    @pytest.mark.parametrize("n", [508, 510])
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_counts_either_side_of_the_lane_guard(self, n, boundary):
+        # g_01 = n/2 is 254 at 508 vertices, summed in packed lanes, and
+        # 255 at 510, too large for a byte, summed order by order
+        g = _matched_01_gem(n, boundary)
+        assert residues(g, (0, 1)).count == n // 2
+        assert not g.is_regular if boundary else g.is_regular
+        assert g.is_bipartite
+        assert [(eps.order, value) for eps, value in rho_table(g).items()] \
+            == list(_oracle_table(g).items())
+
     def test_bipartite_check_names_the_first_order(self, monkeypatch, s4):
         # one extra {0, 1} component makes every order with 0 and 1
-        # adjacent half-integral on the bipartite order-two gem; the
-        # check stops at the first of them
+        # adjacent half-integral on a bipartite gem; the check stops at
+        # the first of them, both where the sums are packed (the
+        # order-two gem) and where they are taken order by order (510
+        # vertices, 256 {0, 1} components)
         import gemkit.invariants as inv
 
         real = inv.residues
@@ -273,11 +307,16 @@ class TestPairTable:
             dec = real(graph, colors)
             return Shifted(dec) if set(colors) == {0, 1} else dec
 
+        first = CyclicPermutation((0, 1, 2, 3, 4))
+        gems = [s4, _matched_01_gem(510, False)]
+        genera = [rho_table(g)[first] for g in gems]
         monkeypatch.setattr(inv, "residues", shifted)
-        with pytest.raises(NonIntegralGenusError) as exc:
-            rho_table(s4)
-        assert str(exc.value) == (
-            "bipartite graph produced genus -1/2 at (0, 1, 2, 3, 4)")
+        for g, genus in zip(gems, genera):
+            with pytest.raises(NonIntegralGenusError) as exc:
+                rho_table(g)
+            assert str(exc.value) == (
+                f"bipartite graph produced genus {genus - Fraction(1, 2)} "
+                f"at {first.order}")
 
     def test_sweeps_above_the_cap_are_not_kept(self, monkeypatch):
         import gc

@@ -300,21 +300,31 @@ class TestWorkCount:
 
 class TestSmallMasks:
     """``f_vector`` counts residues on no color and on one color without
-    decomposing them; ``residues`` still walks them, to the same counts."""
+    decomposing them, nor one with a connected residue a color smaller;
+    ``residues`` still walks and merges them, to the same counts."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 7), st.integers(0, 2 ** 20),
            st.booleans())
     def test_f_vector_skips_small_masks(self, d, p, seed, with_boundary):
         g = sample_gem(d, p, seed, with_boundary)
+        edges = list(g.edges())
         fv = f_vector(g)
-        assert fv == bf.f_vector(d, g.num_vertices, list(g.edges()))
+        assert fv == bf.f_vector(d, g.num_vertices, edges)
         masks = {m for m in g._memo if isinstance(m, int)}
-        assert masks == {m for m in range(2 ** (d + 1) - 1) if m.bit_count() >= 2}
+
+        def connected(mask):
+            colors = {c for c in g.colors if mask >> c & 1}
+            return bf.count_components(g.num_vertices, edges, colors) == 1
+
+        assert masks == {
+            m for m in range(2 ** (d + 1) - 1) if m.bit_count() >= 2
+            and not any(connected(m ^ 1 << c) for c in g.colors if m >> c & 1)}
         assert fv[d] == residues(g, []).count == g.num_vertices
         assert fv[d - 1] == sum(residues(g, {c}).count for c in g.colors)
-        for c in g.colors:
-            assert residues(g, {c}) == bfs_decompose(g, 1 << c)
+        for mask in range(2 ** (d + 1)):
+            assert residues(g, {c for c in g.colors if mask >> c & 1}) == \
+                bfs_decompose(g, mask)
 
 
 def test_concurrent_readers_share_one_graph():
