@@ -30,12 +30,12 @@ from .errors import (
 from .invariants import (
     CyclicPermutation,
     _doubled_genera,
+    _genus_table,
     _sweep,
     _Sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
     gurau_degree,
-    rho_table,
 )
 from .moves import cap_boundary, full_contraction
 
@@ -284,7 +284,44 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
 
 
 # ---------------------------------------------------------------------------
-# G-degree pairing
+# dimension four: shared preconditions and triple rules, G-degree pairing
+
+
+def _require_regular_4(graph: ColoredGraph, what: str) -> None:
+    if graph.dimension != 4:
+        raise DimensionError(f"{what} is specific to dimension 4")
+    if not graph.is_regular:
+        raise NotRegularError(f"{what} needs a regular gem")
+
+
+def _require_connected_below_4(graph: ColoredGraph, error: type) -> None:
+    """Raise ``error`` unless the graph minus any color below 4 is
+    connected."""
+    for c in range(4):
+        if _residues_by_mask(graph, 0b11111 ^ 1 << c).count != 1:
+            raise error(f"graph minus color {c} is not connected")
+
+
+_TRIPLES = tuple(combinations(range(5), 3))
+
+
+def _triple_counts(graph: ColoredGraph) -> dict[tuple[int, ...], int]:
+    return {tri: residues(graph, tri).count for tri in _TRIPLES}
+
+
+def _least_counts(m: int, m_hat: int, k: int) -> dict[tuple[int, ...], int]:
+    """The least residue count of each color triple on a gem of a manifold
+    with group ranks m and m_hat and k components without color 4: m + 1
+    for a triple with color 4, m_hat + k for a triple inside 0..3."""
+    return {tri: m + 1 if 4 in tri else m_hat + k for tri in _TRIPLES}
+
+
+def _skip_one_triples(eps: CyclicPermutation) -> list[tuple[int, ...]]:
+    """The five sorted color triples {e_i, e_i+2, e_i+4} of a cyclic
+    order of 0..4, for i = 0..4."""
+    o = eps.order
+    return [tuple(sorted((o[i], o[(i + 2) % 5], o[(i + 4) % 5])))
+            for i in range(5)]
 
 
 @dataclass(frozen=True)
@@ -321,18 +358,14 @@ def check_omega_pairing(graph: ColoredGraph) -> OmegaPairingReport:
     ten color pairs, so their genus sum is order-independent and six
     times it is the G-degree.  The sums are taken of twice-genus
     integers."""
-    if graph.dimension != 4:
-        raise DimensionError("pairing identity is specific to dimension 4")
-    if not graph.is_regular:
-        raise NotRegularError("G-degree pairing needs a regular graph")
+    _require_regular_4(graph, "the G-degree pairing")
     sweep, doubled = _doubled_genera(graph)
     omega = sum(doubled)
     sums = [doubled[k] + doubled[j] for k, j in enumerate(_partner_indices())]
     values = set(sums)
-    halves = {value: Fraction(value, 2) for value in values | {omega}}
     return OmegaPairingReport(
-        omega=halves[omega],
-        pair_sums=dict(zip(sweep.orders, map(halves.__getitem__, sums))),
+        omega=Fraction(omega, 2),
+        pair_sums=_genus_table(sweep, sums),
         sum_constant=len(values) == 1,
         factor_ok=all(omega == 6 * s for s in values),
     )
@@ -373,14 +406,6 @@ class BoundReport(_Report):
         return self.genus_ok and self.gdegree_ok
 
 
-def _skip_one_triples(eps: CyclicPermutation) -> list[tuple[int, ...]]:
-    """The five sorted color triples {e_i, e_i+2, e_i+4} of a cyclic
-    order of 0..4, for i = 0..4."""
-    o = eps.order
-    return [tuple(sorted((o[i], o[(i + 2) % 5], o[(i + 4) % 5])))
-            for i in range(5)]
-
-
 def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
                        m_hat: int) -> BoundReport:
     """Check the genus and G-degree lower bounds on one regular gem whose
@@ -391,33 +416,28 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
     graph's excess triple-residue counts, which is reported as a
     consistency flag rather than asserted.
     """
-    if graph.dimension != 4:
-        raise DimensionError("bound checker is specific to dimension 4")
-    if not graph.is_regular:
-        raise NotRegularError("bound checker needs a regular gem")
+    _require_regular_4(graph, "the bound checker")
     genus_bound, gdegree_bound = lower_bound_thm(chi_m, m, h, m_hat)
-    table = rho_table(graph)
-    omega = sum(table.values(), Fraction(0))
-    slack = {eps: val - genus_bound for eps, val in table.items()}
+    sweep, doubled = _doubled_genera(graph)
+    twice_omega = sum(doubled)
+    twice_slack = [value - 2 * genus_bound for value in doubled]
 
     contracted = full_contraction(graph, verify=False)
-    t_table = {}
-    for tri in combinations(range(5), 3):
-        g = residues(contracted, tri).count
-        base = (m + 1) if 4 in tri else (m_hat + 1)
-        t_table[tri] = g - base
+    least = _least_counts(m, m_hat, residues(contracted, range(4)).count)
+    t_table = {tri: count - least[tri]
+               for tri, count in _triple_counts(contracted).items()}
     consistent = all(
-        s == sum(t_table[tri] for tri in _skip_one_triples(eps))
-        for eps, s in slack.items())
+        s == 2 * sum(t_table[tri] for tri in _skip_one_triples(eps))
+        for eps, s in zip(sweep.orders, twice_slack))
     return BoundReport(
         genus_bound=genus_bound,
         gdegree_bound=gdegree_bound,
-        omega=omega,
-        slack=slack,
-        genus_ok=all(v >= 0 for v in slack.values()),
-        gdegree_ok=omega >= gdegree_bound,
-        genus_equality=min(table.values()) == genus_bound,
-        gdegree_equality=omega == gdegree_bound,
+        omega=Fraction(twice_omega, 2),
+        slack=_genus_table(sweep, twice_slack),
+        genus_ok=min(twice_slack) >= 0,
+        gdegree_ok=twice_omega >= 2 * gdegree_bound,
+        genus_equality=min(twice_slack) == 0,
+        gdegree_equality=twice_omega == 2 * gdegree_bound,
         t_table=t_table,
         slack_consistent=consistent,
     )
@@ -441,28 +461,20 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     """Classify a regular 5-colored gem as semi-simple (all triple
     residues minimal) and list the cyclic orders witnessing weak
     semi-simplicity."""
-    if graph.dimension != 4:
-        raise DimensionError("semi-simplicity is specific to dimension 4")
-    if not graph.is_regular:
-        raise NotRegularError("semi-simplicity needs a regular gem")
-    all_colors = set(graph.colors)
-    if residues(graph, all_colors - {4}).count != h:
+    _require_regular_4(graph, "semi-simplicity")
+    k = residues(graph, range(4)).count
+    if k != h:
         raise ResidueShapeError(
-            f"expected {h} components without color 4, got "
-            f"{residues(graph, all_colors - {4}).count}")
-    for c in range(4):
-        if residues(graph, all_colors - {c}).count != 1:
-            raise ResidueShapeError(f"graph minus color {c} is not connected")
-    counts = {tri: residues(graph, tri).count
-              for tri in combinations(range(5), 3)}
-    inner = m_hat + h
-    with_final = m + 1
-    semi = all(v == (with_final if 4 in k else inner) for k, v in counts.items())
+            f"expected {h} components without color 4, got {k}")
+    _require_connected_below_4(graph, ResidueShapeError)
+    counts = _triple_counts(graph)
+    least = _least_counts(m, m_hat, k)
     witnesses = tuple(
         eps for eps in enumerate_cyclic_permutations(4)
-        if all(counts[tri] == (inner if i in (1, 3) else with_final)
-               for i, tri in enumerate(_skip_one_triples(eps))))
-    return SemisimpleReport(semi, witnesses, counts, inner, with_final)
+        if all(counts[tri] == least[tri] for tri in _skip_one_triples(eps)))
+    # the least counts inside 0..3 and with color 4
+    return SemisimpleReport(counts == least, witnesses, counts,
+                            least[0, 1, 2], least[0, 1, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +497,10 @@ def check_dehn_sommerville(graph: ColoredGraph) -> DehnSommervilleReport:
     """Vertex count against the dimension-four relation: twice the vertex
     pairs equal six times chi plus twice the triple-residue total minus
     thirty.  Holds on contracted gems of singular 4-manifolds."""
-    if graph.dimension != 4:
-        raise DimensionError("relation is specific to dimension 4")
-    if not graph.is_regular:
-        raise NotRegularError("relation needs a regular graph")
-    all_colors = set(graph.colors)
-    for c in range(4):
-        if residues(graph, all_colors - {c}).count != 1:
-            raise PreconditionError(f"graph minus color {c} is not connected")
+    _require_regular_4(graph, "the Dehn-Sommerville relation")
+    _require_connected_below_4(graph, PreconditionError)
     chi = euler_characteristic(graph)
-    triple_sum = sum(residues(graph, tri).count
-                     for tri in combinations(range(5), 3))
+    triple_sum = sum(_triple_counts(graph).values())
     return DehnSommervilleReport(
         lhs=graph.num_vertices,
         rhs=6 * chi + 2 * triple_sum - 30,

@@ -147,7 +147,7 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
     A color missing at the first endpoint (only the final one can be)
     stays missing at both new vertices, so splitting at a boundary vertex
     grows the boundary by one pair.  Returns the new graph, the created
-    site, and whether that site is a genuine 1-dipole there.
+    site, and whether that site is a 1-dipole there, which it always is.
     """
     u, v = edge
     if graph.mate(u, color) != v:
@@ -160,13 +160,10 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
         if c != color and a != NO_EDGE:
             maps[c][u], maps[c][x], maps[c][y], maps[c][a] = x, u, a, y
     maps[color][x], maps[color][y] = y, x
-    out = _from_maps(graph.dimension, maps)
-    # {x, u} is a whole residue of the other colors when no edge of theirs
-    # leaves it; then y lies in another residue, and the site is a dipole
-    inside = (x, u, NO_EDGE)
-    separated = all(out.color_maps[c][x] in inside and out.color_maps[c][u] in inside
-                    for c in out.colors if c != color)
-    return out, DipoleSite(color, (x, y)), separated
+    # x meets u along every other color u has, so {x, u} is a whole residue
+    # of the colors other than ``color`` and y lies outside it; welding x
+    # and y gives back the connected input, so the site is a 1-dipole
+    return _from_maps(graph.dimension, maps), DipoleSite(color, (x, y)), True
 
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
@@ -242,28 +239,23 @@ def regularize(graph: ColoredGraph,
     if (singular_color is None) == (per_component is None):
         raise InvalidColorError(
             "choose exactly one of singular_color and per_component")
-    if singular_color is not None:
-        capped, added = cap_boundary(graph, singular_color)
-        record = RegularizationRecord(
-            singular_color_choice=singular_color,
-            per_component_choice=None,
-            added_edges=added,
-            color_swap=(singular_color, d),
-        )
-        return swap_colors(capped, singular_color, d), record
-
     n = boundary_graph(graph).num_components
-    if set(per_component) != set(range(n)):
-        raise InvalidColorError(
-            f"need one color per boundary component 0..{n - 1}")
-    out, added = _cap(graph, [per_component[k] for k in range(n)])
+    if per_component is None:
+        choice, listed, swap = [singular_color] * n, None, (singular_color, d)
+    else:
+        if set(per_component) != set(range(n)):
+            raise InvalidColorError(
+                f"need one color per boundary component 0..{n - 1}")
+        choice = [per_component[k] for k in range(n)]
+        listed, swap = tuple(sorted(per_component.items())), None
+    out, added = _cap(graph, choice)
     record = RegularizationRecord(
-        singular_color_choice=None,
-        per_component_choice=tuple(sorted(per_component.items())),
+        singular_color_choice=singular_color,
+        per_component_choice=listed,
         added_edges=added,
-        color_swap=None,
+        color_swap=swap,
     )
-    return out, record
+    return (out if swap is None else swap_colors(out, *swap)), record
 
 
 def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:

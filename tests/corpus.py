@@ -10,7 +10,8 @@ import random
 from gemkit import ball_gem, order_two_gem, random_boundary_gem, random_gem
 from gemkit.core import ColoredGraph, validate
 from gemkit.errors import SamplingExhaustedError
-from gemkit.moves import insert_1_dipole, regularize
+from gemkit.moves import (cancel_1_dipole, find_1_dipoles, insert_1_dipole,
+                          regularize)
 
 
 def k33_graph() -> ColoredGraph:
@@ -41,6 +42,29 @@ def shell_gem() -> ColoredGraph:
         (0, 8, 2), (1, 3, 2), (2, 5, 2), (4, 9, 2), (6, 7, 2),
         (0, 6, 3), (1, 3, 3), (2, 5, 3), (4, 7, 3), (8, 9, 3),
         (2, 5, 4), (4, 7, 4), (6, 9, 4)])
+
+
+def shell_apart_corpus(count=20, seed=7):
+    """Shell gems whose singular vertices stay apart: each is grown by
+    5..29 insertions at a random vertex and one of its colors, capped on
+    color 0 and contracted on colors 0..3 only, which leaves several
+    components without color 4."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = shell_gem()
+        for _ in range(rng.randint(5, 29)):
+            u = rng.randrange(g.num_vertices)
+            c = rng.choice([c for c in g.colors if g.has_color(u, c)])
+            g, _, _ = insert_1_dipole(g, (u, g.mate(u, c)), c)
+        g, _ = regularize(g, singular_color=0)
+        while True:
+            sites = [site for site in find_1_dipoles(g) if site.color < 4]
+            if not sites:
+                break
+            g = cancel_1_dipole(g, sites[0])
+        out.append(g)
+    return out
 
 
 def random_boundary_corpus(count, seed=2024, max_order=24):

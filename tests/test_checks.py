@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,8 +24,10 @@ from gemkit import (
     random_boundary_gem,
     random_gem,
     residues,
+    rho_table,
     validate,
 )
+from gemkit import checks
 from gemkit.errors import (
     DimensionError,
     GemError,
@@ -40,7 +43,7 @@ from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
                           regularize)
 
 import bruteforce as bf
-from corpus import grow_by_insertions, k33_graph
+from corpus import grow_by_insertions, k33_graph, shell_apart_corpus
 
 
 def torus_block_graph():
@@ -239,6 +242,111 @@ class TestSemisimple:
         g = validate(4, 4, edges)  # graph minus color 4 has two components
         with pytest.raises(ResidueShapeError):
             check_semisimple(g, m=0, m_hat=0, h=1)
+
+
+def oracle_triple_table(graph, m, m_hat):
+    """From the definition, by brute-force component counts: each triple's
+    count and least count (m + 1 with color 4, m_hat plus the components
+    without color 4 inside 0..3), and the cyclic orders whose five
+    skip-one triples all have their least counts."""
+    n, edges = graph.num_vertices, list(graph.edges())
+    k = bf.count_components(n, edges, {0, 1, 2, 3})
+    counts, least = {}, {}
+    for tri in itertools.combinations(range(5), 3):
+        counts[tri] = bf.count_components(n, edges, set(tri))
+        least[tri] = m + 1 if 4 in tri else m_hat + k
+    witnesses = []
+    for o in bf.cyclic_classes(4):
+        skip_one = [tuple(sorted((o[i], o[(i + 2) % 5], o[(i + 4) % 5])))
+                    for i in range(5)]
+        if all(counts[tri] == least[tri] for tri in skip_one):
+            witnesses.append(o)
+    return k, counts, least, witnesses
+
+
+SHELL_APART = shell_apart_corpus()
+
+
+class TestLeastCounts:
+    """A triple inside 0..3 has least count m_hat plus the number of
+    components without color 4; the bound's slack splits into the excesses
+    over those counts."""
+
+    def test_slack_splits_with_singular_vertices_apart(self):
+        # (chi, m, h, m_hat) = (0, 0, 2, 0): the bound is 0, so the slack
+        # at an order is its genus
+        for g in SHELL_APART:
+            k = residues(g, range(4)).count
+            assert 2 <= k
+            counts = checks._triple_counts(g)
+            rho = rho_table(g)
+
+            def splits(least):
+                return [rho[eps] == sum(counts[tri] - least[tri]
+                                        for tri in checks._skip_one_triples(eps))
+                        for eps in rho]
+
+            assert all(splits(checks._least_counts(0, 0, k)))
+            # the base m_hat + 1 holds only with one component without 4
+            assert not any(splits(checks._least_counts(0, 0, 1)))
+            report = check_bound_on_gem(g, 0, 0, 2, 0)
+            assert report.ok and report.slack_consistent
+
+    def check_against_oracle(self, g, m, m_hat):
+        k, counts, least, witnesses = oracle_triple_table(g, m, m_hat)
+        connected = all(bf.count_components(g.num_vertices, list(g.edges()),
+                                            set(range(5)) - {c}) == 1
+                        for c in range(4))
+        if connected:
+            report = check_semisimple(g, m, m_hat, k)
+            assert report.triple_counts == counts
+            assert report.semi_simple == (counts == least)
+            assert [eps.order for eps in report.weak_semi_simple] == witnesses
+            assert report.expected_inner == m_hat + k
+            assert report.expected_with_final == m + 1
+        else:
+            with pytest.raises(ResidueShapeError):
+                check_semisimple(g, m, m_hat, k)
+        contracted = full_contraction(g, verify=False)
+        _, counts, least, _ = oracle_triple_table(contracted, m, m_hat)
+        report = check_bound_on_gem(g, 1, m, 1, m_hat)
+        assert report.t_table == {tri: counts[tri] - least[tri] for tri in counts}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 20), st.booleans(),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_random_regular_matches_oracle(self, p, seed, contract, m, m_hat):
+        g = random_gem(4, p, seed=seed)
+        if contract:
+            g = full_contraction(g, verify=False)
+        self.check_against_oracle(g, m, m_hat)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(SHELL_APART), st.integers(0, 2), st.integers(0, 2))
+    def test_shell_corpus_matches_oracle(self, g, m, m_hat):
+        self.check_against_oracle(g, m, m_hat)
+
+    def test_equality_cases_are_semisimple(self, regularized_b4, s4):
+        for g in (regularized_b4, s4):
+            self.check_against_oracle(g, 0, 0)
+            assert check_semisimple(g, 0, 0, 1).semi_simple
+
+
+FOUR_DIMENSIONAL_CHECKS = {
+    "omega_pairing": check_omega_pairing,
+    "bound": lambda g: check_bound_on_gem(g, 1, 0, 1, 0),
+    "semisimple": lambda g: check_semisimple(g, 0, 0, 1),
+    "dehn_sommerville": check_dehn_sommerville,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_DIMENSIONAL_CHECKS))
+def test_dimension_four_preconditions(name):
+    check = FOUR_DIMENSIONAL_CHECKS[name]
+    with pytest.raises(DimensionError):
+        check(order_two_gem(3))
+    with pytest.raises(NotRegularError):
+        check(ball_gem(4))
 
 
 class TestDehnSommerville:
