@@ -29,8 +29,8 @@ from .errors import (
 )
 from .invariants import (
     CyclicPermutation,
+    GenusTable,
     _doubled_genera,
-    _genus_table,
     _sweep,
     _Sweep,
     enumerate_cyclic_permutations,
@@ -190,7 +190,7 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
         mixed=mixed,
         sweep=sweep,
         doubled=doubled,
-        ends=tuple((eps.order[0], eps.order[d - 1]) for eps in sweep.orders),
+        ends=tuple(zip(sweep.flat[::d], sweep.flat[d - 1::d])),
         chi=euler_characteristic(graph),
     )
 
@@ -365,7 +365,7 @@ def check_omega_pairing(graph: ColoredGraph) -> OmegaPairingReport:
     values = set(sums)
     return OmegaPairingReport(
         omega=Fraction(omega, 2),
-        pair_sums=_genus_table(sweep, sums),
+        pair_sums=GenusTable(sweep, sums).by_order(),
         sum_constant=len(values) == 1,
         factor_ok=all(omega == 6 * s for s in values),
     )
@@ -433,7 +433,7 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
         genus_bound=genus_bound,
         gdegree_bound=gdegree_bound,
         omega=Fraction(twice_omega, 2),
-        slack=_genus_table(sweep, twice_slack),
+        slack=GenusTable(sweep, twice_slack).by_order(),
         genus_ok=min(twice_slack) >= 0,
         gdegree_ok=twice_omega >= 2 * gdegree_bound,
         genus_equality=min(twice_slack) == 0,

@@ -20,12 +20,13 @@ from .boundary import boundary_graph
 from .core import ColoredGraph, classify_vertices
 from .errors import GemError, ParseError, ValidationError
 from .invariants import (
+    JSONText,
     enumerate_cyclic_permutations,
     euler_characteristic,
     f_vector,
+    genus_table,
     gurau_degree,
     invariant_report,
-    regular_genus,
     rho_table,
 )
 
@@ -40,15 +41,22 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _encoded(value) -> str:
+    """``_canonical(value)``, with top-level lists encoded one item at a
+    time: encoding a long catalog scan in one call holds all its small
+    pieces at once, about seven times the text."""
+    if isinstance(value, JSONText):
+        return value
+    if isinstance(value, list):
+        return "[" + ",".join(map(_canonical, value)) + "]"
+    return _canonical(value)
+
+
 def _payload_json(payload: dict) -> str:
-    """The text of ``_canonical(payload)`` for string keys.  Top-level
-    lists are encoded one item at a time: encoding a long catalog scan
-    in one call holds all its small pieces at once, about seven times
-    the text."""
-    return "{" + ",".join(
-        _canonical(key) + ":" + ("[" + ",".join(map(_canonical, value)) + "]"
-                                 if isinstance(value, list) else _canonical(value))
-        for key, value in sorted(payload.items())) + "}"
+    """The text of ``_canonical(payload)`` for string keys, where an
+    ``JSONText`` value stands for the JSON it holds."""
+    return "{" + ",".join(_canonical(key) + ":" + _encoded(value)
+                          for key, value in sorted(payload.items())) + "}"
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -78,7 +86,7 @@ def cmd_validate(args) -> int:
 def cmd_info(args) -> int:
     graph = gemio.read_gem(args.file)
     report = invariant_report(graph)
-    payload = {"command": "info", **report.to_jsonable()}
+    payload = {"command": "info", **report.to_jsonable(encoded_rho=True)}
     human = [
         f"dimension {report.dimension}, 2p = {report.num_vertices} "
         f"(p_bar={report.p_bar}, p_dot={report.p_dot})",
@@ -172,20 +180,15 @@ def cmd_contract(args) -> int:
 
 def cmd_genus(args) -> int:
     graph = gemio.read_gem(args.file)
-    if args.all_perms:
-        # one sweep: the minimum and its argmin come from the table
-        table = rho_table(graph)
-        best = min(table.values())
-        argmin = [eps for eps, value in table.items() if value == best]
-    else:
-        best, argmin = regular_genus(graph)
+    table = genus_table(graph)  # one sweep: the table and its minimum
+    best, argmin = table.minimum()
     payload = {"command": "genus", "ok": True, "rho_min": str(best),
                "argmin": [eps.label() for eps in argmin]}
     human = [f"rho = {best} (attained by {len(argmin)} cyclic order(s))"]
-    if args.all_perms and args.json:  # the table is in canonical order
-        payload["table"] = {eps.label(): str(v) for eps, v in table.items()}
-    elif args.all_perms:
-        human += [f"  ({eps.label()}) -> {v}" for eps, v in table.items()]
+    if args.all_perms and args.json:
+        payload["table"] = table.json()
+    elif args.all_perms:  # the table is in canonical order
+        human += [f"  ({label}) -> {v}" for label, v in table.labelled().items()]
     _emit(args, payload, human)
     return EXIT_OK
 

@@ -72,6 +72,10 @@ class PreconditionError(GemError):
     pass
 
 
+class TooManyOrdersError(PreconditionError):
+    """A dimension has more cyclic orders than the set limit allows."""
+
+
 class InternalInconsistencyError(GemError):
     """A structural invariant failed mid-operation; signals invalid input."""
 

@@ -19,7 +19,8 @@ from typing import Iterable, NamedTuple, Optional
 from .boundary import boundary_component_count, boundary_g
 from .core import (NO_EDGE, ColoredGraph, _colors_of, _residues_by_mask,
                    classify_vertices, count_g, residues)
-from .errors import GemError, NonIntegralGenusError, NotRegularError
+from .errors import (GemError, NonIntegralGenusError, NotRegularError,
+                     TooManyOrdersError)
 
 
 @dataclass(frozen=True, order=True)
@@ -45,8 +46,7 @@ class CyclicPermutation:
         return len(self.order) - 1
 
     def label(self) -> str:
-        # an order from a sweep carries the sweep's label on the instance
-        return self.__dict__.get("_label") or ",".join(map(str, self.order))
+        return ",".join(map(str, self.order))
 
     @classmethod
     def _unchecked(cls, order: tuple[int, ...]) -> "CyclicPermutation":
@@ -68,36 +68,88 @@ class CyclicPermutation:
         return CyclicPermutation(rot + (d,))
 
 
-class _Sweep(NamedTuple):
-    """The d!/2 canonical orders of one dimension, sorted, with their
-    labels, and the positions they read in a pair-count row: a count per
-    color pair of 0..d in ``pairs`` order, then a boundary count per
-    pair.  An order reads its d+1 consecutive pairs and the boundary
-    count of the two colors next to d.
+class _Sweep:
+    """The d!/2 canonical orders of one dimension, sorted, and the
+    positions they read in a pair-count row: a count per color pair of
+    0..d in ``pairs`` order, then a boundary count per pair.  An order
+    reads its d+1 consecutive pairs and the boundary count of the two
+    colors next to d.
 
-    ``columns[k]`` holds every order's k-th position as a 16-bit lane,
-    little-endian: the position in the low byte, the pad ``_PAD`` in the
-    high one.  So one translation of a column turns positions into
+    ``flat`` holds the d non-final colors of every order, one order after
+    another.  ``columns[k]`` holds every order's k-th position as a 16-bit
+    lane, little-endian: the position in the low byte, the pad ``_PAD``
+    in the high one.  So one translation of a column turns positions into
     counts, and adding the columns as integers sums every order at once.
+    The orders as objects, and the JSON template of a genus table, are
+    built on first read and kept with the sweep.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    orders: tuple[CyclicPermutation, ...]
-    labels: tuple[str, ...]
-    columns: tuple[bytes, ...]
+    def __init__(self, dimension: int, pairs: tuple[tuple[int, int], ...],
+                 flat: bytes, columns: tuple[bytes, ...]):
+        self.dimension = dimension
+        self.pairs = pairs
+        self.flat = flat
+        self.columns = columns
+        self.count = len(flat) // dimension
+
+    def order(self, k: int) -> CyclicPermutation:
+        """The k-th order, built from the flat bytes alone."""
+        d = self.dimension
+        return CyclicPermutation._unchecked(
+            tuple(self.flat[k * d:k * d + d]) + (d,))
+
+    @cached_property
+    def orders(self) -> tuple[CyclicPermutation, ...]:
+        d = self.dimension
+        unchecked, last = CyclicPermutation._unchecked, (d,)
+        return tuple(unchecked(colors + last)
+                     for colors in zip(*[iter(self.flat)] * d))
+
+    @cached_property
+    def template(self) -> str:
+        """The text of a JSON object from every order's label, in sweep
+        order, to a ``%s`` slot: ``{"0,1,2,3":%s,...}``.  Every non-final
+        color is one digit up to d = 10 (``_MAX_ORDERS`` keeps d <= 9), so
+        every label has the same width and sweep order is JSON's
+        sorted-key order."""
+        d, flat = self.dimension, self.flat
+        entry = ('"' + "0," * d + f'{d}":%s,').encode("ascii")
+        width = len(entry)
+        text = bytearray(b"{" + entry * self.count)
+        digits = bytes(range(48, 58)).ljust(256, b"?")  # color -> its digit
+        for k in range(d):
+            text[2 + 2 * k::width] = flat[k::d].translate(digits)
+        text[-1:] = b"}"
+        return text.decode("ascii")
 
 
 # the pad of a lane's high byte; row positions stay below it up to d = 15
 _PAD = 255
 
-# Sweeps up to this dimension are kept for the life of the process
-# (labels included, 0.86 MiB at d=7 and 7.0 MiB at d=8 by tracemalloc);
-# a d=9 sweep would keep 65 MiB, so larger ones are rebuilt on each call.
+# Sweeps up to this dimension are kept for the life of the process, with
+# their orders and template once built: by tracemalloc 0.14 MiB at d=7 and
+# 1.1 MiB at d=8 for info, 0.58 and 4.8 MiB with the orders.  A d=9 sweep
+# would keep 11 MiB, 46 MiB with its orders, and rebuilds in about 0.18 s,
+# so larger ones are rebuilt on each call.
 _SWEEP_CACHE_MAX_D = 8
 _sweeps: dict[int, _Sweep] = {}
 
+# Sweeps longer than this raise TooManyOrdersError: 9!/2 keeps d = 9.  The
+# genus-table template needs one-digit non-final colors, d <= 10.
+_MAX_ORDERS = 181_440
+
 
 def _sweep(d: int) -> _Sweep:
+    """The sweep of dimension d, after checking its length against
+    ``_MAX_ORDERS``: a kept one, or one built now."""
+    count, k = 1, 2  # d!/2 = 3·4···d, multiplied out until above the limit
+    while k < d and count <= _MAX_ORDERS:
+        k += 1
+        count *= k
+    if count > _MAX_ORDERS:
+        raise TooManyOrdersError(
+            f"dimension {d} has {'' if k == d else 'more than '}{count} "
+            f"cyclic orders, above the limit of {_MAX_ORDERS}")
     sweep = _sweeps.get(d)
     if sweep is None:
         sweep = _build_sweep(d)
@@ -107,34 +159,43 @@ def _sweep(d: int) -> _Sweep:
 
 
 def _build_sweep(d: int) -> _Sweep:
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    pairs = tuple(combinations(range(d + 1), 2))
-    index = {}
-    for k, (a, b) in enumerate(pairs):
-        index[a, b] = index[b, a] = k
-    n_pairs = len(pairs)
-    orders, labels = [], []
-    reads = bytearray()  # the d+2 positions of each order, one after another
+    if not 2 <= d <= 15:  # a pair code a*16 + b is one byte up to d = 15
+        raise ValueError(f"dimension must lie in 2..15, got {d}")
     # permutations() yields lexicographic order, so the representatives
     # (first color below the one before d, then d) come out sorted
-    for perm in permutations(range(d)):
-        if perm[0] < perm[-1]:
-            order = perm + (d,)
-            eps = CyclicPermutation._unchecked(order)
-            # set past the frozen __setattr__, for label() to read
-            eps.__dict__["_label"] = text = ",".join(map(str, order))
-            orders.append(eps)
-            labels.append(text)
-            reads.extend(map(index.__getitem__,
-                             zip(order, order[1:] + order[:1])))
-            reads.append(n_pairs + index[perm[0], perm[-1]])
+    flat = b"".join(bytes(perm) for perm in permutations(range(d))
+                    if perm[0] < perm[-1])
+    pairs = tuple(combinations(range(d + 1), 2))
+    n_pairs = len(pairs)
+    # a color pair a, b as the code a*16 + b, a byte up to d = 15, maps to
+    # its row position, and the pair's boundary count n_pairs further on
+    pair_at, end_at = bytearray(256), bytearray(256)
+    for k, (a, b) in enumerate(pairs):
+        pair_at[a * 16 + b] = pair_at[b * 16 + a] = k
+        end_at[a * 16 + b] = end_at[b * 16 + a] = n_pairs + k
+    sixteen = bytes(y * 16 & 255 for y in range(256))
+
+    def codes(firsts: bytes, seconds: bytes) -> bytes:
+        # no byte carries: a*16 + b < 256
+        return (int.from_bytes(firsts.translate(sixteen), "little")
+                + int.from_bytes(seconds, "little")
+                ).to_bytes(len(firsts), "little")
+
+    # the pair of each color and the next one: right at the first d-1
+    # colors of an order, and unread at its last, where the next is d
+    inner = codes(flat, flat[1:] + b"\0").translate(pair_at)
+    firsts, lasts = flat[::d], flat[d - 1::d]
+    finals = bytes([d]) * len(firsts)
+    reads = [inner[k::d] for k in range(d - 1)]
+    reads += [codes(lasts, finals).translate(pair_at),
+              codes(finals, firsts).translate(pair_at),
+              codes(firsts, lasts).translate(end_at)]
     columns = []
-    lanes = bytearray([_PAD]) * (2 * len(orders))
-    for k in range(d + 2):
-        lanes[::2] = reads[k::d + 2]
+    lanes = bytearray([_PAD]) * (2 * len(firsts))
+    for column in reads:
+        lanes[::2] = column
         columns.append(bytes(lanes))
-    return _Sweep(pairs, tuple(orders), tuple(labels), tuple(columns))
+    return _Sweep(d, pairs, flat, tuple(columns))
 
 
 def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
@@ -189,7 +250,46 @@ def euler_characteristic(graph: ColoredGraph) -> int:
     return sum((-1) ** h * n for h, n in enumerate(f_vector(graph)))
 
 
-def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
+class JSONText(str):
+    """A value given as its canonical JSON text (sorted keys, no spaces),
+    for a writer to splice as it is."""
+
+
+class GenusTable(NamedTuple):
+    """Twice the genus at every order of a sweep, in sweep order; the
+    forms of the table that reports and the command line print."""
+
+    sweep: _Sweep
+    doubled: list[int]
+
+    def by_order(self) -> dict[CyclicPermutation, Fraction]:
+        halves = {value: Fraction(value, 2) for value in set(self.doubled)}
+        return dict(zip(self.sweep.orders, map(halves.__getitem__, self.doubled)))
+
+    def minimum(self) -> tuple[Fraction, list[CyclicPermutation]]:
+        """The least genus and the orders that attain it, in sweep order."""
+        best = min(self.doubled)
+        return Fraction(best, 2), [self.sweep.order(k)
+                                   for k, value in enumerate(self.doubled)
+                                   if value == best]
+
+    def labelled(self) -> dict[str, str]:
+        """Order label -> genus text, in sweep order."""
+        text = {value: str(Fraction(value, 2)) for value in set(self.doubled)}
+        # the labels lie between the template's slots
+        labels = self.sweep.template[2:-5].split('":%s,"')
+        return dict(zip(labels, map(text.__getitem__, self.doubled)))
+
+    def json(self) -> JSONText:
+        """The canonical JSON text of ``labelled()``: the sweep's template
+        filled with one quoted string per distinct value, and no label or
+        order built."""
+        quoted = {value: f'"{Fraction(value, 2)}"' for value in set(self.doubled)}
+        return JSONText(self.sweep.template
+                        % tuple(map(quoted.__getitem__, self.doubled)))
+
+
+def _doubled_genera(graph: ColoredGraph) -> GenusTable:
     """The sweep of the graph's dimension and twice the genus for each of
     its orders, read from the graph's pair table.
 
@@ -212,7 +312,7 @@ def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
                 for pair in pairs]
         base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
     row = counts + ends
-    n = len(sweep.orders)
+    n = sweep.count
     # on a bipartite graph the orders are walked for an odd value
     walk = graph.is_bipartite
     if max(row) < _PAD:
@@ -234,34 +334,30 @@ def _doubled_genera(graph: ColoredGraph) -> tuple[_Sweep, list[int]]:
             sums = list(map(add, sums, map(row.__getitem__, column[::2])))
     doubled = [base - s for s in sums]
     if walk:
-        for eps, value in zip(sweep.orders, doubled):
+        for k, value in enumerate(doubled):
             if value % 2:
                 raise NonIntegralGenusError(
                     f"bipartite graph produced genus {Fraction(value, 2)} "
-                    f"at {eps.order}")
-    return sweep, doubled
-
-
-def _genus_table(sweep: _Sweep, doubled: list[int]
-                 ) -> dict[CyclicPermutation, Fraction]:
-    halves = {value: Fraction(value, 2) for value in set(doubled)}
-    return dict(zip(sweep.orders, map(halves.__getitem__, doubled)))
+                    f"at {sweep.order(k).order}")
+    return GenusTable(sweep, doubled)
 
 
 def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
     """Genus of the regular embedding for every cyclic order, keyed in
     canonical (sorted) order: ``rho_table(graph)[eps]`` is the genus at
     eps."""
-    return _genus_table(*_doubled_genera(graph))
+    return _doubled_genera(graph).by_order()
+
+
+def genus_table(graph: ColoredGraph) -> GenusTable:
+    """The genus at every cyclic order, from one sweep."""
+    return _doubled_genera(graph)
 
 
 def regular_genus(graph: ColoredGraph) -> tuple[Fraction, list[CyclicPermutation]]:
     """Minimum genus over all cyclic orders, with the argmin list in
     canonical order."""
-    sweep, doubled = _doubled_genera(graph)
-    best = min(doubled)
-    return Fraction(best, 2), [eps for eps, value in zip(sweep.orders, doubled)
-                               if value == best]
+    return _doubled_genera(graph).minimum()
 
 
 def gurau_degree(graph: ColoredGraph) -> Fraction:
@@ -300,10 +396,12 @@ class InvariantReport:
 
     @cached_property
     def rho_by_perm(self) -> dict[CyclicPermutation, Fraction]:
-        return _genus_table(self._sweep, self._doubled)
+        return GenusTable(self._sweep, self._doubled).by_order()
 
-    def to_jsonable(self) -> dict:
-        text = {value: str(Fraction(value, 2)) for value in set(self._doubled)}
+    def to_jsonable(self, encoded_rho: bool = False) -> dict:
+        """The JSON form; with ``encoded_rho`` its genus table is given as
+        ``JSONText``, for a writer that splices it, and not as a dict."""
+        table = GenusTable(self._sweep, self._doubled)
         return {
             "dimension": self.dimension,
             "vertices": self.num_vertices,
@@ -319,9 +417,7 @@ class InvariantReport:
                           for k, v in sorted(self.g_triples.items())},
             "f_vector": list(self.f_vector),
             "chi": self.chi,
-            # in sweep order; the canonical JSON sorts the keys anyway
-            "rho": dict(zip(self._sweep.labels,
-                            map(text.__getitem__, self._doubled))),
+            "rho": table.json() if encoded_rho else table.labelled(),
             "rho_min": str(self.rho_min),
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
@@ -352,11 +448,12 @@ def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
 
 
 def invariant_report(graph: ColoredGraph) -> InvariantReport:
+    # first: too many orders raise before any residue is decomposed
+    sweep, doubled = _doubled_genera(graph)
     cls = classify_vertices(graph)
     pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
     triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}
     fv = f_vector(graph)
-    sweep, doubled = _doubled_genera(graph)
     return InvariantReport(
         dimension=graph.dimension,
         num_vertices=graph.num_vertices,

@@ -92,6 +92,57 @@ class TestExitCodes:
         code, _, _ = run_cli("gdegree", str(GEMS / "b4_2.gem"))
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["info", "genus", "gdegree"])
+    def test_too_many_orders_is_three(self, tmp_path, capsys, command):
+        # 10!/2 orders are over the default limit: refused before the sweep
+        import time
+        import tracemalloc
+
+        from gemkit import order_two_gem
+
+        path = tmp_path / "s10.gem"
+        write_gem(order_two_gem(10), path)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["--json", command, str(path)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dimension 10 has 1814400 cyclic orders, above the limit "
+            "of 181440\n")
+        assert elapsed < 0.5
+        assert peak < 1_000_000  # the d = 10 sweep's flat bytes alone are 18 MB
+
+    def test_huge_dimension_is_three(self, tmp_path, capsys):
+        # d!/2 is multiplied out only until it passes the limit
+        d = 5000
+        path = tmp_path / "huge.gem"
+        path.write_text(json.dumps({"dimension": d, "vertices": 2, "edges": [
+            [0, 1, c] for c in range(d + 1)]}))
+        assert main(["--json", "info", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: dimension 5000 has more than 1814400 cyclic orders, "
+            "above the limit of 181440\n")
+
+    @pytest.mark.parametrize("limit,code", [(59, 3), (60, 0)])
+    def test_order_limit(self, tmp_path, capsys, monkeypatch, limit, code):
+        from gemkit import invariants, random_boundary_gem
+
+        path = tmp_path / "d5.gem"
+        write_gem(random_boundary_gem(5, 3, 1, seed=5), path)
+        monkeypatch.setattr(invariants, "_MAX_ORDERS", limit)
+        assert main(["--json", "info", str(path)]) == code
+        if code == 3:
+            assert capsys.readouterr().err == (
+                "error: dimension 5 has 60 cyclic orders, above the limit "
+                "of 59\n")
+
     def test_usage_error_returns_two_in_process(self, capsys):
         assert main(["info"]) == 2
         assert "usage: gemkit info" in capsys.readouterr().err
@@ -341,6 +392,35 @@ class TestPipelines:
         assert _payload_json(payload) == json.dumps(
             payload, sort_keys=True, separators=(",", ":"))
 
+    def test_payload_json_splices_encoded_text(self):
+        from gemkit.cli import _payload_json
+        from gemkit.invariants import JSONText
+
+        rho = {"0,1,2": "1/2", "0,2,1": "0"}
+        payload = {"command": "info", "chi": 2, "records": [{"b": 1, "a": None}]}
+        encoded = _payload_json(
+            {**payload, "rho": JSONText(json.dumps(rho, separators=(",", ":")))})
+        assert encoded == json.dumps({**payload, "rho": rho}, sort_keys=True,
+                                     separators=(",", ":"))
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_genus_table_is_the_canonical_encoding(self, tmp_path, capsys, d):
+        from gemkit import random_boundary_gem, random_gem, rho_table
+
+        for k, graph in enumerate([random_gem(d, 3, seed=d),
+                                   random_boundary_gem(d, 3, 1, seed=d)]):
+            path = tmp_path / f"g{k}.gem"
+            write_gem(graph, path)
+            table = rho_table(graph)
+            best = min(table.values())
+            expected = {"command": "genus", "ok": True, "rho_min": str(best),
+                        "argmin": [eps.label() for eps, v in table.items()
+                                   if v == best],
+                        "table": {eps.label(): str(v) for eps, v in table.items()}}
+            assert main(["--json", "genus", str(path), "--all-perms"]) == 0
+            assert capsys.readouterr().out == json.dumps(
+                expected, sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_genus_all_perms_sweeps_once(self, capsys, monkeypatch):
         from gemkit import invariants
 
@@ -414,6 +494,18 @@ class TestPipelines:
         assert main(argv) == 0
         assert builds == [5]
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_info_builds_no_order_object(self, tmp_path, capsys, monkeypatch, d):
+        from gemkit import invariants, random_boundary_gem
+
+        path = tmp_path / "g.gem"
+        write_gem(random_boundary_gem(d, 3, 1, seed=d), path)
+        monkeypatch.setattr(invariants, "_sweeps", {})
+        assert main(["--json", "info", str(path)]) == 0
+        assert "orders" not in vars(invariants._sweeps[d])
+        assert len(json.loads(capsys.readouterr().out)["rho"]) == len(
+            invariants._sweeps[d].orders)
 
     def test_check_names_first_mismatch(self, capsys, monkeypatch):
         from dataclasses import replace

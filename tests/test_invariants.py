@@ -1,6 +1,7 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -24,7 +25,8 @@ from gemkit import (
     rho_table,
     validate,
 )
-from gemkit.errors import NonIntegralGenusError, NotRegularError
+from gemkit.errors import (NonIntegralGenusError, NotRegularError,
+                           TooManyOrdersError)
 from gemkit.moves import insert_1_dipole, regularize
 
 
@@ -262,6 +264,14 @@ class TestPairTable:
             for eps, value in _oracle_table(g).items()}
         assert rep.rho_by_perm == rho_table(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(_gem, st.integers(2, 8), st.integers(1, 3),
+                     st.integers(0, 2), st.integers(0, 2 ** 20), st.booleans()))
+    def test_rho_text_is_the_canonical_encoding(self, g):
+        rep = invariant_report(g)
+        assert rep.to_jsonable(encoded_rho=True)["rho"] == json.dumps(
+            rep.to_jsonable()["rho"], sort_keys=True, separators=(",", ":"))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_orders_sorted_and_canonical(self, d):
         orders = enumerate_cyclic_permutations(d)
@@ -338,12 +348,12 @@ class TestPairTable:
         finally:
             tracemalloc.stop()
         assert 5 not in inv._sweeps
-        assert grown < 4_000  # the 60 orders with labels take about 25 KB
+        assert grown < 4_000  # a kept d=5 sweep and its template take 9 KB
         rho_table(order_two_gem(4))
         assert list(inv._sweeps) == [4]
 
     def test_concurrent_first_use_of_a_dimension(self, monkeypatch):
-        # threads race to build and keep the d=5 orders and their labels;
+        # threads race to build and keep the d=5 sweep and its orders;
         # every write stores what any other thread would compute
         import sys
         import threading
@@ -371,3 +381,80 @@ class TestPairTable:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert results == [expected] * len(workers)
+
+
+def _reference_sweep(d):
+    """The sweep built one order object at a time, as the flat bytes'
+    reference: its pairs, flat bytes, orders and lane columns."""
+    pairs = tuple(combinations(range(d + 1), 2))
+    index = {}
+    for k, (a, b) in enumerate(pairs):
+        index[a, b] = index[b, a] = k
+    orders, reads = [], bytearray()
+    for perm in permutations(range(d)):
+        if perm[0] < perm[-1]:
+            order = perm + (d,)
+            orders.append(CyclicPermutation(order))
+            reads.extend(index[pair] for pair in zip(order, order[1:] + order[:1]))
+            reads.append(len(pairs) + index[perm[0], perm[-1]])
+    columns = []
+    for k in range(d + 2):
+        lanes = bytearray([255]) * (2 * len(orders))
+        lanes[::2] = reads[k::d + 2]
+        columns.append(bytes(lanes))
+    flat = bytes(c for eps in orders for c in eps.order[:d])
+    return pairs, flat, tuple(orders), tuple(columns)
+
+
+class TestSweepBytes:
+    """The sweep is built from flat bytes by translation and big-integer
+    adds; the object-per-order builder is its reference."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_the_object_per_order_builder(self, d):
+        import gemkit.invariants as inv
+
+        pairs, flat, orders, columns = _reference_sweep(d)
+        sweep = inv._build_sweep(d)
+        assert sweep.pairs == pairs
+        assert sweep.flat == flat
+        assert sweep.columns == columns
+        assert sweep.count == len(orders) == factorial(d) // 2
+        assert [sweep.order(k) for k in range(sweep.count)] == list(orders)
+        assert sweep.orders == orders
+
+    def test_orders_are_built_on_first_read_and_kept(self):
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(5)
+        assert sweep is inv._sweep(5)
+        assert sweep.orders is sweep.orders
+        assert sweep.template is sweep.template
+
+
+class TestOrderLimit:
+    def test_above_the_limit_raises_before_building(self, monkeypatch):
+        import gemkit.invariants as inv
+
+        def no_build(d):
+            raise AssertionError("built a sweep above the limit")
+
+        monkeypatch.setattr(inv, "_build_sweep", no_build)
+        with pytest.raises(TooManyOrdersError) as exc:
+            invariant_report(order_two_gem(10))
+        assert str(exc.value) == (
+            "dimension 10 has 1814400 cyclic orders, above the limit of "
+            "181440")
+
+    @pytest.mark.parametrize("limit,ok", [(59, False), (60, True)])
+    def test_limit_is_checked_on_every_call(self, monkeypatch, limit, ok):
+        import gemkit.invariants as inv
+
+        kept = inv._sweep(5)
+        monkeypatch.setattr(inv, "_MAX_ORDERS", limit)
+        if ok:
+            assert inv._sweep(5) is kept
+            assert len(enumerate_cyclic_permutations(5)) == 60
+        else:  # a kept sweep is refused too
+            with pytest.raises(TooManyOrdersError):
+                enumerate_cyclic_permutations(5)
