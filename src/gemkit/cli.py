@@ -11,7 +11,6 @@ byte-identical across runs on the same input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 
@@ -19,6 +18,7 @@ from . import checks, gemio, moves, pi1
 from .boundary import boundary_graph
 from .core import ColoredGraph, classify_vertices
 from .errors import GemError, ParseError, ValidationError
+from .gemio import _canonical
 from .invariants import (
     JSONText,
     enumerate_cyclic_permutations,
@@ -37,18 +37,16 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def _encoded(value) -> str:
     """``_canonical(value)``, with top-level lists encoded one item at a
     time: encoding a long catalog scan in one call holds all its small
-    pieces at once, about seven times the text."""
+    pieces at once, about seven times the text.  A ``JSONText`` value or
+    list item is spliced as it is."""
     if isinstance(value, JSONText):
         return value
     if isinstance(value, list):
-        return "[" + ",".join(map(_canonical, value)) + "]"
+        return "[" + ",".join(item if isinstance(item, JSONText) else _canonical(item)
+                              for item in value) + "]"
     return _canonical(value)
 
 
@@ -372,15 +370,19 @@ def cmd_catalog(args) -> int:
         human = [("added " if added else "already present: ") + record["digest"]]
         _emit(args, payload, human)
         return EXIT_OK
-    records, warnings = gemio.catalog_scan(args.store, args.where or ())
+    if args.json:  # the records as their stored text, never decoded
+        records, warnings = gemio._catalog_texts(args.store, args.where or ())
+        human = []
+    else:
+        records, warnings = gemio.catalog_scan(args.store, args.where or ())
+        human = [f"{len(records)} record(s)"]
+        human += [f"  {r['digest'][:12]}  {r.get('name') or '-'}  "
+                  f"rho_min={r.get('rho_min')} omega_G={r.get('omega_g')}"
+                  for r in records]
+        human += [f"warning: corrupt line {w.line_number}" for w in warnings]
     payload = {"command": "catalog", "action": "scan", "ok": True,
                "count": len(records), "records": records,
                "corrupt_lines": [w.line_number for w in warnings]}
-    human = [f"{len(records)} record(s)"]
-    human += [f"  {r['digest'][:12]}  {r.get('name') or '-'}  "
-              f"rho_min={r.get('rho_min')} omega_G={r.get('omega_g')}"
-              for r in records]
-    human += [f"warning: corrupt line {w.line_number}" for w in warnings]
     _emit(args, payload, human)
     return EXIT_OK
 

@@ -13,6 +13,9 @@ import fcntl
 import hashlib
 import json
 import operator
+import re
+import threading
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -21,9 +24,15 @@ from typing import Callable, Iterable, Optional
 
 from .core import ColoredGraph, validate
 from .errors import GemError, ParseError, StoreCorruptError, ValidationError
-from .invariants import invariant_report
+from .invariants import JSONText, invariant_report
 
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00")
+
+
+def _canonical(value) -> str:
+    """Compact JSON with sorted keys: the form of digests, catalog lines
+    and ``--json`` output."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,9 @@ class GemFile:
     def digest(self) -> str:
         """Content hash of the canonical graph data (name excluded)."""
         c = self.canonical()
-        payload = json.dumps(
+        payload = _canonical(
             {"dimension": c.dimension, "vertices": c.vertices,
-             "edges": [list(e) for e in c.edges]},
-            sort_keys=True, separators=(",", ":"))
+             "edges": [list(e) for e in c.edges]})
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -164,6 +172,10 @@ def export_dot(graph: ColoredGraph, path: str | Path,
 
 # ---------------------------------------------------------------------------
 # catalog
+#
+# A store holds one record per line, in compact canonical JSON with its
+# "added_at" time, which sorts first: the record's own canonical text is
+# "{" followed by the end of its line.
 
 
 def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
@@ -184,6 +196,9 @@ def _load_line(line: str):
     return json.loads(line)
 
 
+_LINE_REST = re.compile(rb"[^\r\n]*")
+
+
 def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 name: Optional[str] = None) -> tuple[dict, bool]:
     """Append the gem's record unless its digest is already present.
@@ -192,24 +207,30 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
     store = Path(store_path)
     store.touch(exist_ok=True)
     digest = gemfile_from_graph(graph).digest()
-    with store.open("r+", encoding="utf-8", errors="surrogateescape") as fh:
+    key = digest.encode("ascii")
+    with store.open("r+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            for line in fh:
-                # only a line holding the digest text can be its record
-                if digest not in line:
-                    continue
+            data = fh.read()
+            # only a line holding the digest can be its record, and an
+            # ASCII digest is in a line's bytes exactly when it is in the
+            # line's text
+            hit = data.find(key)
+            while hit >= 0:
+                start = max(data.rfind(b"\n", 0, hit), data.rfind(b"\r", 0, hit)) + 1
+                stop = _LINE_REST.match(data, hit).end()
                 try:
-                    existing = _load_line(line)
+                    existing = _load_line(
+                        data[start:stop].decode("utf-8", "surrogateescape"))
                 except ValueError:
-                    continue
+                    existing = None
                 if isinstance(existing, dict) and existing.get("digest") == digest:
                     existing.pop("added_at", None)
                     return existing, False
+                hit = data.find(key, stop)
             record = _record(graph, digest, name)
-            stored = dict(record)
-            stored["added_at"] = datetime.now(timezone.utc).isoformat()
-            fh.write(json.dumps(stored, sort_keys=True) + "\n")
+            stamp = datetime.now(timezone.utc).isoformat()
+            fh.write(_canonical({**record, "added_at": stamp}).encode("ascii") + b"\n")
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
     return record, True
@@ -245,20 +266,83 @@ def _coerce(value):
         return text
 
 
-def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
-                 ) -> tuple[list[dict], list[StoreCorruptError]]:
-    """Records matching every filter expression (``field OP value``),
-    plus parse problems as warnings; scanning never aborts on a corrupt
-    line."""
-    parsed = [(field, _OPS[op], _coerce(raw))
-              for field, op, raw in map(parse_filter, filters)]
-    records, warnings = [], []
-    store = Path(store_path)
-    if not store.exists():
-        return records, warnings
-    with store.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+_MISSING = object()  # the value of a field a record does not have
+_BLANK = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # what str.strip removes of ASCII
+
+
+def _holds(value, op, literal) -> bool:
+    if value is _MISSING:
+        return False
+    try:
+        return op(value, literal)
+    except TypeError:
+        return False
+
+
+class _StoreIndex:
+    """What the whole lines at the start of a store parse to: each
+    corrupt line's number and message and, per record, where its line
+    lies, where its canonical text lies past the "{" (or that text, for
+    a line not in canonical form) and the coerced value of every field
+    filtered on so far.  All of it follows from those bytes, which
+    ``size`` and ``sha`` identify."""
+
+    def __init__(self):
+        self.size = 0
+        self.sha = hashlib.sha256().digest()
+        self.lines = 0                # lines in the first `size` bytes
+        self.corrupt = []             # (line number, message) per corrupt line
+        self.line_spans = array("q")  # start and end of each record's line
+        self.text_spans = array("q")  # start and end of each record's text
+                                      # past its "{"; -1 unknown, -2 kept
+        self.kept = {}                # record -> text not found in its line
+        self.columns = {}             # field -> coerced value per record
+
+    def __len__(self) -> int:
+        return len(self.line_spans) // 2
+
+    def scan(self, data: bytes, parsed: list
+             ) -> tuple[list[JSONText], list[StoreCorruptError]]:
+        view = memoryview(data)
+        sha = hashlib.sha256(view[:self.size])
+        if len(data) < self.size or sha.digest() != self.sha:
+            self.__init__()  # not an append: read the store anew
+            sha = hashlib.sha256()
+        for field, _, _ in parsed:
+            if field not in self.columns:
+                self.columns[field] = [self._value(data, i, field)
+                                       for i in range(len(self))]
+        hits = range(len(self))
+        for field, op, literal in parsed:
+            column = self.columns[field]
+            hits = [i for i in hits if _holds(column[i], op, literal)]
+        texts = [self._text(data, i) for i in hits]
+        warnings = [StoreCorruptError(message, line_number=lineno)
+                    for lineno, message in self.corrupt]
+        # whole lines end in "\n": a last "\r" may yet become "\r\n"
+        end = data.rfind(b"\n") + 1
+        if end > self.size:
+            self._add(data, self.size, end, parsed, texts, warnings)
+            sha.update(view[self.size:end])
+            self.size, self.sha = end, sha.digest()
+        tail = _StoreIndex()  # read on every scan, never kept
+        tail.lines = self.lines
+        tail.columns = {field: [] for field, _, _ in parsed}
+        tail._add(data, end, len(data), parsed, texts, warnings)
+        return texts, warnings
+
+    def _add(self, data: bytes, start: int, end: int, parsed: list,
+             texts: list, warnings: list) -> None:
+        """Index the lines of ``data[start:end]``, decoding each once, and
+        append the texts of its records that ``parsed`` keeps and its
+        warnings."""
+        columns = list(self.columns.items())
+        checks = [(self.columns[field], op, literal) for field, op, literal in parsed]
+        i = len(self)
+        for raw in data[start:end].splitlines(keepends=True):
+            self.lines += 1
+            line_start, start = start, start + len(raw)
+            line = raw.decode("utf-8", "surrogateescape").strip()
             if not line:
                 continue
             try:
@@ -266,20 +350,82 @@ def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
                 if not isinstance(rec, dict):
                     raise ValueError("record is not an object")
             except ValueError as exc:
-                warnings.append(StoreCorruptError(str(exc), line_number=lineno))
+                self.corrupt.append((self.lines, str(exc)))
+                warnings.append(StoreCorruptError(str(exc), line_number=self.lines))
                 continue
-            keep = True
-            for field, op, literal in parsed:
-                if field not in rec:
-                    keep = False
+            self.line_spans.extend((line_start, start))
+            self.text_spans.extend((-1, -1))
+            for field, column in columns:
+                column.append(_coerce(rec[field]) if field in rec else _MISSING)
+            for column, op, literal in checks:
+                if not _holds(column[i], op, literal):
                     break
-                try:
-                    keep = op(_coerce(rec[field]), literal)
-                except TypeError:
-                    keep = False
-                if not keep:
-                    break
-            if keep:
-                rec.pop("added_at", None)
-                records.append(rec)
-    return records, warnings
+            else:
+                texts.append(self._note(i, raw, line, rec))
+            i += 1
+
+    def _decode(self, data: bytes, i: int) -> tuple[bytes, str, dict]:
+        raw = data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]]
+        line = raw.decode("utf-8", "surrogateescape").strip()
+        return raw, line, _load_line(line)
+
+    def _value(self, data: bytes, i: int, field: str):
+        rec = self._decode(data, i)[2]
+        return _coerce(rec[field]) if field in rec else _MISSING
+
+    def _text(self, data: bytes, i: int) -> JSONText:
+        start, stop = self.text_spans[2 * i:2 * i + 2]
+        if start >= 0:
+            return JSONText("{" + data[start:stop].decode("ascii"))
+        if start == -2:
+            return self.kept[i]
+        return self._note(i, *self._decode(data, i))
+
+    def _note(self, i: int, raw: bytes, line: str, rec: dict) -> JSONText:
+        """The record's canonical text, noted where its line ends in it
+        past the "{", and kept otherwise."""
+        rec.pop("added_at", None)
+        text = JSONText(_canonical(rec))
+        if raw.isascii() and line.endswith(text[1:]):
+            stop = self.line_spans[2 * i] + len(raw.rstrip(_BLANK))
+            start = stop - len(text) + 1
+            self.text_spans[2 * i], self.text_spans[2 * i + 1] = start, stop
+        else:
+            self.text_spans[2 * i] = -2
+            self.kept[i] = text
+        return text
+
+
+# One index per process, of the store scanned last.
+_INDEX = _StoreIndex()
+_INDEX_LOCK = threading.Lock()
+
+
+def _catalog_texts(store_path: str | Path, filters: Iterable[str] = ()
+                   ) -> tuple[list[JSONText], list[StoreCorruptError]]:
+    """The canonical JSON text of each record ``catalog_scan`` returns,
+    and its warnings.  Of a store scanned before, only the lines past the
+    whole lines it then had are decoded, as long as it still starts with
+    them."""
+    global _INDEX
+    parsed = [(field, _OPS[op], _coerce(raw))
+              for field, op, raw in map(parse_filter, filters)]
+    store = Path(store_path)
+    if not store.exists():
+        return [], []
+    data = store.read_bytes()
+    with _INDEX_LOCK:
+        try:
+            return _INDEX.scan(data, parsed)
+        except BaseException:
+            _INDEX = _StoreIndex()  # a scan cut short leaves no partial index
+            raise
+
+
+def catalog_scan(store_path: str | Path, filters: Iterable[str] = ()
+                 ) -> tuple[list[dict], list[StoreCorruptError]]:
+    """Records matching every filter expression (``field OP value``),
+    plus parse problems as warnings; scanning never aborts on a corrupt
+    line."""
+    texts, warnings = _catalog_texts(store_path, filters)
+    return [json.loads(text) for text in texts], warnings
