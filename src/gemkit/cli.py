@@ -1,5 +1,12 @@
 """Command-line surface.
 
+Each subcommand is a ``cmd_<name>(graph, args)`` function that returns
+its ``--json`` payload and its human lines.  One runner, ``_run``, reads
+the gem FILE (``catalog`` reads its own, for ``add`` only), stamps the
+payload's ``"command"``, prints one of the two, and picks the exit code:
+1 exactly when the payload's ``"ok"`` is false.  ``main`` maps errors to
+the other codes.
+
 Exit codes: 0 success (and every checked identity holds), 1 a checked
 identity or bound fails, 2 usage, parse or file error, 3 validation or
 precondition error, 4 internal error (an unexpected exception, reported
@@ -57,34 +64,22 @@ def _payload_json(payload: dict) -> str:
                           for key, value in sorted(payload.items())) + "}"
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        print(_payload_json(payload))
-    else:
-        for line in human:
-            print(line)
-
-
-def cmd_validate(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_validate(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     cls = classify_vertices(graph)
     payload = {
-        "command": "validate", "ok": True,
-        "dimension": graph.dimension, "vertices": graph.num_vertices,
+        "ok": True, "dimension": graph.dimension, "vertices": graph.num_vertices,
         "regular": graph.is_regular, "bipartite": graph.is_bipartite,
         "boundary_vertices": 2 * cls.p_bar,
     }
     human = [f"valid gem: dimension {graph.dimension}, {graph.num_vertices} vertices, "
              f"{'regular' if graph.is_regular else f'{2 * cls.p_bar} boundary vertices'}, "
              f"{'bipartite' if graph.is_bipartite else 'non-bipartite'}"]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_info(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_info(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     report = invariant_report(graph)
-    payload = {"command": "info", **report.to_jsonable(encoded_rho=True)}
+    payload = report.to_jsonable(encoded_rho=True)
     human = [
         f"dimension {report.dimension}, 2p = {report.num_vertices} "
         f"(p_bar={report.p_bar}, p_dot={report.p_dot})",
@@ -97,12 +92,10 @@ def cmd_info(args) -> int:
             f"{''.join(map(str, k))}:{v[0]}/{v[1]}"
             for k, v in sorted(report.g_pairs.items())),
     ]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_boundary(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_boundary(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     bg = boundary_graph(graph)
     if args.component is not None and not 0 <= args.component < bg.num_components:
         raise ParseError(f"no boundary component with index {args.component}")
@@ -110,7 +103,7 @@ def cmd_boundary(args) -> int:
         else bg.component_subgraph(args.component)
     gemio.write_gem(out_graph, args.output, name=args.name)
     payload = {
-        "command": "boundary", "ok": True, "h": bg.num_components,
+        "ok": True, "h": bg.num_components,
         "boundary_vertices": out_graph.num_vertices, "output": str(args.output),
     }
     human = [f"boundary graph: {out_graph.num_vertices} vertices, "
@@ -118,17 +111,14 @@ def cmd_boundary(args) -> int:
     if args.component is None and bg.num_components > 1:
         human.append("note: boundary graph is disconnected; use --component "
                      "to extract one piece")
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_regularize(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_regularize(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     out_graph, record = moves.regularize(graph, singular_color=args.singular_color)
     gemio.write_gem(out_graph, args.output, name=args.name)
     payload = {
-        "command": "regularize", "ok": True,
-        "singular_color": record.singular_color_choice,
+        "ok": True, "singular_color": record.singular_color_choice,
         "added_edges": [list(e) for e in record.added_edges],
         "color_swap": list(record.color_swap),
         "output": str(args.output),
@@ -136,17 +126,13 @@ def cmd_regularize(args) -> int:
     human = [f"capped {len(record.added_edges)} path(s) with color "
              f"{graph.dimension}, swapped colors {record.color_swap[0]} and "
              f"{record.color_swap[1]} -> {args.output}"]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_dipoles(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_dipoles(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     sites = moves.find_1_dipoles(graph)
-    payload = {
-        "command": "dipoles", "ok": True,
-        "sites": [{"color": s.color, "vertices": list(s.vertices)} for s in sites],
-    }
+    payload = {"ok": True, "sites": [{"color": s.color, "vertices": list(s.vertices)}
+                                     for s in sites]}
     human = [f"{len(sites)} one-dipole site(s)"]
     human += [f"  [{k}] color {s.color} at {s.vertices}" for k, s in enumerate(sites)]
     if args.cancel is not None:
@@ -159,63 +145,48 @@ def cmd_dipoles(args) -> int:
         payload["cancelled"] = args.cancel
         payload["output"] = str(args.output)
         human.append(f"cancelled [{args.cancel}] -> {args.output}")
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_contract(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_contract(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     result = moves.full_contraction(graph)
     gemio.write_gem(result, args.output, name=args.name)
-    payload = {"command": "contract", "ok": True,
-               "vertices_before": graph.num_vertices,
+    payload = {"ok": True, "vertices_before": graph.num_vertices,
                "vertices_after": result.num_vertices, "output": str(args.output)}
     human = [f"contracted {graph.num_vertices} -> {result.num_vertices} "
              f"vertices -> {args.output}"]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_genus(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_genus(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     table = genus_table(graph)  # one sweep: the table and its minimum
     best, argmin = table.minimum()
-    payload = {"command": "genus", "ok": True, "rho_min": str(best),
+    payload = {"ok": True, "rho_min": str(best),
                "argmin": [eps.label() for eps in argmin]}
     human = [f"rho = {best} (attained by {len(argmin)} cyclic order(s))"]
     if args.all_perms and args.json:
         payload["table"] = table.json()
     elif args.all_perms:  # the table is in canonical order
         human += [f"  ({label}) -> {v}" for label, v in table.labelled().items()]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_gdegree(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_gdegree(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     omega = gurau_degree(graph)
-    _emit(args, {"command": "gdegree", "ok": True, "omega_g": str(omega)},
-          [f"omega_G = {omega}"])
-    return EXIT_OK
+    return {"ok": True, "omega_g": str(omega)}, [f"omega_G = {omega}"]
 
 
-def cmd_fvector(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_fvector(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     fv = f_vector(graph)
-    _emit(args, {"command": "fvector", "ok": True, "f_vector": list(fv)},
-          [f"f = {fv}"])
-    return EXIT_OK
+    return {"ok": True, "f_vector": list(fv)}, [f"f = {fv}"]
 
 
-def cmd_euler(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_euler(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     chi = euler_characteristic(graph)
-    _emit(args, {"command": "euler", "ok": True, "chi": chi}, [f"chi = {chi}"])
-    return EXIT_OK
+    return {"ok": True, "chi": chi}, [f"chi = {chi}"]
 
 
-def cmd_pi1(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_pi1(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     try:
         i, j = (int(x) for x in args.pair.split(","))
     except ValueError as exc:
@@ -231,7 +202,7 @@ def cmd_pi1(args) -> int:
     if upper is None:
         upper = pi1.tietze_simplify(pres).num_generators
     payload = {
-        "command": "pi1", "ok": True, "pair": [min(i, j), max(i, j)],
+        "ok": True, "pair": [min(i, j), max(i, j)],
         "generators": pres.num_generators,
         "relators": [list(w) for w in pres.relators],
         "abelianization": {"free_rank": free_rank, "divisors": divisors},
@@ -241,8 +212,7 @@ def cmd_pi1(args) -> int:
     human = [pres.pretty(),
              f"abelianization: free rank {free_rank}, torsion {divisors or 'none'}",
              f"rank bounds: [{lower}, {upper}]"]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
 def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
@@ -293,8 +263,7 @@ def _mismatches(suite: str, report, d: int) -> list[str]:
     return out
 
 
-def cmd_check(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     suite = args.suite
     if suite == "lemma" or suite == "corollary":
         reports = {c: checks.check_regularization_identities(graph, c)
@@ -302,7 +271,7 @@ def cmd_check(args) -> int:
         failing = [c for c, r in reports.items()
                    if not (r.lemma_ok if suite == "lemma" else r.transfer_ok)]
         ok = not failing
-        payload = {"command": "check", "suite": suite, "ok": ok,
+        payload = {"suite": suite, "ok": ok,
                    "by_color": {str(c): r.to_jsonable() for c, r in reports.items()}}
         if ok:
             human = [f"{suite} identities: hold for all {graph.dimension} "
@@ -315,31 +284,27 @@ def cmd_check(args) -> int:
     elif suite == "omega":
         report = checks.check_omega_pairing(graph)
         ok = report.ok
-        payload = {"command": "check", "suite": suite, "ok": ok,
-                   **report.to_jsonable()}
+        payload = {"suite": suite, "ok": ok, **report.to_jsonable()}
         human = [f"omega pairing: omega_G = {report.omega}, "
                  f"{'holds' if ok else 'VIOLATED'}"]
     elif suite == "dipole":
         detail, human, ok = _dipole_suite(graph)
-        payload = {"command": "check", "suite": suite, "ok": ok, **detail}
+        payload = {"suite": suite, "ok": ok, **detail}
         human.append("dipole invariances: " + ("hold" if ok else "VIOLATED"))
     elif suite == "dehn":
         report = checks.check_dehn_sommerville(graph)
         ok = report.ok
-        payload = {"command": "check", "suite": suite, "ok": ok,
-                   **report.to_jsonable()}
+        payload = {"suite": suite, "ok": ok, **report.to_jsonable()}
         human = [f"2p = {report.lhs}, 6chi + 2*sum(g_ijk) - 30 = {report.rhs}: "
                  f"{'holds' if ok else 'VIOLATED'}"]
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown suite {suite!r}")
-    _emit(args, payload, human)
-    return EXIT_OK if ok else EXIT_INCONSISTENT
+    return payload, human
 
 
-def cmd_bound(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_bound(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     report = checks.check_bound_on_gem(graph, args.chi, args.m, args.h, args.mhat)
-    payload = {"command": "bound", "ok": report.ok, **report.to_jsonable()}
+    payload = {"ok": report.ok, **report.to_jsonable()}
     human = [
         f"genus bound {report.genus_bound}: "
         f"{'met' if report.genus_ok else 'VIOLATED'}"
@@ -348,28 +313,23 @@ def cmd_bound(args) -> int:
         f"{'met' if report.gdegree_ok else 'VIOLATED'}"
         + (" with equality" if report.gdegree_equality else ""),
     ]
-    ok = report.ok
     if args.semisimple:
         ss = checks.check_semisimple(graph, args.m, args.mhat, args.h)
         payload["semisimple"] = ss.to_jsonable()
         human.append(f"semi-simple: {ss.semi_simple}; weak witnesses: "
                      f"{len(ss.weak_semi_simple)} of "
                      f"{len(enumerate_cyclic_permutations(4))}")
-    _emit(args, payload, human)
-    return EXIT_OK if ok else EXIT_INCONSISTENT
+    return payload, human
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(graph, args) -> tuple[dict, list[str]]:
     if args.action == "add":
         if args.file is None:
             raise ParseError("catalog add needs a gem FILE")
         graph = gemio.read_gem(args.file)
         record, added = gemio.catalog_add(args.store, graph, name=args.name)
-        payload = {"command": "catalog", "action": "add", "ok": True,
-                   "added": added, "record": record}
-        human = [("added " if added else "already present: ") + record["digest"]]
-        _emit(args, payload, human)
-        return EXIT_OK
+        return ({"action": "add", "ok": True, "added": added, "record": record},
+                [("added " if added else "already present: ") + record["digest"]])
     if args.json:  # the records as their stored text, never decoded
         records, warnings = gemio._catalog_texts(args.store, args.where or ())
         human = []
@@ -380,19 +340,15 @@ def cmd_catalog(args) -> int:
                   f"rho_min={r.get('rho_min')} omega_G={r.get('omega_g')}"
                   for r in records]
         human += [f"warning: corrupt line {w.line_number}" for w in warnings]
-    payload = {"command": "catalog", "action": "scan", "ok": True,
+    payload = {"action": "scan", "ok": True,
                "count": len(records), "records": records,
                "corrupt_lines": [w.line_number for w in warnings]}
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def cmd_export_dot(args) -> int:
-    graph = gemio.read_gem(args.file)
+def cmd_export_dot(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     gemio.export_dot(graph, args.output, name=args.name or "gem")
-    _emit(args, {"command": "export-dot", "ok": True, "output": str(args.output)},
-          [f"wrote {args.output}"])
-    return EXIT_OK
+    return {"ok": True, "output": str(args.output)}, [f"wrote {args.output}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,69 +360,54 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, help, output=None):
+        """A subcommand on a gem FILE; ``output`` True or False adds a
+        required or optional ``-o/--output``, and ``--name``."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        p.add_argument("file")
+        if output is not None:
+            p.add_argument("-o", "--output", required=output)
+            p.add_argument("--name", default=None)
         return p
 
-    p = add("validate", cmd_validate, help="validate a gem file")
-    p.add_argument("file")
-    p = add("info", cmd_info, help="vertex classes, residue counts, invariants")
-    p.add_argument("file")
-    p = add("boundary", cmd_boundary, help="write the boundary graph")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
+    add("validate", cmd_validate, "validate a gem file")
+    add("info", cmd_info, "vertex classes, residue counts, invariants")
+    p = add("boundary", cmd_boundary, "write the boundary graph", output=True)
     p.add_argument("--component", type=int, default=None,
                    help="extract one boundary component")
-    p.add_argument("--name", default=None)
-    p = add("regularize", cmd_regularize, help="cap the boundary and swap colors")
-    p.add_argument("file")
+    p = add("regularize", cmd_regularize, "cap the boundary and swap colors",
+            output=True)
     p.add_argument("--singular-color", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--name", default=None)
-    p = add("dipoles", cmd_dipoles, help="list (and optionally cancel) 1-dipoles")
-    p.add_argument("file")
+    p = add("dipoles", cmd_dipoles, "list (and optionally cancel) 1-dipoles",
+            output=False)
     p.add_argument("--cancel", type=int, default=None, metavar="INDEX")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--name", default=None)
-    p = add("contract", cmd_contract, help="cancel 1-dipoles until none remain")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--name", default=None)
-    p = add("genus", cmd_genus, help="regular genus")
-    p.add_argument("file")
+    add("contract", cmd_contract, "cancel 1-dipoles until none remain", output=True)
+    p = add("genus", cmd_genus, "regular genus")
     p.add_argument("--all-perms", action="store_true")
-    p = add("gdegree", cmd_gdegree, help="Gurau degree")
-    p.add_argument("file")
-    p = add("fvector", cmd_fvector, help="simplex counts")
-    p.add_argument("file")
-    p = add("euler", cmd_euler, help="Euler characteristic")
-    p.add_argument("file")
-    p = add("pi1", cmd_pi1, help="fundamental group presentation")
-    p.add_argument("file")
+    add("gdegree", cmd_gdegree, "Gurau degree")
+    add("fvector", cmd_fvector, "simplex counts")
+    add("euler", cmd_euler, "Euler characteristic")
+    p = add("pi1", cmd_pi1, "fundamental group presentation")
     p.add_argument("--pair", required=True, metavar="I,J")
     p.add_argument("--simplify", action="store_true")
-    p = add("check", cmd_check, help="run an identity suite")
-    p.add_argument("file")
+    p = add("check", cmd_check, "run an identity suite")
     p.add_argument("--suite", required=True,
                    choices=["lemma", "corollary", "omega", "dipole", "dehn"])
-    p = add("bound", cmd_bound, help="check genus/G-degree lower bounds")
-    p.add_argument("file")
+    p = add("bound", cmd_bound, "check genus/G-degree lower bounds")
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mhat", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--semisimple", action="store_true")
-    p = add("catalog", cmd_catalog, help="content-addressed invariant store")
+    p = sub.add_parser("catalog", help="content-addressed invariant store")
+    p.set_defaults(func=cmd_catalog)
     p.add_argument("action", choices=["add", "scan"])
     p.add_argument("store")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--name", default=None)
     p.add_argument("--where", action="append", metavar="FIELD OP VALUE")
-    p = add("export-dot", cmd_export_dot, help="write a DOT drawing")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--name", default=None)
+    add("export-dot", cmd_export_dot, "write a DOT drawing", output=True)
     return parser
 
 
@@ -477,13 +418,27 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _run(args) -> int:
+    """Run one parsed command: read its gem, print its payload or its
+    human lines, and return 1 exactly when the payload's ``"ok"`` is False."""
+    graph = None if args.command == "catalog" else gemio.read_gem(args.file)
+    payload, human = args.func(graph, args)
+    payload["command"] = args.command
+    if args.json:
+        print(_payload_json(payload))
+    else:
+        for line in human:
+            print(line)
+    return EXIT_INCONSISTENT if payload.get("ok") is False else EXIT_OK
+
+
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits after --help or a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return _run(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -78,6 +78,8 @@ def parse_gemfile(text: str) -> GemFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # int()'s digit or the nesting limit
+        raise ParseError(f"JSON past a reader limit: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("dimension", "vertices", "edges"):
@@ -190,10 +192,14 @@ def _record(graph: ColoredGraph, digest: str, name: Optional[str]) -> dict:
 
 def _load_line(line: str):
     """One store line as JSON.  Bad bytes are read as lone surrogates,
-    which UTF-8 cannot encode, so their line raises ValueError as corrupt."""
+    which UTF-8 cannot encode, so their line raises ValueError as corrupt,
+    as does a line nested past the recursion limit."""
     if not line.isascii():  # lines gemkit writes are ASCII
         line.encode("utf-8")
-    return json.loads(line)
+    try:
+        return json.loads(line)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 _LINE_REST = re.compile(rb"[^\r\n]*")
@@ -230,6 +236,8 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 hit = data.find(key, stop)
             record = _record(graph, digest, name)
             stamp = datetime.now(timezone.utc).isoformat()
+            if data and not data.endswith((b"\n", b"\r")):
+                fh.write(b"\n")  # end the last line, or the record joins it
             fh.write(_canonical({**record, "added_at": stamp}).encode("ascii") + b"\n")
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
@@ -245,9 +253,30 @@ _OPS: dict[str, Callable] = {
 def parse_filter(expr: str) -> tuple[str, str, str]:
     for op in ("<=", ">=", "!=", "==", "=", "<", ">"):
         if op in expr:
-            field, value = expr.split(op, 1)
-            return field.strip(), op, value.strip()
+            field, value = (part.strip() for part in expr.split(op, 1))
+            if _huge_exponent(value):
+                raise ParseError(f"filter on {field!r}: the value's exponent "
+                                 f"is above {_MAX_EXPONENT}")
+            return field, op, value
     raise ParseError(f"cannot parse filter {expr!r}")
+
+
+_MAX_EXPONENT = 4300  # as int()'s digit limit
+# decimal text with an exponent, in the form Fraction reads
+_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                      r"[eE][-+]?(\d+(?:_\d+)*)\s*")
+
+
+def _huge_exponent(text: str) -> bool:
+    """Whether ``text`` is decimal text whose exponent has magnitude above
+    ``_MAX_EXPONENT``, so that ``Fraction(text)`` would build an integer
+    with that many digits."""
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return (len(digits) > len(str(_MAX_EXPONENT))
+            or int(digits or "0") > _MAX_EXPONENT)
 
 
 def _coerce(value):
@@ -261,7 +290,7 @@ def _coerce(value):
     if text.lower() in ("none", "null"):
         return None
     try:
-        return Fraction(text)
+        return text if _huge_exponent(text) else Fraction(text)
     except (ValueError, ZeroDivisionError):
         return text
 

@@ -177,6 +177,23 @@ class TestAgainstColdRead:
         apply(store, ("add", 0))
         assert store.read_bytes().count(b"\n") == 0
 
+    def test_deep_line_is_corrupt(self, tmp_path):
+        """A line nested past the recursion limit is a corrupt line, in
+        every scan and in the duplicate lookup of an add."""
+        store = tmp_path / "store.jsonl"
+        digest = gemfile_from_graph(POOL[2]).digest().encode()
+        deep = b'{"digest":"%s","x":%s%s}' % (digest, b"[" * 100_000, b"]" * 100_000)
+        store.write_bytes(record_line(0, 0) + b"\n" + deep + b"\n"
+                          + record_line(1, 0) + b"\n")
+        for cli_first in (True, False):
+            assert_scan_matches_oracle(store, (), cli_first)
+        records, warnings = catalog_scan(store)
+        assert records == RECORDS[:2]
+        assert [w.line_number for w in warnings] == [2]
+        apply(store, ("add", 2))
+        apply(store, ("add", 1))
+        assert catalog_scan(store)[0] == RECORDS[:3]
+
     def test_stores_take_turns(self, tmp_path):
         one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         for k, graph in enumerate(POOL):

@@ -1,5 +1,6 @@
 """CLI surface tests: exit codes, output determinism, golden JSON."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gemkit import validate
-from gemkit.cli import main
+from gemkit.cli import build_parser, main
 from gemkit.gemio import read_gem, write_gem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +188,41 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"dimension": 4, "vertices": %s, "edges": []}' % ("1" * 5001),
+        '{"dimension": 4, "vertices": 2, "edges": [], "metadata": {"a": %s%s}}'
+        % ("[" * 100_000, "]" * 100_000),
+    ], ids=["long_integer", "deep_nesting"])
+    def test_json_past_a_reader_limit_is_two(self, tmp_path, capsys, text):
+        path = tmp_path / "hostile.gem"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: JSON past a reader limit: ")
+
+    def test_deep_store_line_is_corrupt(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        for name in ("s4_2", "b4_2"):
+            assert main(["catalog", "add", str(store), str(GEMS / f"{name}.gem"),
+                         "--name", name]) == 0
+            if name == "s4_2":
+                with store.open("a") as fh:
+                    fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+        capsys.readouterr()
+        for _ in range(2):  # the second scan reads the store's index
+            assert main(["--json", "catalog", "scan", str(store)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert [r["name"] for r in payload["records"]] == ["s4_2", "b4_2"]
+            assert payload["corrupt_lines"] == [2]
+
+    def test_huge_exponent_filter_is_two_before_the_store(self, tmp_path,
+                                                          capsys):
+        # the store is a directory: reading it would fail with another error
+        argv = ["catalog", "scan", str(tmp_path), "--where", "chi<1e100000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: filter on 'chi': the value's exponent is above 4300\n")
 
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
@@ -576,6 +612,53 @@ class TestPipelines:
         assert code == 0
         assert capsys.readouterr().out.strip() == (
             "corollary identities: hold for all 4 color choices")
+
+
+class TestExitRule:
+    """The exit code follows from the payload alone: 1 exactly when its
+    ``"ok"`` is false, in human and ``--json`` mode alike."""
+
+    GEMS = sorted(GEMS.glob("*.gem")) + [GOLDEN / "check_dehn_contracted.gem"]
+
+    @staticmethod
+    def argvs(gem, tmp_path):
+        store, out = str(tmp_path / "store.jsonl"), str(tmp_path / "out")
+        bound = ["bound", gem, "--chi", "1", "--mhat", "0", "--h", "1", "--m"]
+        yield from (["validate", gem], ["info", gem], ["genus", gem],
+                    ["gdegree", gem], ["fvector", gem], ["euler", gem],
+                    ["boundary", gem, "-o", out],
+                    ["regularize", gem, "--singular-color", "0", "-o", out],
+                    ["dipoles", gem], ["contract", gem, "-o", out],
+                    ["pi1", gem, "--pair", "0,1"],
+                    [*bound, "0"], [*bound, "3"],
+                    ["catalog", "add", store, gem], ["catalog", "scan", store],
+                    ["export-dot", gem, "-o", out])
+        for suite in ("lemma", "corollary", "omega", "dipole", "dehn"):
+            yield ["check", gem, "--suite", suite]
+
+    @pytest.mark.parametrize("gem", GEMS, ids=lambda p: p.name)
+    def test_exit_one_exactly_when_not_ok(self, tmp_path, capsys, gem):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for argv in self.argvs(str(gem), tmp_path):
+            code = main(argv)
+            human = capsys.readouterr()
+            assert main(["--json", *argv]) == code, argv
+            out = capsys.readouterr().out
+            if code in (0, 1):
+                payload = json.loads(out)
+                assert payload["command"] == argv[0]
+                assert (code == 1) == (payload.get("ok") is False), argv
+            else:  # an error: nothing on stdout in either mode
+                assert out == human.out == "", argv
+            seen.add(argv[0])
+        assert seen == set(subparsers.choices)
+
+    def test_failing_identity_is_one(self, capsys):
+        argv = ["check", str(GOLDEN / "check_dehn_contracted.gem"), "--suite", "dehn"]
+        assert main(argv) == main(["--json", *argv]) == 1
+        assert '"ok":false' in capsys.readouterr().out
 
 
 class TestSharedParser:

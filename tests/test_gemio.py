@@ -72,6 +72,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             read_gem(path)
 
+    @pytest.mark.parametrize("text,message", [
+        # past int()'s digit limit
+        ('{"dimension": 4, "vertices": 1%s, "edges": []}' % ("0" * 5000),
+         "integer string conversion"),
+        # past the recursion limit
+        ('{"dimension": 4, "vertices": 2, "edges": [], "metadata": {"a": %s%s}}'
+         % ("[" * 100_000, "]" * 100_000), "maximum recursion depth"),
+    ], ids=["long_integer", "deep_nesting"])
+    def test_json_past_a_reader_limit(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_gemfile(text)
+
 
 class TestCanonicalForm:
     def test_write_read_write_fixpoint(self, tmp_path, b4):
@@ -280,6 +292,50 @@ class TestCatalog:
     def test_filter_parse_error(self):
         with pytest.raises(ParseError):
             parse_filter("rho_min ~ 0")
+
+    @pytest.mark.parametrize("tail,names,corrupt", [
+        (b'{"note": 1}', ["s4", None, "b4"], []),  # an object: a record
+        (b'{"note": 1', ["s4", "b4"], [2]),
+    ], ids=["object", "truncated"])
+    def test_add_ends_an_unterminated_last_line(self, tmp_path, tail, names,
+                                                corrupt):
+        store = tmp_path / "store.jsonl"
+        catalog_add(store, order_two_gem(4), name="s4")
+        with store.open("ab") as fh:
+            fh.write(tail)
+        rec, added = catalog_add(store, ball_gem(4), name="b4")
+        assert added
+        again, added = catalog_add(store, ball_gem(4), name="b4")
+        assert not added and again == rec
+        assert store.read_bytes().splitlines()[1] == tail
+        hits, warnings = catalog_scan(store)
+        assert [r.get("name") for r in hits] == names
+        assert hits[-1] == rec
+        assert [w.line_number for w in warnings] == corrupt
+
+    def test_huge_exponent_is_text(self):
+        # Fraction("1e100000") would be a 332,000-bit integer
+        assert gemio._coerce("1e4300") == 10 ** 4300
+        assert gemio._coerce("-1.5E-4300") == Fraction(-15, 10 ** 4301)
+        for text in ("1e100000", "1e4301", "-2.5e-4301", " 1e+0004301 ",
+                     "1e" + "9" * 5000):
+            assert gemio._coerce(text) == text
+        assert gemio._coerce("e100000") == "e100000"
+
+    def test_huge_exponent_filter_is_a_parse_error(self):
+        assert parse_filter(" x < 1e4300 ") == ("x", "<", "1e4300")
+        assert parse_filter("name=e100000") == ("name", "=", "e100000")
+        for expr in ("x<1e100000", "x = -1.5E-4301"):
+            with pytest.raises(ParseError, match="exponent is above 4300"):
+                parse_filter(expr)
+
+    def test_huge_exponent_value_compares_as_text(self, tmp_path):
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"digest": "d", "x": "1e100000"}\n')
+        assert catalog_scan(store, ["x>1"])[0] == []
+        assert catalog_scan(store, ["x!=1"])[0] != []
+        assert catalog_scan(store, ["x>1e"])[0] == [
+            {"digest": "d", "x": "1e100000"}]
 
     def test_record_has_invariants(self, s4):
         rec = catalog_record(s4, "s4")
