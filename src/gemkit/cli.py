@@ -34,7 +34,6 @@ from .invariants import (
     genus_table,
     gurau_degree,
     invariant_report,
-    rho_table,
 )
 
 EXIT_OK = 0
@@ -220,9 +219,8 @@ def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
     results = []
     ok = True
     base_abel = pi1.abelianization_rank(pi1.presentation(graph, 0, 1))
-    base_chi = euler_characteristic(graph)
-    base_rho = rho_table(graph) if graph.is_regular else None
-    base_f = f_vector(graph)
+    if graph.is_regular:
+        base_f, base_rho = f_vector(graph), genus_table(graph).doubled
     for site in sites:
         entry = {"color": site.color, "vertices": list(site.vertices)}
         u, v = site.vertices
@@ -237,11 +235,12 @@ def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
         checks_here = [entry["abelianization_invariant"]]
         if graph.is_regular:
             delta = tuple(b - a for b, a in zip(base_f, f_vector(after)))
+            chi_kept = sum((-1) ** h * x for h, x in enumerate(delta)) == 0
             entry["f_delta"] = list(delta)
             entry["f_delta_ok"] = (delta == (1, 4, 6, 5, 2)) if graph.dimension == 4 \
-                else (sum((-1) ** h * x for h, x in enumerate(delta)) == 0)
-            entry["chi_invariant"] = euler_characteristic(after) == base_chi
-            entry["rho_invariant"] = rho_table(after) == base_rho
+                else chi_kept
+            entry["chi_invariant"] = chi_kept
+            entry["rho_invariant"] = genus_table(after).doubled == base_rho
             checks_here += [entry["f_delta_ok"], entry["chi_invariant"],
                             entry["rho_invariant"]]
         ok = ok and all(checks_here)

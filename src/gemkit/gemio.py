@@ -176,8 +176,7 @@ def export_dot(graph: ColoredGraph, path: str | Path,
 # catalog
 #
 # A store holds one record per line, in compact canonical JSON with its
-# "added_at" time, which sorts first: the record's own canonical text is
-# "{" followed by the end of its line.
+# "added_at" time.
 
 
 def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
@@ -200,6 +199,18 @@ def _load_line(line: str):
         return json.loads(line)
     except RecursionError as exc:
         raise ValueError(str(exc)) from exc
+
+
+def _line_record(raw: bytes) -> Optional[dict]:
+    """The record on one store line, as every reader of a store reads it:
+    None for a blank line, ValueError for a corrupt one."""
+    line = raw.decode("utf-8", "surrogateescape").strip()
+    if not line:
+        return None
+    rec = _load_line(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record is not an object")
+    return rec
 
 
 _LINE_REST = re.compile(rb"[^\r\n]*")
@@ -226,11 +237,10 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 start = max(data.rfind(b"\n", 0, hit), data.rfind(b"\r", 0, hit)) + 1
                 stop = _LINE_REST.match(data, hit).end()
                 try:
-                    existing = _load_line(
-                        data[start:stop].decode("utf-8", "surrogateescape"))
+                    existing = _line_record(data[start:stop])
                 except ValueError:
                     existing = None
-                if isinstance(existing, dict) and existing.get("digest") == digest:
+                if existing is not None and existing.get("digest") == digest:
                     existing.pop("added_at", None)
                     return existing, False
                 hit = data.find(key, stop)
@@ -296,7 +306,10 @@ def _coerce(value):
 
 
 _MISSING = object()  # the value of a field a record does not have
-_BLANK = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # what str.strip removes of ASCII
+
+
+def _value(rec: dict, field: str):
+    return _coerce(rec[field]) if field in rec else _MISSING
 
 
 def _holds(value, op, literal) -> bool:
@@ -311,10 +324,9 @@ def _holds(value, op, literal) -> bool:
 class _StoreIndex:
     """What the whole lines at the start of a store parse to: each
     corrupt line's number and message and, per record, where its line
-    lies, where its canonical text lies past the "{" (or that text, for
-    a line not in canonical form) and the coerced value of every field
-    filtered on so far.  All of it follows from those bytes, which
-    ``size`` and ``sha`` identify."""
+    lies, its canonical text once a scan has returned it, and the coerced
+    value of every field filtered on so far.  All of it follows from
+    those bytes, which ``size`` and ``sha`` identify."""
 
     def __init__(self):
         self.size = 0
@@ -322,13 +334,8 @@ class _StoreIndex:
         self.lines = 0                # lines in the first `size` bytes
         self.corrupt = []             # (line number, message) per corrupt line
         self.line_spans = array("q")  # start and end of each record's line
-        self.text_spans = array("q")  # start and end of each record's text
-                                      # past its "{"; -1 unknown, -2 kept
-        self.kept = {}                # record -> text not found in its line
+        self.texts = []               # each record's text, None until returned
         self.columns = {}             # field -> coerced value per record
-
-    def __len__(self) -> int:
-        return len(self.line_spans) // 2
 
     def scan(self, data: bytes, parsed: list
              ) -> tuple[list[JSONText], list[StoreCorruptError]]:
@@ -337,11 +344,11 @@ class _StoreIndex:
         if len(data) < self.size or sha.digest() != self.sha:
             self.__init__()  # not an append: read the store anew
             sha = hashlib.sha256()
+        hits = range(len(self.texts))
         for field, _, _ in parsed:
             if field not in self.columns:
-                self.columns[field] = [self._value(data, i, field)
-                                       for i in range(len(self))]
-        hits = range(len(self))
+                self.columns[field] = [_value(self._record(data, i), field)
+                                       for i in hits]
         for field, op, literal in parsed:
             column = self.columns[field]
             hits = [i for i in hits if _holds(column[i], op, literal)]
@@ -367,62 +374,40 @@ class _StoreIndex:
         warnings."""
         columns = list(self.columns.items())
         checks = [(self.columns[field], op, literal) for field, op, literal in parsed]
-        i = len(self)
+        i = len(self.texts)
         for raw in data[start:end].splitlines(keepends=True):
             self.lines += 1
             line_start, start = start, start + len(raw)
-            line = raw.decode("utf-8", "surrogateescape").strip()
-            if not line:
-                continue
             try:
-                rec = _load_line(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("record is not an object")
+                rec = _line_record(raw)
             except ValueError as exc:
                 self.corrupt.append((self.lines, str(exc)))
                 warnings.append(StoreCorruptError(str(exc), line_number=self.lines))
                 continue
+            if rec is None:
+                continue
             self.line_spans.extend((line_start, start))
-            self.text_spans.extend((-1, -1))
+            self.texts.append(None)
             for field, column in columns:
-                column.append(_coerce(rec[field]) if field in rec else _MISSING)
+                column.append(_value(rec, field))
             for column, op, literal in checks:
                 if not _holds(column[i], op, literal):
                     break
             else:
-                texts.append(self._note(i, raw, line, rec))
+                texts.append(self._text(data, i, rec))
             i += 1
 
-    def _decode(self, data: bytes, i: int) -> tuple[bytes, str, dict]:
-        raw = data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]]
-        line = raw.decode("utf-8", "surrogateescape").strip()
-        return raw, line, _load_line(line)
+    def _record(self, data: bytes, i: int) -> dict:
+        return _line_record(data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]])
 
-    def _value(self, data: bytes, i: int, field: str):
-        rec = self._decode(data, i)[2]
-        return _coerce(rec[field]) if field in rec else _MISSING
-
-    def _text(self, data: bytes, i: int) -> JSONText:
-        start, stop = self.text_spans[2 * i:2 * i + 2]
-        if start >= 0:
-            return JSONText("{" + data[start:stop].decode("ascii"))
-        if start == -2:
-            return self.kept[i]
-        return self._note(i, *self._decode(data, i))
-
-    def _note(self, i: int, raw: bytes, line: str, rec: dict) -> JSONText:
-        """The record's canonical text, noted where its line ends in it
-        past the "{", and kept otherwise."""
-        rec.pop("added_at", None)
-        text = JSONText(_canonical(rec))
-        if raw.isascii() and line.endswith(text[1:]):
-            stop = self.line_spans[2 * i] + len(raw.rstrip(_BLANK))
-            start = stop - len(text) + 1
-            self.text_spans[2 * i], self.text_spans[2 * i + 1] = start, stop
-        else:
-            self.text_spans[2 * i] = -2
-            self.kept[i] = text
-        return text
+    def _text(self, data: bytes, i: int, rec: Optional[dict] = None) -> JSONText:
+        """The record's canonical text, made the first time it is returned."""
+        if self.texts[i] is None:
+            if rec is None:
+                rec = self._record(data, i)
+            rec.pop("added_at", None)
+            self.texts[i] = JSONText(_canonical(rec))
+        return self.texts[i]
 
 
 # One index per process, of the store scanned last.

@@ -3,8 +3,9 @@ line-by-line reads of the store.
 
 These are the loops the library used before it kept a store index and
 searched the store's bytes: they read the store as text with universal
-newlines and decode every line they look at.  Tests compare the library
-against them on the same bytes.
+newlines, strip each line they look at of its blanks and decode it.
+Both read a line alike, as the library's one line reader does.  Tests
+compare the library against them on the same bytes.
 """
 
 import json
@@ -67,8 +68,9 @@ def scan_text(store_path, filters=()):
 
 def find_record(store_path, digest):
     """The stored record ``catalog add`` finds for a digest, or None: the
-    first line holding the digest text that decodes to an object with
-    that digest, read as text with universal newlines."""
+    first line holding the digest text that, stripped as ``scan`` strips
+    it, decodes to an object with that digest, read as text with
+    universal newlines."""
     store = Path(store_path)
     if not store.exists():
         return None
@@ -77,7 +79,7 @@ def find_record(store_path, digest):
             if digest not in line:
                 continue
             try:
-                existing = _load_line(line)
+                existing = _load_line(line.strip())
             except ValueError:
                 continue
             if isinstance(existing, dict) and existing.get("digest") == digest:

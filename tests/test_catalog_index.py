@@ -194,6 +194,18 @@ class TestAgainstColdRead:
         apply(store, ("add", 1))
         assert catalog_scan(store)[0] == RECORDS[:3]
 
+    @pytest.mark.parametrize("ending", ENDINGS)
+    @pytest.mark.parametrize("form", [3, 4])
+    def test_add_finds_a_record_a_scan_returns(self, tmp_path, form, ending):
+        """A line with blanks around its record is the record to ``catalog
+        add`` as to a scan, a blank such as "\\x1c" before its line end
+        included."""
+        store = tmp_path / "store.jsonl"
+        store.write_bytes(record_line(2, form) + ending)
+        assert oracle.find_record(store, RECORDS[2]["digest"]) == RECORDS[2]
+        assert catalog_add(store, POOL[2], name="again") == (RECORDS[2], False)
+        assert catalog_scan(store) == ([RECORDS[2]], [])
+
     def test_stores_take_turns(self, tmp_path):
         one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         for k, graph in enumerate(POOL):
@@ -250,6 +262,33 @@ class TestCost:
         assert added and loads_calls == []
         _, added = catalog_add(store, order_two_gem(3), name="again")
         assert not added and len(loads_calls) == 1
+
+
+class TestTexts:
+    """The index makes a record's text the first time a scan returns it,
+    and keeps it while the store's indexed bytes stay the same."""
+
+    def test_made_on_first_return(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gemio, "_INDEX", gemio._StoreIndex())
+        store = bundled_store(tmp_path / "store.jsonl")
+        assert gemio._catalog_texts(store, ["missing=1"])[0] == []
+        assert gemio._INDEX.texts and set(gemio._INDEX.texts) == {None}
+        first = gemio._catalog_texts(store, ["regular=true"])[0]
+        again = gemio._catalog_texts(store, ["regular=true"])[0]
+        assert first and all(a is b for a, b in zip(first, again, strict=True))
+        assert sum(text is not None for text in gemio._INDEX.texts) == len(first)
+
+    def test_rewrite_drops_the_texts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gemio, "_INDEX", gemio._StoreIndex())
+        store = bundled_store(tmp_path / "store.jsonl")
+        before = gemio._catalog_texts(store)[0]
+        lines = store.read_bytes().splitlines(keepends=True)
+        store.write_bytes(b"".join(reversed(lines)))
+        assert gemio._catalog_texts(store, ["missing=1"])[0] == []
+        assert set(gemio._INDEX.texts) == {None}
+        after = gemio._catalog_texts(store)[0]
+        assert after == before[::-1]
+        assert not any(a is b for a in after for b in before)
 
 
 class TestLineForm:

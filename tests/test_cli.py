@@ -406,6 +406,43 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["ok"] and len(doc["sites"]) == 2
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_dipole_suite_invariants_as_defined(self, monkeypatch, swap):
+        """chi and rho invariance, read from the f-vector delta and the
+        doubled genera, answer as Euler characteristics and genus tables
+        compared whole; with ``swap``, some cancellations are replaced by
+        other gems of the dimension, so that some invariants fail."""
+        import random
+
+        from corpus import grow_by_insertions
+        from gemkit import moves, order_two_gem, random_gem
+        from gemkit.cli import _dipole_suite
+        from gemkit.invariants import euler_characteristic, rho_table
+        real = moves.cancel_1_dipole
+
+        def cancel(graph, site):
+            others = [real(graph, site), order_two_gem(graph.dimension),
+                      random_gem(graph.dimension, 2, seed=site.vertices[0])]
+            return others[sum(site.vertices) % 3 if swap else 0]
+
+        monkeypatch.setattr(moves, "cancel_1_dipole", cancel)
+        gems = ([grow_by_insertions(order_two_gem(d), 4, random.Random(d))
+                 for d in (2, 3, 4, 5)]
+                + [random_gem(3, 8, seed=k) for k in (2, 3)])
+        seen = set()
+        for g in gems:
+            sites = moves.find_1_dipoles(g)
+            entries = _dipole_suite(g)[0]["sites"]
+            assert sites and len(entries) == len(sites)
+            for site, entry in zip(sites, entries):
+                after = cancel(g, site)
+                expected = (euler_characteristic(after) == euler_characteristic(g),
+                            rho_table(after) == rho_table(g))
+                assert (entry["chi_invariant"], entry["rho_invariant"]) == expected
+                seen.add(expected)
+        assert seen == ({(False, False), (True, False), (True, True)} if swap
+                        else {(True, True)})
+
     def test_in_process_main_matches_subprocess(self, capsys):
         code = main(["--json", "euler", str(GEMS / "s4_2.gem")])
         captured = capsys.readouterr()
