@@ -261,23 +261,48 @@ def regularize(graph: ColoredGraph,
 def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     """Greedily cancel 1-dipoles, non-final colors first, until none are
     left: each step cancels the first site ``find_1_dipoles`` would list.
-    With ``verify`` the Euler characteristic and every genus value are
-    asserted unchanged after each cancellation."""
+
+    With ``verify`` each step must remove two vertices and the result keep
+    the input's Euler characteristic and genus table; on a miss the steps
+    are replayed, checked one by one, so the error names the first bad
+    site.  More than n/2 cancellations raise in either mode."""
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
+    current, steps = graph, 0
+    while (site := _first_site(current)) is not None:
+        if steps == graph.num_vertices // 2:
+            raise InternalInconsistencyError(
+                f"contraction did not end after {steps} steps, at {site}")
+        out = cancel_1_dipole(current, site)
+        if verify and out.num_vertices != current.num_vertices - 2:
+            raise _first_failed_step(graph)
+        current, steps = out, steps + 1
+    if verify and _invariants(current) != _invariants(graph):
+        raise _first_failed_step(graph)
+    return current
+
+
+def _invariants(graph: ColoredGraph) -> tuple:
+    """The Euler characteristic and the genus table, twice each genus."""
+    return euler_characteristic(graph), _doubled_genera(graph)[1]
+
+
+def _first_failed_step(graph: ColoredGraph) -> InternalInconsistencyError:
+    """The error naming the first cancellation from ``graph`` that moves an
+    invariant or removes other than two vertices, checked step by step."""
+    chi, genera = _invariants(graph)
     current = graph
-    chi = euler_characteristic(current) if verify else None
-    # twice the genus of every order, in sweep order: the genus table
-    genera = _doubled_genera(current)[1] if verify else None
-    while True:
-        site = _first_site(current)
-        if site is None:
-            return current
-        current = cancel_1_dipole(current, site)
-        if verify:
-            if euler_characteristic(current) != chi:
-                raise InternalInconsistencyError(
-                    f"Euler characteristic changed cancelling {site}")
-            if _doubled_genera(current)[1] != genera:
-                raise InternalInconsistencyError(
-                    f"genus table changed cancelling {site}")
+    while (site := _first_site(current)) is not None:
+        out = cancel_1_dipole(current, site)
+        if euler_characteristic(out) != chi:
+            return InternalInconsistencyError(
+                f"Euler characteristic changed cancelling {site}")
+        if _doubled_genera(out)[1] != genera:
+            return InternalInconsistencyError(
+                f"genus table changed cancelling {site}")
+        if out.num_vertices != current.num_vertices - 2:
+            return InternalInconsistencyError(
+                f"cancelling {site} did not remove two vertices")
+        current = out
+    return InternalInconsistencyError(
+        "a contraction check failed, but no step failed on replay")

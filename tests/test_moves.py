@@ -514,6 +514,121 @@ class TestVerifyPass:
         assert full_contraction(g, verify=False) == other
 
 
+def contraction_gem(kind, d, inserts, seed):
+    """A regular gem to contract: the order-two gem of dimension d grown by
+    insertions, or a random boundary gem, a grown ball gem of dimension d
+    or a grown shell gem, regularized on a seeded singular color."""
+    rng = random.Random(seed)
+    if kind == "grown":
+        return grow_by_insertions(order_two_gem(d), inserts, rng)
+    if kind == "random":
+        p = rng.randint(2, 6)
+        g = random_boundary_gem(d, p, rng.randrange(p), seed=seed)
+    else:
+        g = grow_by_insertions(ball_gem(d) if kind == "ball" else shell_gem(),
+                               inserts, rng)
+    return regularize(g, singular_color=rng.randrange(g.dimension))[0]
+
+
+def oracle_contraction(graph, cancel=None):
+    """``bf.contraction_stepwise`` of the graph, with ``cancel`` (a
+    ``cancel_1_dipole``) run on graphs built from its edge lists."""
+    d = graph.dimension
+
+    def on_edges(n, edges, color, u, v):
+        out = cancel(ColoredGraph.from_edges(d, n, edges),
+                     DipoleSite(color, (u, v)))
+        return out.num_vertices, list(out.edges())
+
+    return bf.contraction_stepwise(d, graph.num_vertices, list(graph.edges()),
+                                   None if cancel is None else on_edges)
+
+
+class TestEndCheck:
+    """The verified contraction compares the invariants at its ends and
+    replays step by step only on a miss; it returns and raises what the
+    per-step check did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["grown", "random", "ball", "shell"]),
+           st.integers(3, 5), st.integers(1, 8), st.integers(0, 2 ** 20))
+    def test_same_output_as_stepwise(self, kind, d, inserts, seed):
+        g = contraction_gem(kind, d, inserts, seed)
+        out = full_contraction(g)
+        assert out == full_contraction(g, verify=False)
+        n, edges, message = oracle_contraction(g)
+        assert message is None
+        assert (out.num_vertices, list(out.edges())) == (n, edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["grown", "ball", "shell"]), st.integers(1, 8),
+           st.integers(0, 2 ** 20), st.integers(0, 30),
+           st.sampled_from(["input", "skip", "random", "swap"]))
+    @example("ball", 2, 9, 0, "swap")  # only the genus table moves
+    def test_replay_names_the_stepwise_site(self, kind, inserts, seed, k,
+                                            fault):
+        """A cancel that returns a wrong graph at the k-th step of the
+        honest contraction: its input, the next step's output, a random
+        gem, or the right graph with two colors swapped."""
+        g = contraction_gem(kind, 4, inserts, seed)
+        real = moves.cancel_1_dipole
+        inputs = []
+
+        def recording(graph, site):
+            inputs.append(graph)
+            return real(graph, site)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "cancel_1_dipole", recording)
+            full_contraction(g, verify=False)
+        if not inputs:
+            return
+        target = inputs[k % len(inputs)]
+
+        def wrong(graph, site):
+            if fault == "input":
+                return graph
+            out = real(graph, site)
+            if fault == "skip":
+                nxt = moves._first_site(out)
+                return out if nxt is None else real(out, nxt)
+            if fault == "random":
+                return random_gem(4, 1 + seed % 5, seed=seed)
+            return swap_colors(out, 0, 1 + seed % 4)
+
+        def faulty(graph, site):
+            return (wrong if graph == target else real)(graph, site)
+
+        n, edges, message = oracle_contraction(g, faulty)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "cancel_1_dipole", faulty)
+            if message is None:
+                out = full_contraction(g)
+                assert (out.num_vertices, list(out.edges())) == (n, edges)
+            else:
+                with pytest.raises(InternalInconsistencyError) as err:
+                    full_contraction(g)
+                assert str(err.value) == message
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_cancel_returning_its_input_raises(self, monkeypatch, verify):
+        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
+        site, calls = moves._first_site(g), []
+
+        def stuck(graph, s):
+            calls.append(s)
+            if len(calls) > 100:
+                raise AssertionError("the contraction loop did not stop")
+            return graph
+
+        monkeypatch.setattr(moves, "cancel_1_dipole", stuck)
+        want = (f"cancelling {site} did not remove two vertices" if verify
+                else f"contraction did not end after 4 steps, at {site}")
+        with pytest.raises(InternalInconsistencyError, match=re.escape(want)):
+            full_contraction(g, verify=verify)
+        assert len(calls) == (2 if verify else 4)
+
+
 class TestShellPipeline:
     def test_shell_regularization_chi_law(self, shell):
         assert boundary_component_count(shell) == 2
