@@ -332,6 +332,23 @@ class TestGolden:
             out += text
         assert out == (GOLDEN / "catalog_bundled.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("gem", ["shell", "shell_h2"])
+    def test_regularize_matches_golden(self, gem, tmp_path):
+        """``regularize`` with every singular color: each payload without
+        its ``output``, then the gem it wrote."""
+        out = b""
+        for c in range(4):
+            path = tmp_path / f"color{c}.gem"
+            code, text, _ = run_cli("--json", "regularize", f"gems/{gem}.gem",
+                                    "--singular-color", str(c), "-o", str(path))
+            assert code == 0
+            payload = json.loads(text)
+            assert payload.pop("output") == str(path)
+            out += json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")).encode() + b"\n"
+            out += path.read_bytes()
+        assert out == (GOLDEN / f"regularize_{gem}.txt").read_bytes()
+
 
 class TestPipelines:
     def test_regularize_contract_roundtrip(self, tmp_path):
