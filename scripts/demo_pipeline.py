@@ -18,7 +18,7 @@ from gemkit import (
     check_semisimple,
     gem_complexity_relation,
     invariant_report,
-    sphericity_heuristic,
+    regular_genus,
 )
 from gemkit.errors import GemError
 from gemkit.gemio import read_gem
@@ -50,8 +50,10 @@ def main() -> int:
     print(f"  boundary components: {h}")
     for k in range(h):
         comp = bg.component_subgraph(k)
+        # genus 0 certifies a sphere; a positive genus leaves it open
+        sphere = regular_genus(comp)[0] == 0
         print(f"    component {k}: {comp.num_vertices} vertices, "
-              f"{sphericity_heuristic(comp).value}")
+              f"{'ProvenSphere' if sphere else 'Unknown'}")
 
     identities = check_regularization_identities(graph, args.singular_color)
     print(f"capping identities with color {args.singular_color}: "

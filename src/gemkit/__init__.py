@@ -10,11 +10,9 @@ together in dimension four.
 
 from .boundary import (
     BoundaryGraph,
-    Sphericity,
     boundary_component_count,
     boundary_g,
     boundary_graph,
-    sphericity_heuristic,
 )
 from .checks import (
     check_bound_on_gem,

@@ -9,16 +9,10 @@ d-colored graph encoding one boundary component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .core import NO_EDGE, ColoredGraph, _from_maps, residues
-from .errors import (
-    InternalInconsistencyError,
-    InvalidColorError,
-    NoBoundaryError,
-    NotRegularError,
-)
+from .errors import InternalInconsistencyError, InvalidColorError, NoBoundaryError
 
 
 @dataclass(frozen=True)
@@ -100,22 +94,3 @@ def boundary_component_count(graph: ColoredGraph) -> int:
         return 0
     return boundary_graph(graph).num_components
 
-
-class Sphericity(Enum):
-    PROVEN_SPHERE = "ProvenSphere"
-    UNKNOWN = "Unknown"
-
-
-def sphericity_heuristic(component: ColoredGraph) -> Sphericity:
-    """Sound genus-zero sphere certificate for a regular component.
-
-    Sweeps every cyclic color order with the closed genus formula and
-    certifies a sphere when the minimum vanishes.  Complete for surface
-    components; sound for 3-dimensional ones.
-    """
-    from .invariants import regular_genus  # invariants imports boundary
-
-    if not component.is_regular:
-        raise NotRegularError("sphericity test needs a regular component")
-    rho_min, _ = regular_genus(component)
-    return Sphericity.PROVEN_SPHERE if rho_min == 0 else Sphericity.UNKNOWN

@@ -129,6 +129,10 @@ def cmd_regularize(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
 
 
 def cmd_dipoles(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
+    if args.cancel is None:  # only a cancellation writes a gem
+        for flag, value in (("-o/--output", args.output), ("--name", args.name)):
+            if value is not None:
+                raise ParseError(f"{flag} needs --cancel")
     sites = moves.find_1_dipoles(graph)
     payload = {"ok": True, "sites": [{"color": s.color, "vertices": list(s.vertices)}
                                      for s in sites]}
@@ -191,15 +195,11 @@ def cmd_pi1(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     except ValueError as exc:
         raise ParseError(f"--pair wants I,J with integers, got {args.pair!r}") from exc
     pres = pi1.presentation(graph, i, j)
-    upper = None
     if args.simplify:
-        pres, settled = pi1._tietze(pres)
-        if settled:  # a fixed point simplifies to itself
-            upper = pres.num_generators
+        pres = pi1.tietze_simplify(pres)
     free_rank, divisors = pi1.abelianization_rank(pres)
     lower = free_rank + len(divisors)
-    if upper is None:
-        upper = pi1.tietze_simplify(pres).num_generators
+    upper = pi1.tietze_simplify(pres).num_generators
     payload = {
         "ok": True, "pair": [min(i, j), max(i, j)],
         "generators": pres.num_generators,
@@ -325,10 +325,16 @@ def cmd_catalog(graph, args) -> tuple[dict, list[str]]:
     if args.action == "add":
         if args.file is None:
             raise ParseError("catalog add needs a gem FILE")
+        if args.where:
+            raise ParseError("catalog add takes no --where")
         graph = gemio.read_gem(args.file)
         record, added = gemio.catalog_add(args.store, graph, name=args.name)
         return ({"action": "add", "ok": True, "added": added, "record": record},
                 [("added " if added else "already present: ") + record["digest"]])
+    if args.file is not None:
+        raise ParseError(f"catalog scan takes no gem FILE, got {args.file!r}")
+    if args.name is not None:
+        raise ParseError("catalog scan takes no --name")
     if args.json:  # the records as their stored text, never decoded
         records, warnings = gemio._catalog_texts(args.store, args.where or ())
         human = []

@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .boundary import boundary_graph
-from .core import (NO_EDGE, ColoredGraph, _from_maps, _least_vertices,
-                   _residues_by_mask, _unite)
+from .core import NO_EDGE, ColoredGraph, _from_maps, _residues_by_mask, _unite
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -34,14 +32,12 @@ class DipoleSite:
 
 @dataclass(frozen=True)
 class RegularizationRecord:
-    """What regularize did: the chosen singular color (or per-component
-    choices), the capping edges added before any swap, and the final
-    color transposition (None when skipped)."""
+    """What regularize did: the singular color, the capping edges added
+    before the swap, and the color transposition."""
 
-    singular_color_choice: Optional[int]
-    per_component_choice: Optional[tuple[tuple[int, int], ...]]
+    singular_color_choice: int
     added_edges: tuple[tuple[int, int], ...]
-    color_swap: Optional[tuple[int, int]]
+    color_swap: tuple[int, int]
 
 
 def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
@@ -167,35 +163,22 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
 
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
-    """Join the two boundary endpoints of every maximal {color, d}-path by
-    a new final-color edge.  Returns the capped (regular) graph and the
-    added edges; colors are not swapped."""
-    return _cap(graph, [color] * boundary_graph(graph).num_components)
-
-
-def _cap(graph: ColoredGraph, choice: list[int]) -> tuple[ColoredGraph, tuple]:
-    """Cap boundary component k along the boundary graph's color-choice[k]
-    edges, each of which joins the two ends of one {c, d}-path, and list
-    the added edges by the least vertex of the path they close."""
+    """Join the two boundary ends of every maximal {color, d}-path by a new
+    final-color edge.  Returns the capped (regular) graph and the added
+    edges, listed by the least vertex of the path they close; colors are
+    not swapped."""
     d = graph.dimension
-    if not all(0 <= c < d for c in choice):
+    if not 0 <= color < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    bg = boundary_graph(graph)
-    # the labels of each chosen {c, d}-residue, and its paths' least vertices
-    residue = {}
-    for c in set(choice):
-        labels = _residues_by_mask(graph, 1 << c | 1 << d).labels
-        residue[c] = labels, _least_vertices(labels)
-    paths = []
-    for i, k in enumerate(bg.component_map):
-        c = choice[k]
-        j = bg.graph.color_maps[c][i]
-        if i < j:
-            u, v = bg.parent_vertex_map[i], bg.parent_vertex_map[j]
-            labels, least = residue[c]
-            paths.append((least[labels[u]], u, v))
-    paths.sort()
-    added = tuple((u, v) for _, u, v in paths)
+    if graph.is_regular:
+        raise NoBoundaryError("graph is regular: empty boundary")
+    # a boundary vertex ends the {color, d}-path through it, so each path's
+    # residue holds its two ends; residues are numbered by least vertex
+    labels = _residues_by_mask(graph, 1 << color | 1 << d).labels
+    ends = {}
+    for v in graph.boundary_vertices():
+        ends.setdefault(labels[v], []).append(v)
+    added = tuple(tuple(ends[k]) for k in sorted(ends))
     final = list(graph.color_maps[d])
     for u, v in added:
         final[u], final[v] = v, u
@@ -221,41 +204,18 @@ def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:
     return _from_maps(graph.dimension, maps)
 
 
-def regularize(graph: ColoredGraph,
-               singular_color: Optional[int] = None,
-               per_component: Optional[dict[int, int]] = None,
+def regularize(graph: ColoredGraph, singular_color: int
                ) -> tuple[ColoredGraph, RegularizationRecord]:
-    """Cap the boundary and make the graph regular.
-
-    With a uniform ``singular_color`` c, every maximal {c, d}-path is
-    capped and colors c and d are then transposed, so the result has d as
-    its only singular color.  With ``per_component`` choices (boundary
-    component index -> color) each component is capped with its own color
-    and the swap is skipped.
-    """
-    d = graph.dimension
+    """Cap the boundary and make the graph regular: every maximal
+    {c, d}-path of the singular color c is capped and colors c and d are
+    then transposed, so the result has d as its only singular color."""
     if graph.is_regular:
         raise NoBoundaryError("graph is already regular")
-    if (singular_color is None) == (per_component is None):
-        raise InvalidColorError(
-            "choose exactly one of singular_color and per_component")
-    n = boundary_graph(graph).num_components
-    if per_component is None:
-        choice, listed, swap = [singular_color] * n, None, (singular_color, d)
-    else:
-        if set(per_component) != set(range(n)):
-            raise InvalidColorError(
-                f"need one color per boundary component 0..{n - 1}")
-        choice = [per_component[k] for k in range(n)]
-        listed, swap = tuple(sorted(per_component.items())), None
-    out, added = _cap(graph, choice)
-    record = RegularizationRecord(
-        singular_color_choice=singular_color,
-        per_component_choice=listed,
-        added_edges=added,
-        color_swap=swap,
-    )
-    return (out if swap is None else swap_colors(out, *swap)), record
+    capped, added = cap_boundary(graph, singular_color)
+    swap = (singular_color, graph.dimension)
+    return swap_colors(capped, *swap), RegularizationRecord(
+        singular_color_choice=singular_color, added_edges=added,
+        color_swap=swap)
 
 
 def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:

@@ -160,14 +160,7 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
                     ) -> GroupPresentation:
     """Free/cyclic reduction, empty-relator removal, and elimination of
     generators that occur exactly once in some relator, substituting in
-    the rest.  Runs to a fixed point under a bounded pass budget."""
-    return _tietze(pres, max_passes)[0]
-
-
-def _tietze(pres: GroupPresentation, max_passes: int = 200
-            ) -> tuple[GroupPresentation, bool]:
-    """``tietze_simplify``, and whether it stopped at a fixed point rather
-    than on its pass budget.
+    the rest.  Runs to a fixed point under a bounded pass budget.
 
     Each pass eliminates one generator from the first relator, in
     (length, word) order, that has a letter occurring once in it.  While
@@ -178,7 +171,6 @@ def _tietze(pres: GroupPresentation, max_passes: int = 200
     words = {w for w in map(_cyclic_reduce, pres.relators) if w}
     units = {w[0] for w in words if len(w) == 1}
     eliminated = set()
-    settled = False
     for _ in range(max_passes):
         if units:
             t = min(units)
@@ -189,7 +181,6 @@ def _tietze(pres: GroupPresentation, max_passes: int = 200
                 if once:
                     break
             else:
-                settled = True
                 break
             g = min(once)
             k = next(idx for idx, t in enumerate(word) if abs(t) == g)
@@ -214,7 +205,7 @@ def _tietze(pres: GroupPresentation, max_passes: int = 200
     words = sorted((tuple(number[t] if t > 0 else -number[-t] for t in w)
                     for w in words), key=lambda w: (len(w), w))
     return replace(pres, num_generators=len(survivors),
-                   cycle_relators=tuple(words), tree_relators=()), settled
+                   cycle_relators=tuple(words), tree_relators=())
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

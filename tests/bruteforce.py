@@ -188,6 +188,30 @@ def boundary_edges(dimension, num_vertices, edges):
     return len(boundary), out
 
 
+def capping_edges(dimension, num_vertices, edges, c):
+    """The new color-d edges that cap the boundary along color c: from
+    each boundary vertex, walk c, d, c, ... to the other end of its
+    path, and join the two ends.  Listed as (u, v) with u < v, by the
+    least vertex of the path."""
+    d = dimension
+    mate = {k: {} for k in range(d + 1)}
+    for u, v, k in edges:
+        mate[k][u] = v
+        mate[k][v] = u
+    out = []
+    for u in range(num_vertices):
+        if u in mate[d]:
+            continue
+        path, cur, nxt = [u], u, c
+        while cur in mate[nxt]:
+            cur = mate[nxt][cur]
+            path.append(cur)
+            nxt = d if nxt == c else c
+        if u < cur:
+            out.append((min(path), u, cur))
+    return [(u, v) for _, u, v in sorted(out)]
+
+
 def rho_closed(dimension, num_vertices, edges, eps):
     """2 - 2*rho = sum of consecutive-pair component counts + (1-d)p."""
     d = dimension
@@ -241,21 +265,10 @@ def regularization_identities(dimension, num_vertices, edges, c):
     every count found by search on the input, the capped graph and the
     boundary graph, and every genus compared as a Fraction."""
     d = dimension
-    mate = {k: {} for k in range(d + 1)}
-    for u, v, k in edges:
-        mate[k][u] = v
-        mate[k][v] = u
-    boundary = sorted(v for v in range(num_vertices) if v not in mate[d])
-    p_bar = len(boundary) // 2
-    capped = list(edges)
-    for u in boundary:
-        cur, nxt = u, c
-        while cur in mate[nxt]:
-            cur = mate[nxt][cur]
-            nxt = d if nxt == c else c
-        if u < cur:
-            capped.append((u, cur, d))
+    capped = list(edges) + [(u, v, d) for u, v in
+                            capping_edges(d, num_vertices, edges, c)]
     bn, bedges = boundary_edges(d, num_vertices, edges)
+    p_bar = bn // 2
 
     def bcount(*colors):
         return count_components(bn, bedges, set(colors))

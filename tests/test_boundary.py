@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemkit import (
-    Sphericity,
     ball_gem,
     boundary_component_count,
     boundary_g,
@@ -11,10 +10,10 @@ from gemkit import (
     classify_vertices,
     order_two_gem,
     random_boundary_gem,
+    regular_genus,
     residues,
-    sphericity_heuristic,
 )
-from gemkit.errors import InvalidColorError, NoBoundaryError, NotRegularError
+from gemkit.errors import InvalidColorError, NoBoundaryError
 from gemkit.moves import insert_1_dipole
 
 import bruteforce as bf
@@ -45,7 +44,7 @@ class TestBoundaryGraph:
         bg = boundary_graph(bigger)
         assert bg.num_components == 1
         assert bg.graph.num_vertices == 4
-        assert sphericity_heuristic(bg.component_subgraph(0)) is Sphericity.PROVEN_SPHERE
+        assert regular_genus(bg.component_subgraph(0))[0] == 0
 
     def test_regular_rejected(self, s4):
         with pytest.raises(NoBoundaryError):
@@ -88,20 +87,18 @@ class TestComponentCount:
 
 
 class TestSphericity:
+    """Genus 0 certifies a sphere; a positive genus leaves it open."""
+
     def test_b4_boundary_is_sphere(self, b4):
         bg = boundary_graph(b4)
-        assert sphericity_heuristic(bg.component_subgraph(0)) is Sphericity.PROVEN_SPHERE
+        assert regular_genus(bg.component_subgraph(0))[0] == 0
 
     def test_torus_unknown(self):
-        assert sphericity_heuristic(k33_graph()) is Sphericity.UNKNOWN
+        assert regular_genus(k33_graph())[0] != 0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_order_two_sphere(self, d):
-        assert sphericity_heuristic(order_two_gem(d)) is Sphericity.PROVEN_SPHERE
-
-    def test_not_regular(self, b4):
-        with pytest.raises(NotRegularError):
-            sphericity_heuristic(b4)
+        assert regular_genus(order_two_gem(d))[0] == 0
 
 
 class TestBoundaryProperties:

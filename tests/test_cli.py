@@ -224,6 +224,33 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: filter on 'chi': the value's exponent is above 4300\n")
 
+    @pytest.mark.parametrize("case", [
+        "scan_file", "scan_name", "add_where", "dipoles_output", "dipoles_name"])
+    def test_ignored_argument_is_two(self, tmp_path, capsys, case):
+        """An argument the command would do nothing with is refused, and
+        nothing is written."""
+        gem, store = str(GEMS / "b4_2.gem"), tmp_path / "store.jsonl"
+        out = tmp_path / "out.gem"
+        store.write_bytes(b"")
+        argv, message = {
+            "scan_file": (["catalog", "scan", str(store), gem],
+                          f"catalog scan takes no gem FILE, got {gem!r}"),
+            "scan_name": (["catalog", "scan", str(store), "--name", "x"],
+                          "catalog scan takes no --name"),
+            "add_where": (["catalog", "add", str(store), gem,
+                           "--where", "regular=true"],
+                          "catalog add takes no --where"),
+            "dipoles_output": (["dipoles", gem, "-o", str(out)],
+                               "-o/--output needs --cancel"),
+            "dipoles_name": (["dipoles", gem, "--name", "x"],
+                             "--name needs --cancel"),
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert store.read_bytes() == b"" and not out.exists()
+
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
                              "--chi", "1", "--m", "3", "--mhat", "0", "--h", "1")
@@ -544,23 +571,28 @@ class TestPipelines:
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
 
     @pytest.mark.parametrize("simplify", [True, False])
-    def test_pi1_runs_tietze_once(self, capsys, monkeypatch, simplify):
-        """A simplification that settled gives the upper rank bound itself."""
+    def test_pi1_reads_upper_bound_from_tietze(self, capsys, monkeypatch,
+                                               simplify):
+        """The upper rank bound is the generator count of the printed
+        presentation, simplified: with --simplify, of its own fixed
+        point."""
         from gemkit import pi1
 
         calls = []
-        real = pi1._tietze
+        real = pi1.tietze_simplify
 
         def counting(pres, *args):
-            calls.append(pres)
-            return real(pres, *args)
+            calls.append(real(pres, *args))
+            return calls[-1]
 
-        monkeypatch.setattr(pi1, "_tietze", counting)
+        monkeypatch.setattr(pi1, "tietze_simplify", counting)
         argv = ["--json", "pi1", str(GEMS / "k33.gem"), "--pair", "0,1"]
         argv += ["--simplify"] * simplify
         assert main(argv) == 0
-        assert len(calls) == 1
-        assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
+        assert len(calls) == 1 + simplify
+        out = capsys.readouterr().out
+        assert json.loads(out)["rank_bounds"][1] == calls[-1].num_generators
+        assert out.encode() == run_cli(*argv)[1]
 
     def test_info_above_the_sweep_cap_builds_once(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -156,8 +156,6 @@ class TestRewritesRevalidate:
             bg = boundary_graph(g)
             outputs.append(cap_boundary(g, color)[0])
             outputs.append(regularize(g, singular_color=color)[0])
-            choice = {k: rng.randrange(d) for k in range(bg.num_components)}
-            outputs.append(regularize(g, per_component=choice)[0])
             outputs += [bg.component_subgraph(k)
                         for k in range(bg.num_components)]
             if bg.num_components == 1:

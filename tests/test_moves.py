@@ -28,6 +28,7 @@ from gemkit.errors import (
 )
 from gemkit.moves import (
     DipoleSite,
+    RegularizationRecord,
     cancel_1_dipole,
     cap_boundary,
     find_1_dipoles,
@@ -335,38 +336,23 @@ class TestRegularize:
         with pytest.raises(InvalidColorError):
             regularize(b4, singular_color=4)
 
-    def test_choice_is_exclusive(self, b4):
+    def test_error_order(self, s4):
+        # regularize rejects a regular gem first, cap_boundary a bad color
+        with pytest.raises(NoBoundaryError):
+            regularize(s4, singular_color=4)
         with pytest.raises(InvalidColorError):
-            regularize(b4)
-        with pytest.raises(InvalidColorError):
-            regularize(b4, singular_color=0, per_component={0: 0})
-
-    def test_per_component_skips_swap(self, b4):
-        out, record = regularize(b4, per_component={0: 3})
-        capped, _ = cap_boundary(b4, 3)
-        assert out == capped
-        assert record.color_swap is None
-        assert record.per_component_choice == ((0, 3),)
-
-    def test_per_component_mixed_choices(self, shell):
-        out, record = regularize(shell, per_component={0: 0, 1: 2})
-        assert out.is_regular
-        assert len(record.added_edges) == len(shell.boundary_vertices()) // 2
-        assert out.num_vertices == shell.num_vertices
+            cap_boundary(s4, 4)
+        with pytest.raises(NoBoundaryError):
+            cap_boundary(s4, 0)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3),
-           st.integers(0, 3))
-    def test_per_component_caps_like_cap_boundary(self, p, seed, a, b):
+    @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))
+    def test_caps_like_cap_boundary(self, p, seed, c):
         g = random_boundary_gem(4, p, max(0, p - 2), seed=seed)
-        choice = {k: (a, b)[k % 2] for k in range(boundary_component_count(g))}
-        out, record = regularize(g, per_component=choice)
-        capped_a, added_a = cap_boundary(g, a)
-        added_b = cap_boundary(g, b)[1]
-        assert len(record.added_edges) == len(g.boundary_vertices()) // 2
-        assert set(record.added_edges) <= set(added_a) | set(added_b)
-        if a == b:
-            assert out == capped_a and record.added_edges == added_a
+        out, record = regularize(g, singular_color=c)
+        capped, added = cap_boundary(g, c)
+        assert out == swap_colors(capped, c, 4)
+        assert record == RegularizationRecord(c, added, (c, 4))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 10), st.integers(0, 2 ** 20),
@@ -381,9 +367,15 @@ class TestRegularize:
         assert all(dec.component_of(u) == dec.component_of(v) and u < v
                    for u, v in added)
 
-    def test_per_component_needs_all_components(self, shell):
-        with pytest.raises(InvalidColorError):
-            regularize(shell, per_component={0: 0})
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 11), st.integers(0, 2 ** 20),
+           st.integers(0, 5))
+    def test_capping_matches_walk_oracle(self, d, p, seed, c):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        c %= d
+        _, added = cap_boundary(g, c)
+        assert list(added) == bf.capping_edges(d, g.num_vertices,
+                                               list(g.edges()), c)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))
