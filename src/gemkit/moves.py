@@ -7,6 +7,7 @@ All rewrites return new graphs; inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .core import NO_EDGE, ColoredGraph, _from_maps, _residues_by_mask, _unite
@@ -222,24 +223,86 @@ def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     """Greedily cancel 1-dipoles, non-final colors first, until none are
     left: each step cancels the first site ``find_1_dipoles`` would list.
 
-    With ``verify`` each step must remove two vertices and the result keep
-    the input's Euler characteristic and genus table; on a miss the steps
-    are replayed, checked one by one, so the error names the first bad
-    site.  More than n/2 cancellations raise in either mode."""
+    The steps run in one pass over one copy of the color maps, on the
+    input's vertex numbers; the result is built once, at the end.  For
+    each color j the pass keeps the input's residue labels of the colors
+    other than j in a union-find, and stays exact because cancelling a
+    site x-y of color c changes these residues in one way only.  For
+    j != c, x and y lie in one residue of the colors other than j, where
+    they are a 1-dipole, and a regular residue stays connected when one
+    is cancelled: every two mates of x lie on a bicolored cycle through
+    x, so the residue without x is connected, and likewise without y,
+    and the welds join the two.  Every other such residue is untouched.
+    For j = c, the same argument joins the residues of x and y into one,
+    so their labels are united.  Labels only merge, so an edge that is
+    not a site never becomes one, and only the welded edges are new
+    candidates.  The pass keeps each color's candidates in a heap by least
+    vertex and drops those that died or merged when they come to the top.
+    Removing two vertices keeps the order of the rest, so the first site
+    by (color, least vertex) is the one the step-by-step search finds.
+
+    With ``verify`` the result must keep the input's Euler characteristic
+    and genus table and hold no site; on a miss the steps are replayed,
+    checked one by one, so the error names the first bad site."""
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
-    current, steps = graph, 0
-    while (site := _first_site(current)) is not None:
-        if steps == graph.num_vertices // 2:
-            raise InternalInconsistencyError(
-                f"contraction did not end after {steps} steps, at {site}")
-        out = cancel_1_dipole(current, site)
-        if verify and out.num_vertices != current.num_vertices - 2:
-            raise _first_failed_step(graph)
-        current, steps = out, steps + 1
-    if verify and _invariants(current) != _invariants(graph):
+    out = _contract(graph)
+    if verify and (_invariants(out) != _invariants(graph)
+                   or _first_site(out) is not None):
         raise _first_failed_step(graph)
-    return current
+    return out
+
+
+def _contract(graph: ColoredGraph) -> ColoredGraph:
+    """The one pass of ``full_contraction`` on a regular graph: every step
+    kills two live vertices, so it ends within n/2 steps."""
+    maps = [list(row) for row in graph.color_maps]
+    labels = [_labels_without(graph, j) for j in graph.colors]
+    up = [list(range(max(lab) + 1)) for lab in labels]
+    heaps = [[(u, v) for u, v in enumerate(row) if v > u and lab[u] != lab[v]]
+             for row, lab in zip(maps, labels)]  # sorted by u, so heaps
+    alive = [True] * graph.num_vertices
+    while (site := _next_site(maps, labels, up, heaps, alive)) is not None:
+        c, x, y = site
+        for k, row in enumerate(maps):
+            if k != c:
+                a, b = row[x], row[y]
+                row[a], row[b] = b, a
+                if _root(up[k], labels[k][a]) != _root(up[k], labels[k][b]):
+                    heappush(heaps[k], (a, b) if a < b else (b, a))
+        alive[x] = alive[y] = False
+        up[c][_root(up[c], labels[c][x])] = _root(up[c], labels[c][y])
+    if all(alive):  # a contracted input comes back with its memo
+        return graph
+    kept = [v for v in range(graph.num_vertices) if alive[v]]
+    relabel = [NO_EDGE] * graph.num_vertices
+    for i, v in enumerate(kept):
+        relabel[v] = i
+    return _from_maps(graph.dimension,
+                      [[relabel[row[v]] for v in kept] for row in maps])
+
+
+def _next_site(maps, labels, up, heaps, alive) -> Optional[tuple[int, int, int]]:
+    """The color and ends (x < y) of the first site by color and least
+    vertex, or None; entries whose first end died, whose edge is gone or
+    whose labels were united are dropped from the heaps on the way."""
+    for c, heap in enumerate(heaps):
+        row, lab, ups = maps[c], labels[c], up[c]
+        while heap:
+            x, y = heap[0]
+            if (alive[x] and row[x] == y
+                    and _root(ups, lab[x]) != _root(ups, lab[y])):
+                return c, x, y
+            heappop(heap)
+    return None
+
+
+def _root(up: list[int], k: int) -> int:
+    """The representative of label k in the union-find ``up``, halving the
+    path on the way."""
+    while up[k] != k:
+        up[k] = k = up[up[k]]
+    return k
 
 
 def _invariants(graph: ColoredGraph) -> tuple:

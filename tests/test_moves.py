@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from gemkit import (
 )
 from gemkit.errors import (
     DisconnectedError,
+    GemError,
     InternalInconsistencyError,
     InvalidColorError,
     NoBoundaryError,
@@ -38,6 +40,7 @@ from gemkit.moves import (
     swap_colors,
 )
 
+import gemkit.core as core
 import gemkit.moves as moves
 from gemkit.core import ColoredGraph
 
@@ -479,31 +482,38 @@ class TestFirstSite:
         assert inner_first(g) is None and final_only
 
 
-class TestVerifyPass:
-    """A cancellation that moved an invariant is named by the verify pass."""
+HONEST_REPLAY = "a contraction check failed, but no step failed on replay"
 
-    def run_with(self, monkeypatch, result):
-        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
-        monkeypatch.setattr(moves, "cancel_1_dipole", lambda graph, site: result)
-        return g, moves._first_site(g)
+
+class TestVerifyPass:
+    """A contraction pass whose result moved an invariant fails the end
+    check; the replay cancels honestly, so the error says so."""
+
+    def run_with(self, monkeypatch, g, result):
+        monkeypatch.setattr(moves, "_contract", lambda graph: result)
+        assert full_contraction(g, verify=False) is result
+        with pytest.raises(InternalInconsistencyError) as err:
+            full_contraction(g)
+        return str(err.value)
 
     def test_euler_characteristic_change(self, monkeypatch):
-        other = random_gem(4, 3, seed=0)
-        assert euler_characteristic(other) != 2
-        g, site = self.run_with(monkeypatch, other)
-        with pytest.raises(InternalInconsistencyError, match=re.escape(
-                f"Euler characteristic changed cancelling {site}")):
-            full_contraction(g)
+        # contracted gems with one genus table, the second one's Euler
+        # characteristic one more: only the characteristic tells them apart
+        start = full_contraction(random_gem(4, 3, seed=42))
+        other = full_contraction(random_gem(4, 4, seed=48))
+        g = grow_by_insertions(start, 3, random.Random(4))
+        assert rho_table(other) == rho_table(g)
+        assert euler_characteristic(other) == euler_characteristic(g) + 1
+        assert moves._first_site(other) is None
+        assert self.run_with(monkeypatch, g, other) == HONEST_REPLAY
 
     def test_genus_table_change(self, monkeypatch):
+        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
         other = random_gem(4, 2, seed=0)
         assert euler_characteristic(other) == 2
         assert rho_table(other) != rho_table(order_two_gem(4))
-        g, site = self.run_with(monkeypatch, other)
-        with pytest.raises(InternalInconsistencyError, match=re.escape(
-                f"genus table changed cancelling {site}")):
-            full_contraction(g)
-        assert full_contraction(g, verify=False) == other
+        assert moves._first_site(other) is None
+        assert self.run_with(monkeypatch, g, other) == HONEST_REPLAY
 
 
 def contraction_gem(kind, d, inserts, seed):
@@ -536,14 +546,29 @@ def oracle_contraction(graph, cancel=None):
                                    None if cancel is None else on_edges)
 
 
+def oracle_accepts(graph, result):
+    """Whether the oracle finds that ``result`` keeps the Euler
+    characteristic and every genus of ``graph`` and holds no 1-dipole."""
+    d = graph.dimension
+
+    def invariants(h):
+        n, edges = h.num_vertices, list(h.edges())
+        return (bf.euler_characteristic(d, n, edges),
+                [bf.rho_closed(d, n, edges, eps) for eps in bf.cyclic_classes(d)])
+
+    return (invariants(result) == invariants(graph)
+            and bf.first_1_dipole(d, result.num_vertices,
+                                  list(result.edges())) is None)
+
+
 class TestEndCheck:
     """The verified contraction compares the invariants at its ends and
-    replays step by step only on a miss; it returns and raises what the
-    per-step check did."""
+    checks that no site is left; on a miss it replays step by step, and
+    raises what the per-step check finds."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["grown", "random", "ball", "shell"]),
-           st.integers(3, 5), st.integers(1, 8), st.integers(0, 2 ** 20))
+           st.integers(2, 6), st.integers(1, 8), st.integers(0, 2 ** 20))
     def test_same_output_as_stepwise(self, kind, d, inserts, seed):
         g = contraction_gem(kind, d, inserts, seed)
         out = full_contraction(g)
@@ -556,12 +581,42 @@ class TestEndCheck:
     @given(st.sampled_from(["grown", "ball", "shell"]), st.integers(1, 8),
            st.integers(0, 2 ** 20), st.integers(0, 30),
            st.sampled_from(["input", "skip", "random", "swap"]))
+    def test_faulty_pass_fails_the_end_check(self, kind, inserts, seed, k,
+                                             fault):
+        """A pass that returns a wrong graph: its input, the graph after
+        only its first k steps, a random gem, or the right graph with two
+        colors swapped.  The contraction raises exactly when the oracle
+        finds a moved invariant or a 1-dipole left in it."""
+        g = contraction_gem(kind, 4, inserts, seed)
+        right = full_contraction(g)
+        if fault == "random":
+            wrong = random_gem(4, 1 + seed % 5, seed=seed)
+        elif fault == "swap":
+            wrong = swap_colors(right, 0, 1 + seed % 4)
+        else:
+            wrong = g
+            steps = (g.num_vertices - right.num_vertices) // 2
+            for _ in range(k % steps if fault == "skip" and steps else 0):
+                wrong = cancel_1_dipole(wrong, moves._first_site(wrong))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_contract", lambda graph: wrong)
+            if oracle_accepts(g, wrong):
+                assert full_contraction(g) is wrong
+            else:
+                with pytest.raises(InternalInconsistencyError, match=re.escape(
+                        HONEST_REPLAY)):
+                    full_contraction(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["grown", "ball", "shell"]), st.integers(1, 8),
+           st.integers(0, 2 ** 20), st.integers(0, 30),
+           st.sampled_from(["input", "skip", "random", "swap"]))
     @example("ball", 2, 9, 0, "swap")  # only the genus table moves
     def test_replay_names_the_stepwise_site(self, kind, inserts, seed, k,
                                             fault):
-        """A cancel that returns a wrong graph at the k-th step of the
-        honest contraction: its input, the next step's output, a random
-        gem, or the right graph with two colors swapped."""
+        """The replay with a cancel that returns a wrong graph at the k-th
+        step of the honest contraction: its input, the next step's output,
+        a random gem, or the right graph with two colors swapped."""
         g = contraction_gem(kind, 4, inserts, seed)
         real = moves.cancel_1_dipole
         inputs = []
@@ -572,8 +627,10 @@ class TestEndCheck:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moves, "cancel_1_dipole", recording)
-            full_contraction(g, verify=False)
-        if not inputs:
+            honest = moves._first_failed_step(g)
+        assert str(honest) == HONEST_REPLAY
+        if not inputs:  # the gem was contracted already
+            assert moves._first_site(g) is None
             return
         target = inputs[k % len(inputs)]
 
@@ -591,34 +648,94 @@ class TestEndCheck:
         def faulty(graph, site):
             return (wrong if graph == target else real)(graph, site)
 
-        n, edges, message = oracle_contraction(g, faulty)
+        _, _, message = oracle_contraction(g, faulty)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moves, "cancel_1_dipole", faulty)
-            if message is None:
-                out = full_contraction(g)
-                assert (out.num_vertices, list(out.edges())) == (n, edges)
-            else:
-                with pytest.raises(InternalInconsistencyError) as err:
-                    full_contraction(g)
-                assert str(err.value) == message
+            replayed = moves._first_failed_step(g)
+        assert str(replayed) == (message or HONEST_REPLAY)
 
     @pytest.mark.parametrize("verify", [True, False])
     def test_cancel_returning_its_input_raises(self, monkeypatch, verify):
+        """A pass and a cancel that each return their input: the end check
+        finds the site left, and the replay names it for removing no
+        vertex.  Unverified, the input comes back and nothing is replayed."""
         g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
         site, calls = moves._first_site(g), []
 
         def stuck(graph, s):
             calls.append(s)
             if len(calls) > 100:
-                raise AssertionError("the contraction loop did not stop")
+                raise AssertionError("the replay did not stop")
             return graph
 
+        monkeypatch.setattr(moves, "_contract", lambda graph: graph)
         monkeypatch.setattr(moves, "cancel_1_dipole", stuck)
-        want = (f"cancelling {site} did not remove two vertices" if verify
-                else f"contraction did not end after 4 steps, at {site}")
-        with pytest.raises(InternalInconsistencyError, match=re.escape(want)):
-            full_contraction(g, verify=verify)
-        assert len(calls) == (2 if verify else 4)
+        if verify:
+            with pytest.raises(InternalInconsistencyError, match=re.escape(
+                    f"cancelling {site} did not remove two vertices")):
+                full_contraction(g)
+        else:
+            assert full_contraction(g, verify=False) is g
+        assert calls == ([site] if verify else [])
+
+
+def stepwise(graph):
+    """The step-by-step contraction the one pass replaces: cancel
+    ``_first_site`` until none is left.  The graph, or its error's class."""
+    try:
+        for _ in range(graph.num_vertices // 2 + 1):
+            site = moves._first_site(graph)
+            if site is None:
+                return graph
+            graph = cancel_1_dipole(graph, site)
+    except GemError as err:
+        return type(err)
+    raise AssertionError("the step-by-step contraction did not end")
+
+
+class TestOnePass:
+    """The one pass cancels what the step-by-step loop cancels, and its
+    work does not grow with the order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["grown", "random", "ball", "shell"]),
+           st.integers(2, 6), st.integers(1, 30), st.integers(0, 2 ** 20))
+    @example("grown", 4, 200, 1)  # 402 vertices: the gem the CI step grows
+    def test_same_as_stepwise_loop(self, kind, d, inserts, seed):
+        g = contraction_gem(kind, d, inserts, seed)
+        try:
+            out = full_contraction(g, verify=False)
+        except GemError as err:
+            out = type(err)
+        assert out == stepwise(g)
+
+    def test_work_does_not_grow_with_the_order(self):
+        """A verified contraction builds one graph and cancels through no
+        ``cancel_1_dipole``; it decomposes as many residues at 402
+        vertices as at 102."""
+        def work(g):
+            calls = Counter()
+
+            def counted(real, name):
+                def count(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return count
+
+            with pytest.MonkeyPatch.context() as mp:
+                for module, name in ((core, "_walk"), (core, "_merge"),
+                                     (moves, "_from_maps"),
+                                     (moves, "cancel_1_dipole")):
+                    mp.setattr(module, name, counted(getattr(module, name), name))
+                assert full_contraction(g).num_vertices == 2
+            return calls
+
+        small, large = (work(grow_by_insertions(order_two_gem(4), k,
+                                                random.Random(1)))
+                        for k in (50, 200))
+        assert small == large
+        assert small["_from_maps"] == 1 and small["cancel_1_dipole"] == 0
+        assert small["_walk"] and small["_merge"]
 
 
 class TestShellPipeline:
