@@ -251,6 +251,25 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
         assert store.read_bytes() == b"" and not out.exists()
 
+    @pytest.mark.parametrize("case", ["index_past_end", "index_negative",
+                                      "no_output"])
+    def test_refused_cancellation_is_two(self, tmp_path, capsys, case):
+        """A site index out of range, or ``--cancel`` without ``-o``, is
+        refused after the listing, and nothing is printed or written."""
+        out = tmp_path / "out.gem"
+        argv, message = {
+            "index_past_end": (["--cancel", "8", "-o", str(out)],
+                               "no dipole with index 8"),
+            "index_negative": (["--cancel", "-1", "-o", str(out)],
+                               "no dipole with index -1"),
+            "no_output": (["--cancel", "0"], "--cancel needs -o OUT"),
+        }[case]
+        assert main(["--json", "dipoles", str(GEMS / "shell.gem"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
                              "--chi", "1", "--m", "3", "--mhat", "0", "--h", "1")
@@ -375,6 +394,24 @@ class TestGolden:
                               separators=(",", ":")).encode() + b"\n"
             out += path.read_bytes()
         assert out == (GOLDEN / f"regularize_{gem}.txt").read_bytes()
+
+    @pytest.mark.parametrize("gem,sites", [("shell", 8), ("shell_h2", 6)])
+    def test_dipoles_cancel_matches_golden(self, gem, sites, tmp_path, capsys):
+        """``dipoles --cancel`` at every site index: each payload without
+        its ``output``, then the gem it wrote.  Sites with one boundary
+        end drop the final-color edge of the other."""
+        out = b""
+        for k in range(sites):
+            path = tmp_path / f"site{k}.gem"
+            assert main(["--json", "dipoles", f"gems/{gem}.gem",
+                         "--cancel", str(k), "-o", str(path)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert len(payload["sites"]) == sites
+            assert payload.pop("output") == str(path)
+            out += json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")).encode() + b"\n"
+            out += path.read_bytes()
+        assert out == (GOLDEN / f"dipoles_cancel_{gem}.txt").read_bytes()
 
 
 class TestPipelines:
