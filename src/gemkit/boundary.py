@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NO_EDGE, ColoredGraph, _from_maps, residues
+from .core import NO_EDGE, ColoredGraph, _from_maps, _renumbered, residues
 from .errors import InternalInconsistencyError, InvalidColorError, NoBoundaryError
 
 
@@ -37,10 +37,8 @@ class BoundaryGraph:
         verts = [i for i, k in enumerate(self.component_map) if k == index]
         if not verts:
             raise ValueError(f"no boundary component {index}")
-        relabel = {v: i for i, v in enumerate(verts)}
         return _from_maps(self.graph.dimension,
-                          [[relabel[row[v]] for v in verts]
-                           for row in self.graph.color_maps])
+                          _renumbered(self.graph.color_maps, verts))
 
 
 def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:

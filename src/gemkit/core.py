@@ -175,6 +175,17 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
                         is_regular=(n_boundary == 0), is_bipartite=bipartite)
 
 
+def _renumbered(maps: Sequence[Sequence[int]], kept: Sequence[int]
+                ) -> list[list[int]]:
+    """The color maps on the ascending vertices ``kept``, numbered from 0
+    in that order; an edge to a vertex not kept is dropped."""
+    # relabel[NO_EDGE] is the last slot, so a missing edge stays missing
+    relabel = [NO_EDGE] * (len(maps[0]) + 1)
+    for i, v in enumerate(kept):
+        relabel[v] = i
+    return [[relabel[row[v]] for v in kept] for row in maps]
+
+
 @dataclass(frozen=True)
 class ResidueDecomposition:
     """Connected components of the subgraph keeping one color subset.
@@ -356,6 +367,14 @@ def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
                 regular[m] = False
     return ResidueDecomposition._unchecked(color_set, tuple(regular),
                                            tuple([up[k] for k in labels]))
+
+
+def _root(up: list[int], k: int) -> int:
+    """The representative of k in the union-find ``up``, halving the path
+    on the way."""
+    while up[k] != k:
+        up[k] = k = up[up[k]]
+    return k
 
 
 def _least_vertices(labels: Sequence[int]) -> list[int]:

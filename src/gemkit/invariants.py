@@ -20,7 +20,7 @@ from .boundary import boundary_component_count, boundary_g
 from .core import (NO_EDGE, ColoredGraph, _colors_of, _residues_by_mask,
                    classify_vertices, count_g, residues)
 from .errors import (GemError, NonIntegralGenusError, NotRegularError,
-                     TooManyOrdersError)
+                     PreconditionError, TooManyOrdersError)
 
 
 @dataclass(frozen=True, order=True)
@@ -210,10 +210,15 @@ def _one_smaller(mask: int) -> tuple[int, ...]:
     return tuple(mask ^ 1 << c for c in _colors_of(mask))
 
 
+# f_vector walks all 2^(d+1) color sets: 1.2 s and 100 MB at d = 16
+_MAX_F_VECTOR_D = 15
+
+
 def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     """Simplex counts of the associated cell complex: the number of
     h-simplices labeled by a color set B equals the component count of
-    the residue on the complementary colors.
+    the residue on the complementary colors.  Above ``_MAX_F_VECTOR_D``
+    it raises PreconditionError before decomposing any residue.
 
     A residue on no color has a component per vertex, and one on a
     single color a component per edge and per vertex the color misses.
@@ -221,6 +226,10 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     is connected when one on a color fewer is; only the other complements
     of two or more colors are decomposed."""
     d, n = graph.dimension, graph.num_vertices
+    if d > _MAX_F_VECTOR_D:  # 2^(d+1) as a power: its digits may pass str()'s limit
+        raise PreconditionError(
+            f"dimension {d} has 2^{d + 1} color sets, above the f-vector "
+            f"limit of dimension {_MAX_F_VECTOR_D}")
     full = (1 << d + 1) - 1
     fv = [0] * (d + 1)
     fv[d] = n

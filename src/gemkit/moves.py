@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
-from .core import NO_EDGE, ColoredGraph, _from_maps, _residues_by_mask, _unite
+from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
+                   _residues_by_mask, _root, _unite)
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -117,22 +118,25 @@ def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
 
 
 def _weld(graph: ColoredGraph, x: int, y: int) -> ColoredGraph:
-    """The graph without x and y, in which, for every color with mates at
-    both that are not each other, those mates are joined.  A color joining
-    x to y goes with them; a color at only one of them loses its edge, and
-    the far end becomes a boundary vertex."""
+    """The graph without x and y, welded as ``_weld_maps`` welds."""
+    maps = [list(row) for row in graph.color_maps]
+    _weld_maps(maps, x, y)
     kept = [v for v in range(graph.num_vertices) if v != x and v != y]
-    # relabel[NO_EDGE] is the last slot, so a missing edge stays missing
-    # and an edge to x or y is dropped
-    relabel = [NO_EDGE] * (graph.num_vertices + 1)
-    for i, v in enumerate(kept):
-        relabel[v] = i
-    maps = [[relabel[row[v]] for v in kept] for row in graph.color_maps]
-    for row, out in zip(graph.color_maps, maps):
-        a, b = relabel[row[x]], relabel[row[y]]
-        if a != NO_EDGE and b != NO_EDGE:
-            out[a], out[b] = b, a
-    return _from_maps(graph.dimension, maps)
+    return _from_maps(graph.dimension, _renumbered(maps, kept))
+
+
+def _weld_maps(maps: list[list[int]], x: int, y: int) -> None:
+    """Weld x and y in place: for every color whose mates at x and y are
+    not each other, join those mates.  A color at only one of them loses
+    its edge, and the far end becomes a boundary vertex.  The rows of x
+    and y are left as they are."""
+    for row in maps:
+        a, b = row[x], row[y]
+        if a != y:
+            if a != NO_EDGE:
+                row[a] = b
+            if b != NO_EDGE:
+                row[b] = a
 
 
 def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
@@ -241,13 +245,16 @@ def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     Removing two vertices keeps the order of the rest, so the first site
     by (color, least vertex) is the one the step-by-step search finds.
 
-    With ``verify`` the result must keep the input's Euler characteristic
-    and genus table and hold no site; on a miss the steps are replayed,
-    checked one by one, so the error names the first bad site."""
+    With ``verify`` the result must keep the input's genus table and
+    Euler characteristic and hold no site; on a miss the steps are
+    replayed, checked one by one, so the error names the first bad site.
+    The input's invariants are read before the pass, so a dimension too
+    high for either is refused before any step."""
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
+    before = _invariants(graph) if verify else None
     out = _contract(graph)
-    if verify and (_invariants(out) != _invariants(graph)
+    if verify and (_invariants(out) != before
                    or _first_site(out) is not None):
         raise _first_failed_step(graph)
     return out
@@ -264,10 +271,10 @@ def _contract(graph: ColoredGraph) -> ColoredGraph:
     alive = [True] * graph.num_vertices
     while (site := _next_site(maps, labels, up, heaps, alive)) is not None:
         c, x, y = site
+        _weld_maps(maps, x, y)
         for k, row in enumerate(maps):
-            if k != c:
+            if k != c:  # the welded edge, read from the rows of x and y
                 a, b = row[x], row[y]
-                row[a], row[b] = b, a
                 if _root(up[k], labels[k][a]) != _root(up[k], labels[k][b]):
                     heappush(heaps[k], (a, b) if a < b else (b, a))
         alive[x] = alive[y] = False
@@ -275,11 +282,7 @@ def _contract(graph: ColoredGraph) -> ColoredGraph:
     if all(alive):  # a contracted input comes back with its memo
         return graph
     kept = [v for v in range(graph.num_vertices) if alive[v]]
-    relabel = [NO_EDGE] * graph.num_vertices
-    for i, v in enumerate(kept):
-        relabel[v] = i
-    return _from_maps(graph.dimension,
-                      [[relabel[row[v]] for v in kept] for row in maps])
+    return _from_maps(graph.dimension, _renumbered(maps, kept))
 
 
 def _next_site(maps, labels, up, heaps, alive) -> Optional[tuple[int, int, int]]:
@@ -297,23 +300,15 @@ def _next_site(maps, labels, up, heaps, alive) -> Optional[tuple[int, int, int]]
     return None
 
 
-def _root(up: list[int], k: int) -> int:
-    """The representative of label k in the union-find ``up``, halving the
-    path on the way."""
-    while up[k] != k:
-        up[k] = k = up[up[k]]
-    return k
-
-
 def _invariants(graph: ColoredGraph) -> tuple:
-    """The Euler characteristic and the genus table, twice each genus."""
-    return euler_characteristic(graph), _doubled_genera(graph)[1]
+    """The genus table, twice each genus, and the Euler characteristic."""
+    return _doubled_genera(graph)[1], euler_characteristic(graph)
 
 
 def _first_failed_step(graph: ColoredGraph) -> InternalInconsistencyError:
     """The error naming the first cancellation from ``graph`` that moves an
     invariant or removes other than two vertices, checked step by step."""
-    chi, genera = _invariants(graph)
+    genera, chi = _invariants(graph)
     current = graph
     while (site := _first_site(current)) is not None:
         out = cancel_1_dipole(current, site)

@@ -14,34 +14,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, _least_vertices, residues
+from .core import ColoredGraph, _least_vertices, _root, residues
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
-
-
-class UnionFind:
-    """Union-find with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
 
 
 @dataclass(frozen=True)
@@ -110,10 +86,12 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     # residues missing one of the two colors
     left = residues(graph, set(graph.colors) - {i})
     right = residues(graph, set(graph.colors) - {j})
-    uf = UnionFind(left.count + right.count)
+    up = list(range(left.count + right.count))
     tree = []
     for k, v in enumerate(_least_vertices(gens.labels)):
-        if uf.union(left.labels[v], left.count + right.labels[v]):
+        a, b = _root(up, left.labels[v]), _root(up, left.count + right.labels[v])
+        if a != b:
+            up[b] = a
             tree.append((k + 1,))
 
     tag_a = tag_b = None

@@ -334,6 +334,35 @@ def regularization_identities(dimension, num_vertices, edges, c):
     }
 
 
+def tree_generators(dimension, num_vertices, edges, i, j):
+    """The one-letter relators (k + 1,) a pi1 presentation on the colors
+    {i, j} sets trivial.  Generator k is the k-th residue, by least
+    vertex, of the colors other than i and j; it joins the residue
+    without i and the residue without j that hold it.  Kruskal's walk
+    takes the generators in order and keeps each one whose two residues
+    are not yet joined, each joined class kept as a set of residues."""
+    colors = set(range(dimension + 1))
+
+    def residue_of(rest):
+        return {v: k for k, comp in
+                enumerate(bfs_components(num_vertices, edges, rest))
+                for v in comp}
+
+    left, right = residue_of(colors - {i}), residue_of(colors - {j})
+    joined = {}  # residue -> the set of residues joined to it
+    tree = []
+    for k, comp in enumerate(bfs_components(num_vertices, edges,
+                                            colors - {i, j})):
+        a, b = ("left", left[comp[0]]), ("right", right[comp[0]])
+        class_a, class_b = joined.get(a, {a}), joined.get(b, {b})
+        if b not in class_a:
+            merged = class_a | class_b
+            for residue in merged:
+                joined[residue] = merged
+            tree.append((k + 1,))
+    return tuple(tree)
+
+
 def determinant(square):
     """Exact integer determinant by cofactor expansion along the first row."""
     if not square:

@@ -61,6 +61,23 @@ class TestBoundaryGraph:
             comp = bg.component_subgraph(k)
             assert comp.is_regular and comp.num_vertices == 2
 
+    @pytest.mark.parametrize("gem", ["pseudo_shell", "shell"])
+    def test_component_subgraph_is_its_component_renumbered(self, gem,
+                                                            request):
+        bg = boundary_graph(request.getfixturevalue(gem))
+        edges = list(bg.graph.edges())
+        for k in range(bg.num_components):
+            verts = [v for v, m in enumerate(bg.component_map) if m == k]
+            index = {v: i for i, v in enumerate(verts)}
+            assert list(bg.component_subgraph(k).edges()) == sorted(
+                ((index[u], index[v], c) for u, v, c in edges if u in index),
+                key=lambda e: (e[2], e[0]))
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_component_subgraph_out_of_range(self, pseudo_shell, index):
+        with pytest.raises(ValueError, match=f"^no boundary component {index}$"):
+            boundary_graph(pseudo_shell).component_subgraph(index)
+
 
 class TestBoundaryG:
     @pytest.mark.parametrize("colors,expected", [

@@ -206,6 +206,30 @@ class TestAgainstColdRead:
         assert catalog_add(store, POOL[2], name="again") == (RECORDS[2], False)
         assert catalog_scan(store) == ([RECORDS[2]], [])
 
+    def test_scan_cut_short_leaves_no_partial_index(self, tmp_path,
+                                                   monkeypatch):
+        """An exception while an append is indexed drops the index, so the
+        next scan reads the store anew and indexes no line twice."""
+        store = tmp_path / "store.jsonl"
+        store.write_bytes(b"".join(record_line(k, 0) + b"\n" for k in range(2)))
+        assert_scan_matches_oracle(store, (), cli_first=True)
+        with store.open("ab") as fh:
+            fh.write(b"".join(record_line(k, 0) + b"\n" for k in range(2, 5)))
+        real, calls = gemio._line_record, []
+
+        def failing(raw):
+            calls.append(raw)
+            if len(calls) == 2:  # the first appended record is indexed
+                raise RuntimeError("cut short")
+            return real(raw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gemio, "_line_record", failing)
+            with pytest.raises(RuntimeError, match="cut short"):
+                catalog_scan(store)
+        assert cli_scan(store, ()) == oracle.scan_text(store)
+        assert catalog_scan(store)[0] == RECORDS[:5]
+
     def test_stores_take_turns(self, tmp_path):
         one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         for k, graph in enumerate(POOL):

@@ -131,6 +131,51 @@ class TestExitCodes:
             "error: dimension 5000 has more than 1814400 cyclic orders, "
             "above the limit of 181440\n")
 
+    @pytest.mark.parametrize("command,d", [
+        ("fvector", 16), ("fvector", 5000), ("euler", 5000),
+        ("contract", 5000),
+        # 2^20001 has more digits than int() may turn into text
+        ("fvector", 20000)])
+    def test_huge_dimension_f_vector_is_three(self, tmp_path, capsys,
+                                              command, d):
+        """The f-vector walks all 2^(d+1) color sets, so it is refused
+        above its limit before any residue is decomposed; a verified
+        contraction reads the input's genus table first, and is refused
+        by the order limit before the pass."""
+        import time
+
+        path = tmp_path / "huge.gem"
+        path.write_text(json.dumps({"dimension": d, "vertices": 2, "edges": [
+            [0, 1, c] for c in range(d + 1)]}))
+        out = tmp_path / "out.gem"
+        argv = ["--json", command, str(path)]
+        if command == "contract":
+            argv += ["-o", str(out)]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: dimension {d} has 2^{d + 1} color sets, above the "
+            "f-vector limit of dimension 15\n" if command != "contract" else
+            f"error: dimension {d} has more than 1814400 cyclic orders, "
+            "above the limit of 181440\n")
+        assert elapsed < 0.5
+
+    def test_f_vector_limit_still_answers(self, tmp_path, capsys):
+        from math import comb
+
+        from gemkit import order_two_gem
+
+        path = tmp_path / "s15.gem"
+        write_gem(order_two_gem(15), path)
+        assert main(["--json", "fvector", str(path)]) == 0
+        # every nonempty color set of the two vertices is one residue
+        assert json.loads(capsys.readouterr().out)["f_vector"] == [
+            comb(16, h + 1) for h in range(15)] + [2]
+
     @pytest.mark.parametrize("limit,code", [(59, 3), (60, 0)])
     def test_order_limit(self, tmp_path, capsys, monkeypatch, limit, code):
         from gemkit import invariants, random_boundary_gem
@@ -269,6 +314,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("pair", ["a,b", "0", "0,1,2", "1.0,2"])
+    def test_pi1_pair_of_non_integers_is_two(self, capsys, pair):
+        assert main(["--json", "pi1", str(GEMS / "k33.gem"), "--pair", pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --pair wants I,J with integers, got {pair!r}\n")
+
+    def test_catalog_add_without_file_is_two(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        assert main(["--json", "catalog", "add", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalog add needs a gem FILE\n"
+        assert not store.exists()
 
     def test_bound_violation_is_one(self):
         code, _, _ = run_cli("bound", str(GEMS / "b4_2_regularized.gem"),
@@ -590,6 +651,20 @@ class TestPipelines:
         assert main(argv) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
+
+    def test_genus_all_perms_human_lines_are_the_table(self, capsys):
+        """Without --json, the minimum, then one line per order in the
+        JSON table's order."""
+        path = str(GOLDEN / "check_lemma_rb4.gem")
+        assert main(["--json", "genus", path, "--all-perms"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["genus", path, "--all-perms"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"rho = {payload['rho_min']} (attained by "
+                            f"{len(payload['argmin'])} cyclic order(s))")
+        assert lines[1:] == [f"  ({label}) -> {value}"
+                             for label, value in payload["table"].items()]
+        assert len(lines) == 13
 
     def test_pi1_abelianizes_once(self, capsys, monkeypatch):
         from gemkit import pi1

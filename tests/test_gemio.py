@@ -66,6 +66,23 @@ class TestParsing:
         with pytest.raises(ParseError):
             read_gem(path)
 
+    def test_metadata_round_trip(self, tmp_path):
+        metadata = {"source": "census", "ids": [3, 1], "note": {"k": None}}
+        gf = GemFile(2, 2, ((0, 1, 0), (0, 1, 1), (0, 1, 2)), "s2", metadata)
+        text = format_gemfile(gf)
+        assert json.loads(text)["metadata"] == metadata
+        assert parse_gemfile(text) == gf
+        assert format_gemfile(parse_gemfile(text)) == text
+        path = tmp_path / "g.gem"
+        path.write_text(text)
+        assert read_gem(path) == order_two_gem(2)
+
+    @pytest.mark.parametrize("metadata", [[1, 2], "census", 3, True])
+    def test_non_object_metadata(self, tmp_path, metadata):
+        doc = {**json.loads(S4_TEXT), "metadata": metadata}
+        with pytest.raises(ParseError, match="^metadata must be an object$"):
+            parse_gemfile(json.dumps(doc))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "g.gem"
         path.write_text("dimension: 4")

@@ -27,6 +27,7 @@ from gemkit.errors import (
     NoSuchEdgeError,
     NotADipoleError,
     NotRegularError,
+    TooManyOrdersError,
 )
 from gemkit.moves import (
     DipoleSite,
@@ -430,6 +431,21 @@ class TestFullContraction:
     def test_verify_flag_checks_invariants(self):
         g = grow_by_insertions(order_two_gem(4), 5, random.Random(1))
         assert full_contraction(g, verify=True) == order_two_gem(4)
+
+    def test_input_invariants_are_read_before_the_pass(self, monkeypatch):
+        """A dimension with too many cyclic orders is refused by the
+        input's genus table, before the pass or any f-vector; unverified,
+        the pass runs."""
+        def refused(*args):
+            raise AssertionError("reached")
+
+        g = grow_by_insertions(order_two_gem(10), 1, random.Random(1))
+        with monkeypatch.context() as mp:
+            mp.setattr(moves, "_contract", refused)
+            mp.setattr(moves, "euler_characteristic", refused)
+            with pytest.raises(TooManyOrdersError):
+                full_contraction(g)
+        assert full_contraction(g, verify=False) == order_two_gem(10)
 
 
 def inner_first(graph):

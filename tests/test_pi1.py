@@ -88,6 +88,24 @@ class TestPresentation:
             assert len(values) == 1
 
 
+class TestSpanningForest:
+    """The tree relators are the generators Kruskal's walk keeps, found
+    by an oracle that shares no union-find with the package."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_matches_kruskal_oracle(self, d, p, seed, with_boundary):
+        if with_boundary:
+            g = random_boundary_gem(d, p + 1, seed % (p + 1), seed=seed)
+        else:
+            g = random_gem(d, p, seed=seed)
+        edges = list(g.edges())
+        for i, j in combinations(g.colors, 2):
+            assert presentation(g, i, j).tree_relators == bf.tree_generators(
+                d, g.num_vertices, edges, i, j)
+
+
 class TestTietze:
     def test_kill_single_generator(self):
         assert tietze_simplify(make_pres(1, [(1,)])).num_generators == 0
