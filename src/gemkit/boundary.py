@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import NO_EDGE, ColoredGraph, _from_maps, _renumbered, residues
-from .errors import InternalInconsistencyError, InvalidColorError, NoBoundaryError
+from .errors import InternalInconsistencyError, NoBoundaryError
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,9 @@ def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
 
 def boundary_g(graph: ColoredGraph, colors: Iterable[int]) -> int:
     """Number of components of the boundary graph restricted to a color
-    subset of 0..d-1."""
-    d = graph.dimension
-    cs = frozenset(colors)
-    if any(c >= d or c < 0 for c in cs):
-        raise InvalidColorError(
-            f"boundary colors must lie in 0..{d - 1}, got {sorted(cs)}")
-    return residues(boundary_graph(graph).graph, cs).count
+    subset of 0..d-1: the boundary graph has dimension d - 1, so
+    ``residues`` refuses any other color."""
+    return residues(boundary_graph(graph).graph, colors).count
 
 
 def boundary_component_count(graph: ColoredGraph) -> int:

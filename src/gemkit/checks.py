@@ -19,10 +19,11 @@ from typing import NamedTuple, Optional
 
 from .boundary import BoundaryGraph, boundary_graph
 from .core import (ColoredGraph, _least_vertices, _residues_by_mask,
-                   classify_vertices, count_g, residues)
+                   _without, classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
     InvalidColorError,
+    NoBoundaryError,
     NotRegularError,
     PreconditionError,
     ResidueShapeError,
@@ -172,6 +173,8 @@ def _capping_record(graph: ColoredGraph) -> _CappingRecord:
 
 def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
     d = graph.dimension
+    # the genus table first: its order limit refuses before any other work
+    sweep, doubled = _doubled_genera(graph)
     bg = boundary_graph(graph)
     counts = {1 << a | 1 << b: _residues_by_mask(bg.graph, 1 << a | 1 << b).count
               for a in range(d) for b in range(a, d)}
@@ -181,7 +184,6 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
         triples[mask] = (_residues_by_mask(bg.graph, mask).count
                          if _spherical_triple(bg.graph, frozenset(tri)) else None)
     mixed = tuple(count_g(graph, (i, d)) for i in range(d))
-    sweep, doubled = _doubled_genera(graph)
     return _CappingRecord(
         boundary=bg,
         p_bar=classify_vertices(graph).p_bar,
@@ -211,9 +213,11 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     """
     d = graph.dimension
     c = singular_color
-    if not graph.is_regular and not 0 <= c < d:
+    if graph.is_regular:  # before the genus table the record reads first
+        raise NoBoundaryError("graph is regular: empty boundary")
+    if not 0 <= c < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    rec = _capping_record(graph)  # a regular graph raises NoBoundaryError
+    rec = _capping_record(graph)
     p_bar, counts = rec.p_bar, rec.counts
     capped, _ = cap_boundary(graph, c)
 
@@ -298,7 +302,7 @@ def _require_connected_below_4(graph: ColoredGraph, error: type) -> None:
     """Raise ``error`` unless the graph minus any color below 4 is
     connected."""
     for c in range(4):
-        if _residues_by_mask(graph, 0b11111 ^ 1 << c).count != 1:
+        if _without(graph, c).count != 1:
             raise error(f"graph minus color {c} is not connected")
 
 
@@ -423,7 +427,7 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
     twice_slack = [value - 2 * genus_bound for value in doubled]
 
     contracted = full_contraction(graph, verify=False)
-    least = _least_counts(m, m_hat, residues(contracted, range(4)).count)
+    least = _least_counts(m, m_hat, _without(contracted, 4).count)
     t_table = {tri: count - least[tri]
                for tri, count in _triple_counts(contracted).items()}
     consistent = all(
@@ -462,7 +466,7 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     residues minimal) and list the cyclic orders witnessing weak
     semi-simplicity."""
     _require_regular_4(graph, "semi-simplicity")
-    k = residues(graph, range(4)).count
+    k = _without(graph, 4).count
     if k != h:
         raise ResidueShapeError(
             f"expected {h} components without color 4, got {k}")

@@ -215,12 +215,12 @@ def cmd_pi1(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
 
 
 def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
+    if graph.is_regular:  # their limits refuse a dimension before any site
+        base_f, base_rho = f_vector(graph), genus_table(graph).doubled
     sites = moves.find_1_dipoles(graph)
     results = []
     ok = True
     base_abel = pi1.abelianization_rank(pi1.presentation(graph, 0, 1))
-    if graph.is_regular:
-        base_f, base_rho = f_vector(graph), genus_table(graph).doubled
     for site in sites:
         entry = {"color": site.color, "vertices": list(site.vertices)}
         u, v = site.vertices

@@ -240,6 +240,12 @@ def residues(graph: ColoredGraph, colors: Iterable[int]) -> ResidueDecomposition
     return _residues_by_mask(graph, _color_mask(graph, colors))
 
 
+def _without(graph: ColoredGraph, *colors: int) -> ResidueDecomposition:
+    """``residues`` on every color of the graph except ``colors``."""
+    full = (1 << graph.dimension + 1) - 1
+    return _residues_by_mask(graph, full ^ _color_mask(graph, colors))
+
+
 def _residues_by_mask(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     """``residues`` on a bitmask of colors already known to be in 0..d:
     a walk for at most two colors, else a merge onto a decomposed prefix."""
@@ -253,7 +259,11 @@ def _residues_by_mask(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
 @cache
 def _colors_of(mask: int) -> tuple[int, ...]:
     """The colors of a bitmask, ascending; one tuple per mask, shared."""
-    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+    out = []
+    while mask:  # one step per set bit, not per bit position
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
@@ -304,17 +314,15 @@ def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
 
 
 def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
-    """Decomposition on three or more colors: the components of a prefix
-    of the mask (its lowest colors), united along the edges of each color
-    above it.  The prefix is the longest one already decomposed, and at
-    least the two lowest colors, a walk; when colors are queried in
-    ascending bitmask order it is the mask without its top color."""
+    """Decomposition on three or more colors: the components of the mask
+    without its top color when that one is memoized, as it is when colors
+    are queried in ascending bitmask order, and else of its two lowest
+    colors, a walk; united along the edges of each color above."""
     color_set = _colors_of(mask)
     i = len(color_set) - 1
     prefix = mask ^ 1 << color_set[i]
-    while i > 2 and prefix not in graph._memo:
-        i -= 1
-        prefix ^= 1 << color_set[i]
+    if prefix not in graph._memo:
+        i, prefix = 2, 1 << color_set[0] | 1 << color_set[1]
     base = _residues_by_mask(graph, prefix)
     return _unite(color_set, base.labels, list(base.regular),
                   [enumerate(graph.color_maps[top]) for top in color_set[i:]])
@@ -430,11 +438,7 @@ def classify_vertices(graph: ColoredGraph) -> VertexClassification:
 
 def is_contracted(graph: ColoredGraph) -> dict[int, bool]:
     """For each color c, whether the graph minus color c stays connected."""
-    out = {}
-    all_colors = set(graph.colors)
-    for c in graph.colors:
-        out[c] = residues(graph, all_colors - {c}).count == 1
-    return out
+    return {c: _without(graph, c).count == 1 for c in graph.colors}
 
 
 def is_crystallization(graph: ColoredGraph, h: int) -> bool:
@@ -444,12 +448,11 @@ def is_crystallization(graph: ColoredGraph, h: int) -> bool:
     if h < 0:
         raise PreconditionError(f"h must be non-negative, got {h}")
     d = graph.dimension
-    all_colors = set(graph.colors)
     if graph.is_regular and h == 0:
         return all(is_contracted(graph).values())
-    if residues(graph, all_colors - {d}).count != 1:
+    if _without(graph, d).count != 1:
         return False
-    return all(residues(graph, all_colors - {c}).count == h for c in range(d))
+    return all(_without(graph, c).count == h for c in range(d))
 
 
 def order_two_gem(d: int) -> ColoredGraph:

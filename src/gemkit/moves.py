@@ -11,7 +11,7 @@ from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
-                   _residues_by_mask, _root, _unite)
+                   _residues_by_mask, _root, _unite, _without)
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -56,16 +56,10 @@ def _first_site(graph: ColoredGraph) -> Optional[DipoleSite]:
 
 def _sites(graph: ColoredGraph) -> Iterator[DipoleSite]:
     for j, row in enumerate(graph.color_maps):
-        labels = _labels_without(graph, j)
+        labels = _without(graph, j).labels
         for u, v in enumerate(row):
             if v > u and _is_1_dipole(graph, labels, u, v):
                 yield DipoleSite(j, (u, v))
-
-
-def _labels_without(graph: ColoredGraph, color: int) -> tuple[int, ...]:
-    """The residue labels of the colors other than ``color``."""
-    full = (1 << graph.dimension + 1) - 1
-    return _residues_by_mask(graph, full ^ 1 << color).labels
 
 
 def _is_1_dipole(graph: ColoredGraph, labels, x: int, y: int) -> bool:
@@ -111,7 +105,7 @@ def cancel_1_dipole(graph: ColoredGraph, site: DipoleSite) -> ColoredGraph:
     (x, y), c = site.vertices, site.color
     if graph.mate(x, c) != y:
         raise NoSuchEdgeError(f"no color-{c} edge {site.vertices}")
-    if not _is_1_dipole(graph, _labels_without(graph, c), x, y):
+    if not _is_1_dipole(graph, _without(graph, c).labels, x, y):
         raise NotADipoleError(f"color-{c} edge {site.vertices} is not a "
                               "1-dipole, or cancelling it disconnects the gem")
     return _weld(graph, x, y)
@@ -264,7 +258,7 @@ def _contract(graph: ColoredGraph) -> ColoredGraph:
     """The one pass of ``full_contraction`` on a regular graph: every step
     kills two live vertices, so it ends within n/2 steps."""
     maps = [list(row) for row in graph.color_maps]
-    labels = [_labels_without(graph, j) for j in graph.colors]
+    labels = [_without(graph, j).labels for j in graph.colors]
     up = [list(range(max(lab) + 1)) for lab in labels]
     heaps = [[(u, v) for u, v in enumerate(row) if v > u and lab[u] != lab[v]]
              for row, lab in zip(maps, labels)]  # sorted by u, so heaps

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, _least_vertices, _root, residues
+from .core import ColoredGraph, _least_vertices, _root, _without, residues
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
@@ -61,8 +61,7 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     if i == j or not (0 <= i <= d and 0 <= j <= d):
         raise InvalidColorPairError(f"bad color pair ({i},{j}) for dimension {d}")
     i, j = min(i, j), max(i, j)
-    rest = set(graph.colors) - {i, j}
-    gens = residues(graph, rest)
+    gens = _without(graph, i, j)
 
     cycles = []
     dec = residues(graph, {i, j})
@@ -84,8 +83,7 @@ def presentation(graph: ColoredGraph, i: int, j: int,
 
     # spanning forest of the bipartite incidence of generators with the
     # residues missing one of the two colors
-    left = residues(graph, set(graph.colors) - {i})
-    right = residues(graph, set(graph.colors) - {j})
+    left, right = _without(graph, i), _without(graph, j)
     up = list(range(left.count + right.count))
     tree = []
     for k, v in enumerate(_least_vertices(gens.labels)):

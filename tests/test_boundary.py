@@ -90,6 +90,10 @@ class TestBoundaryG:
         with pytest.raises(InvalidColorError):
             boundary_g(b4, {0, 4})
 
+    def test_negative_color_rejected(self, b4):
+        with pytest.raises(InvalidColorError):
+            boundary_g(b4, {-1, 0})
+
     def test_no_boundary(self, s4):
         with pytest.raises(NoBoundaryError):
             boundary_g(s4, {0, 1})

@@ -131,6 +131,70 @@ class TestExitCodes:
             "error: dimension 5000 has more than 1814400 cyclic orders, "
             "above the limit of 181440\n")
 
+    @staticmethod
+    def two_vertex_gem(path, d, colors):
+        """The 2-vertex gem of dimension d with the edges of ``colors``
+        colors: d for the ball, d + 1 for the sphere."""
+        path.write_text(json.dumps({"dimension": d, "vertices": 2, "edges": [
+            [0, 1, c] for c in range(colors)]}))
+        return path
+
+    def test_huge_boundary_answers(self, tmp_path, capsys):
+        """The boundary graph decomposes the d residues on {j, d}; the
+        colors of each bitmask are read a step per color, not per bit."""
+        import time
+
+        from gemkit import order_two_gem
+
+        d = 5000
+        path = self.two_vertex_gem(tmp_path / "ball.gem", d, d)
+        out = tmp_path / "boundary.gem"
+        start = time.perf_counter()
+        code = main(["--json", "boundary", str(path), "-o", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["h"], payload["boundary_vertices"]) == (1, 2)
+        assert read_gem(out) == order_two_gem(d - 1)
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("suite", ["lemma", "corollary"])
+    @pytest.mark.parametrize("d", [60, 5000])
+    def test_huge_capping_check_is_three(self, tmp_path, capsys, suite, d):
+        """The capping record reads the genus table first, so the order
+        limit refuses the dimension before any residue is decomposed."""
+        import time
+
+        path = self.two_vertex_gem(tmp_path / "ball.gem", d, d)
+        start = time.perf_counter()
+        code = main(["--json", "check", "--suite", suite, str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dimension {d} has more than 1814400 cyclic orders, "
+            "above the limit of 181440\n")
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("d", [1000, 5000])
+    def test_huge_dipole_check_is_three(self, tmp_path, capsys, d):
+        """On a regular gem the dipole suite reads the f-vector before it
+        lists any site, so the f-vector limit refuses the dimension."""
+        import time
+
+        path = self.two_vertex_gem(tmp_path / "sphere.gem", d, d + 1)
+        start = time.perf_counter()
+        code = main(["--json", "check", "--suite", "dipole", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dimension {d} has 2^{d + 1} color sets, above the "
+            "f-vector limit of dimension 15\n")
+        assert elapsed < 0.5
+
     @pytest.mark.parametrize("command,d", [
         ("fvector", 16), ("fvector", 5000), ("euler", 5000),
         ("contract", 5000),

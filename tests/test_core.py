@@ -15,6 +15,7 @@ from gemkit import (
     residues,
     validate,
 )
+from gemkit.core import _colors_of, _without
 from gemkit.errors import (
     DisconnectedError,
     DuplicateColorError,
@@ -112,6 +113,41 @@ class TestResidues:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert count_g(s4, {i, j}) == (1, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.data())
+    def test_without_is_the_complement(self, d, p, seed, with_boundary, data):
+        g = (random_boundary_gem(d, p, seed % p, seed=seed) if with_boundary
+             and p > 1 else random_gem(d, p, seed=seed))
+        left_out = data.draw(st.sets(st.integers(0, d)))
+        dec = _without(g, *left_out)
+        assert dec == residues(g, set(g.colors) - left_out)
+        assert dec.color_set == tuple(c for c in g.colors if c not in left_out)
+
+    @pytest.mark.parametrize("color", [-1, 5])
+    def test_without_refuses_a_color_outside(self, s4, color):
+        with pytest.raises(InvalidColorError):
+            _without(s4, 0, color)
+        assert s4._memo == {}
+
+
+class TestColorsOf:
+    @staticmethod
+    def per_bit(mask):
+        return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.integers(0, 2 ** 5001),
+        st.sets(st.integers(0, 5000), max_size=20).map(
+            lambda cs: sum(1 << c for c in cs))))
+    def test_same_as_per_bit(self, mask):
+        assert _colors_of(mask) == self.per_bit(mask)
+
+    def test_top_bits(self):
+        for mask in (0, 1, 2 ** 5000, 2 ** 5001 - 1, 2 ** 5000 | 1):
+            assert _colors_of(mask) == self.per_bit(mask)
 
 
 class TestClassify:

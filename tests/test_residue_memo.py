@@ -190,9 +190,9 @@ class TestRewritesStartEmpty:
 
 class TestLatticeOrder:
     """Every query order reaches the same decompositions, on fresh,
-    capped and cancelled graphs: a merge starts from the longest
-    memoized prefix of its colors, down to the walk on the two lowest,
-    and unites along one color or several."""
+    capped and cancelled graphs: a merge starts from its colors without
+    the top one when that set is memoized, and else from the walk on the
+    two lowest, and unites along one color or several."""
 
     @staticmethod
     def check_every_mask(g, rng):
