@@ -143,7 +143,17 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
     a one-letter relator is left, that is the least one by signed value:
     its generator is deleted from the words holding it, and no word is
     sorted.  Every word is kept cyclically reduced, so a word without the
-    eliminated generator stays as it is."""
+    eliminated generator stays as it is.
+
+    When the one-letter relators name every generator and the budget
+    covers one pass per generator, the result is the trivial presentation
+    and no pass is run: a one-letter word (g) is only touched when g
+    itself is eliminated, so every pass is a one-letter pass until no
+    generator is left, and each other word is then empty."""
+    gens = pres.num_generators
+    if gens <= max_passes and {abs(w[0]) for w in pres.relators
+                               if len(w) == 1}.issuperset(range(1, gens + 1)):
+        return replace(pres, num_generators=0, cycle_relators=(), tree_relators=())
     words = {w for w in map(_cyclic_reduce, pres.relators) if w}
     units = {w[0] for w in words if len(w) == 1}
     eliminated = set()
@@ -176,7 +186,7 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
         eliminated.add(g)
     # the survivors, in ascending order, become 1..k; the map is increasing
     # and keeps signs, so it keeps the (len, w) order
-    survivors = [g for g in range(1, pres.num_generators + 1) if g not in eliminated]
+    survivors = [g for g in range(1, gens + 1) if g not in eliminated]
     number = {g: k for k, g in enumerate(survivors, 1)}
     words = sorted((tuple(number[t] if t > 0 else -number[-t] for t in w)
                     for w in words), key=lambda w: (len(w), w))
@@ -246,8 +256,14 @@ def abelianization_rank(pres: GroupPresentation) -> tuple[int, list[int]]:
 def rank_bounds(pres: GroupPresentation) -> tuple[int, int]:
     """(lower, upper) bounds on the minimal generator count: the
     abelianization's generator rank from below, the simplified
-    presentation's generator count from above."""
-    free_rank, divisors = abelianization_rank(pres)
-    lower = free_rank + len(divisors)
+    presentation's generator count from above.
+
+    The upper end is read first.  When it is 0 the group is trivial, so
+    its abelianization is too, and (0, 0) is returned with no Smith form;
+    lower <= upper always holds, as the abelianization needs no more
+    generators than any presentation of the group."""
     upper = tietze_simplify(pres).num_generators
-    return lower, upper
+    if not upper:
+        return 0, 0
+    free_rank, divisors = abelianization_rank(pres)
+    return free_rank + len(divisors), upper

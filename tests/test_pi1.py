@@ -162,15 +162,55 @@ def unit_rich_presentations(draw):
     return make_pres(gens, order)
 
 
+# deleting both one-letter generators at once, then reducing, would leave
+# no generator; one at a time leaves one
+PINNED = make_pres(4, [(1,), (2,), (3, 4, 3, -2, -3, -1, -2, -1, 2),
+                       (-4, -1, -3, 1, -4), (4, -2, 2, 1, -3, 2, -2, -1)])
+
+
+@st.composite
+def unit_killed_presentations(draw):
+    """A one-letter relator for every generator, of either sign, random
+    longer words, all shuffled, and a pass budget of 0, n - 1, n or 200."""
+    gens = draw(st.integers(1, 7))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    units = [(draw(st.sampled_from([g, -g])),) for g in range(1, gens + 1)]
+    units += draw(st.lists(letter.map(lambda t: (t,)), max_size=3))
+    words = draw(st.lists(st.lists(letter, min_size=2, max_size=9).map(tuple),
+                          max_size=6))
+    order = draw(st.permutations(units + words))
+    return make_pres(gens, order), draw(st.sampled_from([0, gens - 1, gens, 200]))
+
+
 class TestTietzeOracle:
     """The one-letter passes and the set of words give the sequential
     loop's output pass for pass."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(unit_killed_presentations())
+    def test_units_killing_every_generator(self, drawn):
+        """The short-circuit to the trivial presentation, and the loop
+        when the budget is short of it, give the sequential loop's
+        result."""
+        pres, max_passes = drawn
+        out = tietze_simplify(pres, max_passes)
+        want = bf.tietze_simplify(pres.num_generators, pres.relators, max_passes)
+        assert (out.num_generators, list(out.relators)) == want
+        assert out.tree_relators == ()
+
+    @pytest.mark.parametrize("gens, survivors", [(200, 0), (201, 1)])
+    def test_unit_budget_edge(self, gens, survivors):
+        """200 passes delete 200 generators named by one-letter relators;
+        with one generator more, the loop runs and leaves the last one."""
+        pres = make_pres(gens, [(g,) for g in range(1, gens + 1)]
+                         + [tuple(range(1, gens + 1)), (gens, -1, gens)])
+        out = tietze_simplify(pres)
+        want = bf.tietze_simplify(gens, pres.relators)
+        assert (out.num_generators, list(out.relators)) == want
+        assert out.num_generators == survivors
+
     def test_pinned_example(self):
-        # deleting both one-letter generators at once, then reducing,
-        # would leave no generator; one at a time leaves one
-        pres = make_pres(4, [(1,), (2,), (3, 4, 3, -2, -3, -1, -2, -1, 2),
-                             (-4, -1, -3, 1, -4), (4, -2, 2, 1, -3, 2, -2, -1)])
+        pres = PINNED
         out = tietze_simplify(pres)
         assert out.num_generators == 1
         assert out.relators == ((1, 1), (-1, -1, -1))
@@ -296,9 +336,62 @@ class TestUnitRowSplit:
             assert abelianization_rank(pres) == full_matrix_rank(pres)
 
 
+def full_reading(pres):
+    """Both ends computed in full: the Smith form, and the oracle's
+    sequential Tietze loop."""
+    free_rank, divisors = abelianization_rank(pres)
+    return (free_rank + len(divisors),
+            bf.tietze_simplify(pres.num_generators, pres.relators)[0])
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    import gemkit.pi1 as pi1
+
+    calls = []
+    real = pi1.abelianization_rank
+
+    def counting(pres):
+        calls.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(pi1, "abelianization_rank", counting)
+    return calls
+
+
 class TestRankBounds:
     def test_torus(self, k33):
         assert rank_bounds(presentation(k33, 0, 1)) == (2, 2)
+
+    @pytest.mark.parametrize("name", ["s4", "regularized_b4"])
+    def test_trivial_groups_run_no_smith_form(self, name, request, smith_calls):
+        g = request.getfixturevalue(name)
+        for i, j in combinations(g.colors, 2):
+            assert rank_bounds(presentation(g, i, j)) == (0, 0)
+        assert smith_calls == []
+
+    def test_nontrivial_groups_run_one_smith_form(self, k33, smith_calls):
+        pairs = list(combinations(k33.colors, 2))
+        assert [rank_bounds(presentation(k33, i, j)) for i, j in pairs] == \
+            [(2, 2)] * len(pairs)
+        assert len(smith_calls) == len(pairs)
+        assert rank_bounds(PINNED) == (0, 1)
+        assert len(smith_calls) == len(pairs) + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_rich_presentations())
+    def test_matches_full_reading_on_random_words(self, pres):
+        assert rank_bounds(pres) == full_reading(pres)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 20), st.booleans())
+    def test_matches_full_reading_on_grown_manifold_gems(self, d, seed, torus):
+        rng = random.Random(seed)
+        base = k33_graph() if torus and d == 2 else order_two_gem(d)
+        g = grow_by_insertions(base, rng.randint(0, 12), rng)
+        for i, j in combinations(g.colors, 2):
+            pres = presentation(g, i, j)
+            assert rank_bounds(pres) == full_reading(pres)
 
     def test_trivial(self, s4):
         assert rank_bounds(presentation(s4, 0, 1)) == (0, 0)
