@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .boundary import BoundaryGraph, boundary_graph
-from .core import (ColoredGraph, _least_vertices, _residues_by_mask,
-                   _without, classify_vertices, count_g, residues)
+from .core import (ColoredGraph, _residues_by_mask, _without,
+                   classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
     InvalidColorError,
@@ -137,7 +137,7 @@ def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     for k in labels:
         twice[k] -= 1
     for pair in combinations(sorted(triple), 2):
-        for v in _least_vertices(residues(bgraph, pair).labels):
+        for v in residues(bgraph, pair).least:
             twice[labels[v]] += 2
     return all(t == 4 for t in twice)
 
@@ -328,6 +328,12 @@ def _skip_one_triples(eps: CyclicPermutation) -> list[tuple[int, ...]]:
             for i in range(5)]
 
 
+@cache
+def _skip_one_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The skip-one triples of each d = 4 order, in sweep order."""
+    return tuple(tuple(_skip_one_triples(eps)) for eps in _sweep(4).orders)
+
+
 @dataclass(frozen=True)
 class OmegaPairingReport(_Report):
     omega: Fraction
@@ -431,8 +437,8 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
     t_table = {tri: count - least[tri]
                for tri, count in _triple_counts(contracted).items()}
     consistent = all(
-        s == 2 * sum(t_table[tri] for tri in _skip_one_triples(eps))
-        for eps, s in zip(sweep.orders, twice_slack))
+        s == 2 * sum(t_table[tri] for tri in triples)
+        for triples, s in zip(_skip_one_table(), twice_slack))
     return BoundReport(
         genus_bound=genus_bound,
         gdegree_bound=gdegree_bound,
@@ -474,8 +480,9 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     counts = _triple_counts(graph)
     least = _least_counts(m, m_hat, k)
     witnesses = tuple(
-        eps for eps in enumerate_cyclic_permutations(4)
-        if all(counts[tri] == least[tri] for tri in _skip_one_triples(eps)))
+        eps for eps, triples in zip(enumerate_cyclic_permutations(4),
+                                   _skip_one_table())
+        if all(counts[tri] == least[tri] for tri in triples))
     # the least counts inside 0..3 and with color 4
     return SemisimpleReport(counts == least, witnesses, counts,
                             least[0, 1, 2], least[0, 1, 4])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -95,7 +95,12 @@ def validate(dimension: int,
 
 
 def _build(dimension, num_vertices, edges):
-    """Turn an edge list into color maps, checking each edge on the way."""
+    """Turn an edge list into color maps, checking each edge on the way:
+    one loop checks each edge's color, endpoints, loop and repeated color
+    and fills the maps as it goes, so the maps it fills are involutions
+    without fixed points and only the graph checks of ``_from_maps`` are
+    left.  On a fault, or any exception, the edges are read again by
+    ``_checked_maps``, which raises the error the first fault names."""
     d = dimension
     if d < 1:
         # dimension-1 graphs arise internally as boundaries of surface gems
@@ -103,37 +108,86 @@ def _build(dimension, num_vertices, edges):
     if num_vertices <= 0:
         raise PreconditionError("graph must have at least one vertex")
     edges = list(edges)
+    maps = _filled_maps(d, num_vertices, edges)
+    if maps is None:
+        maps = _checked_maps(d, num_vertices, edges)
+    return _graph(d, maps)
+
+
+def _filled_maps(d, n, edges):
+    """The color maps of a faultless edge list in one loop, or None.  The
+    short-list guard runs first, so no map is allocated for a list too
+    short to give every vertex every color below d."""
+    if d * n > 2 * len(edges):
+        return None
+    maps = [[NO_EDGE] * n for _ in range(d + 1)]
+    try:
+        for u, v, c in edges:
+            if not (0 <= c <= d and 0 <= u < n and 0 <= v < n) or u == v:
+                return None
+            row = maps[c]
+            if row[u] != NO_EDGE or row[v] != NO_EDGE:
+                return None
+            row[u] = v
+            row[v] = u
+    except Exception:  # a malformed edge; its error is raised on the reread
+        return None
+    return maps
+
+
+def _checked_maps(d, n, edges):
+    """The color maps of an edge list, read in two loops that raise the
+    first fault: a bad color, endpoint or loop before a short list, and a
+    short list before a repeated color."""
     for u, v, c in edges:
         if not (0 <= c <= d):
             raise InvalidColorError(f"color {c} outside 0..{d}")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+        if not (0 <= u < n and 0 <= v < n):
             raise LoopEdgeError(
-                f"edge ({u},{v},{c}) has an endpoint outside 0..{num_vertices - 1}")
+                f"edge ({u},{v},{c}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise LoopEdgeError(f"loop at vertex {u} with color {c}")
     # every color below d is a perfect matching, so a short edge list is
     # rejected before the color maps are allocated
-    if d * num_vertices > 2 * len(edges):
+    if d * n > 2 * len(edges):
         raise MissingColorError(
-            f"{len(edges)} edges cannot give {num_vertices} vertices "
+            f"{len(edges)} edges cannot give {n} vertices "
             f"every color below {d}")
-    maps = [[NO_EDGE] * num_vertices for _ in range(d + 1)]
+    maps = [[NO_EDGE] * n for _ in range(d + 1)]
     for u, v, c in edges:
         if maps[c][u] != NO_EDGE or maps[c][v] != NO_EDGE:
             raise DuplicateColorError(
                 f"vertex {u if maps[c][u] != NO_EDGE else v} meets two color-{c} edges")
         maps[c][u] = v
         maps[c][v] = u
-    return _from_maps(d, maps)
+    return maps
 
 
 def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
     """The graph on one color map per color 0..dimension, after the checks
     every graph gets: each map an involution without fixed points, every
     color below d at every vertex and, unless waived, one component.
-    Rewrites edit maps and build their result here."""
-    d, n = dimension, len(maps[0])
-    # loops first, as the edge path reports them before a repeated color
+    Rewrites edit maps and build their result here.
+
+    One pass checks every entry's range, fixed point and involution
+    ``row[row[v]] == v``; only on a fault does ``_map_fault`` read the
+    maps again, loops first, to raise the error the first fault names."""
+    n = len(maps[0])
+    for row in maps:
+        for v, w in enumerate(row):
+            if w < 0:
+                if w != NO_EDGE:
+                    _map_fault(maps)
+            elif w >= n or w == v or row[w] != v:
+                _map_fault(maps)
+    return _graph(dimension, maps, require_connected)
+
+
+def _map_fault(maps) -> None:
+    """Raise the first fault of the color maps, if any: a loop or an entry
+    out of range in any map first, as the edge path reports them before a
+    repeated color, then a map that is not an involution."""
+    n = len(maps[0])
     for c, row in enumerate(maps):
         for v, w in enumerate(row):
             if w == v or not NO_EDGE <= w < n:
@@ -142,6 +196,13 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
         for v, w in enumerate(row):
             if w != NO_EDGE and row[w] != v:
                 raise DuplicateColorError(f"vertex {w} meets two color-{c} edges")
+
+
+def _graph(d, maps, require_connected=True) -> ColoredGraph:
+    """The graph on color maps already known to be involutions without
+    fixed points, after the checks left: every color below d at every
+    vertex and, unless waived, one component."""
+    n = len(maps[0])
     for c in range(d):
         if NO_EDGE in maps[c]:
             raise MissingColorError(
@@ -193,7 +254,7 @@ class ResidueDecomposition:
     ``labels[v]`` is the index of the component holding vertex ``v``,
     components being indexed by least vertex; the parallel ``regular``
     tuple flags components in which every vertex meets every color of
-    the set.
+    the set, and ``least`` holds each component's least vertex.
     """
 
     color_set: tuple[int, ...]
@@ -207,6 +268,18 @@ class ResidueDecomposition:
         for v, k in enumerate(self.labels):
             comps[k].append(v)
         return tuple(map(tuple, comps))
+
+    @cached_property
+    def least(self) -> tuple[int, ...]:
+        """The least vertex of each component, in component order.  The
+        kernels keep it as they number the components; a decomposition
+        built any other way reads it off its labels on first use, where
+        each label first occurs at its component's least vertex."""
+        least = []
+        for v, k in enumerate(self.labels):
+            if k == len(least):
+                least.append(v)
+        return tuple(least)
 
     @property
     def count(self) -> int:
@@ -223,12 +296,15 @@ class ResidueDecomposition:
 
     @classmethod
     def _unchecked(cls, color_set: tuple[int, ...], regular: tuple[bool, ...],
-                   labels: tuple[int, ...]) -> "ResidueDecomposition":
+                   labels: tuple[int, ...], least: Optional[tuple[int, ...]]
+                   ) -> "ResidueDecomposition":
         """A decomposition from the kernels, its fields filled in directly
         rather than through the frozen ``__init__``, which costs three
-        times as much."""
+        times as much; ``least``, when given, is its kept least vertices."""
         dec = object.__new__(cls)
         dec.__dict__.update(color_set=color_set, regular=regular, labels=labels)
+        if least is not None:
+            dec.__dict__["least"] = least
         return dec
 
 
@@ -276,15 +352,17 @@ def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     color_set = _colors_of(mask)
     n = graph.num_vertices
     if not color_set:
+        every = tuple(range(n))
         return ResidueDecomposition._unchecked(color_set, (True,) * n,
-                                                tuple(range(n)))
+                                               every, every)
     a, b = graph.color_maps[color_set[0]], graph.color_maps[color_set[-1]]
     labels = [NO_EDGE] * n
-    regular = []
+    regular, least = [], []
     for start in range(n):
         if labels[start] != NO_EDGE:
             continue
         k = labels[start] = len(regular)
+        least.append(start)
         u = start
         while True:
             v = a[u]
@@ -310,7 +388,7 @@ def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
                 break
             labels[u] = k
     return ResidueDecomposition._unchecked(color_set, tuple(regular),
-                                           tuple(labels))
+                                           tuple(labels), tuple(least))
 
 
 def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
@@ -325,12 +403,13 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
         i, prefix = 2, 1 << color_set[0] | 1 << color_set[1]
     base = _residues_by_mask(graph, prefix)
     return _unite(color_set, base.labels, list(base.regular),
-                  [enumerate(graph.color_maps[top]) for top in color_set[i:]])
+                  [enumerate(graph.color_maps[top]) for top in color_set[i:]],
+                  base.least)
 
 
 def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
-           whole: list[bool], rows: Iterable[Iterable[tuple[int, int]]]
-           ) -> ResidueDecomposition:
+           whole: list[bool], rows: Iterable[Iterable[tuple[int, int]]],
+           least: Optional[tuple[int, ...]] = None) -> ResidueDecomposition:
     """The components labelled by ``labels`` (numbered by least vertex,
     ``whole`` flagging the regular ones) united along the edges of each
     row of (vertex, mate) pairs, as ``enumerate`` gives them from a color
@@ -338,7 +417,10 @@ def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
     NO_EDGE makes the vertex's component irregular.  Union by least index
     keeps every component's parent pointer at or below its own index, so
     numbering the roots in index order numbers the united components by
-    least vertex, as the given ones are."""
+    least vertex, as the given ones are.  The root is the component of
+    least index, so its least vertex, from ``least`` when given, is the
+    united component's; without it the result reads its own on first
+    use."""
     up = list(range(len(whole)))
     united = False
     for row in rows:
@@ -361,20 +443,23 @@ def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
                     up[x] = y
                     united = True
     if not united:  # the components stay as they are
-        return ResidueDecomposition._unchecked(color_set, tuple(whole), labels)
+        return ResidueDecomposition._unchecked(color_set, tuple(whole),
+                                               labels, least)
     # up[k] becomes k's merged number: a root takes the next one, and any
     # other k its parent's, numbered already as the parent's index is lower
-    regular = []
+    regular, roots = [], []
     for k, r in enumerate(up):
         if r == k:
             up[k] = len(regular)
             regular.append(whole[k])
+            roots.append(k)
         else:
             up[k] = m = up[r]
             if not whole[k]:
                 regular[m] = False
-    return ResidueDecomposition._unchecked(color_set, tuple(regular),
-                                           tuple([up[k] for k in labels]))
+    return ResidueDecomposition._unchecked(
+        color_set, tuple(regular), tuple([up[k] for k in labels]),
+        None if least is None else tuple([least[k] for k in roots]))
 
 
 def _root(up: list[int], k: int) -> int:
@@ -383,16 +468,6 @@ def _root(up: list[int], k: int) -> int:
     while up[k] != k:
         up[k] = k = up[up[k]]
     return k
-
-
-def _least_vertices(labels: Sequence[int]) -> list[int]:
-    """The least vertex of each component, by label: components are
-    numbered by least vertex, so each label first occurs there."""
-    least = []
-    for v, k in enumerate(labels):
-        if k == len(least):
-            least.append(v)
-    return least
 
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -91,12 +92,14 @@ def parse_gemfile(text: str) -> GemFile:
         raise ParseError("dimension and vertices must be integers")
     if not isinstance(doc["edges"], list):
         raise ParseError("edges must be an array")
-    edges = []
-    for k, item in enumerate(doc["edges"]):
-        if (not isinstance(item, list) or len(item) != 3
-                or not all(type(x) is int for x in item)):
-            raise ParseError(f"edges[{k}] must be three integers, got {item!r}")
-        edges.append(tuple(item))
+    raw = doc["edges"]
+    # every edge a list of three ints, checked in bulk; type() again, so a
+    # JSON true is refused
+    if not ({list}.issuperset(map(type, raw))
+            and {3}.issuperset(map(len, raw))
+            and {int}.issuperset(map(type, chain.from_iterable(raw)))):
+        _raise_bad_edge(raw)
+    edges = list(map(tuple, raw))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string")
@@ -105,6 +108,15 @@ def parse_gemfile(text: str) -> GemFile:
         raise ParseError("metadata must be an object")
     return GemFile(doc["dimension"], doc["vertices"], tuple(edges),
                    name, metadata)
+
+
+def _raise_bad_edge(raw: list) -> None:
+    """Raise ParseError naming the first edge that is not three integers,
+    if any."""
+    for k, item in enumerate(raw):
+        if (not isinstance(item, list) or len(item) != 3
+                or not all(type(x) is int for x in item)):
+            raise ParseError(f"edges[{k}] must be three integers, got {item!r}")
 
 
 def read_gem(path: str | Path) -> ColoredGraph:

@@ -167,6 +167,27 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     edges, listed by the least vertex of the path they close; colors are
     not swapped."""
     d = graph.dimension
+    final, added = _capped_final(graph, color)
+    capped = _from_maps(d, graph.color_maps[:d] + (final,))
+    # the input's decompositions are the capped graph's: as they are without
+    # color d, and with it once united along the added edges (u < v, so
+    # each as its pair (v, u)); every component of the regular capped
+    # graph is regular
+    joins = [(v, u) for u, v in added]
+    memo = capped._memo
+    for m, dec in graph._memo.copy().items():
+        if isinstance(m, int):
+            memo[m] = _unite(dec.color_set, dec.labels, [True] * dec.count,
+                             (joins,)) if m >> d & 1 else dec
+    return capped, added
+
+
+def _capped_final(graph: ColoredGraph, color: int
+                  ) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """The final-color map of the graph capped along ``color`` and the
+    added edges, after checking the color and then that the graph has a
+    boundary."""
+    d = graph.dimension
     if not 0 <= color < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
     if graph.is_regular:
@@ -181,20 +202,9 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     final = list(graph.color_maps[d])
     for u, v in added:
         final[u], final[v] = v, u
-    capped = _from_maps(d, graph.color_maps[:d] + (final,))
-    if not capped.is_regular:
+    if NO_EDGE in final:
         raise InternalInconsistencyError("capping left boundary vertices")
-    # the input's decompositions are the capped graph's: as they are without
-    # color d, and with it once united along the added edges (u < v, so
-    # each as its pair (v, u)); every component of the regular capped
-    # graph is regular
-    joins = [(v, u) for u, v in added]
-    memo = capped._memo
-    for m, dec in graph._memo.copy().items():
-        if isinstance(m, int):
-            memo[m] = _unite(dec.color_set, dec.labels, [True] * dec.count,
-                             (joins,)) if m >> d & 1 else dec
-    return capped, added
+    return final, added
 
 
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:
@@ -207,14 +217,21 @@ def regularize(graph: ColoredGraph, singular_color: int
                ) -> tuple[ColoredGraph, RegularizationRecord]:
     """Cap the boundary and make the graph regular: every maximal
     {c, d}-path of the singular color c is capped and colors c and d are
-    then transposed, so the result has d as its only singular color."""
+    then transposed, so the result has d as its only singular color.
+
+    The result is built once, from the capped final-color map swapped
+    into place, and its memo starts empty: it is what
+    ``swap_colors(cap_boundary(graph, c)[0], c, d)`` gives, without the
+    capped graph or its memo copy."""
     if graph.is_regular:
         raise NoBoundaryError("graph is already regular")
-    capped, added = cap_boundary(graph, singular_color)
-    swap = (singular_color, graph.dimension)
-    return swap_colors(capped, *swap), RegularizationRecord(
+    final, added = _capped_final(graph, singular_color)
+    d = graph.dimension
+    maps = list(graph.color_maps)
+    maps[singular_color], maps[d] = final, maps[singular_color]
+    return _from_maps(d, maps), RegularizationRecord(
         singular_color_choice=singular_color, added_edges=added,
-        color_swap=swap)
+        color_swap=(singular_color, d))
 
 
 def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:

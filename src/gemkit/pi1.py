@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, _least_vertices, _root, _without, residues
+from .core import ColoredGraph, _root, _without, residues
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
@@ -67,7 +67,7 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     dec = residues(graph, {i, j})
     mate_i, mate_j = graph.color_maps[i], graph.color_maps[j]
     gen = gens.labels
-    for start, regular in zip(_least_vertices(dec.labels), dec.regular):
+    for start, regular in zip(dec.least, dec.regular):
         if not regular:
             continue  # an {i,j}-path contributes no cycle relator
         word = []
@@ -86,7 +86,7 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     left, right = _without(graph, i), _without(graph, j)
     up = list(range(left.count + right.count))
     tree = []
-    for k, v in enumerate(_least_vertices(gens.labels)):
+    for k, v in enumerate(gens.least):
         a, b = _root(up, left.labels[v]), _root(up, left.count + right.labels[v])
         if a != b:
             up[b] = a
@@ -153,7 +153,9 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
     gens = pres.num_generators
     if gens <= max_passes and {abs(w[0]) for w in pres.relators
                                if len(w) == 1}.issuperset(range(1, gens + 1)):
-        return replace(pres, num_generators=0, cycle_relators=(), tree_relators=())
+        return GroupPresentation(0, (), (), pres.color_pair,
+                                 pres.compact_manifold_reading,
+                                 pres.singular_manifold_reading)
     words = {w for w in map(_cyclic_reduce, pres.relators) if w}
     units = {w[0] for w in words if len(w) == 1}
     eliminated = set()

@@ -221,6 +221,12 @@ class TestLowerBounds:
 
 
 class TestSemisimple:
+    def test_skip_one_table_is_the_triples_of_each_order(self):
+        table = checks._skip_one_table()
+        assert table == tuple(tuple(checks._skip_one_triples(eps))
+                              for eps in enumerate_cyclic_permutations(4))
+        assert len(table) == 12 and checks._skip_one_table() is table
+
     def test_equality_case(self, regularized_b4):
         report = check_semisimple(regularized_b4, m=0, m_hat=0, h=1)
         assert report.semi_simple

@@ -13,6 +13,8 @@ from gemkit import validate
 from gemkit.cli import build_parser, main
 from gemkit.gemio import read_gem, write_gem
 
+import malformed
+
 ROOT = Path(__file__).resolve().parent.parent
 GEMS = ROOT / "gems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -537,6 +539,21 @@ class TestGolden:
                               separators=(",", ":")).encode() + b"\n"
             out += path.read_bytes()
         assert out == (GOLDEN / f"dipoles_cancel_{gem}.txt").read_bytes()
+
+    def test_malformed_validate_matches_golden(self, tmp_path, capsys):
+        """``validate`` on each malformed gem of ``malformed.CASES``: its
+        name, exit code and stderr line, as the CI step prints them; none
+        is an internal error, and the base gem is valid."""
+        lines = []
+        for path in malformed.write_cases(tmp_path):
+            code = main(["validate", str(path)])
+            assert code in (2, 3)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            lines.append(f"{path.stem} {code} {err}")
+        assert "".join(lines) == (GOLDEN / "malformed_validate.txt").read_text()
+        base = malformed.BASE
+        assert validate(base["dimension"], base["vertices"], base["edges"])
 
 
 class TestPipelines:

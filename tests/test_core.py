@@ -15,7 +15,8 @@ from gemkit import (
     residues,
     validate,
 )
-from gemkit.core import _colors_of, _without
+from gemkit import core
+from gemkit.core import NO_EDGE, ColoredGraph, _colors_of, _from_maps, _without
 from gemkit.errors import (
     DisconnectedError,
     DuplicateColorError,
@@ -25,6 +26,8 @@ from gemkit.errors import (
     PreconditionError,
 )
 from gemkit.moves import insert_1_dipole
+
+from test_residue_memo import sample_gem
 
 
 def swap_join_graph():
@@ -79,6 +82,127 @@ class TestValidate:
     def test_edge_order_irrelevant(self, s4):
         edges = list(s4.edges())
         assert validate(4, 2, edges[::-1]) == s4
+
+
+def outcome(build, *args):
+    """What a build gives: the graph with its flags, or the class and
+    message of what it raised."""
+    try:
+        g = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g, g.is_regular, g.is_bipartite
+
+
+def kept_from_maps(d, maps):
+    """The map constructor through the kept error-naming passes alone."""
+    core._map_fault(maps)  # returns when the maps hold no fault
+    return core._graph(d, maps)
+
+
+def kept_build(d, n, edges):
+    """The edge path through the kept two loops alone."""
+    return kept_from_maps(d, core._checked_maps(d, n, list(edges)))
+
+
+MAP_FAULTS = ("fixed point", "minus two", "n", "broken involution")
+EDGE_FAULTS = ("bad color", "endpoint", "loop", "repeated color",
+               "two-element edge", "bool item", "float item", "short list")
+
+
+def corrupt_maps(maps, kind, rng):
+    n = len(maps[0])
+    row, v = rng.choice(maps), rng.randrange(n)
+    if kind == "fixed point":
+        row[v] = v
+    elif kind == "minus two":
+        row[v] = -2
+    elif kind == "n":
+        row[v] = n
+    else:  # v's edge pointed elsewhere, or dropped
+        row[v] = rng.choice([w for w in range(n) if w not in (v, row[v])]
+                            or [NO_EDGE])
+
+
+def corrupt_edges(edges, d, n, kind, rng):
+    k = rng.randrange(len(edges))
+    u, v, c = (*edges[k], 0)[:3]  # an edge cut to two items before is padded
+    if kind == "bad color":
+        edges[k] = (u, v, rng.choice([-1, d + 1, d + 7]))
+    elif kind == "endpoint":
+        edges[k] = (u, rng.choice([-2, -1, n, n + 3]), c)
+    elif kind == "loop":
+        edges[k] = (u, u, c)
+    elif kind == "repeated color":
+        edges.append((u, rng.choice([w for w in range(n) if w != u]), c))
+    elif kind == "two-element edge":
+        edges[k] = (u, v)
+    elif kind == "bool item":
+        edges[k] = (u, v, True)
+    elif kind == "float item":
+        edges[k] = (float(u), v, c)
+    else:  # too few edges to give every vertex every color below d
+        del edges[rng.randrange(1, d * n // 2):]
+
+
+class TestOnePassChecks:
+    """The one-pass map check and the one-loop edge check raise the class
+    and message that the kept error-naming passes raise on the same
+    input, first fault first, and build equal graphs on valid input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.lists(st.sampled_from(MAP_FAULTS), max_size=3),
+           st.randoms(use_true_random=False))
+    def test_maps_raise_like_the_kept_passes(self, d, p, seed, with_boundary,
+                                             faults, rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        maps = [list(row) for row in g.color_maps]
+        for kind in faults:
+            corrupt_maps(maps, kind, rng)
+        got = outcome(_from_maps, d, maps)
+        assert got == outcome(kept_from_maps, d, maps)
+        if not isinstance(got[0], ColoredGraph):  # faults may cancel out
+            assert got[0] in (LoopEdgeError, DuplicateColorError,
+                              MissingColorError, DisconnectedError)
+        if not faults:
+            assert got == (g, g.is_regular, g.is_bipartite)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.lists(st.sampled_from(EDGE_FAULTS), max_size=3),
+           st.randoms(use_true_random=False))
+    def test_edges_raise_like_the_kept_loops(self, d, p, seed, with_boundary,
+                                             faults, rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        n = g.num_vertices
+        edges = list(g.edges())
+        rng.shuffle(edges)
+        for kind in faults:
+            corrupt_edges(edges, d, n, kind, rng)
+        got = outcome(validate, d, n, iter(edges))
+        assert got == outcome(kept_build, d, n, edges)
+        assert got == outcome(ColoredGraph.from_edges, d, n, edges)
+        if not faults:
+            assert got == (g, g.is_regular, g.is_bipartite)
+
+    @pytest.mark.parametrize("edges, error", [
+        # a bad color is named before the short list
+        ([(0, 1, 0), (0, 1, 9)], InvalidColorError),
+        ([(0, 1, 0), (2, 2, 1)], LoopEdgeError),
+        ([(0, 1, 0)], MissingColorError),
+    ])
+    def test_short_list_precedence(self, edges, error):
+        with pytest.raises(error) as info:
+            validate(4, 10 ** 12, edges)
+        assert outcome(kept_build, 4, 10 ** 12, edges) == (error,
+                                                           str(info.value))
+
+    def test_float_vertex_takes_the_exception_path(self):
+        edges = [(0.0, 1, c) for c in range(5)]
+        got = outcome(ColoredGraph.from_edges, 4, 2, edges)
+        assert got[0] is TypeError
+        assert got == outcome(kept_build, 4, 2, edges)
 
 
 class TestResidues:

@@ -3,6 +3,8 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemkit import ball_gem, gemio, order_two_gem, random_boundary_gem
 from gemkit.errors import ParseError, ValidationError
@@ -14,6 +16,7 @@ from gemkit.gemio import (
     export_dot,
     format_gemfile,
     gemfile_from_graph,
+    graph_from_gemfile,
     parse_filter,
     parse_gemfile,
     read_gem,
@@ -21,6 +24,7 @@ from gemkit.gemio import (
 )
 
 from corpus import k33_graph
+from test_residue_memo import sample_gem
 
 S4_TEXT = ('{"dimension":4,"vertices":2,'
            '"edges":[[0,1,0],[0,1,1],[0,1,2],[0,1,3],[0,1,4]]}')
@@ -100,6 +104,71 @@ class TestParsing:
     def test_json_past_a_reader_limit(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_gemfile(text)
+
+
+ITEM_FAULTS = ("two-element edge", "four-element edge", "bool item",
+               "float item", "string item", "edge not a list", "null edge")
+
+
+def corrupt_item(raw, kind, rng):
+    k = rng.randrange(len(raw))
+    item = raw[k] if isinstance(raw[k], list) else [0, 1, 0]
+    j = rng.randrange(len(item))
+    if kind == "two-element edge":
+        raw[k] = item[:2]
+    elif kind == "four-element edge":
+        raw[k] = item + [0]
+    elif kind in ("bool item", "float item", "string item"):
+        item = item[:]
+        item[j] = {"bool item": True, "float item": float(item[j]),
+                   "string item": str(item[j])}[kind]
+        raw[k] = item
+    elif kind == "edge not a list":
+        raw[k] = rng.choice([7, {"u": 0}, "0 1 2"])
+    else:
+        raw[k] = None
+
+
+def kept_edges(raw):
+    """The edges through the kept per-edge loop alone."""
+    gemio._raise_bad_edge(raw)  # returns when every edge is three ints
+    return tuple(tuple(item) for item in raw)
+
+
+def parse_outcome(parse, arg):
+    try:
+        return parse(arg)
+    except ParseError as exc:
+        return ParseError, str(exc)
+
+
+class TestBulkEdgeCheck:
+    """The bulk edge-shape check of ``parse_gemfile`` names the edge, and
+    gives the message, that the kept per-edge loop does; on valid input
+    the edges and the graph are the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.lists(st.sampled_from(ITEM_FAULTS), max_size=3),
+           st.randoms(use_true_random=False))
+    def test_raises_like_the_kept_loop(self, d, p, seed, with_boundary,
+                                       faults, rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        doc = gemfile_from_graph(g).to_jsonable()
+        for kind in faults:
+            corrupt_item(doc["edges"], kind, rng)
+        text = json.dumps(doc)
+        raw = json.loads(text)["edges"]
+        got = parse_outcome(parse_gemfile, text)
+        want = parse_outcome(kept_edges, raw)
+        if isinstance(got, GemFile):
+            assert got.edges == want
+            assert graph_from_gemfile(got) == g
+        else:
+            assert got == want
+            assert got[1].startswith("edges[")
+        if not faults:
+            assert got.edges == tuple(g.edges())
 
 
 class TestCanonicalForm:

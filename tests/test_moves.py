@@ -340,14 +340,43 @@ class TestRegularize:
         with pytest.raises(InvalidColorError):
             regularize(b4, singular_color=4)
 
-    def test_error_order(self, s4):
+    def test_error_order(self, s4, b4):
         # regularize rejects a regular gem first, cap_boundary a bad color
-        with pytest.raises(NoBoundaryError):
-            regularize(s4, singular_color=4)
+        for color in (0, 4, -1):
+            with pytest.raises(NoBoundaryError,
+                               match="^graph is already regular$"):
+                regularize(s4, singular_color=color)
+        for color in (4, -1):
+            with pytest.raises(InvalidColorError,
+                               match=r"^singular color must lie in 0\.\.3$"):
+                regularize(b4, singular_color=color)
         with pytest.raises(InvalidColorError):
             cap_boundary(s4, 4)
         with pytest.raises(NoBoundaryError):
             cap_boundary(s4, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 9), st.integers(0, 2 ** 20))
+    def test_one_build_matches_cap_then_swap(self, d, p, seed):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        n, edges = g.num_vertices, list(g.edges())
+        real, builds = moves._from_maps, []
+        for c in range(d):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moves, "_from_maps",
+                           lambda *args: builds.append(args) or real(*args))
+                out, record = regularize(g, singular_color=c)
+            assert len(builds) == c + 1
+            assert out._memo == {}
+            capped, added = cap_boundary(g, c)
+            oracle_added = bf.capping_edges(d, n, edges, c)
+            by_oracle = validate(d, n, edges + [(u, v, d) for u, v in oracle_added])
+            for want in (swap_colors(capped, c, d), swap_colors(by_oracle, c, d)):
+                assert out == want
+                assert (out.is_regular, out.is_bipartite) == (
+                    want.is_regular, want.is_bipartite)
+            assert record == RegularizationRecord(c, added, (c, d))
+            assert list(added) == oracle_added
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))

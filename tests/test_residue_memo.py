@@ -188,6 +188,74 @@ class TestRewritesStartEmpty:
         check_capped_memo(g, capped)
 
 
+def least_by_scan(labels):
+    """The least vertex of each component: where its label first occurs."""
+    least = []
+    for v, k in enumerate(labels):
+        if k == len(least):
+            least.append(v)
+    return tuple(least)
+
+
+def assert_least(graph, dec):
+    comps = bf.bfs_components(graph.num_vertices, list(graph.edges()),
+                              set(dec.color_set))
+    assert dec.least == least_by_scan(dec.labels) == tuple(
+        comp[0] for comp in comps)
+
+
+class TestLeastVertices:
+    """``least`` holds each component's least vertex, kept by the walk and
+    the merge as they number the components, and read off the labels on
+    first use by a decomposition built any other way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_kept_by_the_kernels(self, d, p, seed, with_boundary):
+        g = sample_gem(d, p, seed, with_boundary)
+        scans = []
+        prop = core.ResidueDecomposition.__dict__["least"]
+        real = prop.func
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prop, "func", lambda dec: scans.append(dec) or real(dec))
+            invariant_report(g)
+            graphs = [g] if g.is_regular else [g, boundary_graph(g).graph]
+            for graph in graphs:
+                decs = [dec for m, dec in graph._memo.items()
+                        if isinstance(m, int)]
+                assert decs
+                for dec in decs:
+                    assert_least(graph, dec)
+        assert scans == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2 ** 20),
+           st.randoms(use_true_random=False))
+    def test_read_off_the_labels_after_capping(self, d, p, seed, rng):
+        g = random_boundary_gem(d, p, seed % p, seed=seed)
+        for mask in rng.sample(range(2 ** (d + 1)), rng.randrange(2 ** (d + 1))):
+            residues(g, {c for c in g.colors if mask >> c & 1})
+        capped, _ = cap_boundary(g, seed % d)
+        for mask, dec in capped._memo.items():
+            # the copies with color d are joined anew, without least vertices
+            assert ("least" in dec.__dict__) == (not mask >> d & 1)
+            assert_least(capped, dec)
+        TestLatticeOrder.check_every_mask(capped, rng)
+        for dec in capped._memo.values():
+            assert_least(capped, dec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.integers(0, 2 ** 6 - 1))
+    def test_read_off_the_labels_when_built_directly(self, d, p, seed,
+                                                     with_boundary, mask):
+        g = sample_gem(d, p, seed, with_boundary)
+        dec = bfs_decompose(g, mask % 2 ** (d + 1))
+        assert "least" not in dec.__dict__
+        assert_least(g, dec)
+
+
 class TestLatticeOrder:
     """Every query order reaches the same decompositions, on fresh,
     capped and cancelled graphs: a merge starts from its colors without
