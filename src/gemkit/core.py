@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -170,32 +170,24 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
     Rewrites edit maps and build their result here.
 
     One pass checks every entry's range, fixed point and involution
-    ``row[row[v]] == v``; only on a fault does ``_map_fault`` read the
-    maps again, loops first, to raise the error the first fault names."""
+    ``row[row[v]] == v``.  A loop or an entry out of range in any map is
+    named before any map that is not an involution, as the edge path
+    reports them before a repeated color: the first is raised at once,
+    the first broken involution after the pass."""
     n = len(maps[0])
-    for row in maps:
+    broken = None
+    for c, row in enumerate(maps):
         for v, w in enumerate(row):
             if w < 0:
                 if w != NO_EDGE:
-                    _map_fault(maps)
-            elif w >= n or w == v or row[w] != v:
-                _map_fault(maps)
-    return _graph(dimension, maps, require_connected)
-
-
-def _map_fault(maps) -> None:
-    """Raise the first fault of the color maps, if any: a loop or an entry
-    out of range in any map first, as the edge path reports them before a
-    repeated color, then a map that is not an involution."""
-    n = len(maps[0])
-    for c, row in enumerate(maps):
-        for v, w in enumerate(row):
-            if w == v or not NO_EDGE <= w < n:
+                    raise LoopEdgeError(f"color-{c} map sends vertex {v} to {w}")
+            elif w >= n or w == v:
                 raise LoopEdgeError(f"color-{c} map sends vertex {v} to {w}")
-    for c, row in enumerate(maps):
-        for v, w in enumerate(row):
-            if w != NO_EDGE and row[w] != v:
-                raise DuplicateColorError(f"vertex {w} meets two color-{c} edges")
+            elif row[w] != v and broken is None:
+                broken = f"vertex {w} meets two color-{c} edges"
+    if broken is not None:
+        raise DuplicateColorError(broken)
+    return _graph(dimension, maps, require_connected)
 
 
 def _graph(d, maps, require_connected=True) -> ColoredGraph:
@@ -273,8 +265,9 @@ class ResidueDecomposition:
     def least(self) -> tuple[int, ...]:
         """The least vertex of each component, in component order.  The
         kernels keep it as they number the components; a decomposition
-        built any other way reads it off its labels on first use, where
-        each label first occurs at its component's least vertex."""
+        built through this constructor reads it off its labels on first
+        use, where each label first occurs at its component's least
+        vertex."""
         least = []
         for v, k in enumerate(self.labels):
             if k == len(least):
@@ -296,15 +289,14 @@ class ResidueDecomposition:
 
     @classmethod
     def _unchecked(cls, color_set: tuple[int, ...], regular: tuple[bool, ...],
-                   labels: tuple[int, ...], least: Optional[tuple[int, ...]]
+                   labels: tuple[int, ...], least: tuple[int, ...]
                    ) -> "ResidueDecomposition":
-        """A decomposition from the kernels, its fields filled in directly
-        rather than through the frozen ``__init__``, which costs three
-        times as much; ``least``, when given, is its kept least vertices."""
+        """A decomposition from the kernels with its kept least vertices,
+        its fields filled in directly rather than through the frozen
+        ``__init__``, which costs three times as much."""
         dec = object.__new__(cls)
-        dec.__dict__.update(color_set=color_set, regular=regular, labels=labels)
-        if least is not None:
-            dec.__dict__["least"] = least
+        dec.__dict__.update(color_set=color_set, regular=regular, labels=labels,
+                            least=least)
         return dec
 
 
@@ -409,7 +401,7 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
 
 def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
            whole: list[bool], rows: Iterable[Iterable[tuple[int, int]]],
-           least: Optional[tuple[int, ...]] = None) -> ResidueDecomposition:
+           least: tuple[int, ...]) -> ResidueDecomposition:
     """The components labelled by ``labels`` (numbered by least vertex,
     ``whole`` flagging the regular ones) united along the edges of each
     row of (vertex, mate) pairs, as ``enumerate`` gives them from a color
@@ -418,9 +410,8 @@ def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
     keeps every component's parent pointer at or below its own index, so
     numbering the roots in index order numbers the united components by
     least vertex, as the given ones are.  The root is the component of
-    least index, so its least vertex, from ``least`` when given, is the
-    united component's; without it the result reads its own on first
-    use."""
+    least index, so its least vertex in ``least`` is the united
+    component's."""
     up = list(range(len(whole)))
     united = False
     for row in rows:
@@ -459,7 +450,7 @@ def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
                 regular[m] = False
     return ResidueDecomposition._unchecked(
         color_set, tuple(regular), tuple([up[k] for k in labels]),
-        None if least is None else tuple([least[k] for k in roots]))
+        tuple([least[k] for k in roots]))
 
 
 def _root(up: list[int], k: int) -> int:

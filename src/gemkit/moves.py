@@ -178,7 +178,7 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     for m, dec in graph._memo.copy().items():
         if isinstance(m, int):
             memo[m] = _unite(dec.color_set, dec.labels, [True] * dec.count,
-                             (joins,)) if m >> d & 1 else dec
+                             (joins,), dec.least) if m >> d & 1 else dec
     return capped, added
 
 

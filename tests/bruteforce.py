@@ -38,6 +38,26 @@ def bfs_components(num_vertices, edges, colors=None):
     return sorted(comps)
 
 
+def map_fault(maps, no_edge=-1):
+    """The fault color maps are refused for, as (error class name,
+    message), or None.  Every fault is listed: a loop or an entry out of
+    range, in any map, is named before any entry that breaks the
+    involution, and among faults of one kind the least (color, vertex)."""
+    n = len(maps[0])
+    loops, broken = [], []
+    for c, row in enumerate(maps):
+        for v, w in enumerate(row):
+            if w == v or not no_edge <= w < n:
+                loops.append((c, v, f"color-{c} map sends vertex {v} to {w}"))
+            elif w != no_edge and row[w] != v:
+                broken.append((c, v, f"vertex {w} meets two color-{c} edges"))
+    if loops:
+        return "LoopEdgeError", min(loops)[2]
+    if broken:
+        return "DuplicateColorError", min(broken)[2]
+    return None
+
+
 def count_components(num_vertices, edges, colors):
     return len(bfs_components(num_vertices, edges, colors))
 

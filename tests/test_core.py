@@ -15,7 +15,7 @@ from gemkit import (
     residues,
     validate,
 )
-from gemkit import core
+from gemkit import core, errors
 from gemkit.core import NO_EDGE, ColoredGraph, _colors_of, _from_maps, _without
 from gemkit.errors import (
     DisconnectedError,
@@ -94,15 +94,19 @@ def outcome(build, *args):
     return g, g.is_regular, g.is_bipartite
 
 
-def kept_from_maps(d, maps):
-    """The map constructor through the kept error-naming passes alone."""
-    core._map_fault(maps)  # returns when the maps hold no fault
+def reference_from_maps(d, maps):
+    """The map constructor with its map checks taken from the brute-force
+    list of every fault."""
+    fault = bf.map_fault(maps)
+    if fault is not None:
+        name, message = fault
+        raise getattr(errors, name)(message)
     return core._graph(d, maps)
 
 
 def kept_build(d, n, edges):
     """The edge path through the kept two loops alone."""
-    return kept_from_maps(d, core._checked_maps(d, n, list(edges)))
+    return reference_from_maps(d, core._checked_maps(d, n, list(edges)))
 
 
 MAP_FAULTS = ("fixed point", "minus two", "n", "broken involution")
@@ -146,22 +150,23 @@ def corrupt_edges(edges, d, n, kind, rng):
 
 
 class TestOnePassChecks:
-    """The one-pass map check and the one-loop edge check raise the class
-    and message that the kept error-naming passes raise on the same
-    input, first fault first, and build equal graphs on valid input."""
+    """The one-pass map check raises the class and message of the first
+    fault in the brute-force list of every fault, and the one-loop edge
+    check those of the kept two loops, and both build equal graphs on
+    valid input."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
            st.booleans(), st.lists(st.sampled_from(MAP_FAULTS), max_size=3),
            st.randoms(use_true_random=False))
-    def test_maps_raise_like_the_kept_passes(self, d, p, seed, with_boundary,
+    def test_maps_raise_like_the_brute_force_check(self, d, p, seed, with_boundary,
                                              faults, rng):
         g = sample_gem(d, p, seed, with_boundary)
         maps = [list(row) for row in g.color_maps]
         for kind in faults:
             corrupt_maps(maps, kind, rng)
         got = outcome(_from_maps, d, maps)
-        assert got == outcome(kept_from_maps, d, maps)
+        assert got == outcome(reference_from_maps, d, maps)
         if not isinstance(got[0], ColoredGraph):  # faults may cancel out
             assert got[0] in (LoopEdgeError, DuplicateColorError,
                               MissingColorError, DisconnectedError)
@@ -185,6 +190,26 @@ class TestOnePassChecks:
         assert got == outcome(ColoredGraph.from_edges, d, n, edges)
         if not faults:
             assert got == (g, g.is_regular, g.is_bipartite)
+
+    @pytest.mark.parametrize("faults, error, message", [
+        # a loop in a later map is named before a broken involution
+        ({(0, 1): 2, (3, 2): 2}, LoopEdgeError,
+         "color-3 map sends vertex 2 to 2"),
+        ({(0, 1): 2, (2, 3): -2}, LoopEdgeError,
+         "color-2 map sends vertex 3 to -2"),
+        ({(1, 3): 4, (0, 1): 3}, LoopEdgeError,
+         "color-1 map sends vertex 3 to 4"),
+        # the first broken involution, by color then vertex
+        ({(2, 0): 2, (0, 1): 2}, DuplicateColorError,
+         "vertex 1 meets two color-0 edges"),
+    ])
+    def test_map_fault_precedence(self, faults, error, message):
+        maps = [list(row) for row in swap_join_graph().color_maps]
+        for (c, v), w in faults.items():
+            maps[c][v] = w
+        with pytest.raises(error) as info:
+            _from_maps(4, maps)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("edges, error", [
         # a bad color is named before the short list
