@@ -6,7 +6,8 @@ violations (wrong dimension, wrong residue shape) do raise.
 
 The capping identities are stated for the capped graph before the final
 color transposition; regularize returns the transposed graph, so the
-checkers work on the intermediate capped graph directly.
+checkers read the counts of the untransposed capped graph, from the
+input's counts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .boundary import BoundaryGraph, boundary_graph
-from .core import (ColoredGraph, _residues_by_mask, _without,
-                   classify_vertices, count_g, residues)
+from .core import (ColoredGraph, ResidueDecomposition, _residues_by_mask,
+                   _root, _without, classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
     InvalidColorError,
@@ -32,13 +33,14 @@ from .invariants import (
     CyclicPermutation,
     GenusTable,
     _doubled_genera,
+    _doubled_row,
     _sweep,
     _Sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
     gurau_degree,
 )
-from .moves import cap_boundary, full_contraction
+from .moves import _capped_final, full_contraction
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,29 @@ class TransferCase(_Report):
         return case
 
 
+class _CappingRows(NamedTuple):
+    """The capping checks of one boundary gem for one singular color c, in
+    integers and without a capped graph.  ``added`` are the capping edges;
+    ``lemma_mixed[i]`` is the capped count on {i, d} and its prediction,
+    and ``lemma_singular`` the capped and input counts on {c, d} and their
+    prediction.  ``transfer`` holds per order of the sweep whether c is
+    next to d, twice the input's and the capped gem's genus, and twice the
+    universal and (None where inapplicable) paper predictions."""
+
+    added: tuple[tuple[int, int], ...]
+    lemma_mixed: dict[int, tuple[int, int]]
+    lemma_singular: tuple[int, int, int]
+    lemma_ok: bool
+    transfer: list[tuple[bool, int, int, int, Optional[int]]]
+    transfer_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """The component counts and the genus transfer hold; the chi law
+        is not part of it."""
+        return self.lemma_ok and self.transfer_ok
+
+
 @dataclass(frozen=True)
 class RegularizationIdentityReport(_Report):
     singular_color: int
@@ -122,9 +147,7 @@ class RegularizationIdentityReport(_Report):
     chi_delta: int
     chi_law_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.lemma_ok and self.transfer_ok
+    ok = _CappingRows.ok
 
 
 def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
@@ -149,7 +172,9 @@ class _CappingRecord(NamedTuple):
     its count on three when every component there is a 2-sphere gem and
     None otherwise, and ``mixed[i]`` the input's (g, g_dot) on {i, d}.
     ``doubled`` is twice the input's genus per order of ``sweep``, and
-    ``ends`` each order's two colors next to d."""
+    ``ends`` each order's two colors next to d.  ``capped_row`` is the
+    capped gem's pair-count row with its pairs {i, d} left at 0, and
+    ``slots[i]`` the position of {i, d} in it."""
 
     boundary: BoundaryGraph
     p_bar: int
@@ -159,7 +184,8 @@ class _CappingRecord(NamedTuple):
     sweep: _Sweep
     doubled: list[int]
     ends: tuple[tuple[int, int], ...]
-    chi: int
+    capped_row: list[int]
+    slots: tuple[int, ...]
 
 
 def _capping_record(graph: ColoredGraph) -> _CappingRecord:
@@ -184,6 +210,10 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
         triples[mask] = (_residues_by_mask(bg.graph, mask).count
                          if _spherical_triple(bg.graph, frozenset(tri)) else None)
     mixed = tuple(count_g(graph, (i, d)) for i in range(d))
+    # capping keeps every residue without color d, and a regular capped gem
+    # reads no boundary counts
+    capped_row = [0 if b == d else _residues_by_mask(graph, 1 << a | 1 << b).count
+                  for a, b in sweep.pairs] + [0] * len(sweep.pairs)
     return _CappingRecord(
         boundary=bg,
         p_bar=classify_vertices(graph).p_bar,
@@ -193,8 +223,94 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
         sweep=sweep,
         doubled=doubled,
         ends=tuple(zip(sweep.flat[::d], sweep.flat[d - 1::d])),
-        chi=euler_characteristic(graph),
+        capped_row=capped_row,
+        slots=tuple(k for k, (_, b) in enumerate(sweep.pairs) if b == d),
     )
+
+
+def _joined_count(dec: ResidueDecomposition, added) -> int:
+    """The component count of a residue with color d once the capping
+    edges ``added`` are in: the input's count less the unions the edges
+    make over its labels.  It unites as ``core._unite`` does for the
+    memo copy of ``cap_boundary``, but only counts, with no labels built."""
+    labels, up = dec.labels, list(range(dec.count))
+    count = dec.count
+    for u, v in added:
+        x, y = _root(up, labels[u]), _root(up, labels[v])
+        if x != y:
+            up[x] = y
+            count -= 1
+    return count
+
+
+def _capping_rows(graph: ColoredGraph, c: int) -> _CappingRows:
+    """The capping checks on a boundary gem for a valid singular color c.
+
+    The capped gem keeps the input's residues without color d, and one
+    with d is the input's joined along the capping edges, so every count
+    is the input's count, less its unions.  The capped gem's genus table
+    is summed from its pair-count row; capping joins the ends of
+    odd-length paths, so it is bipartite exactly when the input is."""
+    d = graph.dimension
+    rec = _capping_record(graph)
+    p_bar, counts = rec.p_bar, rec.counts
+    added = _capped_final(graph, c)[1]
+    capped = [_joined_count(_residues_by_mask(graph, 1 << i | 1 << d), added)
+              for i in range(d)]
+
+    lemma_mixed = {i: (capped[i], rec.mixed[i][1] + counts[1 << i | 1 << c])
+                   for i in range(d) if i != c}
+    g_cd, gdot_cd = rec.mixed[c]
+    lemma_singular = (capped[c], g_cd, gdot_cd + p_bar)
+    lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
+                and capped[c] == g_cd == gdot_cd + p_bar)
+
+    row = list(rec.capped_row)
+    for k, count in zip(rec.slots, capped):
+        row[k] = count
+    doubled_capped = _doubled_row(rec.sweep, row,
+                                  2 + (d - 1) * (graph.num_vertices // 2),
+                                  graph.is_bipartite)
+    # by the two colors next to d: whether c is one of them, and what the
+    # universal and (None where inapplicable) paper forms add to twice rho
+    shifts = {}
+    for e0, e_last in set(rec.ends):
+        dg_ends = counts[1 << e0 | 1 << e_last]
+        universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
+                     - counts[1 << e_last | 1 << c])
+        if c == e0 or c == e_last:
+            shifts[e0, e_last] = True, universal, 0
+        else:
+            dg_triple = rec.triples[1 << e0 | 1 << e_last | 1 << c]
+            shifts[e0, e_last] = False, universal, (
+                None if dg_triple is None else 2 * (dg_ends - dg_triple))
+    transfer = []
+    transfer_ok = True
+    for ends, doubled_in, doubled_cap in zip(rec.ends, rec.doubled,
+                                             doubled_capped):
+        adjacent, universal, paper = shifts[ends]
+        universal += doubled_in
+        if paper is not None:
+            paper += doubled_in
+        transfer.append((adjacent, doubled_in, doubled_cap, universal, paper))
+        transfer_ok = (transfer_ok and doubled_cap == universal
+                       and (paper is None or doubled_cap == paper))
+    return _CappingRows(added, lemma_mixed, lemma_singular, lemma_ok,
+                        transfer, transfer_ok)
+
+
+def _chi_delta(graph: ColoredGraph, added) -> int:
+    """The Euler characteristic of the capped gem less the input's, from
+    the counts: ``f_vector`` counts a residue on a color set with sign
+    (-1)^(d - size), and capping lowers only the counts of color sets with
+    d, each by the unions the capping edges make."""
+    d = graph.dimension
+    delta = 0
+    for mask in range(1 << d, (1 << d + 1) - 1):  # with d, all colors but one
+        dec = _residues_by_mask(graph, mask)
+        delta += (-1) ** (d - mask.bit_count()) * (_joined_count(dec, added)
+                                                   - dec.count)
+    return delta
 
 
 def check_regularization_identities(graph: ColoredGraph, singular_color: int
@@ -209,7 +325,8 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     inapplicable and only the universal half-integer transfer is checked.
 
     What does not depend on the color is read from the graph's capping
-    record, and genus values are compared as twice-genus integers.
+    record, the capped gem's counts from the input's (no capped graph is
+    built), and genus values are compared as twice-genus integers.
     """
     d = graph.dimension
     c = singular_color
@@ -217,71 +334,34 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
         raise NoBoundaryError("graph is regular: empty boundary")
     if not 0 <= c < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
+    rows = _capping_rows(graph, c)
     rec = _capping_record(graph)
-    p_bar, counts = rec.p_bar, rec.counts
-    capped, _ = cap_boundary(graph, c)
 
-    lemma_mixed = {}
-    lemma_ok = True
-    for i in range(d):
-        if i == c:
-            continue
-        lhs = _residues_by_mask(capped, 1 << i | 1 << d).count
-        rhs = rec.mixed[i][1] + counts[1 << i | 1 << c]
-        lemma_mixed[i] = (lhs, rhs)
-        lemma_ok = lemma_ok and lhs == rhs
-    lhs_cd = _residues_by_mask(capped, 1 << c | 1 << d).count
-    g_cd, gdot_cd = rec.mixed[c]
-    lemma_singular = (lhs_cd, g_cd, gdot_cd + p_bar)
-    lemma_ok = lemma_ok and lhs_cd == g_cd == gdot_cd + p_bar
-
-    # by the two colors next to d: whether c is one of them, and what the
-    # universal and (None where inapplicable) paper forms add to twice rho
-    shifts = {}
-    for e0, e_last in set(rec.ends):
-        dg_ends = counts[1 << e0 | 1 << e_last]
-        universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
-                     - counts[1 << e_last | 1 << c])
-        if c == e0 or c == e_last:
-            shifts[e0, e_last] = True, universal, 0
-        else:
-            dg_triple = rec.triples[1 << e0 | 1 << e_last | 1 << c]
-            shifts[e0, e_last] = False, universal, (
-                None if dg_triple is None else 2 * (dg_ends - dg_triple))
-    rows = []
-    for ends, doubled_in, doubled_cap in zip(
-            rec.ends, rec.doubled, _doubled_genera(capped)[1]):
-        adjacent, universal, paper = shifts[ends]
-        rows.append((adjacent, doubled_in, doubled_cap, doubled_in + universal,
-                     None if paper is None else doubled_in + paper))
-    values = {value for row in rows for value in row[1:]}
+    values = {value for row in rows.transfer for value in row[1:]}
     values.discard(None)
     halves = {value: Fraction(value, 2) for value in values}
-    cases = []
-    transfer_ok = True
-    for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
-            rec.sweep.orders, rows):
-        universal_ok = doubled_cap == universal
-        paper_ok = None if paper is None else doubled_cap == paper
-        cases.append(TransferCase._unchecked(
+    cases = tuple(
+        TransferCase._unchecked(
             eps=eps, adjacent=adjacent, rho_input=halves[doubled_in],
             rho_capped=halves[doubled_cap],
             paper_rhs=None if paper is None else halves[paper],
-            paper_applicable=paper is not None, paper_ok=paper_ok,
-            universal_rhs=halves[universal], universal_ok=universal_ok))
-        transfer_ok = transfer_ok and universal_ok and paper_ok is not False
+            paper_applicable=paper is not None,
+            paper_ok=None if paper is None else doubled_cap == paper,
+            universal_rhs=halves[universal], universal_ok=doubled_cap == universal)
+        for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
+            rec.sweep.orders, rows.transfer))
 
-    chi_delta = euler_characteristic(capped) - rec.chi
+    chi_delta = _chi_delta(graph, rows.added)
     h = rec.boundary.num_components
     return RegularizationIdentityReport(
         singular_color=c,
         h=h,
-        p_bar=p_bar,
-        lemma_mixed=lemma_mixed,
-        lemma_singular=lemma_singular,
-        lemma_ok=lemma_ok,
-        transfer=tuple(cases),
-        transfer_ok=transfer_ok,
+        p_bar=rec.p_bar,
+        lemma_mixed=rows.lemma_mixed,
+        lemma_singular=rows.lemma_singular,
+        lemma_ok=rows.lemma_ok,
+        transfer=cases,
+        transfer_ok=rows.transfer_ok,
         chi_delta=chi_delta,
         chi_law_ok=chi_delta == h,
     )

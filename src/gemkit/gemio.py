@@ -30,10 +30,14 @@ from .invariants import JSONText, invariant_report
 PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00")
 
 
+# one encoder for every call: json.dumps with these settings builds a new one
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(value) -> str:
     """Compact JSON with sorted keys: the form of digests, catalog lines
     and ``--json`` output."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,22 @@ class GemFile:
     def digest(self) -> str:
         """Content hash of the canonical graph data (name excluded)."""
         c = self.canonical()
-        payload = _canonical(
-            {"dimension": c.dimension, "vertices": c.vertices,
-             "edges": [list(e) for e in c.edges]})
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        return _digest(c.dimension, c.vertices, c.edges)
+
+
+def _digest(dimension: int, vertices: int,
+            edges: Iterable[tuple[int, int, int]]) -> str:
+    """The content hash of graph data whose edges are in canonical order;
+    JSON writes an edge tuple as a list."""
+    payload = _canonical({"dimension": dimension, "vertices": vertices,
+                          "edges": list(edges)})
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _graph_digest(graph: ColoredGraph) -> str:
+    """The digest of the graph's gem file, from the edges the graph lists
+    in canonical order already, so they are not sorted again."""
+    return _digest(graph.dimension, graph.num_vertices, graph.edges())
 
 
 def gemfile_from_graph(graph: ColoredGraph, name: Optional[str] = None) -> GemFile:
@@ -192,7 +208,7 @@ def export_dot(graph: ColoredGraph, path: str | Path,
 
 
 def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
-    return _record(graph, gemfile_from_graph(graph).digest(), name)
+    return _record(graph, _graph_digest(graph), name)
 
 
 def _record(graph: ColoredGraph, digest: str, name: Optional[str]) -> dict:
@@ -235,7 +251,7 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
     is built only when it is appended."""
     store = Path(store_path)
     store.touch(exist_ok=True)
-    digest = gemfile_from_graph(graph).digest()
+    digest = _graph_digest(graph)
     key = digest.encode("ascii")
     with store.open("r+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)

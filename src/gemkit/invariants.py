@@ -320,10 +320,18 @@ def _doubled_genera(graph: ColoredGraph) -> GenusTable:
         ends = [boundary_g(graph, pair) if pair[1] < d else 0
                 for pair in pairs]
         base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
-    row = counts + ends
+    return GenusTable(sweep, _doubled_row(sweep, counts + ends, base,
+                                          graph.is_bipartite))
+
+
+def _doubled_row(sweep: _Sweep, row: list[int], base: int, bipartite: bool
+                 ) -> list[int]:
+    """Twice the genus at every order of the sweep, in sweep order: base
+    less the sum of the pair-count row's entries the order reads.  On a
+    bipartite graph an odd value raises NonIntegralGenusError."""
     n = sweep.count
     # on a bipartite graph the orders are walked for an odd value
-    walk = graph.is_bipartite
+    walk = bipartite
     if max(row) < _PAD:
         # a lane's sum is at most (d+2)·254 < 2**16, so no lane carries
         # into the next one; the pad reads 0
@@ -348,7 +356,7 @@ def _doubled_genera(graph: ColoredGraph) -> GenusTable:
                 raise NonIntegralGenusError(
                     f"bipartite graph produced genus {Fraction(value, 2)} "
                     f"at {sweep.order(k).order}")
-    return GenusTable(sweep, doubled)
+    return doubled
 
 
 def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
@@ -450,9 +458,9 @@ def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
         except GemError:
             pass
     else:
-        out["capping_identities"] = all(
-            checks.check_regularization_identities(graph, c).ok
-            for c in range(4))
+        # the flag from the integer rows, with no report object built
+        out["capping_identities"] = all(checks._capping_rows(graph, c).ok
+                                        for c in range(4))
     return out
 
 

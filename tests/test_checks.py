@@ -30,6 +30,7 @@ from gemkit import (
 from gemkit import checks
 from gemkit.errors import (
     DimensionError,
+    DisconnectedError,
     GemError,
     InvalidColorError,
     NoBoundaryError,
@@ -38,7 +39,8 @@ from gemkit.errors import (
     ResidueShapeError,
 )
 from gemkit.gemio import read_gem
-from gemkit.invariants import invariant_report
+from gemkit.invariants import (_doubled_genera, euler_characteristic,
+                               invariant_report)
 from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
                           regularize)
 
@@ -144,6 +146,92 @@ class TestCappingRecord:
         with pytest.raises(NoBoundaryError):
             check_regularization_identities(s4, 0)
         assert "capping" not in s4._memo
+
+
+def bipartite_boundary_gem(d, p, p_dot, rng):
+    """A random connected bipartite gem with boundary: every color below d
+    matches the first p vertices to the last p, and color d joins p_dot
+    of those pairs."""
+    for _ in range(200):
+        edges = []
+        for c in range(d):
+            perm = rng.sample(range(p, 2 * p), p)
+            edges += [(a, perm[a], c) for a in range(p)]
+        perm = rng.sample(range(p, 2 * p), p)
+        edges += [(a, perm[a], d) for a in rng.sample(range(p), p_dot)]
+        try:
+            return validate(d, 2 * p, edges)
+        except DisconnectedError:
+            continue
+    raise AssertionError("no connected sample")
+
+
+def slow_capping_form(g, c, report):
+    """The report's JSON form with every value of the capped gem read
+    from a capped graph: ``cap_boundary``, then ``residues``,
+    ``_doubled_genera`` and ``euler_characteristic`` on it; every flag
+    compared anew."""
+    d = g.dimension
+    capped, _ = cap_boundary(g, c)
+    out = report.to_jsonable()
+    lemma_mixed = {key: [residues(capped, (int(key), d)).count, rhs]
+                   for key, (_, rhs) in out["lemma_mixed"].items()}
+    lemma_singular = [residues(capped, (c, d)).count] + out["lemma_singular"][1:]
+    lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
+                and len(set(lemma_singular)) == 1)
+    transfer = []
+    for case, doubled in zip(out["transfer"], _doubled_genera(capped).doubled):
+        rho = Fraction(doubled, 2)
+        paper = case["paper_rhs"]
+        transfer.append({**case, "rho_capped": str(rho),
+                         "universal_ok": rho == Fraction(case["universal_rhs"]),
+                         "paper_ok": None if paper is None else rho == Fraction(paper)})
+    transfer_ok = all(t["universal_ok"] and t["paper_ok"] is not False
+                      for t in transfer)
+    chi_delta = euler_characteristic(capped) - euler_characteristic(g)
+    return {**out, "lemma_mixed": lemma_mixed, "lemma_singular": lemma_singular,
+            "lemma_ok": lemma_ok, "transfer": transfer, "transfer_ok": transfer_ok,
+            "chi_delta": chi_delta, "chi_law_ok": chi_delta == out["h"],
+            "ok": lemma_ok and transfer_ok}
+
+
+class TestCountPath:
+    """The capping checks read the capped gem's counts off the input's,
+    joined along the capping edges; every report equals the one read from
+    a capped graph and the brute-force oracle, and the catalog flag equals
+    the reports' ``ok``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_reports_match_the_capped_graph(self, d, p, seed, bipartite):
+        rng = random.Random(seed)
+        if d == 6:
+            p = min(p, 3)  # the oracle's 360 orders
+        if bipartite:
+            g = bipartite_boundary_gem(d, p, rng.randrange(p), rng)
+        else:
+            g = random_boundary_gem(d, max(p, 2), seed % max(p, 2), seed=seed)
+        edges = list(g.edges())
+        for c in range(d):
+            report = check_regularization_identities(g, c)
+            assert report.to_jsonable() == slow_capping_form(g, c, report)
+            assert report.to_jsonable() == bf.regularization_identities(
+                d, g.num_vertices, edges, c)
+            assert checks._capping_rows(g, c).ok == report.ok
+            assert cap_boundary(g, c)[0].is_bipartite == g.is_bipartite
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2 ** 20), st.booleans())
+    def test_catalog_flag_is_every_report_ok(self, p, seed, bipartite):
+        rng = random.Random(seed)
+        if bipartite:
+            g = bipartite_boundary_gem(4, p, rng.randrange(p), rng)
+        else:
+            g = random_boundary_gem(4, p, seed % p, seed=seed)
+        flag = invariant_report(g).bound_checks["capping_identities"]
+        assert flag is True
+        assert all(check_regularization_identities(g, c).ok for c in range(4))
 
 
 class TestOmegaPairing:

@@ -217,6 +217,45 @@ class TestDigest:
         b = GemFile(4, 2, tuple(e[::-1])).digest()
         assert a == b
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_graph_digest_is_the_gem_file_digest(self, d, p, seed,
+                                                 with_boundary, rng):
+        # the graph path hashes its edges as listed; the gem file path
+        # sorts and orients them first
+        g = sample_gem(d, p, seed, with_boundary)
+        edges = [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                 for u, v, c in g.edges()]
+        rng.shuffle(edges)
+        assert gemio._graph_digest(g) == GemFile(d, g.num_vertices,
+                                                 tuple(edges)).digest()
+        assert gemio._graph_digest(g) == gemfile_from_graph(g).digest()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.sampled_from([float("inf"), -float("inf")])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestCanonicalText:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_shared_encoder_writes_what_dumps_writes(self, value):
+        assert gemio._canonical(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))
+
+    def test_fixed_payload(self):
+        value = {"z": [None, 1.5, float("inf"), -float("inf")],
+                 "é": {"ß": "ü€", "a": [True, False, 0]}, "": -0.0}
+        assert gemio._canonical(value) == (
+            '{"":-0.0,"z":[null,1.5,Infinity,-Infinity],'
+            '"\\u00e9":{"a":[true,false,0],"\\u00df":"\\u00fc\\u20ac"}}')
+
 
 class TestCatalog:
     def test_add_is_idempotent(self, tmp_path, s4):
@@ -249,13 +288,13 @@ class TestCatalog:
         store = tmp_path / "store.jsonl"
         expected = catalog_record(b4, "b4")
         digests = []
-        real_digest = GemFile.digest
+        real_digest = gemio._digest
 
-        def counting_digest(self):
-            digests.append(self)
-            return real_digest(self)
+        def counting_digest(*data):
+            digests.append(data)
+            return real_digest(*data)
 
-        monkeypatch.setattr(GemFile, "digest", counting_digest)
+        monkeypatch.setattr(gemio, "_digest", counting_digest)
         rec, added = catalog_add(store, b4, name="b4")
         assert added and len(digests) == 1
         assert rec == expected

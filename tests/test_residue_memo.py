@@ -3,7 +3,7 @@ and merges along the color lattice in any query order, agree with an
 uncached search and the brute-force oracle, rewrites start from an empty
 memo (a capped graph from every decomposition of the input, joined along
 the added edges where it holds color d), and a full invariant report
-decomposes each color subset of each graph once, no subset of a capped
+decomposes each color subset of each graph once, builds no capped
 graph, and builds the boundary graph and the capping record once."""
 
 import sys
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from gemkit import boundary, checks, core
+from gemkit import boundary, checks, core, moves
 from gemkit.boundary import boundary_graph
 from gemkit.core import random_boundary_gem, random_gem, residues
 from gemkit.invariants import f_vector, invariant_report, rho_table
@@ -330,10 +330,10 @@ class TestWorkCount:
             built.append(g)
             return real_build(g)
 
-        records, triples, capped = [], [], []
+        records, triples, caps, builds = [], [], [], []
         real_record = checks._build_capping_record
         real_triple = checks._spherical_triple
-        real_cap = checks.cap_boundary
+        real_cap = moves.cap_boundary
 
         def counting_record(g):
             records.append(g)
@@ -344,23 +344,32 @@ class TestWorkCount:
             return real_triple(bgraph, triple)
 
         def counting_cap(g, color):
-            out = real_cap(g, color)
-            capped.append(out[0])
-            return out
+            caps.append(color)
+            return real_cap(g, color)
+
+        def counting_from_maps(real):
+            def run(dimension, maps, **kwargs):
+                builds.append(dimension)
+                return real(dimension, maps, **kwargs)
+            return run
 
         monkeypatch.setattr(core, "_walk", counting(core._walk))
         monkeypatch.setattr(core, "_merge", counting(core._merge))
         monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
         monkeypatch.setattr(checks, "_build_capping_record", counting_record)
         monkeypatch.setattr(checks, "_spherical_triple", counting_triple)
-        monkeypatch.setattr(checks, "cap_boundary", counting_cap)
+        monkeypatch.setattr(moves, "cap_boundary", counting_cap)
+        for module in (core, moves, boundary):
+            monkeypatch.setattr(module, "_from_maps",
+                                counting_from_maps(module._from_maps))
         invariant_report(graph)
         keys = [(id(g), mask) for g, mask in decomposed]
         assert len(keys) == len(set(keys))
         assert len(keys) <= 250
         assert len(built) == 1 and built[0] is graph
-        # the four capped graphs inherit every decomposition they read
-        assert len(capped) == 4
+        # the capping checks read the input's counts: no capped graph is
+        # built, and the one graph built is the boundary graph
+        assert caps == [] and builds == [graph.dimension - 1]
         assert {id(g) for g, _ in decomposed} == {
             id(graph), id(boundary_graph(graph).graph)}
         assert len(records) == 1 and records[0] is graph
