@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .boundary import BoundaryGraph, boundary_graph
 from .core import (ColoredGraph, ResidueDecomposition, _residues_by_mask,
-                   _root, _without, classify_vertices, count_g, residues)
+                   _root, classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
     InvalidColorError,
@@ -382,7 +382,7 @@ def _require_connected_below_4(graph: ColoredGraph, error: type) -> None:
     """Raise ``error`` unless the graph minus any color below 4 is
     connected."""
     for c in range(4):
-        if _without(graph, c).count != 1:
+        if count_g(graph, (k for k in range(5) if k != c))[0] != 1:
             raise error(f"graph minus color {c} is not connected")
 
 
@@ -390,7 +390,7 @@ _TRIPLES = tuple(combinations(range(5), 3))
 
 
 def _triple_counts(graph: ColoredGraph) -> dict[tuple[int, ...], int]:
-    return {tri: residues(graph, tri).count for tri in _TRIPLES}
+    return {tri: count_g(graph, tri)[0] for tri in _TRIPLES}
 
 
 def _least_counts(m: int, m_hat: int, k: int) -> dict[tuple[int, ...], int]:
@@ -513,7 +513,7 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
     twice_slack = [value - 2 * genus_bound for value in doubled]
 
     contracted = full_contraction(graph, verify=False)
-    least = _least_counts(m, m_hat, _without(contracted, 4).count)
+    least = _least_counts(m, m_hat, count_g(contracted, range(4))[0])
     t_table = {tri: count - least[tri]
                for tri, count in _triple_counts(contracted).items()}
     consistent = all(
@@ -552,7 +552,7 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     residues minimal) and list the cyclic orders witnessing weak
     semi-simplicity."""
     _require_regular_4(graph, "semi-simplicity")
-    k = _without(graph, 4).count
+    k = count_g(graph, range(4))[0]
     if k != h:
         raise ResidueShapeError(
             f"expected {h} components without color 4, got {k}")

@@ -58,9 +58,22 @@ def _encoded(value) -> str:
 
 def _payload_json(payload: dict) -> str:
     """The text of ``_canonical(payload)`` for string keys, where an
-    ``JSONText`` value stands for the JSON it holds."""
-    return "{" + ",".join(_canonical(key) + ":" + _encoded(value)
-                          for key, value in sorted(payload.items())) + "}"
+    ``JSONText`` value stands for the JSON it holds.  Each run of other
+    values that are not lists, in sorted key order, is encoded by one
+    ``_canonical`` call, its braces dropped; a ``JSONText`` or list value
+    is spliced by ``_encoded``."""
+    parts, run = [], {}
+    for key, value in sorted(payload.items()):
+        if isinstance(value, (JSONText, list)):
+            if run:
+                parts.append(_canonical(run)[1:-1])
+                run = {}
+            parts.append(_canonical(key) + ":" + _encoded(value))
+        else:
+            run[key] = value
+    if run:
+        parts.append(_canonical(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 def cmd_validate(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
@@ -262,6 +275,19 @@ def _mismatches(suite: str, report, d: int) -> list[str]:
     return out
 
 
+def _omega_mismatch(report) -> str:
+    """The first order, in sweep order, whose pair sum differs from the
+    first order's, with both sums; else six times the one pair sum
+    against omega_G."""
+    sums = iter(report.pair_sums.items())
+    first, first_sum = next(sums)
+    for eps, value in sums:
+        if value != first_sum:
+            return (f"  order {eps.label()}: pair sum {value}, first order "
+                    f"{first.label()}: pair sum {first_sum}")
+    return f"  6 * pair sum = {6 * first_sum}, omega_G = {report.omega}"
+
+
 def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     suite = args.suite
     if suite == "lemma" or suite == "corollary":
@@ -286,6 +312,8 @@ def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
         payload = {"suite": suite, "ok": ok, **report.to_jsonable()}
         human = [f"omega pairing: omega_G = {report.omega}, "
                  f"{'holds' if ok else 'VIOLATED'}"]
+        if not ok:
+            human.append(_omega_mismatch(report))
     elif suite == "dipole":
         detail, human, ok = _dipole_suite(graph)
         payload = {"suite": suite, "ok": ok, **detail}
@@ -294,8 +322,9 @@ def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
         report = checks.check_dehn_sommerville(graph)
         ok = report.ok
         payload = {"suite": suite, "ok": ok, **report.to_jsonable()}
-        human = [f"2p = {report.lhs}, 6chi + 2*sum(g_ijk) - 30 = {report.rhs}: "
-                 f"{'holds' if ok else 'VIOLATED'}"]
+        human = [f"2p = {report.lhs}, 6chi + 2*sum(g_ijk) - 30 = {report.rhs}"
+                 + (": holds" if ok else f" (chi = {report.chi}, sum(g_ijk) = "
+                                         f"{report.triple_sum}): VIOLATED")]
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown suite {suite!r}")
     return payload, human

@@ -44,8 +44,8 @@ class ColoredGraph:
     color_maps: tuple[tuple[int, ...], ...]
     is_regular: bool = field(compare=False)
     is_bipartite: bool = field(compare=False)
-    # residue decompositions by color bitmask, and the boundary graph;
-    # filled on first use, and dropped with the graph
+    # residue decompositions by color bitmask, the vertex classification
+    # and the boundary graph; filled on first use, and dropped with the graph
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -70,9 +70,7 @@ class ColoredGraph:
                     yield (u, v, c)
 
     def boundary_vertices(self) -> tuple[int, ...]:
-        d = self.dimension
-        return tuple(v for v in range(self.num_vertices)
-                     if self.color_maps[d][v] == NO_EDGE)
+        return classify_vertices(self).boundary_vertices
 
     @staticmethod
     def from_edges(dimension: int,
@@ -334,6 +332,13 @@ def _colors_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
+def _one_smaller(mask: int) -> tuple[int, ...]:
+    """The bitmasks of one color fewer than a mask; one tuple per mask,
+    shared."""
+    return tuple(mask ^ 1 << c for c in _colors_of(mask))
+
+
 def _walk(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     """Decomposition on at most two colors a, b (a = b for one color):
     every component is a vertex, an edge, an alternating cycle or an
@@ -463,7 +468,29 @@ def _root(up: list[int], k: int) -> int:
 
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:
     """(g, g_dot): total and regular component counts of the residue."""
-    dec = residues(graph, colors)
+    return _count(graph, _color_mask(graph, colors))
+
+
+def _count(graph: ColoredGraph, mask: int) -> tuple[int, int]:
+    """(g, g_dot) on a bitmask of colors already known to be in 0..d.
+
+    Adding a color to a residue only merges its components, so a residue
+    is connected when one on a color fewer is.  On a memo miss, a mask
+    with a memoized one-component residue a color smaller is counted as
+    one component, with no decomposition made or kept.  The component
+    holds every vertex and each color below d meets every vertex, so it
+    is irregular exactly when the mask holds d and the graph has a
+    boundary."""
+    memo = graph._memo
+    dec = memo.get(mask)
+    if dec is None:
+        for smaller in _one_smaller(mask):
+            sub = memo.get(smaller)
+            if sub is not None and sub.count == 1:
+                if graph.is_regular or not mask >> graph.dimension & 1:
+                    return 1, 1
+                return 1, 0
+        dec = _residues_by_mask(graph, mask)
     return dec.count, dec.regular_count
 
 
@@ -495,11 +522,17 @@ class VertexClassification:
 
 
 def classify_vertices(graph: ColoredGraph) -> VertexClassification:
-    boundary = graph.boundary_vertices()
-    final = graph.color_maps[graph.dimension]
-    internal = tuple(v for v in range(graph.num_vertices) if final[v] != NO_EDGE)
-    return VertexClassification(boundary, internal,
-                                len(boundary) // 2, len(internal) // 2)
+    """The boundary/internal split, made once per graph and kept in the
+    graph's memo under a key no color bitmask takes."""
+    cls = graph._memo.get("vertices")
+    if cls is None:
+        boundary, internal = [], []
+        for v, w in enumerate(graph.color_maps[graph.dimension]):
+            (boundary if w == NO_EDGE else internal).append(v)
+        cls = graph._memo["vertices"] = VertexClassification(
+            tuple(boundary), tuple(internal),
+            len(boundary) // 2, len(internal) // 2)
+    return cls
 
 
 def is_contracted(graph: ColoredGraph) -> dict[int, bool]:

@@ -17,7 +17,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_g
-from .core import (NO_EDGE, ColoredGraph, _colors_of, _residues_by_mask,
+from .core import (NO_EDGE, ColoredGraph, _one_smaller, _residues_by_mask,
                    classify_vertices, count_g, residues)
 from .errors import (GemError, NonIntegralGenusError, NotRegularError,
                      PreconditionError, TooManyOrdersError)
@@ -201,13 +201,6 @@ def _build_sweep(d: int) -> _Sweep:
 def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
     """All d!/2 canonical cyclic permutations of 0..d, sorted."""
     return list(_sweep(d).orders)
-
-
-@cache
-def _one_smaller(mask: int) -> tuple[int, ...]:
-    """The bitmasks of one color fewer than a mask; one tuple per mask,
-    shared."""
-    return tuple(mask ^ 1 << c for c in _colors_of(mask))
 
 
 # f_vector walks all 2^(d+1) color sets: 1.2 s and 100 MB at d = 16
@@ -428,9 +421,9 @@ class InvariantReport:
             "regular": self.is_regular,
             "bipartite": self.is_bipartite,
             "boundary_components": self.boundary_components,
-            "g_pairs": {"".join(map(str, k)): list(v)
+            "g_pairs": {_set_label(k): list(v)
                         for k, v in sorted(self.g_pairs.items())},
-            "g_triples": {"".join(map(str, k)): list(v)
+            "g_triples": {_set_label(k): list(v)
                           for k, v in sorted(self.g_triples.items())},
             "f_vector": list(self.f_vector),
             "chi": self.chi,
@@ -439,6 +432,12 @@ class InvariantReport:
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
         }
+
+
+@cache
+def _set_label(colors: tuple[int, ...]) -> str:
+    """The digits of a color set, ``"012"``: one string per set, shared."""
+    return "".join(map(str, colors))
 
 
 def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:

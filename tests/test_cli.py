@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemkit import validate
 from gemkit.cli import build_parser, main
@@ -18,6 +20,26 @@ import malformed
 ROOT = Path(__file__).resolve().parent.parent
 GEMS = ROOT / "gems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _json_text(value):
+    from gemkit.gemio import _canonical
+    from gemkit.invariants import JSONText
+    return JSONText(_canonical(value))
+
+
+# plain JSON values, with non-ASCII text and nested objects
+PLAIN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.lists(inner, max_size=3),
+    max_leaves=6)
+# payload values: plain ones other than lists, JSON text, and lists that
+# mix plain items with JSON text
+PAYLOAD_VALUES = st.one_of(
+    PLAIN_VALUES.filter(lambda v: not isinstance(v, list)),
+    PLAIN_VALUES.map(_json_text),
+    st.lists(PLAIN_VALUES | PLAIN_VALUES.map(_json_text), max_size=3))
 
 
 def run_cli(*argv, hashseed="0"):
@@ -699,6 +721,66 @@ class TestPipelines:
         assert encoded == json.dumps({**payload, "rho": rho}, sort_keys=True,
                                      separators=(",", ":"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), PAYLOAD_VALUES, max_size=8))
+    def test_payload_json_encodes_runs(self, payload):
+        """``_payload_json`` gives ``_canonical`` of the payload with each
+        ``JSONText`` decoded: one call per run of plain values, and a
+        ``JSONText`` or list value spliced one item at a time, so no call
+        sees a whole top-level list."""
+        from gemkit import cli
+        from gemkit.gemio import _canonical
+        from gemkit.invariants import JSONText
+
+        def decoded(value):
+            if isinstance(value, JSONText):
+                return json.loads(value)
+            if isinstance(value, list):
+                return [decoded(item) for item in value]
+            return value
+
+        seen = []
+
+        def recording(value):
+            seen.append(value)
+            return _canonical(value)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_canonical", recording)
+            text = cli._payload_json(payload)
+        assert text == _canonical({k: decoded(v) for k, v in payload.items()})
+        spliced = [v for v in payload.values() if isinstance(v, (JSONText, list))]
+        for arg in seen:
+            assert not isinstance(arg, JSONText)
+            assert not any(arg is v for v in spliced)
+            if isinstance(arg, dict):
+                assert not any(w is v for w in arg.values() for v in spliced)
+        calls, in_run = 0, False
+        for _, value in sorted(payload.items()):
+            plain = not isinstance(value, (JSONText, list))
+            if not plain:  # its key, and each list item not given as text
+                calls += 1 + (sum(not isinstance(item, JSONText)
+                                  for item in value)
+                              if isinstance(value, list) else 0)
+            elif not in_run:
+                calls += 1
+            in_run = plain
+        assert len(seen) == calls
+
+    def test_info_encodes_few_runs(self, capsys, monkeypatch):
+        """``info`` encodes its plain values in three runs around the
+        f-vector items and the spliced genus table."""
+        from gemkit import cli
+        from gemkit.gemio import _canonical
+
+        seen = []
+        monkeypatch.setattr(cli, "_canonical",
+                            lambda value: seen.append(value) or _canonical(value))
+        assert main(["--json", "info", str(GEMS / "b4_2.gem")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # three runs, the keys "f_vector" and "rho", and one call per f
+        assert len(seen) == 3 + 2 + len(payload["f_vector"])
+
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_genus_table_is_the_canonical_encoding(self, tmp_path, capsys, d):
         from gemkit import random_boundary_gem, random_gem, rho_table
@@ -869,6 +951,57 @@ class TestPipelines:
             f"universal rhs = {u.universal_rhs + 1}",
             f"  color 3: order {p.eps.label()}: rho_cap = {p.rho_capped}, "
             f"paper rhs = {p.paper_rhs - 1}"]
+
+    def test_omega_failure_names_first_differing_order(self, capsys, monkeypatch):
+        from dataclasses import replace
+        from fractions import Fraction
+
+        from gemkit import checks
+
+        real = checks.check_omega_pairing
+        gem = str(GEMS / "s4_2.gem")
+        orders = list(real(read_gem(gem)).pair_sums)
+        reports = {
+            # two later orders differ; the first of them in sweep order is named
+            "sums": lambda r: replace(
+                r, sum_constant=False, pair_sums={
+                    **r.pair_sums, orders[5]: Fraction(3, 2), orders[9]: Fraction(7)}),
+            # the sums agree, and only six times the sum misses omega_G
+            "factor": lambda r: replace(r, factor_ok=False),
+        }
+        for name, broken in reports.items():
+            monkeypatch.setattr(checks, "check_omega_pairing",
+                                lambda graph, broken=broken: broken(real(graph)))
+            assert main(["check", gem, "--suite", "omega"]) == 1
+            first = orders[0].label()
+            assert capsys.readouterr().out.splitlines() == [
+                "omega pairing: omega_G = 0, VIOLATED",
+                f"  order {orders[5].label()}: pair sum 3/2, first order "
+                f"{first}: pair sum 0" if name == "sums"
+                else "  6 * pair sum = 0, omega_G = 0"]
+            assert main(["--json", "check", gem, "--suite", "omega"]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload == {"command": "check", "suite": "omega", "ok": False,
+                               **checks._jsonable(broken(real(read_gem(gem))))}
+
+    def test_dehn_failure_names_chi_and_triple_sum(self, capsys, monkeypatch):
+        from gemkit import checks
+
+        failing = checks.DehnSommervilleReport(lhs=2, rhs=4, chi=2, triple_sum=11)
+        monkeypatch.setattr(checks, "check_dehn_sommerville", lambda graph: failing)
+        gem = str(GEMS / "s4_2.gem")
+        assert main(["check", gem, "--suite", "dehn"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "2p = 2, 6chi + 2*sum(g_ijk) - 30 = 4 (chi = 2, sum(g_ijk) = 11): "
+            "VIOLATED"]
+        assert main(["--json", "check", gem, "--suite", "dehn"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "check", "suite": "dehn", "ok": False, "lhs": 2,
+            "rhs": 4, "chi": 2, "triple_sum": 11}
+        monkeypatch.undo()
+        assert main(["check", gem, "--suite", "dehn"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "2p = 2, 6chi + 2*sum(g_ijk) - 30 = 2: holds"]
 
     def test_check_names_failing_colors(self, capsys, monkeypatch):
         from dataclasses import replace

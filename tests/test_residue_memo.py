@@ -4,7 +4,9 @@ uncached search and the brute-force oracle, rewrites start from an empty
 memo (a capped graph from every decomposition of the input, joined along
 the added edges where it holds color d), and a full invariant report
 decomposes each color subset of each graph once, builds no capped
-graph, and builds the boundary graph and the capping record once."""
+graph, and builds the boundary graph, the capping record and the vertex
+classification once.  Counts read through ``count_g`` take a residue
+with a connected one a color smaller as one component, undecomposed."""
 
 import sys
 import threading
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from gemkit import boundary, checks, core, moves
 from gemkit.boundary import boundary_graph
-from gemkit.core import random_boundary_gem, random_gem, residues
-from gemkit.invariants import f_vector, invariant_report, rho_table
+from gemkit.core import (ball_gem, count_g, order_two_gem, random_boundary_gem,
+                         random_gem, residues)
+from gemkit.invariants import (_doubled_genera, f_vector, invariant_report,
+                               rho_table)
 from gemkit.moves import (
     cancel_1_dipole,
     cap_boundary,
@@ -353,6 +357,15 @@ class TestWorkCount:
                 return real(dimension, maps, **kwargs)
             return run
 
+        classified = []
+        real_classification = core.VertexClassification
+
+        def counting_classification(*fields):
+            classified.append(fields)
+            return real_classification(*fields)
+
+        monkeypatch.setattr(core, "VertexClassification",
+                            counting_classification)
         monkeypatch.setattr(core, "_walk", counting(core._walk))
         monkeypatch.setattr(core, "_merge", counting(core._merge))
         monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
@@ -374,6 +387,9 @@ class TestWorkCount:
             id(graph), id(boundary_graph(graph).graph)}
         assert len(records) == 1 and records[0] is graph
         assert len(triples) <= comb(graph.dimension, 3)
+        # the vertices are classified once, and the boundary read from it
+        assert len(classified) == 1
+        assert graph.boundary_vertices() is classified[0][0]
 
 
 class TestSmallMasks:
@@ -403,6 +419,74 @@ class TestSmallMasks:
         for mask in range(2 ** (d + 1)):
             assert residues(g, {c for c in g.colors if mask >> c & 1}) == \
                 bfs_decompose(g, mask)
+
+
+class TestCountClosure:
+    """``count_g``, and ``checks._triple_counts`` through it, count a
+    residue as one component, with no decomposition made or kept, when a
+    residue on a color fewer is memoized as one component; the counts
+    equal the oracle's whatever the memo holds."""
+
+    @staticmethod
+    def oracle(g, edges, colors):
+        return (bf.count_components(g.num_vertices, edges, colors),
+                bf.count_regular_components(g.num_vertices, edges, colors))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans(), st.sampled_from(["empty", "genera", "report"]),
+           st.randoms(use_true_random=False))
+    def test_counts_match_bruteforce(self, d, p, seed, with_boundary, start,
+                                     rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        if start == "genera":
+            _doubled_genera(g)
+        elif start == "report":
+            invariant_report(g)
+        edges = list(g.edges())
+        if d >= 4:  # the triples of colors 0..4
+            assert checks._triple_counts(g) == {
+                tri: bf.count_components(g.num_vertices, edges, set(tri))
+                for tri in checks._TRIPLES}
+        masks = list(range(2 ** (d + 1)))
+        rng.shuffle(masks)
+        # ascending, every mask a color smaller is queried first
+        for mask in sorted(masks) + masks:
+            colors = {c for c in g.colors if mask >> c & 1}
+            assert count_g(g, colors) == self.oracle(g, edges, colors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_report_keeps_no_needless_merge(self, d, p, seed, with_boundary):
+        """No residue of three or more colors is kept beside one on a color
+        fewer kept as one component, whose count already gives its own."""
+        g = sample_gem(d, p, seed, with_boundary)
+        invariant_report(g)
+        memo = {m: dec for m, dec in g._memo.items() if isinstance(m, int)}
+        assert not [m for m in memo if m.bit_count() >= 3
+                    and any(m ^ 1 << c in memo and memo[m ^ 1 << c].count == 1
+                            for c in core._colors_of(m))]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_component_counted_without_a_kernel(self, monkeypatch, d):
+        def kernel(graph, mask):
+            raise AssertionError(f"decomposed mask {mask}")
+
+        for g in (order_two_gem(d), ball_gem(d)):
+            edges = list(g.edges())
+            residues(g, {0, 1})
+            residues(g, {0, d})
+            memo = dict(g._memo)
+            with monkeypatch.context() as mp:
+                mp.setattr(core, "_walk", kernel)
+                mp.setattr(core, "_merge", kernel)
+                for colors in ({0, 1}, {0, 1, 2}, {0, 1, d}, {0, 2, d}):
+                    # one component, irregular on the ball exactly with d
+                    assert count_g(g, colors) == self.oracle(g, edges, colors)
+                    assert count_g(g, colors) == (
+                        1, int(g.is_regular or d not in colors))
+            assert g._memo == memo
 
 
 def test_concurrent_readers_share_one_graph():
