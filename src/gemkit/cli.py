@@ -44,13 +44,15 @@ EXIT_INTERNAL = 4
 
 
 def _encoded(value) -> str:
-    """``_canonical(value)``, with top-level lists encoded one item at a
-    time: encoding a long catalog scan in one call holds all its small
-    pieces at once, about seven times the text.  A ``JSONText`` value or
-    list item is spliced as it is."""
+    """``_canonical(value)``, with top-level lists of records encoded one
+    item at a time: encoding a long catalog scan in one call holds all its
+    small pieces at once, about seven times the text.  A list with no
+    ``JSONText``, dict or list item is encoded in one call.  A
+    ``JSONText`` value or list item is spliced as it is."""
     if isinstance(value, JSONText):
         return value
-    if isinstance(value, list):
+    if isinstance(value, list) and any(isinstance(item, (JSONText, dict, list))
+                                       for item in value):
         return "[" + ",".join(item if isinstance(item, JSONText) else _canonical(item)
                               for item in value) + "]"
     return _canonical(value)
@@ -261,6 +263,23 @@ def _dipole_suite(graph: ColoredGraph) -> tuple[dict, list[str], bool]:
     return {"sites": results}, [f"checked {len(sites)} dipole site(s)"], ok
 
 
+# each invariance flag of a dipole site, and the invariant it names
+_DIPOLE_FLAGS = (("abelianization_invariant", "abelianization"),
+                 ("f_delta_ok", "f-delta"), ("chi_invariant", "chi"),
+                 ("rho_invariant", "rho"))
+
+
+def _dipole_mismatch(sites: list[dict]) -> str:
+    """The first site, in site order, where an invariant moved, and each
+    invariant that moved there."""
+    for entry in sites:
+        moved = [name for flag, name in _DIPOLE_FLAGS if entry.get(flag) is False]
+        if moved:
+            break
+    return (f"  first failing site: color {entry['color']} at "
+            f"{tuple(entry['vertices'])}; moved: {', '.join(moved)}")
+
+
 def _mismatches(suite: str, report, d: int) -> list[str]:
     """The values of one color's capping report that miss their prediction."""
     if suite == "corollary":
@@ -318,6 +337,8 @@ def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
         detail, human, ok = _dipole_suite(graph)
         payload = {"suite": suite, "ok": ok, **detail}
         human.append("dipole invariances: " + ("hold" if ok else "VIOLATED"))
+        if not ok:
+            human.append(_dipole_mismatch(detail["sites"]))
     elif suite == "dehn":
         report = checks.check_dehn_sommerville(graph)
         ok = report.ok

@@ -328,9 +328,13 @@ def _coerce(value):
     if text.lower() in ("none", "null"):
         return None
     try:
-        return text if _huge_exponent(text) else Fraction(text)
+        if _huge_exponent(text):
+            return text
+        number = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return text
+    # a whole number as an int, which compares as its Fraction does
+    return number.numerator if number.denominator == 1 else number
 
 
 _MISSING = object()  # the value of a field a record does not have

@@ -11,14 +11,14 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import combinations, permutations
-from operator import add
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, permutations
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .boundary import boundary_component_count, boundary_g
-from .core import (NO_EDGE, ColoredGraph, _one_smaller, _residues_by_mask,
-                   classify_vertices, count_g, residues)
+from .boundary import boundary_component_count, boundary_graph
+from .core import (NO_EDGE, ColoredGraph, _count, _one_smaller,
+                   _residues_by_mask, classify_vertices)
 from .errors import (GemError, NonIntegralGenusError, NotRegularError,
                      PreconditionError, TooManyOrdersError)
 
@@ -80,8 +80,8 @@ class _Sweep:
     lane, little-endian: the position in the low byte, the pad ``_PAD``
     in the high one.  So one translation of a column turns positions into
     counts, and adding the columns as integers sums every order at once.
-    The orders as objects, and the JSON template of a genus table, are
-    built on first read and kept with the sweep.
+    The orders as objects, the lane units and the JSON pieces of a genus
+    table are built on first read and kept with the sweep.
     """
 
     def __init__(self, dimension: int, pairs: tuple[tuple[int, int], ...],
@@ -106,36 +106,41 @@ class _Sweep:
                      for colors in zip(*[iter(self.flat)] * d))
 
     @cached_property
-    def template(self) -> str:
+    def ones(self) -> int:
+        """A 1 in every order's lane."""
+        return int.from_bytes(b"\1\0" * self.count, "little")
+
+    @cached_property
+    def pieces(self) -> list[str]:
         """The text of a JSON object from every order's label, in sweep
-        order, to a ``%s`` slot: ``{"0,1,2,3":%s,...}``.  Every non-final
-        color is one digit up to d = 10 (``_MAX_ORDERS`` keeps d <= 9), so
-        every label has the same width and sweep order is JSON's
-        sorted-key order."""
+        order, cut where its values go: ``{"0,1,2,3":``, ``,"0,2,1,3":``,
+        ..., and a last piece ``}``.  Every non-final color is one digit
+        up to d = 10 (``_MAX_ORDERS`` keeps d <= 9), so every label has
+        the same width and sweep order is JSON's sorted-key order."""
         d, flat = self.dimension, self.flat
-        entry = ('"' + "0," * d + f'{d}":%s,').encode("ascii")
+        entry = (',"' + "0," * d + f'{d}":\0').encode("ascii")  # cut at the NUL
         width = len(entry)
-        text = bytearray(b"{" + entry * self.count)
+        text = bytearray(entry * self.count + b"}")
         digits = bytes(range(48, 58)).ljust(256, b"?")  # color -> its digit
         for k in range(d):
             text[2 + 2 * k::width] = flat[k::d].translate(digits)
-        text[-1:] = b"}"
-        return text.decode("ascii")
+        text[0] = ord("{")
+        return text.decode("ascii").split("\0")
 
 
 # the pad of a lane's high byte; row positions stay below it up to d = 15
 _PAD = 255
 
 # Sweeps up to this dimension are kept for the life of the process, with
-# their orders and template once built: by tracemalloc 0.14 MiB at d=7 and
-# 1.1 MiB at d=8 for info, 0.58 and 4.8 MiB with the orders.  A d=9 sweep
-# would keep 11 MiB, 46 MiB with its orders, and rebuilds in about 0.18 s,
+# their orders and pieces once built: by tracemalloc 0.25 MiB at d=7 and
+# 2.1 MiB at d=8 for info, 0.71 and 5.9 MiB with the orders.  A d=9 sweep
+# would keep 20 MiB, 56 MiB with its orders, and rebuilds in about 0.2 s,
 # so larger ones are rebuilt on each call.
 _SWEEP_CACHE_MAX_D = 8
 _sweeps: dict[int, _Sweep] = {}
 
 # Sweeps longer than this raise TooManyOrdersError: 9!/2 keeps d = 9.  The
-# genus-table template needs one-digit non-final colors, d <= 10.
+# genus-table pieces need one-digit non-final colors, d <= 10.
 _MAX_ORDERS = 181_440
 
 
@@ -165,7 +170,7 @@ def _build_sweep(d: int) -> _Sweep:
     # (first color below the one before d, then d) come out sorted
     flat = b"".join(bytes(perm) for perm in permutations(range(d))
                     if perm[0] < perm[-1])
-    pairs = tuple(combinations(range(d + 1), 2))
+    pairs = _color_sets(d).pairs
     n_pairs = len(pairs)
     # a color pair a, b as the code a*16 + b, a byte up to d = 15, maps to
     # its row position, and the pair's boundary count n_pairs further on
@@ -203,6 +208,56 @@ def enumerate_cyclic_permutations(d: int) -> list[CyclicPermutation]:
     return list(_sweep(d).orders)
 
 
+class _ColorSets:
+    """The color sets of one dimension as bitmasks, for the readers that
+    walk them all: the pairs and triples of 0..d, each as a color tuple
+    in ``combinations`` order and as a mask, the JSON templates of their
+    count tables, and the rows of ``f_vector``."""
+
+    def __init__(self, d: int):
+        self.dimension = d
+        self.pairs = tuple(combinations(range(d + 1), 2))
+        self.pair_masks = tuple(map(_mask_of, self.pairs))
+        self.triples = tuple(combinations(range(d + 1), 3))
+        self.triple_masks = tuple(map(_mask_of, self.triples))
+
+    @cached_property
+    def pair_json(self) -> tuple[str, tuple[tuple[int, ...], ...]]:
+        return _count_template(self.pairs)
+
+    @cached_property
+    def triple_json(self) -> tuple[str, tuple[tuple[int, ...], ...]]:
+        return _count_template(self.triples)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(mask, f-vector index, masks one color smaller) for each
+        complement of at most d - 1 colors, in ascending mask order."""
+        full = (1 << self.dimension + 1) - 1
+        return tuple((mask, (full ^ mask).bit_count() - 1, _one_smaller(mask))
+                     for mask in range(3, full) if mask & mask - 1)
+
+
+def _mask_of(colors: tuple[int, ...]) -> int:
+    return sum(1 << c for c in colors)
+
+
+def _count_template(sets: tuple[tuple[int, ...], ...]
+                    ) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The canonical JSON text of a count table on ``sets``, each set's
+    label to its [g, g_dot], with a ``%d`` slot per count; and the sets in
+    the template's order, JSON's sorted-key order of their labels."""
+    ordered = tuple(sorted(sets, key=_set_label))
+    return ("{" + ",".join(f'"{_set_label(colors)}":[%d,%d]'
+                           for colors in ordered) + "}"), ordered
+
+
+@cache
+def _color_sets(d: int) -> _ColorSets:
+    """The color sets of dimension d, built once per process."""
+    return _ColorSets(d)
+
+
 # f_vector walks all 2^(d+1) color sets: 1.2 s and 100 MB at d = 16
 _MAX_F_VECTOR_D = 15
 
@@ -223,7 +278,6 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
         raise PreconditionError(
             f"dimension {d} has 2^{d + 1} color sets, above the f-vector "
             f"limit of dimension {_MAX_F_VECTOR_D}")
-    full = (1 << d + 1) - 1
     fv = [0] * (d + 1)
     fv[d] = n
     connected = set()  # the masks whose residue is one component
@@ -232,19 +286,18 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
         fv[d - 1] += count
         if count == 1:
             connected.add(1 << c)
-    # the complement of every B of at most d - 1 colors, as a bitmask, in
-    # ascending order: a mask is decomposed only when the mask without
-    # its top color is disconnected, and so decomposed before it, so
+    # the rows ascend, so a mask is decomposed only when the mask without
+    # its top color is disconnected, and so decomposed before it, and
     # every merge unites along one color
-    for mask in range(3, full):
-        if mask & mask - 1:
-            if connected.isdisjoint(_one_smaller(mask)):
-                count = _residues_by_mask(graph, mask).count
-            else:
-                count = 1
+    for mask, h, smaller in _color_sets(d).rows:
+        if connected.isdisjoint(smaller):
+            count = _residues_by_mask(graph, mask).count
             if count == 1:
                 connected.add(mask)
-            fv[(full ^ mask).bit_count() - 1] += count
+            fv[h] += count
+        else:
+            connected.add(mask)
+            fv[h] += 1
     return tuple(fv)
 
 
@@ -278,17 +331,19 @@ class GenusTable(NamedTuple):
     def labelled(self) -> dict[str, str]:
         """Order label -> genus text, in sweep order."""
         text = {value: str(Fraction(value, 2)) for value in set(self.doubled)}
-        # the labels lie between the template's slots
-        labels = self.sweep.template[2:-5].split('":%s,"')
+        # each piece but the last holds one label, between '{"' or ',"' and '":'
+        labels = map(itemgetter(slice(2, -2)), self.sweep.pieces[:-1])
         return dict(zip(labels, map(text.__getitem__, self.doubled)))
 
     def json(self) -> JSONText:
-        """The canonical JSON text of ``labelled()``: the sweep's template
-        filled with one quoted string per distinct value, and no label or
+        """The canonical JSON text of ``labelled()``: the sweep's pieces
+        joined with one quoted string per distinct value, and no label or
         order built."""
         quoted = {value: f'"{Fraction(value, 2)}"' for value in set(self.doubled)}
-        return JSONText(self.sweep.template
-                        % tuple(map(quoted.__getitem__, self.doubled)))
+        parts = [None] * (2 * self.sweep.count + 1)
+        parts[::2] = self.sweep.pieces
+        parts[1::2] = map(quoted.__getitem__, self.doubled)
+        return JSONText("".join(parts))
 
 
 def _doubled_genera(graph: ColoredGraph) -> GenusTable:
@@ -302,16 +357,18 @@ def _doubled_genera(graph: ColoredGraph) -> GenusTable:
     """
     d = graph.dimension
     sweep = _sweep(d)
-    pairs = sweep.pairs
+    masks = _color_sets(d).pair_masks
     if graph.is_regular:
-        counts = [residues(graph, pair).count for pair in pairs]
-        ends = [0] * len(pairs)
+        counts = [_residues_by_mask(graph, mask).count for mask in masks]
+        ends = [0] * len(masks)
         base = 2 + (d - 1) * (graph.num_vertices // 2)
     else:
         cls = classify_vertices(graph)
-        counts = [residues(graph, pair).regular_count for pair in pairs]
-        ends = [boundary_g(graph, pair) if pair[1] < d else 0
-                for pair in pairs]
+        counts = [_residues_by_mask(graph, mask).regular_count for mask in masks]
+        # the boundary graph has colors 0..d-1: a pair with d reads 0
+        bgraph, top = boundary_graph(graph).graph, 1 << d
+        ends = [0 if mask & top else _residues_by_mask(bgraph, mask).count
+                for mask in masks]
         base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
     return GenusTable(sweep, _doubled_row(sweep, counts + ends, base,
                                           graph.is_bipartite))
@@ -325,24 +382,28 @@ def _doubled_row(sweep: _Sweep, row: list[int], base: int, bipartite: bool
     n = sweep.count
     # on a bipartite graph the orders are walked for an odd value
     walk = bipartite
-    if max(row) < _PAD:
-        # a lane's sum is at most (d+2)·254 < 2**16, so no lane carries
-        # into the next one; the pad reads 0
+    if max(row) < _PAD and 0 < base < 0x8000:
+        # a lane's sum is at most (d+2)·254 < 0x8000, so no lane carries
+        # into the next one and the pad reads 0; base + 0x8000 less the sum
+        # then lies in 0..0xFFFF, so no lane borrows either, and flipping
+        # its top bit reads it as the signed 16-bit base less the sum
         table = bytes(row).ljust(256, b"\0")
         packed = sum(int.from_bytes(column.translate(table), "little")
                      for column in sweep.columns)
-        sums = array("H", packed.to_bytes(2 * n, "little"))
+        ones = sweep.ones
+        lanes = array("h", ((base + 0x8000) * ones - packed
+                            ^ ones << 15).to_bytes(2 * n, "little"))
         if sys.byteorder == "big":
-            sums.byteswap()
+            lanes.byteswap()
+        doubled = lanes.tolist()
         if walk:  # only when some lane's low bit differs from base's
-            ones = int.from_bytes(b"\1\0" * n, "little")
             walk = packed & ones != (ones if base & 1 else 0)
     else:
         # a count of 255 or more has no byte: sum each order on its own
         sums = [0] * n
         for column in sweep.columns:
             sums = list(map(add, sums, map(row.__getitem__, column[::2])))
-    doubled = [base - s for s in sums]
+        doubled = [base - s for s in sums]
     if walk:
         for k, value in enumerate(doubled):
             if value % 2:
@@ -409,9 +470,18 @@ class InvariantReport:
         return GenusTable(self._sweep, self._doubled).by_order()
 
     def to_jsonable(self, encoded_rho: bool = False) -> dict:
-        """The JSON form; with ``encoded_rho`` its genus table is given as
-        ``JSONText``, for a writer that splices it, and not as a dict."""
+        """The JSON form; with ``encoded_rho`` its genus table and its two
+        count tables are given as ``JSONText``, for a writer that splices
+        them, and not as dicts."""
         table = GenusTable(self._sweep, self._doubled)
+        if encoded_rho:
+            sets = _color_sets(self.dimension)
+            g_pairs = _filled(sets.pair_json, self.g_pairs)
+            g_triples = _filled(sets.triple_json, self.g_triples)
+        else:
+            g_pairs = {_set_label(k): list(v) for k, v in sorted(self.g_pairs.items())}
+            g_triples = {_set_label(k): list(v)
+                         for k, v in sorted(self.g_triples.items())}
         return {
             "dimension": self.dimension,
             "vertices": self.num_vertices,
@@ -421,10 +491,8 @@ class InvariantReport:
             "regular": self.is_regular,
             "bipartite": self.is_bipartite,
             "boundary_components": self.boundary_components,
-            "g_pairs": {_set_label(k): list(v)
-                        for k, v in sorted(self.g_pairs.items())},
-            "g_triples": {_set_label(k): list(v)
-                          for k, v in sorted(self.g_triples.items())},
+            "g_pairs": g_pairs,
+            "g_triples": g_triples,
             "f_vector": list(self.f_vector),
             "chi": self.chi,
             "rho": table.json() if encoded_rho else table.labelled(),
@@ -432,6 +500,15 @@ class InvariantReport:
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
         }
+
+
+def _filled(template: tuple[str, tuple[tuple[int, ...], ...]],
+            counts: dict[tuple[int, ...], tuple[int, int]]) -> JSONText:
+    """A count table's JSON text: its template filled in the template's
+    set order."""
+    text, ordered = template
+    return JSONText(text % tuple(chain.from_iterable(map(counts.__getitem__,
+                                                         ordered))))
 
 
 @cache
@@ -467,8 +544,9 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     # first: too many orders raise before any residue is decomposed
     sweep, doubled = _doubled_genera(graph)
     cls = classify_vertices(graph)
-    pairs = {pair: count_g(graph, pair) for pair in combinations(graph.colors, 2)}
-    triples = {tri: count_g(graph, tri) for tri in combinations(graph.colors, 3)}
+    sets, count = _color_sets(graph.dimension), partial(_count, graph)
+    pairs = dict(zip(sets.pairs, map(count, sets.pair_masks)))
+    triples = dict(zip(sets.triples, map(count, sets.triple_masks)))
     fv = f_vector(graph)
     return InvariantReport(
         dimension=graph.dimension,

@@ -468,6 +468,9 @@ class TestGolden:
         # random_boundary_gem(7, 4, 2, seed=7): 2520 orders
         ("info_d7_boundary.json",
          ("--json", "info", str(GOLDEN / "info_d7_boundary.gem"))),
+        # random_gem(7, 4, seed=7): omega_G and a 2520-order table
+        ("info_d7_regular.json",
+         ("--json", "info", str(GOLDEN / "info_d7_regular.gem"))),
         ("pi1_k33.json", ("--json", "pi1", "gems/k33.gem", "--pair", "0,1")),
         ("pi1_d3_03.json",
          ("--json", "pi1", str(GOLDEN / "pi1_d3.gem"), "--pair", "0,3")),
@@ -725,9 +728,10 @@ class TestPipelines:
     @given(st.dictionaries(st.text(max_size=4), PAYLOAD_VALUES, max_size=8))
     def test_payload_json_encodes_runs(self, payload):
         """``_payload_json`` gives ``_canonical`` of the payload with each
-        ``JSONText`` decoded: one call per run of plain values, and a
-        ``JSONText`` or list value spliced one item at a time, so no call
-        sees a whole top-level list."""
+        ``JSONText`` decoded: one call per run of plain values, a
+        ``JSONText`` value spliced, a list of plain scalars encoded in one
+        call, and any other list one item at a time, so no call sees a
+        whole top-level list that holds text, dicts or lists."""
         from gemkit import cli
         from gemkit.gemio import _canonical
         from gemkit.invariants import JSONText
@@ -749,7 +753,12 @@ class TestPipelines:
             mp.setattr(cli, "_canonical", recording)
             text = cli._payload_json(payload)
         assert text == _canonical({k: decoded(v) for k, v in payload.items()})
-        spliced = [v for v in payload.values() if isinstance(v, (JSONText, list))]
+
+        def itemwise(value):
+            return isinstance(value, list) and any(
+                isinstance(item, (JSONText, dict, list)) for item in value)
+
+        spliced = [v for v in payload.values() if isinstance(v, JSONText) or itemwise(v)]
         for arg in seen:
             assert not isinstance(arg, JSONText)
             assert not any(arg is v for v in spliced)
@@ -758,10 +767,10 @@ class TestPipelines:
         calls, in_run = 0, False
         for _, value in sorted(payload.items()):
             plain = not isinstance(value, (JSONText, list))
-            if not plain:  # its key, and each list item not given as text
+            if not plain:  # its key, and a plain list or each item not text
                 calls += 1 + (sum(not isinstance(item, JSONText)
-                                  for item in value)
-                              if isinstance(value, list) else 0)
+                                  for item in value) if itemwise(value)
+                              else isinstance(value, list))
             elif not in_run:
                 calls += 1
             in_run = plain
@@ -769,7 +778,8 @@ class TestPipelines:
 
     def test_info_encodes_few_runs(self, capsys, monkeypatch):
         """``info`` encodes its plain values in three runs around the
-        f-vector items and the spliced genus table."""
+        f-vector, encoded in one call, and the spliced count and genus
+        tables."""
         from gemkit import cli
         from gemkit.gemio import _canonical
 
@@ -778,8 +788,10 @@ class TestPipelines:
                             lambda value: seen.append(value) or _canonical(value))
         assert main(["--json", "info", str(GEMS / "b4_2.gem")]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # three runs, the keys "f_vector" and "rho", and one call per f
-        assert len(seen) == 3 + 2 + len(payload["f_vector"])
+        # three runs, the keys "f_vector", "g_pairs", "g_triples" and
+        # "rho", and the f-vector
+        assert len(seen) == 3 + 4 + 1
+        assert payload["f_vector"] in seen
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_genus_table_is_the_canonical_encoding(self, tmp_path, capsys, d):
@@ -1002,6 +1014,35 @@ class TestPipelines:
         assert main(["check", gem, "--suite", "dehn"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "2p = 2, 6chi + 2*sum(g_ijk) - 30 = 2: holds"]
+
+    def test_dipole_failure_names_the_site(self, capsys, monkeypatch):
+        """A cancellation that leaves the gem as it is moves only the
+        f-vector: the first such site, in site order, is named with it,
+        and ``--json`` keeps its form."""
+        from gemkit import moves
+
+        gem = str(GOLDEN / "check_dipole_grown.gem")
+        assert main(["--json", "check", gem, "--suite", "dipole"]) == 0
+        passing = json.loads(capsys.readouterr().out)
+        sites = moves.find_1_dipoles(read_gem(gem))
+        assert len(sites) > 3
+        real = moves.cancel_1_dipole
+        stuck = {sites[2], sites[3]}
+        monkeypatch.setattr(moves, "cancel_1_dipole", lambda graph, site:
+                            graph if site in stuck else real(graph, site))
+        assert main(["check", gem, "--suite", "dipole"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"checked {len(sites)} dipole site(s)",
+            "dipole invariances: VIOLATED",
+            f"  first failing site: color {sites[2].color} at "
+            f"{sites[2].vertices}; moved: f-delta"]
+        assert main(["--json", "check", gem, "--suite", "dipole"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failing = {**passing, "ok": False, "sites": [
+            {**entry, "f_delta": [0] * 5, "f_delta_ok": False}
+            if k in (2, 3) else entry
+            for k, entry in enumerate(passing["sites"])]}
+        assert payload == failing
 
     def test_check_names_failing_colors(self, capsys, monkeypatch):
         from dataclasses import replace

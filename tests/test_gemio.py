@@ -454,6 +454,30 @@ class TestCatalog:
             with pytest.raises(ParseError, match="exponent is above 4300"):
                 parse_filter(expr)
 
+    def test_whole_number_literals_compare_as_fractions(self):
+        """A whole-number literal coerces to an int, and each filter
+        comparison with it, on every type a record field can hold, gives
+        what the same comparison with its Fraction gives."""
+        values = [True, False, None, 0, 1, -3, 7, 10 ** 30, "2", "2.0", "-1/2",
+                  "3e2", " 4 ", "0.5", "abc", "", "true", "null", [1, 2], [],
+                  {"a": 1}, {}]
+        literals = ["0", "1", "2", "-3", "7", "300", "2.0", "1e1", "-0", "6/3",
+                    str(10 ** 30)]
+
+        def as_fraction(value):  # an int as the Fraction it stands for
+            return Fraction(value) if type(value) is int else value
+
+        for literal in literals:
+            coerced = gemio._coerce(literal)
+            assert type(coerced) is int and coerced == Fraction(literal)
+        for value in values:
+            coerced = gemio._coerce(value)
+            for literal in literals:
+                for op in gemio._OPS.values():
+                    assert (gemio._holds(coerced, op, gemio._coerce(literal))
+                            == gemio._holds(as_fraction(coerced), op,
+                                            Fraction(literal))), (value, literal, op)
+
     def test_huge_exponent_value_compares_as_text(self, tmp_path):
         store = tmp_path / "store.jsonl"
         store.write_text('{"digest": "d", "x": "1e100000"}\n')

@@ -307,20 +307,20 @@ class TestPairTable:
         # vertices, 256 {0, 1} components)
         import gemkit.invariants as inv
 
-        real = inv.residues
+        real = inv._residues_by_mask
 
         class Shifted:
             def __init__(self, dec):
                 self.count = dec.count + 1
 
-        def shifted(graph, colors):
-            dec = real(graph, colors)
-            return Shifted(dec) if set(colors) == {0, 1} else dec
+        def shifted(graph, mask):
+            dec = real(graph, mask)
+            return Shifted(dec) if mask == 0b11 else dec
 
         first = CyclicPermutation((0, 1, 2, 3, 4))
         gems = [s4, _matched_01_gem(510, False)]
         genera = [rho_table(g)[first] for g in gems]
-        monkeypatch.setattr(inv, "residues", shifted)
+        monkeypatch.setattr(inv, "_residues_by_mask", shifted)
         for g, genus in zip(gems, genera):
             with pytest.raises(NonIntegralGenusError) as exc:
                 rho_table(g)
@@ -348,7 +348,7 @@ class TestPairTable:
         finally:
             tracemalloc.stop()
         assert 5 not in inv._sweeps
-        assert grown < 4_000  # a kept d=5 sweep and its template take 9 KB
+        assert grown < 4_000  # a kept d=5 sweep and its pieces take 7 KB
         rho_table(order_two_gem(4))
         assert list(inv._sweeps) == [4]
 
@@ -429,7 +429,65 @@ class TestSweepBytes:
         sweep = inv._sweep(5)
         assert sweep is inv._sweep(5)
         assert sweep.orders is sweep.orders
-        assert sweep.template is sweep.template
+        assert sweep.pieces is sweep.pieces
+
+
+def _per_order_doubled(sweep, row, base):
+    """Base less the row entries each order reads, one order at a time:
+    its d+1 consecutive pairs and the boundary count of its two colors
+    next to d."""
+    d, n_pairs = sweep.dimension, len(sweep.pairs)
+    index = {}
+    for k, (a, b) in enumerate(sweep.pairs):
+        index[a, b] = index[b, a] = k
+    out = []
+    for eps in enumerate_cyclic_permutations(d):
+        o = eps.order
+        reads = [index[pair] for pair in zip(o, o[1:] + o[:1])]
+        reads.append(n_pairs + index[o[0], o[d - 1]])
+        out.append(base - sum(row[k] for k in reads))
+    return out
+
+
+class TestDoubledRow:
+    """``_doubled_row`` reads the packed lanes as signed 16-bit values when
+    every count has a byte and 0 < base < 0x8000, and sums order by order
+    otherwise; both answer as the sum each order reads, taken on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 7), top=st.sampled_from([0, 1, 254, 255, 600]),
+           base=st.sampled_from([1, 2, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0, -1,
+                                 -0x8000, -0x8001]) | st.integers(-2 ** 20, 2 ** 20),
+           bipartite=st.booleans(), data=st.data())
+    def test_equals_the_per_order_sum(self, d, top, base, bipartite, data):
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(d)
+        row = data.draw(st.lists(st.integers(0, top), min_size=2 * len(sweep.pairs),
+                                 max_size=2 * len(sweep.pairs)))
+        expected = _per_order_doubled(sweep, row, base)
+        odd = [k for k, value in enumerate(expected) if value % 2]
+        if bipartite and odd:
+            with pytest.raises(NonIntegralGenusError) as exc:
+                inv._doubled_row(sweep, row, base, bipartite)
+            assert str(exc.value) == (
+                f"bipartite graph produced genus {Fraction(expected[odd[0]], 2)} "
+                f"at {sweep.order(odd[0]).order}")
+        else:
+            assert inv._doubled_row(sweep, row, base, bipartite) == expected
+
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    @pytest.mark.parametrize("base", [1, 0x7FFF, 0x8000])
+    @pytest.mark.parametrize("fill", [0, 254])
+    def test_bounds_of_the_lanes(self, d, base, fill):
+        # all-zero rows put 0x8000 + base in every lane, the most a lane
+        # can hold; all-254 rows give the largest lane sums
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(d)
+        row = [fill] * (2 * len(sweep.pairs))
+        assert inv._doubled_row(sweep, row, base, False) == _per_order_doubled(
+            sweep, row, base)
 
 
 class TestOrderLimit:
