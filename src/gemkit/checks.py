@@ -461,6 +461,13 @@ def check_omega_pairing(graph: ColoredGraph) -> OmegaPairingReport:
     )
 
 
+def _omega_pairing_ok(doubled: list[int]) -> bool:
+    """``check_omega_pairing(graph).ok`` on a regular d = 4 gem, read off
+    its twice-genus row."""
+    sums = {doubled[k] + doubled[j] for k, j in enumerate(_partner_indices())}
+    return len(sums) == 1 and sum(doubled) == 6 * sums.pop()
+
+
 # ---------------------------------------------------------------------------
 # lower bounds
 
@@ -598,6 +605,20 @@ def check_dehn_sommerville(graph: ColoredGraph) -> DehnSommervilleReport:
         chi=chi,
         triple_sum=triple_sum,
     )
+
+
+def _dehn_sommerville_ok(graph: ColoredGraph, fv: tuple[int, ...], chi: int,
+                         triple_sum: int) -> Optional[bool]:
+    """``check_dehn_sommerville(graph).ok`` on a regular d = 4 gem, from
+    its f-vector, chi and triple-residue total, or None where the check
+    raises for its precondition.  fv[0] sums the five residues on four
+    colors, each at least one component, so at 5 each is connected."""
+    if fv[0] != 5:
+        try:
+            _require_connected_below_4(graph, PreconditionError)
+        except PreconditionError:
+            return None
+    return graph.num_vertices == 6 * chi + 2 * triple_sum - 30
 
 
 @dataclass(frozen=True)

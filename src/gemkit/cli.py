@@ -378,9 +378,10 @@ def cmd_catalog(graph, args) -> tuple[dict, list[str]]:
         if args.where:
             raise ParseError("catalog add takes no --where")
         graph = gemio.read_gem(args.file)
-        record, added = gemio.catalog_add(args.store, graph, name=args.name)
-        return ({"action": "add", "ok": True, "added": added, "record": record},
-                [("added " if added else "already present: ") + record["digest"]])
+        # the record as the text it was stored or found as
+        digest, text, _, added = gemio._catalog_add(args.store, graph, args.name)
+        return ({"action": "add", "ok": True, "added": added, "record": text},
+                [("added " if added else "already present: ") + digest])
     if args.file is not None:
         raise ParseError(f"catalog scan takes no gem FILE, got {args.file!r}")
     if args.name is not None:

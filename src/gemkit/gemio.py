@@ -244,42 +244,89 @@ def _line_record(raw: bytes) -> Optional[dict]:
 _LINE_REST = re.compile(rb"[^\r\n]*")
 
 
+def _find_record(data: bytes, digest: str) -> Optional[dict]:
+    """The record ``catalog_add`` finds in the lines of ``data``, its
+    ``"added_at"`` dropped: the first line that holds the digest and
+    decodes to an object with that digest, or None.  Only the lines
+    holding the digest are decoded; an ASCII digest is in a line's bytes
+    exactly when it is in the line's text."""
+    key = digest.encode("ascii")
+    hit = data.find(key)
+    while hit >= 0:
+        line_start = max(data.rfind(b"\n", 0, hit), data.rfind(b"\r", 0, hit)) + 1
+        stop = _LINE_REST.match(data, hit).end()
+        try:
+            existing = _line_record(data[line_start:stop])
+        except ValueError:
+            existing = None
+        if existing is not None and existing.get("digest") == digest:
+            existing.pop("added_at", None)
+            return existing
+        hit = data.find(key, stop)
+    return None
+
+
 def catalog_add(store_path: str | Path, graph: ColoredGraph,
                 name: Optional[str] = None) -> tuple[dict, bool]:
-    """Append the gem's record unless its digest is already present.
-    Returns (record, added).  Appends hold an exclusive lock; the record
-    is built only when it is appended."""
+    """Append the gem's record unless its digest is already present: on
+    the first line that holds the digest's text and decodes to an object
+    whose ``"digest"`` is it.  Returns (record, added), the record without
+    its ``"added_at"``.  Appends hold an exclusive lock; the record is
+    built only when it is appended, and encoded once.  The process's
+    store index answers for the bytes it covers and ``find`` searches the
+    rest (see ``_StoreIndex``); a store it does not cover is searched
+    whole, with no index built."""
+    _, text, record, added = _catalog_add(store_path, graph, name)
+    return (json.loads(text) if record is None else record), added
+
+
+def _catalog_add(store_path: str | Path, graph: ColoredGraph,
+                 name: Optional[str]
+                 ) -> tuple[str, JSONText, Optional[dict], bool]:
+    """``catalog_add``: the gem's digest, the record's canonical text, the
+    record when this call built or decoded it (None when the index held
+    its text) and whether it was appended.  When the index covers the
+    whole store, the appended line goes into it with its text."""
+    global _INDEX
     store = Path(store_path)
     store.touch(exist_ok=True)
     digest = _graph_digest(graph)
-    key = digest.encode("ascii")
     with store.open("r+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            data = fh.read()
-            # only a line holding the digest can be its record, and an
-            # ASCII digest is in a line's bytes exactly when it is in the
-            # line's text
-            hit = data.find(key)
-            while hit >= 0:
-                start = max(data.rfind(b"\n", 0, hit), data.rfind(b"\r", 0, hit)) + 1
-                stop = _LINE_REST.match(data, hit).end()
-                try:
-                    existing = _line_record(data[start:stop])
-                except ValueError:
-                    existing = None
-                if existing is not None and existing.get("digest") == digest:
-                    existing.pop("added_at", None)
-                    return existing, False
-                hit = data.find(key, stop)
+            with _INDEX_LOCK:
+                index, size = _INDEX, len(_INDEX.data)
+                covered, rest = _read_after(fh, index.data)
+                at = index.digests.get(digest) if covered else None
+                if at is not None:
+                    return digest, index.text(at), None, False
+            existing = _find_record(rest, digest)
+            if existing is not None:
+                return digest, JSONText(_canonical(existing)), existing, False
             record = _record(graph, digest, name)
+            text = JSONText(_canonical(record))
             stamp = datetime.now(timezone.utc).isoformat()
-            if data and not data.endswith((b"\n", b"\r")):
+            # the line is _canonical({**record, "added_at": stamp}): the
+            # stamp's key sorts before every key of a record
+            line = ('{"added_at":%s,%s\n' % (_canonical(stamp), text[1:])
+                    ).encode("ascii")
+            # the indexed bytes end in "\n"
+            if rest and not rest.endswith((b"\n", b"\r")):
                 fh.write(b"\n")  # end the last line, or the record joins it
-            fh.write(_canonical({**record, "added_at": stamp}).encode("ascii") + b"\n")
+            fh.write(line)
+            fh.flush()  # written before the lock is released
+            if covered and not rest:
+                with _INDEX_LOCK:
+                    # unless a scan replaced or grew the index meanwhile
+                    if _INDEX is index and len(index.data) == size:
+                        try:
+                            index.add_own(line, record, stamp, text)
+                        except BaseException:
+                            _INDEX = _StoreIndex()
+                            raise
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    return record, True
+    return digest, text, record, True
 
 
 _OPS: dict[str, Callable] = {
@@ -353,61 +400,83 @@ def _holds(value, op, literal) -> bool:
         return False
 
 
-class _StoreIndex:
-    """What the whole lines at the start of a store parse to: each
-    corrupt line's number and message and, per record, where its line
-    lies, its canonical text once a scan has returned it, and the coerced
-    value of every field filtered on so far.  All of it follows from
-    those bytes, which ``size`` and ``sha`` identify."""
+def _line_value(rec: dict, field: str):
+    """``_value`` of a field of a record as a scan decodes its canonical
+    line: a list or object value is read back from its canonical text,
+    since the key order of a dict built in memory may coerce to other
+    text."""
+    value = rec.get(field, _MISSING)
+    if isinstance(value, (dict, list)):
+        value = json.loads(_canonical(value))
+    return value if value is _MISSING else _coerce(value)
 
-    def __init__(self):
-        self.size = 0
-        self.sha = hashlib.sha256().digest()
-        self.lines = 0                # lines in the first `size` bytes
+
+class _StoreIndex:
+    """What the whole lines at the start of a store parse to, for both
+    ``catalog scan`` and ``catalog add``.
+
+    The index keeps those bytes as they were read (``data``, empty or
+    ending in ``\\n``) and, from them: each corrupt line's number and
+    message; per record, where its line lies, its canonical text once
+    made, and the coerced value of every field filtered on so far; and
+    per digest the record ``catalog add`` finds for it, the first whose
+    decoded ``"digest"`` is it and whose line holds its text.
+
+    It covers a store that starts with ``data``, compared byte for byte
+    (``_read_after``).  A scan of a store it covers indexes the whole
+    lines that follow, decoding each once; any other store replaces it.
+    An add to a store it covers looks the digest up and searches only the
+    bytes that follow; when none follow, the line it appends goes in with
+    the text it encoded, so no scan decodes that line unless a field
+    first filtered on later needs its value.  An add to a store it does
+    not cover leaves it as it is."""
+
+    def __init__(self, fields: Iterable[str] = ()):
+        self.data = bytearray()       # the indexed bytes
+        self.lines = 0                # lines in them
         self.corrupt = []             # (line number, message) per corrupt line
         self.line_spans = array("q")  # start and end of each record's line
-        self.texts = []               # each record's text, None until returned
-        self.columns = {}             # field -> coerced value per record
+        self.texts = []               # each record's text, None until made
+        # field -> coerced value per record, for ``fields`` from the start
+        self.columns = {field: [] for field in fields}
+        self.digests = {}             # digest -> the record catalog add finds
 
-    def scan(self, data: bytes, parsed: list
+    def scan(self, rest: bytes, parsed: list
              ) -> tuple[list[JSONText], list[StoreCorruptError]]:
-        view = memoryview(data)
-        sha = hashlib.sha256(view[:self.size])
-        if len(data) < self.size or sha.digest() != self.sha:
-            self.__init__()  # not an append: read the store anew
-            sha = hashlib.sha256()
+        """The texts and warnings of a scan of a store that starts with
+        the indexed bytes, ``rest`` following them, after indexing the
+        whole lines of ``rest``."""
         hits = range(len(self.texts))
         for field, _, _ in parsed:
             if field not in self.columns:
-                self.columns[field] = [_value(self._record(data, i), field)
+                self.columns[field] = [_value(self._record(i), field)
                                        for i in hits]
         for field, op, literal in parsed:
             column = self.columns[field]
             hits = [i for i in hits if _holds(column[i], op, literal)]
-        texts = [self._text(data, i) for i in hits]
+        made = self.texts  # a record's text is never empty
+        texts = [made[i] or self.text(i) for i in hits]
         warnings = [StoreCorruptError(message, line_number=lineno)
                     for lineno, message in self.corrupt]
         # whole lines end in "\n": a last "\r" may yet become "\r\n"
-        end = data.rfind(b"\n") + 1
-        if end > self.size:
-            self._add(data, self.size, end, parsed, texts, warnings)
-            sha.update(view[self.size:end])
-            self.size, self.sha = end, sha.digest()
-        tail = _StoreIndex()  # read on every scan, never kept
+        end = rest.rfind(b"\n") + 1
+        if end:
+            self._add(rest[:end], parsed, texts, warnings)
+        tail = _StoreIndex(field for field, _, _ in parsed)  # never kept
         tail.lines = self.lines
-        tail.columns = {field: [] for field, _, _ in parsed}
-        tail._add(data, end, len(data), parsed, texts, warnings)
+        tail._add(rest[end:], parsed, texts, warnings)
         return texts, warnings
 
-    def _add(self, data: bytes, start: int, end: int, parsed: list,
-             texts: list, warnings: list) -> None:
-        """Index the lines of ``data[start:end]``, decoding each once, and
-        append the texts of its records that ``parsed`` keeps and its
-        warnings."""
+    def _add(self, chunk: bytes, parsed: list, texts: list,
+             warnings: list) -> None:
+        """Index the lines of ``chunk``, the bytes that follow the indexed
+        ones, decoding each once, and append the texts of its records that
+        ``parsed`` keeps and its warnings."""
         columns = list(self.columns.items())
         checks = [(self.columns[field], op, literal) for field, op, literal in parsed]
-        i = len(self.texts)
-        for raw in data[start:end].splitlines(keepends=True):
+        i, start = len(self.texts), len(self.data)
+        self.data += chunk
+        for raw in chunk.splitlines(keepends=True):
             self.lines += 1
             line_start, start = start, start + len(raw)
             try:
@@ -420,29 +489,69 @@ class _StoreIndex:
                 continue
             self.line_spans.extend((line_start, start))
             self.texts.append(None)
+            digest = rec.get("digest")
+            if (type(digest) is str and digest not in self.digests
+                    and digest.isascii() and digest.encode("ascii") in raw):
+                self.digests[digest] = i
             for field, column in columns:
                 column.append(_value(rec, field))
             for column, op, literal in checks:
                 if not _holds(column[i], op, literal):
                     break
             else:
-                texts.append(self._text(data, i, rec))
+                texts.append(self.text(i, rec))
             i += 1
 
-    def _record(self, data: bytes, i: int) -> dict:
-        return _line_record(data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]])
+    def add_own(self, line: bytes, record: dict, stamp: str,
+                text: JSONText) -> None:
+        """Index ``line``, appended to a store the index covered whole:
+        ``record`` with ``"added_at"`` ``stamp``, whose text is ``text``."""
+        start = len(self.data)
+        self.data += line
+        self.lines += 1
+        self.line_spans.extend((start, len(self.data)))
+        self.digests.setdefault(record["digest"], len(self.texts))
+        self.texts.append(text)
+        if self.columns:
+            stored = {**record, "added_at": stamp}
+            for field, column in self.columns.items():
+                column.append(_line_value(stored, field))
 
-    def _text(self, data: bytes, i: int, rec: Optional[dict] = None) -> JSONText:
-        """The record's canonical text, made the first time it is returned."""
+    def _record(self, i: int) -> dict:
+        return _line_record(self.data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]])
+
+    def text(self, i: int, rec: Optional[dict] = None) -> JSONText:
+        """The record's canonical text, made the first time it is asked
+        for, from ``rec`` when given."""
         if self.texts[i] is None:
             if rec is None:
-                rec = self._record(data, i)
+                rec = self._record(i)
             rec.pop("added_at", None)
             self.texts[i] = JSONText(_canonical(rec))
         return self.texts[i]
 
 
-# One index per process, of the store scanned last.
+_CHUNK = 1 << 17  # bytes read and compared at a time
+
+
+def _read_after(fh, indexed: bytearray) -> tuple[bool, bytes]:
+    """Read the store open as ``fh`` from its start: whether it starts
+    with the bytes ``indexed``, and the bytes that follow them, or the
+    whole store when it does not.  The bytes are compared a chunk at a
+    time, so only what follows them is held at once."""
+    size = len(indexed)
+    view = memoryview(bytearray(min(_CHUNK, size)))
+    at = 0
+    while at < size:
+        n = fh.readinto(view[:size - at])
+        if not n or not indexed.startswith(view[:n], at):
+            fh.seek(0)
+            return False, fh.read()
+        at += n
+    return True, fh.read()
+
+
+# One index per process, of the store read last.
 _INDEX = _StoreIndex()
 _INDEX_LOCK = threading.Lock()
 
@@ -450,19 +559,21 @@ _INDEX_LOCK = threading.Lock()
 def _catalog_texts(store_path: str | Path, filters: Iterable[str] = ()
                    ) -> tuple[list[JSONText], list[StoreCorruptError]]:
     """The canonical JSON text of each record ``catalog_scan`` returns,
-    and its warnings.  Of a store scanned before, only the lines past the
-    whole lines it then had are decoded, as long as it still starts with
-    them."""
+    and its warnings.  Of a store the index covers, only the lines past
+    its bytes are decoded; any other store replaces the index."""
     global _INDEX
     parsed = [(field, _OPS[op], _coerce(raw))
               for field, op, raw in map(parse_filter, filters)]
     store = Path(store_path)
     if not store.exists():
         return [], []
-    data = store.read_bytes()
-    with _INDEX_LOCK:
+    with store.open("rb") as fh, _INDEX_LOCK:
+        covered, rest = _read_after(fh, _INDEX.data)
+        if not covered:
+            # not an append: read the store anew, with the fields named so far
+            _INDEX = _StoreIndex(_INDEX.columns)
         try:
-            return _INDEX.scan(data, parsed)
+            return _INDEX.scan(rest, parsed)
         except BaseException:
             _INDEX = _StoreIndex()  # a scan cut short leaves no partial index
             raise

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 from .boundary import boundary_component_count, boundary_graph
 from .core import (NO_EDGE, ColoredGraph, _count, _one_smaller,
                    _residues_by_mask, classify_vertices)
-from .errors import (GemError, NonIntegralGenusError, NotRegularError,
+from .errors import (NonIntegralGenusError, NotRegularError,
                      PreconditionError, TooManyOrdersError)
 
 
@@ -517,7 +517,13 @@ def _set_label(colors: tuple[int, ...]) -> str:
     return "".join(map(str, colors))
 
 
-def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
+def _parameter_free_checks(graph: ColoredGraph, doubled: list[int],
+                           fv: tuple[int, ...], chi: int,
+                           triples: dict[tuple[int, ...], tuple[int, int]]
+                           ) -> dict[str, Optional[bool]]:
+    """The report's flags, each read off the integers the report already
+    holds, with no check report built: the genus row, the f-vector, chi
+    and the triple counts."""
     from . import checks  # checks imports invariants
 
     out: dict[str, Optional[bool]] = {
@@ -528,13 +534,10 @@ def _parameter_free_checks(graph: ColoredGraph) -> dict[str, Optional[bool]]:
     if graph.dimension != 4:
         return out
     if graph.is_regular:
-        out["omega_pairing"] = checks.check_omega_pairing(graph).ok
-        try:
-            out["dehn_sommerville"] = checks.check_dehn_sommerville(graph).ok
-        except GemError:
-            pass
+        out["omega_pairing"] = checks._omega_pairing_ok(doubled)
+        out["dehn_sommerville"] = checks._dehn_sommerville_ok(
+            graph, fv, chi, sum(g for g, _ in triples.values()))
     else:
-        # the flag from the integer rows, with no report object built
         out["capping_identities"] = all(checks._capping_rows(graph, c).ok
                                         for c in range(4))
     return out
@@ -548,6 +551,7 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     pairs = dict(zip(sets.pairs, map(count, sets.pair_masks)))
     triples = dict(zip(sets.triples, map(count, sets.triple_masks)))
     fv = f_vector(graph)
+    chi = sum((-1) ** h * n for h, n in enumerate(fv))
     return InvariantReport(
         dimension=graph.dimension,
         num_vertices=graph.num_vertices,
@@ -560,10 +564,10 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
         g_pairs=pairs,
         g_triples=triples,
         f_vector=fv,
-        chi=sum((-1) ** h * n for h, n in enumerate(fv)),
+        chi=chi,
         rho_min=Fraction(min(doubled), 2),
         omega_g=Fraction(sum(doubled), 2) if graph.is_regular else None,
-        bound_checks=_parameter_free_checks(graph),
+        bound_checks=_parameter_free_checks(graph, doubled, fv, chi, triples),
         _sweep=sweep,
         _doubled=doubled,
     )

@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Mutant gate for gemkit's fast paths.
+
+Each mutant names a module of ``src/gemkit``, a function in it, the
+source of one node in that function, what replaces the node, and the
+tests that must fail once it is in.  For each mutant the script copies
+``src/``, ``tests/``, ``gems/`` and ``pyproject.toml`` to a temporary
+directory, applies the mutant to the copy, runs its tests there, and
+prints one row: the mutant, then the first test that caught it, or
+``SURVIVED``.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named ones
+    python tests/mutants.py --list      # names and what each one breaks
+
+Exit code 0 when every mutant run was caught, 1 when one survived, 2
+when a mutant no longer applies to the source or names no test.
+
+The list only grows.  A fast path comes with mutants of its guards; a
+mutant that survives is either equivalent to the original, which the
+change that finds it explains, or a sign that a test is missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "gems", "pyproject.toml")
+TIMEOUT_S = 600  # a mutant that hangs its tests counts as caught
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str                # file under src/gemkit
+    function: str              # "function" or "Class.method"
+    node: str                  # source of the one node replaced
+    replacement: str           # source put in its place
+    tests: tuple[str, ...]     # pytest node ids that must fail
+    breaks: str                # what the mutant breaks, in a few words
+
+
+CATALOG = "tests/test_catalog_index.py"
+
+MUTANTS = (
+    Mutant("prefix-compare-skipped", "gemio.py", "_read_after",
+           "indexed.startswith(view[:n], at)", "True",
+           (f"{CATALOG}::TestTexts::test_rewrite_drops_the_texts",
+            f"{CATALOG}::TestAgainstColdRead::test_random_histories"),
+           "a store of the index's length is taken as covered"),
+    Mutant("digest-map-keeps-last", "gemio.py", "_StoreIndex._add",
+           "digest not in self.digests", "True",
+           (f"{CATALOG}::TestAgainstColdRead"
+            "::test_add_finds_the_first_record_of_a_digest",),
+           "a digest maps to its last record, not its first"),
+    Mutant("digest-map-without-bytes-check", "gemio.py", "_StoreIndex._add",
+           "digest.encode('ascii') in raw", "True",
+           (f"{CATALOG}::TestAgainstColdRead::test_escaped_digest",),
+           "a record whose line holds its digest only escaped is found"),
+    Mutant("own-line-indexed-past-a-tail", "gemio.py", "_catalog_add",
+           "covered and not rest", "covered",
+           (f"{CATALOG}::TestCost::test_cold_add_builds_no_index",),
+           "an add indexes its line past bytes the index does not hold"),
+)
+
+
+def _find_function(tree: ast.Module, qualname: str) -> ast.AST:
+    scope: ast.AST = tree
+    for part in qualname.split("."):
+        for node in ast.iter_child_nodes(scope):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and node.name == part):
+                scope = node
+                break
+        else:
+            raise LookupError(f"no {qualname} in the module")
+    return scope
+
+
+def _parsed(text: str) -> ast.AST:
+    """The one expression or statement ``text`` holds."""
+    try:
+        return ast.parse(text, mode="eval").body
+    except SyntaxError:
+        (statement,) = ast.parse(text).body
+        return statement
+
+
+def mutated_source(mutant: Mutant, src: Path = ROOT / "src") -> str:
+    """The mutant's module with the mutant in.  Raises LookupError unless
+    the function holds exactly one node whose source reads as ``node``."""
+    path = src / "gemkit" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    target = _parsed(mutant.node)
+    want = ast.unparse(target)
+    function = _find_function(ast.parse(text), mutant.function)
+    hits = [node for node in ast.walk(function)
+            if type(node) is type(target) and ast.unparse(node) == want]
+    if len(hits) != 1:
+        raise LookupError(f"{mutant.name}: {len(hits)} nodes read as "
+                          f"{want!r} in {mutant.function}, not one")
+    node = hits[0]
+    raw = text.encode("utf-8")  # column offsets count UTF-8 bytes
+    starts = [0] + [m.end() for m in re.finditer(rb"\n", raw)]
+    begin = starts[node.lineno - 1] + node.col_offset
+    end = starts[node.end_lineno - 1] + node.end_col_offset
+    replacement = mutant.replacement
+    if isinstance(target, ast.expr):
+        replacement = f"({replacement})"
+    mutated = (raw[:begin] + replacement.encode("utf-8") + raw[end:]).decode("utf-8")
+    ast.parse(mutated)  # the mutant is still Python
+    return mutated
+
+
+def _copy_tree(workdir: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, workdir / name,
+                            ignore=shutil.ignore_patterns("__pycache__",
+                                                          ".hypothesis"))
+        else:
+            shutil.copy2(source, workdir / name)
+
+
+def run(mutant: Mutant, workdir: Path) -> Optional[str]:
+    """Apply the mutant to a copy in ``workdir`` and run its tests: the
+    first test that failed, or None when all passed.  Raises LookupError
+    when the mutant does not apply or its tests are not found."""
+    mutated = mutated_source(mutant)
+    _copy_tree(workdir)
+    (workdir / "src" / "gemkit" / mutant.module).write_text(mutated,
+                                                           encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+               "no:cacheprovider", *mutant.tests]
+    try:
+        done = subprocess.run(command, cwd=workdir, env=env, text=True,
+                              capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timeout after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return None
+    if done.returncode in (4, 5):  # a node id not found, or no test
+        raise LookupError(f"{mutant.name}: its tests did not run\n"
+                          + done.stdout[-2000:] + done.stderr[-2000:])
+    failed = re.search(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
+    return failed[1] if failed else f"pytest exit code {done.returncode}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true",
+                        help="print each mutant's name and what it breaks")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"no mutant named {', '.join(unknown)}")
+    chosen = [by_name[name] for name in args.names] or list(MUTANTS)
+    width = max(len(m.name) for m in chosen)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name:<{width}}  {m.module}:{m.function}  {m.breaks}")
+        return 0
+    survived = 0
+    print(f"{'mutant':<{width}}  caught by")
+    for mutant in chosen:
+        with tempfile.TemporaryDirectory(prefix="gemkit-mutant-") as tmp:
+            try:
+                caught = run(mutant, Path(tmp))
+            except LookupError as exc:
+                print(f"{mutant.name:<{width}}  ERROR: {exc}")
+                return 2
+        survived += caught is None
+        print(f"{mutant.name:<{width}}  {caught or 'SURVIVED'}", flush=True)
+    print(f"{len(chosen)} mutants: {len(chosen) - survived} caught, "
+          f"{survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -471,6 +471,41 @@ class TestDehnSommerville:
             check_dehn_sommerville(g)
 
 
+class TestReportFlags:
+    """The report reads its omega-pairing and Dehn-Sommerville flags off
+    the integers it holds; the two checks are their reference."""
+
+    @staticmethod
+    def assert_flags_match(g):
+        flags = invariant_report(g).bound_checks
+        try:
+            dehn = check_dehn_sommerville(g).ok
+        except PreconditionError:
+            dehn = None
+        assert flags["omega_pairing"] == check_omega_pairing(g).ok
+        assert flags["dehn_sommerville"] == dehn
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 20), st.integers(0, 6),
+           st.booleans())
+    def test_random_regular(self, p, seed, inserts, contract):
+        # contraction makes every outcome: holds, fails, or a residue on
+        # four colors is disconnected and the check refuses the gem
+        g = grow_by_insertions(random_gem(4, p, seed=seed), inserts,
+                               random.Random(seed))
+        self.assert_flags_match(full_contraction(g) if contract else g)
+
+    def test_fixed_cases(self, s4, regularized_b4):
+        disconnected = validate(4, 4, [(0, 1, c) for c in range(1, 5)]
+                                + [(2, 3, c) for c in range(1, 5)]
+                                + [(0, 2, 0), (1, 3, 0)])
+        flags = [invariant_report(g).bound_checks["dehn_sommerville"]
+                 for g in (s4, regularized_b4, torus_block_graph(), disconnected)]
+        assert flags == [True, True, False, None]
+        for g in (s4, regularized_b4, torus_block_graph(), disconnected):
+            self.assert_flags_match(g)
+
+
 class TestComplexityRelation:
     def test_equality(self, regularized_b4):
         report = gem_complexity_relation(regularized_b4, 1, claimed_minimal=True)

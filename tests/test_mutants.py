@@ -1,0 +1,35 @@
+"""The mutant gate in ``mutants.py``: every mutant still applies to the
+source, and one of them is run and caught.  CI runs the whole list."""
+
+import ast
+
+import pytest
+
+import mutants
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_applies(mutant):
+    original = (mutants.ROOT / "src" / "gemkit" / mutant.module).read_text()
+    mutated = mutants.mutated_source(mutant)
+    assert mutated != original
+    ast.parse(mutated)
+    for node_id in mutant.tests:
+        assert (mutants.ROOT / node_id.split("::")[0]).is_file()
+
+
+def test_names_are_unique():
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names))
+
+
+def test_a_node_read_twice_is_refused():
+    twice = mutants.Mutant("twice", "gemio.py", "_StoreIndex._add",
+                           "self.lines", "0", (), "")
+    with pytest.raises(LookupError, match="not one"):
+        mutants.mutated_source(twice)
+
+
+def test_one_mutant_is_caught(tmp_path):
+    mutant = {m.name: m for m in mutants.MUTANTS}["digest-map-without-bytes-check"]
+    assert mutants.run(mutant, tmp_path) == mutant.tests[0] + "[False]"
