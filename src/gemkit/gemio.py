@@ -13,6 +13,7 @@ import fcntl
 import hashlib
 import json
 import operator
+import os
 import re
 import threading
 from array import array
@@ -288,10 +289,10 @@ def _catalog_add(store_path: str | Path, graph: ColoredGraph,
     its text) and whether it was appended.  When the index covers the
     whole store, the appended line goes into it with its text."""
     global _INDEX
-    store = Path(store_path)
-    store.touch(exist_ok=True)
     digest = _graph_digest(graph)
-    with store.open("r+b") as fh:
+    # created when missing, but never touched: a duplicate keeps its mtime
+    fd = os.open(store_path, os.O_RDWR | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "r+b") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
             with _INDEX_LOCK:

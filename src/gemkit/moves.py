@@ -219,17 +219,20 @@ def regularize(graph: ColoredGraph, singular_color: int
     {c, d}-path of the singular color c is capped and colors c and d are
     then transposed, so the result has d as its only singular color.
 
-    The result is built once, from the capped final-color map swapped
-    into place, and its memo starts empty: it is what
-    ``swap_colors(cap_boundary(graph, c)[0], c, d)`` gives, without the
-    capped graph or its memo copy."""
+    The result is built once, from the input's checked maps and the new
+    capped final-color map swapped into place, which alone is checked;
+    it is ``swap_colors(cap_boundary(graph, c)[0], c, d)`` with an empty
+    memo, and no capped graph or memo copy.  Each added edge joins the
+    ends of an odd-length path: connectivity and bipartiteness carry over."""
     if graph.is_regular:
         raise NoBoundaryError("graph is already regular")
     final, added = _capped_final(graph, singular_color)
-    d = graph.dimension
-    maps = list(graph.color_maps)
-    maps[singular_color], maps[d] = final, maps[singular_color]
-    return _from_maps(d, maps), RegularizationRecord(
+    if any(w < 0 or w == v or final[w] != v for v, w in enumerate(final)):
+        raise InternalInconsistencyError("capping gave no perfect matching")
+    d, maps = graph.dimension, list(graph.color_maps)
+    maps[singular_color], maps[d] = tuple(final), maps[singular_color]
+    return ColoredGraph(d, graph.num_vertices, tuple(maps), True,
+                        graph.is_bipartite), RegularizationRecord(
         singular_color_choice=singular_color, added_edges=added,
         color_swap=(singular_color, d))
 

@@ -14,10 +14,11 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, _root, _without, residues
+from .core import ColoredGraph, _residues_by_mask, _root
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
+_PASSES = 200  # the default Tietze pass budget
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,16 @@ class GroupPresentation:
     color_pair: Optional[tuple[int, int]] = None
     compact_manifold_reading: Optional[bool] = None
     singular_manifold_reading: Optional[bool] = None
+
+    @classmethod
+    def _unchecked(cls, gens, cycles, tree, pair, compact, singular):
+        """The presentation with these fields, set past the frozen init."""
+        pres = object.__new__(cls)
+        pres.__dict__.update(
+            num_generators=gens, cycle_relators=cycles, tree_relators=tree,
+            color_pair=pair, compact_manifold_reading=compact,
+            singular_manifold_reading=singular)
+        return pres
 
     @property
     def relators(self) -> tuple[Word, ...]:
@@ -61,10 +72,11 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     if i == j or not (0 <= i <= d and 0 <= j <= d):
         raise InvalidColorPairError(f"bad color pair ({i},{j}) for dimension {d}")
     i, j = min(i, j), max(i, j)
-    gens = _without(graph, i, j)
+    full, pair = (1 << d + 1) - 1, 1 << i | 1 << j
+    gens = _residues_by_mask(graph, full ^ pair)
 
     cycles = []
-    dec = residues(graph, {i, j})
+    dec = _residues_by_mask(graph, pair)
     mate_i, mate_j = graph.color_maps[i], graph.color_maps[j]
     gen = gens.labels
     for start, regular in zip(dec.least, dec.regular):
@@ -83,7 +95,8 @@ def presentation(graph: ColoredGraph, i: int, j: int,
 
     # spanning forest of the bipartite incidence of generators with the
     # residues missing one of the two colors
-    left, right = _without(graph, i), _without(graph, j)
+    left = _residues_by_mask(graph, full ^ 1 << i)
+    right = _residues_by_mask(graph, full ^ 1 << j)
     up = list(range(left.count + right.count))
     tree = []
     for k, v in enumerate(gens.least):
@@ -96,14 +109,8 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     if singular_colors is not None:
         tag_a = i not in singular_colors and j not in singular_colors
         tag_b = not (singular_colors - {i, j})
-    return GroupPresentation(
-        num_generators=gens.count,
-        cycle_relators=tuple(cycles),
-        tree_relators=tuple(tree),
-        color_pair=(i, j),
-        compact_manifold_reading=tag_a,
-        singular_manifold_reading=tag_b,
-    )
+    return GroupPresentation._unchecked(gens.count, tuple(cycles), tuple(tree),
+                                        (i, j), tag_a, tag_b)
 
 
 def _cyclic_reduce(word: Word) -> Word:
@@ -132,7 +139,16 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
     return tuple(out)
 
 
-def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
+def _trivial(pres: GroupPresentation, max_passes: int) -> bool:
+    """Whether ``tietze_simplify`` gives the trivial presentation with no
+    pass run: one-letter relators name every generator, the budget has a
+    pass for each, and a word (g) is only touched when g is eliminated."""
+    gens = pres.num_generators
+    return gens <= max_passes and {abs(w[0]) for w in pres.relators
+                                   if len(w) == 1}.issuperset(range(1, gens + 1))
+
+
+def tietze_simplify(pres: GroupPresentation, max_passes: int = _PASSES
                     ) -> GroupPresentation:
     """Free/cyclic reduction, empty-relator removal, and elimination of
     generators that occur exactly once in some relator, substituting in
@@ -143,19 +159,12 @@ def tietze_simplify(pres: GroupPresentation, max_passes: int = 200
     a one-letter relator is left, that is the least one by signed value:
     its generator is deleted from the words holding it, and no word is
     sorted.  Every word is kept cyclically reduced, so a word without the
-    eliminated generator stays as it is.
-
-    When the one-letter relators name every generator and the budget
-    covers one pass per generator, the result is the trivial presentation
-    and no pass is run: a one-letter word (g) is only touched when g
-    itself is eliminated, so every pass is a one-letter pass until no
-    generator is left, and each other word is then empty."""
-    gens = pres.num_generators
-    if gens <= max_passes and {abs(w[0]) for w in pres.relators
-                               if len(w) == 1}.issuperset(range(1, gens + 1)):
+    eliminated generator stays as it is."""
+    if _trivial(pres, max_passes):
         return GroupPresentation(0, (), (), pres.color_pair,
                                  pres.compact_manifold_reading,
                                  pres.singular_manifold_reading)
+    gens = pres.num_generators
     words = {w for w in map(_cyclic_reduce, pres.relators) if w}
     units = {w[0] for w in words if len(w) == 1}
     eliminated = set()
@@ -260,10 +269,12 @@ def rank_bounds(pres: GroupPresentation) -> tuple[int, int]:
     abelianization's generator rank from below, the simplified
     presentation's generator count from above.
 
-    The upper end is read first.  When it is 0 the group is trivial, so
-    its abelianization is too, and (0, 0) is returned with no Smith form;
-    lower <= upper always holds, as the abelianization needs no more
-    generators than any presentation of the group."""
+    The upper end is read first, with no Tietze object when ``_trivial``
+    holds.  At 0 the group is trivial, and so is its abelianization:
+    (0, 0), with no Smith form.  lower <= upper always holds, as the
+    abelianization needs no more generators than any presentation."""
+    if _trivial(pres, _PASSES):
+        return 0, 0
     upper = tietze_simplify(pres).num_generators
     if not upper:
         return 0, 0

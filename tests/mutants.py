@@ -50,6 +50,8 @@ class Mutant(NamedTuple):
 
 
 CATALOG = "tests/test_catalog_index.py"
+MOVES = "tests/test_moves.py"
+PI1 = "tests/test_pi1.py"
 
 MUTANTS = (
     Mutant("prefix-compare-skipped", "gemio.py", "_read_after",
@@ -70,6 +72,25 @@ MUTANTS = (
            "covered and not rest", "covered",
            (f"{CATALOG}::TestCost::test_cold_add_builds_no_index",),
            "an add indexes its line past bytes the index does not hold"),
+    Mutant("regularize-assumes-bipartite", "moves.py", "regularize",
+           "graph.is_bipartite", "True",
+           (f"{MOVES}::TestRegularize::test_one_build_matches_cap_then_swap",),
+           "a regularized gem is flagged bipartite whatever the input"),
+    Mutant("trivial-test-ignores-budget", "pi1.py", "_trivial",
+           "gens <= max_passes", "True",
+           (f"{PI1}::TestRankBounds::test_unit_relators_at_the_pass_budget",),
+           "a group is trivial though the pass budget cannot delete every "
+           "generator"),
+    Mutant("trivial-test-without-superset", "pi1.py", "_trivial",
+           "{abs(w[0]) for w in pres.relators if len(w) == 1}"
+           ".issuperset(range(1, gens + 1))", "True",
+           (f"{PI1}::TestRankBounds::test_torus",),
+           "every group within the pass budget is trivial"),
+    Mutant("presentation-generator-mask-drops-a-color", "pi1.py",
+           "presentation", "full ^ pair", "full ^ 1 << i",
+           (f"{PI1}::TestPresentation::test_k33_torus_group",),
+           "generators are the residues missing one color of the pair, "
+           "not both"),
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import operator
+import os
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,21 @@ class TestCatalog:
         assert added1 and not added2
         assert rec1["digest"] == rec2["digest"]
         assert len(store.read_text().splitlines()) == 1
+
+    def test_duplicate_keeps_the_store_mtime(self, tmp_path, s4, b4):
+        store = tmp_path / "store.jsonl"
+        assert not store.exists()
+        catalog_add(store, s4, name="s4")  # a missing store is created
+        os.utime(store, ns=(0, 0))
+        before = store.read_bytes()
+        for name in ("s4", "renamed"):
+            assert not catalog_add(store, s4, name=name)[1]
+            assert store.stat().st_mtime_ns == 0
+        assert store.read_bytes() == before
+        assert catalog_add(store, b4, name="b4")[1]
+        assert store.stat().st_mtime_ns != 0
+        assert store.read_bytes().startswith(before)
+        assert len(store.read_bytes().splitlines()) == 2
 
     def test_resubmission_builds_no_report(self, tmp_path, monkeypatch, s4,
                                            b4):

@@ -43,7 +43,7 @@ from gemkit.moves import (
 
 import gemkit.core as core
 import gemkit.moves as moves
-from gemkit.core import ColoredGraph
+from gemkit.core import NO_EDGE, ColoredGraph
 
 import bruteforce as bf
 from corpus import grow_by_insertions, shell_gem
@@ -356,17 +356,25 @@ class TestRegularize:
             cap_boundary(s4, 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 6), st.integers(2, 9), st.integers(0, 2 ** 20))
-    def test_one_build_matches_cap_then_swap(self, d, p, seed):
-        g = random_boundary_gem(d, p, seed % p, seed=seed)
+    @given(st.integers(2, 6), st.integers(2, 9), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_one_build_matches_cap_then_swap(self, d, p, seed, grown):
+        # a grown ball is bipartite; a random boundary gem seldom is
+        g = (grow_by_insertions(ball_gem(d), p, random.Random(seed)) if grown
+             else random_boundary_gem(d, p, seed % p, seed=seed))
+        assert g.is_bipartite or not grown
         n, edges = g.num_vertices, list(g.edges())
-        real, builds = moves._from_maps, []
+
+        def refused(*args, **kwargs):
+            raise AssertionError("regularize checked the input's maps again")
+
         for c in range(d):
+            # the result is built from the input's maps, with no map check
+            # and no traversal for connectivity or bipartiteness
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(moves, "_from_maps",
-                           lambda *args: builds.append(args) or real(*args))
+                mp.setattr(moves, "_from_maps", refused)
+                mp.setattr(core, "_graph", refused)
                 out, record = regularize(g, singular_color=c)
-            assert len(builds) == c + 1
             assert out._memo == {}
             capped, added = cap_boundary(g, c)
             oracle_added = bf.capping_edges(d, n, edges, c)
@@ -377,6 +385,27 @@ class TestRegularize:
                     want.is_regular, want.is_bipartite)
             assert record == RegularizationRecord(c, added, (c, d))
             assert list(added) == oracle_added
+
+    @pytest.mark.parametrize("fault", ["involution", "fixed point", "no edge"])
+    def test_capped_map_is_checked(self, fault):
+        g = random_boundary_gem(4, 6, 2, seed=5)
+        real = moves._capped_final
+
+        def broken(graph, color):
+            final, added = real(graph, color)
+            a = final[0]
+            b = next(v for v in range(1, len(final)) if v != a)
+            final[0] = {"involution": b, "fixed point": 0,
+                        "no edge": NO_EDGE}[fault]
+            if fault == "no edge":
+                final[a] = NO_EDGE
+            return final, added
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_capped_final", broken)
+            with pytest.raises(InternalInconsistencyError,
+                               match="^capping gave no perfect matching$"):
+                regularize(g, singular_color=1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))

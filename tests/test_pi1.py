@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from gemkit import (
     tietze_simplify,
 )
 from gemkit.errors import InvalidColorPairError
-from gemkit.moves import insert_1_dipole
+from gemkit.moves import insert_1_dipole, regularize
 from gemkit.pi1 import _smith_diagonal
 
 import bruteforce as bf
@@ -63,6 +64,17 @@ class TestPresentation:
         with_final = presentation(regularized_b4, 0, 4, singular_colors={4})
         assert with_final.compact_manifold_reading is False
         assert with_final.singular_manifold_reading is True
+
+    @pytest.mark.parametrize("tags", [(None, None), (True, False)])
+    def test_unchecked_is_like_the_constructor(self, k33, tags):
+        built = presentation(k33, 0, 1, singular_colors={2} if tags[0] else None)
+        assert type(built) is GroupPresentation
+        same = GroupPresentation(3, built.cycle_relators, ((1,),), (0, 1), *tags)
+        assert built == same and hash(built) == hash(same)
+        assert vars(built) == vars(same)
+        assert replace(built, num_generators=4) == replace(same, num_generators=4)
+        assert replace(built, tree_relators=()).relators == built.cycle_relators
+        assert built != replace(same, color_pair=(0, 2))
 
     def test_pretty_format_stable(self, k33):
         pres = presentation(k33, 0, 1)
@@ -395,6 +407,35 @@ class TestRankBounds:
 
     def test_trivial(self, s4):
         assert rank_bounds(presentation(s4, 0, 1)) == (0, 0)
+
+    @pytest.mark.parametrize("gens, want", [(200, (0, 0)), (201, (0, 1))])
+    def test_unit_relators_at_the_pass_budget(self, gens, want, smith_calls):
+        # one-letter relators name every generator; the trivial test holds
+        # only while the 200-pass budget has a pass for each
+        pres = make_pres(gens, [(g,) for g in range(gens, 0, -1)])
+        assert rank_bounds(pres) == want
+        assert want[1] == tietze_simplify(pres).num_generators
+        assert len(smith_calls) == (gens > 200)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 5), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_matches_slow_path_on_gems(self, d, p, seed, regularized):
+        """On every pair of a random regular gem, or of a random boundary
+        gem regularized along a random color: the Smith form's generator
+        rank and the simplified presentation's generator count, read
+        without the short-cuts of ``rank_bounds``."""
+        if regularized:
+            g = random_boundary_gem(d, p + 1, seed % (p + 1), seed=seed)
+            g = regularize(g, singular_color=seed % d)[0]
+        else:
+            g = random_gem(d, p, seed=seed)
+        for i, j in combinations(g.colors, 2):
+            pres = presentation(g, i, j)
+            free_rank, divisors = abelianization_rank(pres)
+            slow = (free_rank + len(divisors),
+                    tietze_simplify(pres).num_generators)
+            assert rank_bounds(pres) == slow
 
     def test_z_plus_torsion(self):
         assert rank_bounds(make_pres(2, [(1, 1)])) == (2, 2)
