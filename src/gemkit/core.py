@@ -45,7 +45,8 @@ class ColoredGraph:
     is_regular: bool = field(compare=False)
     is_bipartite: bool = field(compare=False)
     # residue decompositions by color bitmask, the vertex classification
-    # and the boundary graph; filled on first use, and dropped with the graph
+    # and the boundary graph, filled on first use, and the component count
+    # of a graph built without the connectivity check; dropped with the graph
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -191,7 +192,10 @@ def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
 def _graph(d, maps, require_connected=True) -> ColoredGraph:
     """The graph on color maps already known to be involutions without
     fixed points, after the checks left: every color below d at every
-    vertex and, unless waived, one component."""
+    vertex and, unless waived, one component.  A count other than one,
+    which only a waived check lets through, is kept in the memo under a
+    key no color bitmask takes: a rewrite that keeps the count, and so
+    skips the check on a connected input, reads it there."""
     n = len(maps[0])
     for c in range(d):
         if NO_EDGE in maps[c]:
@@ -221,9 +225,12 @@ def _graph(d, maps, require_connected=True) -> ColoredGraph:
                     bipartite = False
     if require_connected and count != 1:
         raise DisconnectedError(f"{count} connected components")
-    return ColoredGraph(dimension=d, num_vertices=n,
-                        color_maps=tuple(map(tuple, maps)),
-                        is_regular=(n_boundary == 0), is_bipartite=bipartite)
+    graph = ColoredGraph(dimension=d, num_vertices=n,
+                         color_maps=tuple(map(tuple, maps)),
+                         is_regular=(n_boundary == 0), is_bipartite=bipartite)
+    if count != 1:
+        graph._memo["components"] = count
+    return graph
 
 
 def _renumbered(maps: Sequence[Sequence[int]], kept: Sequence[int]

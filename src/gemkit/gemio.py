@@ -33,6 +33,10 @@ PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00")
 
 # one encoder for every call: json.dumps with these settings builds a new one
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps(value, sort_keys=True): the form of a gem file's values
+_SORTED_KEYS = json.JSONEncoder(sort_keys=True)
+# canonical edge order: by color, then by ends
+_COLOR_THEN_ENDS = operator.itemgetter(2, 0, 1)
 
 
 def _canonical(value) -> str:
@@ -50,8 +54,8 @@ class GemFile:
     metadata: Optional[dict] = None
 
     def canonical(self) -> "GemFile":
-        edges = sorted(((min(u, v), max(u, v), c) for u, v, c in self.edges),
-                       key=operator.itemgetter(2, 0, 1))
+        edges = sorted([(u, v, c) if u <= v else (v, u, c)
+                        for u, v, c in self.edges], key=_COLOR_THEN_ENDS)
         return GemFile(self.dimension, self.vertices, tuple(edges),
                        self.name, self.metadata)
 
@@ -158,23 +162,19 @@ def graph_from_gemfile(gf: GemFile) -> ColoredGraph:
 
 def format_gemfile(gf: GemFile) -> str:
     """Canonical text: sorted keys, one edge per line, trailing newline.
-    Writing, reading back and writing again is a fixed point."""
+    Writing, reading back and writing again is a fixed point.  The edge
+    lines are one ``%`` format over the canonical edges, flattened."""
     gf = gf.canonical()
-    doc = gf.to_jsonable()
-    lines = ["{"]
-    keys = sorted(doc)
-    for k, key in enumerate(keys):
-        comma = "," if k + 1 < len(keys) else ""
-        if key == "edges":
-            lines.append('  "edges": [')
-            for e, edge in enumerate(doc["edges"]):
-                tail = "," if e + 1 < len(doc["edges"]) else ""
-                lines.append(f"    [{edge[0]}, {edge[1]}, {edge[2]}]{tail}")
-            lines.append(f"  ]{comma}")
-        else:
-            lines.append(f'  "{key}": {json.dumps(doc[key], sort_keys=True)}{comma}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rows = ("\n    [%s, %s, %s]," * len(gf.edges))[:-1] % tuple(
+        chain.from_iterable(gf.edges))
+    lines = ["{", '  "dimension": %s,' % _SORTED_KEYS.encode(gf.dimension),
+             '  "edges": [%s\n  ],' % rows]
+    if gf.metadata:
+        lines.append('  "metadata": %s,' % _SORTED_KEYS.encode(gf.metadata))
+    if gf.name is not None:
+        lines.append('  "name": %s,' % _SORTED_KEYS.encode(gf.name))
+    lines.append('  "vertices": %s\n}\n' % _SORTED_KEYS.encode(gf.vertices))
+    return "\n".join(lines)
 
 
 def write_gem(graph: ColoredGraph, path: str | Path,

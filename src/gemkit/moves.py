@@ -143,22 +143,42 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
     stays missing at both new vertices, so splitting at a boundary vertex
     grows the boundary by one pair.  Returns the new graph, the created
     site, and whether that site is a 1-dipole there, which it always is.
+
+    The result is built once from the split maps, with no map check and
+    no traversal, and ``is_regular`` and ``is_bipartite`` carry over: the
+    split keeps every map an involution without fixed points, gives x and
+    y exactly the colors u has, and turns each edge u-a of another color
+    into the path u-x-y-a, so it keeps each component and the parity of
+    every cycle.  Two inputs lie outside that argument and go through the
+    checked build, which raises DisconnectedError: a graph of more than
+    one component, built without the connectivity check (a boundary
+    graph), and a split at d = 1 that leaves x no edge but the new one.
     """
     u, v = edge
     if graph.mate(u, color) != v:
         raise NoSuchEdgeError(f"no color-{color} edge ({u},{v})")
     n = graph.num_vertices
     x, y = n, n + 1
-    maps = [list(row) + [NO_EDGE, NO_EDGE] for row in graph.color_maps]
-    for c in graph.colors:
-        a = graph.mate(u, c)
-        if c != color and a != NO_EDGE:
-            maps[c][u], maps[c][x], maps[c][y], maps[c][a] = x, u, a, y
-    maps[color][x], maps[color][y] = y, x
+    maps, spliced = [], False
+    for c, row in enumerate(graph.color_maps):
+        a = row[u]
+        if c == color:
+            maps.append(row + (y, x))
+        elif a == NO_EDGE:
+            maps.append(row + (NO_EDGE, NO_EDGE))
+        else:  # u-a becomes u-x and y-a
+            row = [*row, u, a]
+            row[u], row[a] = x, y
+            maps.append(tuple(row))
+            spliced = True
     # x meets u along every other color u has, so {x, u} is a whole residue
     # of the colors other than ``color`` and y lies outside it; welding x
     # and y gives back the connected input, so the site is a 1-dipole
-    return _from_maps(graph.dimension, maps), DipoleSite(color, (x, y)), True
+    site = DipoleSite(color, (x, y))
+    if not spliced or graph._memo.get("components", 1) != 1:
+        return _from_maps(graph.dimension, maps), site, True
+    return ColoredGraph(graph.dimension, n + 2, tuple(maps), graph.is_regular,
+                        graph.is_bipartite), site, True
 
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:

@@ -5,6 +5,7 @@ with plain BFS and exhaustive subset enumeration, deliberately sharing no
 code with the package under test.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -230,6 +231,34 @@ def capping_edges(dimension, num_vertices, edges, c):
         if u < cur:
             out.append((min(path), u, cur))
     return [(u, v) for _, u, v in sorted(out)]
+
+
+def gem_text(dimension, num_vertices, edges, name=None, metadata=None):
+    """The canonical gem file text, written line by line: keys sorted,
+    values as ``json.dumps`` with sorted keys writes them, and one line
+    per edge, each edge with its lesser end first, by color then ends;
+    a name of None and empty metadata are left out."""
+    doc = {"dimension": dimension, "vertices": num_vertices,
+           "edges": sorted(([min(u, v), max(u, v), c] for u, v, c in edges),
+                           key=lambda e: (e[2], e[0], e[1]))}
+    if name is not None:
+        doc["name"] = name
+    if metadata:
+        doc["metadata"] = metadata
+    lines = ["{"]
+    keys = sorted(doc)
+    for k, key in enumerate(keys):
+        comma = "," if k + 1 < len(keys) else ""
+        if key == "edges":
+            lines.append('  "edges": [')
+            for e, edge in enumerate(doc["edges"]):
+                tail = "," if e + 1 < len(doc["edges"]) else ""
+                lines.append(f"    [{edge[0]}, {edge[1]}, {edge[2]}]{tail}")
+            lines.append(f"  ]{comma}")
+        else:
+            lines.append(f'  "{key}": {json.dumps(doc[key], sort_keys=True)}{comma}')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def rho_closed(dimension, num_vertices, edges, eps):

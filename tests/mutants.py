@@ -76,6 +76,19 @@ MUTANTS = (
            "graph.is_bipartite", "True",
            (f"{MOVES}::TestRegularize::test_one_build_matches_cap_then_swap",),
            "a regularized gem is flagged bipartite whatever the input"),
+    Mutant("insert-assumes-bipartite", "moves.py", "insert_1_dipole",
+           "graph.is_bipartite", "True",
+           (f"{MOVES}::TestInsertBuild::test_matches_the_checked_build",),
+           "a grown gem is flagged bipartite whatever the input"),
+    Mutant("insert-assumes-regular", "moves.py", "insert_1_dipole",
+           "graph.is_regular", "True",
+           (f"{MOVES}::TestInsertBuild::test_matches_the_checked_build",),
+           "a gem grown from one with boundary is flagged regular"),
+    Mutant("insert-ignores-components", "moves.py", "insert_1_dipole",
+           "graph._memo.get('components', 1) != 1", "False",
+           (f"{MOVES}::TestInsertBuild"
+            "::test_boundary_graph_of_two_components_is_refused",),
+           "a split of a graph of several components is built unchecked"),
     Mutant("trivial-test-ignores-budget", "pi1.py", "_trivial",
            "gens <= max_passes", "True",
            (f"{PI1}::TestRankBounds::test_unit_relators_at_the_pass_budget",),

@@ -2,9 +2,10 @@ import json
 import operator
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gemkit import ball_gem, gemio, order_two_gem, random_boundary_gem
@@ -24,9 +25,13 @@ from gemkit.gemio import (
     write_gem,
 )
 
+import bruteforce as bf
 from corpus import k33_graph
 from test_residue_memo import sample_gem
 
+TESTS = Path(__file__).resolve().parent
+GEM_FILES = sorted((TESTS.parent / "gems").glob("*.gem")) + sorted(
+    (TESTS / "golden").glob("*.gem"))
 S4_TEXT = ('{"dimension":4,"vertices":2,'
            '"edges":[[0,1,0],[0,1,1],[0,1,2],[0,1,3],[0,1,4]]}')
 
@@ -256,6 +261,48 @@ class TestCanonicalText:
         assert gemio._canonical(value) == (
             '{"":-0.0,"z":[null,1.5,Infinity,-Infinity],'
             '"\\u00e9":{"a":[true,false,0],"\\u00df":"\\u00fc\\u20ac"}}')
+
+
+EDGE_END = st.integers(-2, 40)
+
+
+class TestWriter:
+    """``format_gemfile`` writes what the per-edge writer in
+    ``bruteforce.gem_text`` writes, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 80),
+           st.lists(st.tuples(EDGE_END, EDGE_END, st.integers(0, 7)),
+                    max_size=40),
+           st.none() | st.text(),
+           st.none() | st.dictionaries(st.text(), JSON_VALUES, max_size=3))
+    @example(4, 2, [], None, None)
+    @example(4, 2, [(1, 0, 4), (0, 1, 0), (1, 0, 0)], "", {})
+    def test_matches_the_per_edge_oracle(self, d, n, edges, name, metadata):
+        gf = GemFile(d, n, tuple(edges), name, metadata)
+        assert format_gemfile(gf) == bf.gem_text(d, n, edges, name, metadata)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_graph_edges_in_any_order(self, d, p, seed, with_boundary, rng):
+        g = sample_gem(d, p, seed, with_boundary)
+        edges = [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                 for u, v, c in g.edges()]
+        rng.shuffle(edges)
+        text = bf.gem_text(d, g.num_vertices, edges, "g")
+        assert format_gemfile(GemFile(d, g.num_vertices, tuple(edges),
+                                      "g")) == text
+        assert format_gemfile(gemfile_from_graph(g, "g")) == text
+
+    @pytest.mark.parametrize("path", GEM_FILES,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_bundled_and_golden_gems_are_fixed_points(self, path):
+        text = path.read_text(encoding="utf-8")
+        gf = parse_gemfile(text)
+        assert format_gemfile(gf) == text
+        assert bf.gem_text(gf.dimension, gf.vertices, gf.edges, gf.name,
+                           gf.metadata) == text
 
 
 class TestCatalog:

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gemkit import (
     ball_gem,
     boundary_component_count,
+    boundary_graph,
     euler_characteristic,
     f_vector,
     order_two_gem,
@@ -29,6 +31,7 @@ from gemkit.errors import (
     NotRegularError,
     TooManyOrdersError,
 )
+from gemkit.gemio import read_gem
 from gemkit.moves import (
     DipoleSite,
     RegularizationRecord,
@@ -47,6 +50,8 @@ from gemkit.core import NO_EDGE, ColoredGraph
 
 import bruteforce as bf
 from corpus import grow_by_insertions, shell_gem
+
+GEMS = Path(__file__).resolve().parent.parent / "gems"
 
 
 def random_edge(graph, rng):
@@ -312,6 +317,86 @@ class TestInsert:
             x, y = site.vertices
             labels = residues(bigger, set(bigger.colors) - {color}).labels
             assert genuine == (labels[x] != labels[y])
+
+
+class TestInsertBuild:
+    """``insert_1_dipole`` builds its result once, from the split maps,
+    with no map check and no traversal; a graph of several components and
+    a split that isolates the new pair go through the checked build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 8), st.integers(0, 2 ** 20),
+           st.sampled_from(["regular", "boundary", "grown ball",
+                            "grown sphere"]),
+           st.integers(0, 10 ** 6))
+    @example(3, 4, 7, "regular", 0)
+    @example(4, 5, 3, "boundary", 1)
+    @example(2, 3, 11, "grown ball", 2)
+    def test_matches_the_checked_build(self, d, p, seed, kind, pick):
+        # a grown ball or sphere is bipartite; a random gem seldom is
+        if kind == "regular":
+            g = random_gem(d, p, seed=seed)
+        elif kind == "boundary":
+            g = random_boundary_gem(d, p + 1, seed % (p + 1), seed=seed)
+        else:
+            base = ball_gem(d) if kind == "grown ball" else order_two_gem(d)
+            g = grow_by_insertions(base, p, random.Random(seed))
+        rng = random.Random(pick)
+        starts = [rng.randrange(g.num_vertices) for _ in range(3)]
+        starts += g.boundary_vertices()[:2]
+        for u in starts:
+            for color in g.colors:
+                if not g.has_color(u, color):
+                    continue
+                out, site, genuine = insert_1_dipole(
+                    g, (u, g.mate(u, color)), color)
+                want = core._from_maps(d, [list(r) for r in out.color_maps])
+                assert out == want and out._memo == {}
+                assert (out.is_regular, out.is_bipartite) == (
+                    want.is_regular, want.is_bipartite)
+                assert genuine and site == DipoleSite(
+                    color, (g.num_vertices, g.num_vertices + 1))
+
+    def test_boundary_graph_of_two_components_is_refused(self):
+        boundary = boundary_graph(read_gem(GEMS / "shell.gem"))
+        bg = boundary.graph
+        assert boundary.num_components == 2
+        for color in bg.colors:
+            with pytest.raises(DisconnectedError,
+                               match="^2 connected components$"):
+                insert_1_dipole(bg, (0, bg.mate(0, color)), color)
+
+    def test_split_that_isolates_the_pair_is_refused(self):
+        # at d = 1 the only other color of a boundary vertex is missing,
+        # so the new pair meets nothing but itself
+        arc = ColoredGraph.from_edges(1, 2, [(0, 1, 0)])
+        with pytest.raises(DisconnectedError,
+                           match="^2 connected components$"):
+            insert_1_dipole(arc, (0, 1), 0)
+        # with an edge of the other color at u, the split is built directly
+        loop = ColoredGraph.from_edges(1, 2, [(0, 1, 0), (0, 1, 1)])
+        for color in loop.colors:
+            out, _, _ = insert_1_dipole(loop, (0, 1), color)
+            want = core._from_maps(1, [list(r) for r in out.color_maps])
+            assert out == want and (out.is_regular, out.is_bipartite) == (
+                want.is_regular, want.is_bipartite)
+
+    def test_growth_builds_no_checked_graph(self):
+        g = order_two_gem(4)
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((core, "_from_maps"), (moves, "_from_maps"),
+                                 (core, "_graph")):
+                mp.setattr(module, name, counted(name, getattr(module, name)))
+            g = grow_by_insertions(g, 50, random.Random(1))
+        assert g.num_vertices == 102 and calls == {}
 
 
 class TestRegularize:
