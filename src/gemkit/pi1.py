@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import ColoredGraph, _residues_by_mask, _root
+from .core import ColoredGraph, _count, _residues_by_mask, _root
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
@@ -30,15 +30,17 @@ class GroupPresentation:
     compact_manifold_reading: Optional[bool] = None
     singular_manifold_reading: Optional[bool] = None
 
-    @classmethod
-    def _unchecked(cls, gens, cycles, tree, pair, compact, singular):
-        """The presentation with these fields, set past the frozen init."""
-        pres = object.__new__(cls)
-        pres.__dict__.update(
-            num_generators=gens, cycle_relators=cycles, tree_relators=tree,
-            color_pair=pair, compact_manifold_reading=compact,
-            singular_manifold_reading=singular)
-        return pres
+    def __getattr__(self, name):
+        """The relator words of a presentation from ``presentation``, built
+        from its graph when either is first read; the graph is then let go.
+        Reached only for a name not in the instance's ``__dict__``."""
+        state = self.__dict__
+        if name not in ("cycle_relators", "tree_relators") or "_graph" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        state["cycle_relators"], state["tree_relators"] = _words(
+            state.pop("_graph"), *self.color_pair)
+        return state[name]
 
     @property
     def relators(self) -> tuple[Word, ...]:
@@ -67,12 +69,33 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     When ``singular_colors`` is supplied the result is tagged with which
     manifold group it presents: the compact one when neither i nor j is
     singular, the singular one when no color outside {i, j} is.
+
+    The generator count is read from the residue counts; the relator
+    words are built from the graph, which the result keeps until then,
+    when one of them is first read.
     """
     d = graph.dimension
     if i == j or not (0 <= i <= d and 0 <= j <= d):
         raise InvalidColorPairError(f"bad color pair ({i},{j}) for dimension {d}")
     i, j = min(i, j), max(i, j)
     full, pair = (1 << d + 1) - 1, 1 << i | 1 << j
+    tag_a = tag_b = None
+    if singular_colors is not None:
+        tag_a = i not in singular_colors and j not in singular_colors
+        tag_b = not (singular_colors - {i, j})
+    # fields set past the frozen init; the words are left to __getattr__
+    pres = object.__new__(GroupPresentation)
+    pres.__dict__.update(
+        num_generators=_count(graph, full ^ pair)[0], color_pair=(i, j),
+        compact_manifold_reading=tag_a, singular_manifold_reading=tag_b,
+        _graph=graph)
+    return pres
+
+
+def _words(graph: ColoredGraph, i: int, j: int
+           ) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """The cycle relators and the tree relators on the pair i < j."""
+    full, pair = (1 << graph.dimension + 1) - 1, 1 << i | 1 << j
     gens = _residues_by_mask(graph, full ^ pair)
 
     cycles = []
@@ -104,13 +127,7 @@ def presentation(graph: ColoredGraph, i: int, j: int,
         if a != b:
             up[b] = a
             tree.append((k + 1,))
-
-    tag_a = tag_b = None
-    if singular_colors is not None:
-        tag_a = i not in singular_colors and j not in singular_colors
-        tag_b = not (singular_colors - {i, j})
-    return GroupPresentation._unchecked(gens.count, tuple(cycles), tuple(tree),
-                                        (i, j), tag_a, tag_b)
+    return tuple(cycles), tuple(tree)
 
 
 def _cyclic_reduce(word: Word) -> Word:
@@ -142,10 +159,36 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
 def _trivial(pres: GroupPresentation, max_passes: int) -> bool:
     """Whether ``tietze_simplify`` gives the trivial presentation with no
     pass run: one-letter relators name every generator, the budget has a
-    pass for each, and a word (g) is only touched when g is eliminated."""
+    pass for each, and a word (g) is only touched when g is eliminated.
+    A presentation whose words are not built yet is decided from counts."""
+    graph = pres.__dict__.get("_graph")
+    if graph is not None:
+        return _trivial_by_counts(pres, graph, max_passes)
     gens = pres.num_generators
     return gens <= max_passes and {abs(w[0]) for w in pres.relators
                                    if len(w) == 1}.issuperset(range(1, gens + 1))
+
+
+def _trivial_by_counts(pres: GroupPresentation, graph: ColoredGraph,
+                       max_passes: int) -> bool:
+    """``_trivial`` from three residue counts, with no word built.
+
+    A cycle word has even length, so the one-letter relators are the tree
+    relators, one per generator the spanning forest keeps.  The forest
+    spans the graph whose nodes are the g(Γ_î) + g(Γ_ĵ) residues without
+    i or without j and whose edges are the g(Γ_îĵ) generators, each
+    joining the two residues holding it.  That graph has as many
+    components as the gem, c: an edge of a color other than i stays in a
+    residue without i, one of color i in a residue without j.  So the
+    forest keeps g(Γ_î) + g(Γ_ĵ) − c generators, and every one exactly
+    when that is g(Γ_îĵ)."""
+    gens = pres.num_generators
+    i, j = pres.color_pair
+    full = (1 << graph.dimension + 1) - 1
+    components = graph._memo.get("components", 1)
+    return gens <= max_passes and gens == (
+        _count(graph, full ^ 1 << i)[0] + _count(graph, full ^ 1 << j)[0]
+        - components)
 
 
 def tietze_simplify(pres: GroupPresentation, max_passes: int = _PASSES

@@ -6,9 +6,10 @@ dipole insertion, which never changes the represented space.
 """
 
 import random
+from itertools import islice
 
 from gemkit import ball_gem, order_two_gem, random_boundary_gem, random_gem
-from gemkit.core import ColoredGraph, validate
+from gemkit.core import NO_EDGE, ColoredGraph, validate
 from gemkit.errors import SamplingExhaustedError
 from gemkit.moves import (cancel_1_dipole, find_1_dipoles, insert_1_dipole,
                           regularize)
@@ -89,11 +90,21 @@ def random_regular_corpus(count, seed=4048, max_order=24):
 
 
 def grow_by_insertions(graph, inserts, rng):
-    """Apply random dipole insertions; the represented space is preserved."""
+    """Apply random dipole insertions; the represented space is preserved.
+    Each draws an index into ``graph.edges()`` and finds that edge color
+    by color, with no edge list built."""
     for _ in range(inserts):
-        edges = list(graph.edges())
-        u, v, c = edges[rng.randrange(len(edges))]
-        graph, _, _ = insert_1_dipole(graph, (u, v), c)
+        n = graph.num_vertices
+        # a row holds two ends of each edge of its color
+        counts = [(n - row.count(NO_EDGE)) // 2 for row in graph.color_maps]
+        k = rng.randrange(sum(counts))
+        for c, row in enumerate(graph.color_maps):
+            if k < counts[c]:
+                break
+            k -= counts[c]
+        # the k-th edge of color c by its lesser end, as edges() lists it
+        u = next(islice((u for u, v in enumerate(row) if v > u), k, None))
+        graph, _, _ = insert_1_dipole(graph, (u, row[u]), c)
     return graph
 
 

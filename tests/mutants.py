@@ -97,13 +97,31 @@ MUTANTS = (
     Mutant("trivial-test-without-superset", "pi1.py", "_trivial",
            "{abs(w[0]) for w in pres.relators if len(w) == 1}"
            ".issuperset(range(1, gens + 1))", "True",
-           (f"{PI1}::TestRankBounds::test_torus",),
+           (f"{PI1}::TestRankBounds::test_z_plus_torsion",),
            "every group within the pass budget is trivial"),
     Mutant("presentation-generator-mask-drops-a-color", "pi1.py",
            "presentation", "full ^ pair", "full ^ 1 << i",
            (f"{PI1}::TestPresentation::test_k33_torus_group",),
            "generators are the residues missing one color of the pair, "
            "not both"),
+    Mutant("words-generator-mask-drops-a-color", "pi1.py", "_words",
+           "full ^ pair", "full ^ 1 << i",
+           (f"{PI1}::TestPresentation::test_k33_torus_group",),
+           "the words read the residues missing one color of the pair as "
+           "generators"),
+    Mutant("count-test-assumes-one-component", "pi1.py", "_trivial_by_counts",
+           "graph._memo.get('components', 1)", "1",
+           (f"{PI1}::TestCountTest::test_boundary_graphs_of_several_components",),
+           "the count test takes a graph of several components as connected"),
+    Mutant("count-test-ignores-budget", "pi1.py", "_trivial_by_counts",
+           "gens <= max_passes", "True",
+           (f"{PI1}::TestCountTest::test_covered_past_the_budget_goes_to_tietze",),
+           "a group the counts cover is trivial though the pass budget cannot "
+           "delete every generator"),
+    Mutant("presentation-builds-words-eagerly", "pi1.py", "presentation",
+           "return pres", "return replace(pres)",
+           (f"{PI1}::TestWordBuilds::test_trivial_pairs_build_no_words",),
+           "every presentation builds its words, also one the counts decide"),
 )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gemkit import (
     GroupPresentation,
     abelianization_rank,
+    ball_gem,
     order_two_gem,
     presentation,
     random_boundary_gem,
@@ -16,12 +17,14 @@ from gemkit import (
     rank_bounds,
     tietze_simplify,
 )
+from gemkit import pi1
+from gemkit.boundary import boundary_graph
 from gemkit.errors import InvalidColorPairError
 from gemkit.moves import insert_1_dipole, regularize
 from gemkit.pi1 import _smith_diagonal
 
 import bruteforce as bf
-from corpus import grow_by_insertions, k33_graph
+from corpus import grow_by_insertions, k33_graph, manifold_boundary_corpus
 
 
 def make_pres(gens, relators):
@@ -479,3 +482,186 @@ class TestDipoleInvariance:
         for pair in [(0, 1), (1, 3)]:
             assert abelianization_rank(presentation(bigger, *pair)) == \
                 abelianization_rank(presentation(g, *pair))
+
+
+def eager(graph, i, j, singular_colors=None):
+    """The presentation on {i, j} built by the constructor from words
+    computed at once."""
+    lazy = presentation(graph, i, j, singular_colors)
+    return GroupPresentation(lazy.num_generators, *pi1._words(graph, i, j),
+                             lazy.color_pair, lazy.compact_manifold_reading,
+                             lazy.singular_manifold_reading)
+
+
+def random_member(d, p, seed, with_boundary):
+    if with_boundary:
+        return random_boundary_gem(d, p + 1, seed % (p + 1), seed=seed)
+    return random_gem(d, p, seed=seed)
+
+
+# ways to read a presentation, each the first read of a lazy one
+READS = {
+    "fields": lambda p: (p.num_generators, p.cycle_relators,
+                         p.tree_relators, p.color_pair,
+                         p.compact_manifold_reading,
+                         p.singular_manifold_reading),
+    "tree first": lambda p: (p.tree_relators, p.cycle_relators),
+    "relators": lambda p: p.relators,
+    "hash": hash,
+    "repr": repr,
+    "str": str,
+    "pretty": lambda p: p.pretty(),
+    "replace": lambda p: replace(p, num_generators=p.num_generators + 1),
+    "tietze": tietze_simplify,
+    "abelianization": abelianization_rank,
+    "rank bounds": rank_bounds,
+}
+
+
+class TestLazyWords:
+    """A presentation from ``presentation`` builds its words when they are
+    first read, and is then the one the constructor builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans(), st.sampled_from(sorted(READS)), st.booleans())
+    def test_equals_the_eager_build(self, d, p, seed, with_boundary, first,
+                                    tagged):
+        g = random_member(d, p, seed, with_boundary)
+        singular = {d} if tagged else None
+        for i, j in combinations(g.colors, 2):
+            lazy = presentation(g, i, j, singular)
+            want = eager(g, i, j, singular)
+            assert READS[first](lazy) == READS[first](want)
+            for read in READS.values():
+                assert read(lazy) == read(want)
+            assert lazy == want and want == lazy and replace(lazy) == want
+            assert vars(lazy) == vars(want)
+
+    def test_the_graph_is_let_go(self, k33):
+        pres = presentation(k33, 0, 1)
+        assert vars(pres)["_graph"] is k33
+        assert pres.tree_relators == ((1,),)
+        assert "_graph" not in vars(pres)
+        assert vars(pres) == vars(eager(k33, 0, 1))
+
+    def test_other_names_are_missing(self, k33):
+        pres = presentation(k33, 0, 1)
+        with pytest.raises(AttributeError, match="no attribute 'relator'"):
+            pres.relator
+        assert "_graph" in vars(pres)  # nothing built by a missing name
+        built = eager(k33, 0, 1)
+        with pytest.raises(AttributeError, match="no attribute '_graph'"):
+            built._graph
+
+
+def word_test(pres, max_passes):
+    """``_trivial`` on the words: the test of a constructor-built
+    presentation."""
+    return pi1._trivial(replace(pres), max_passes)
+
+
+def check_count_test(graph):
+    """The count test and the word test agree on every pair of the graph,
+    at the default budget and at budgets one short of the generator count
+    and equal to it; returns how many pairs the words cover."""
+    covered = 0
+    for i, j in combinations(graph.colors, 2):
+        gens = presentation(graph, i, j).num_generators
+        for budget in (200, gens - 1, gens):
+            pres = presentation(graph, i, j)
+            assert pi1._trivial(pres, budget) == word_test(pres, budget), \
+                (i, j, budget)
+        covered += word_test(presentation(graph, i, j), gens)
+    return covered
+
+
+class TestCountTest:
+    """``_trivial`` on a presentation whose words are not built reads
+    g(Γ_îĵ) = g(Γ_î) + g(Γ_ĵ) − c off the residue counts, and decides as
+    the one-letter relators do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_matches_the_word_test(self, d, p, seed, with_boundary):
+        g = random_member(d, p, seed, with_boundary)
+        check_count_test(g)
+        if with_boundary:
+            check_count_test(boundary_graph(g).graph)
+            check_count_test(regularize(g, singular_color=seed % d)[0])
+
+    def test_boundary_graphs_of_several_components(self):
+        """On the boundary graphs with two or more components of the
+        criterion-6 corpus, the count subtracts their number."""
+        several = covered = 0
+        for g in manifold_boundary_corpus(1000, seed=6006):
+            check_count_test(g)
+            bg = boundary_graph(g)
+            if bg.num_components > 1:
+                several += 1
+                covered += check_count_test(bg.graph)
+        assert several >= 100 and covered >= 100
+
+    def test_covered_past_the_budget_goes_to_tietze(self):
+        """The 2002-vertex S⁴ gem: the counts cover the 389..414 generators
+        of every pair, more than the 200 passes delete, so the Tietze loop
+        runs and reads an upper bound near 200."""
+        g = grow_by_insertions(order_two_gem(4), 1000, random.Random(1))
+        uppers = []
+        for i, j in combinations(g.colors, 2):
+            pres = presentation(g, i, j)
+            assert pres.num_generators > 200
+            assert pi1._trivial(pres, pres.num_generators)
+            assert not pi1._trivial(pres, 200)
+            uppers.append(rank_bounds(pres))
+        assert uppers == [(0, u) for u in (196, 214, 199, 192, 211,
+                                           196, 189, 214, 207, 192)]
+
+
+@pytest.fixture
+def word_builds(monkeypatch):
+    """The (graph, i, j) of each relator-word build."""
+    builds = []
+    real = pi1._words
+
+    def counting(graph, i, j):
+        builds.append((graph, i, j))
+        return real(graph, i, j)
+
+    monkeypatch.setattr(pi1, "_words", counting)
+    return builds
+
+
+class TestWordBuilds:
+    def test_trivial_pairs_build_no_words(self, word_builds):
+        """On 20 grown balls regularized at color 0, as the benchmark's
+        contraction reads them, a pair the one-letter relators cover
+        builds no words, and any other pair builds them once."""
+        rng = random.Random(34)
+        trivial = 0
+        for _ in range(20):
+            g = grow_by_insertions(ball_gem(4), rng.randint(10, 50), rng)
+            g = regularize(g, singular_color=0)[0]
+            for i, j in combinations(g.colors, 2):
+                covered = pi1._trivial(replace(presentation(g, i, j)), 200)
+                del word_builds[:]
+                bounds = rank_bounds(presentation(g, i, j))
+                assert len(word_builds) == (not covered), (i, j)
+                if covered:
+                    trivial += 1
+                    assert bounds == (0, 0)
+        assert trivial >= 150
+
+    @pytest.mark.parametrize("read", ["tietze", "abelianization", "pretty",
+                                      "eq", "hash", "rank bounds"])
+    def test_each_read_builds_once(self, k33, word_builds, read):
+        """On a group the counts do not decide, each read builds the words
+        once, and a second read builds nothing."""
+        same = eager(k33, 0, 1)
+        assert word_builds == [(k33, 0, 1)]
+        do = (lambda p: p == same) if read == "eq" else READS[read]
+        pres = presentation(k33, 0, 1)
+        do(pres)
+        do(pres)
+        assert word_builds == [(k33, 0, 1)] * 2
