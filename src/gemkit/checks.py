@@ -102,14 +102,6 @@ class TransferCase(_Report):
         out["case"] = "adjacent" if out.pop("adjacent") else "nonadjacent"
         return out
 
-    @classmethod
-    def _unchecked(cls, **values) -> "TransferCase":
-        """A case with its fields filled in directly rather than through
-        the frozen ``__init__``, which costs more than twice as much."""
-        case = object.__new__(cls)
-        case.__dict__.update(values)
-        return case
-
 
 class _CappingRows(NamedTuple):
     """The capping checks of one boundary gem for one singular color c, in
@@ -231,8 +223,7 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
 def _joined_count(dec: ResidueDecomposition, added) -> int:
     """The component count of a residue with color d once the capping
     edges ``added`` are in: the input's count less the unions the edges
-    make over its labels.  It unites as ``core._unite`` does for the
-    memo copy of ``cap_boundary``, but only counts, with no labels built."""
+    make over its labels, counted with no labels built."""
     labels, up = dec.labels, list(range(dec.count))
     count = dec.count
     for u, v in added:
@@ -341,7 +332,7 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     values.discard(None)
     halves = {value: Fraction(value, 2) for value in values}
     cases = tuple(
-        TransferCase._unchecked(
+        TransferCase(
             eps=eps, adjacent=adjacent, rho_input=halves[doubled_in],
             rho_capped=halves[doubled_cap],
             paper_rhs=None if paper is None else halves[paper],

@@ -94,50 +94,25 @@ def validate(dimension: int,
 
 
 def _build(dimension, num_vertices, edges):
-    """Turn an edge list into color maps, checking each edge on the way:
-    one loop checks each edge's color, endpoints, loop and repeated color
-    and fills the maps as it goes, so the maps it fills are involutions
-    without fixed points and only the graph checks of ``_from_maps`` are
-    left.  On a fault, or any exception, the edges are read again by
-    ``_checked_maps``, which raises the error the first fault names."""
-    d = dimension
+    """Turn an edge list into color maps in one loop that checks each edge
+    and fills the maps.  A bad color, endpoint or loop is raised as soon
+    as it is met.  A list too short to give every vertex every color below
+    d is read for those faults alone, with no map allocated, and then
+    refused.  The first repeated color, or the error of an item that
+    cannot index the maps (a float), is kept and raised after the loop,
+    so that every range fault ranks before it.  The maps filled are
+    involutions without fixed points: only the graph checks are left."""
+    d, n = dimension, num_vertices
     if d < 1:
         # dimension-1 graphs arise internally as boundaries of surface gems
         raise PreconditionError(f"dimension must be >= 1, got {d}")
-    if num_vertices <= 0:
+    if n <= 0:
         raise PreconditionError("graph must have at least one vertex")
     edges = list(edges)
-    maps = _filled_maps(d, num_vertices, edges)
-    if maps is None:
-        maps = _checked_maps(d, num_vertices, edges)
-    return _graph(d, maps)
-
-
-def _filled_maps(d, n, edges):
-    """The color maps of a faultless edge list in one loop, or None.  The
-    short-list guard runs first, so no map is allocated for a list too
-    short to give every vertex every color below d."""
-    if d * n > 2 * len(edges):
-        return None
-    maps = [[NO_EDGE] * n for _ in range(d + 1)]
-    try:
-        for u, v, c in edges:
-            if not (0 <= c <= d and 0 <= u < n and 0 <= v < n) or u == v:
-                return None
-            row = maps[c]
-            if row[u] != NO_EDGE or row[v] != NO_EDGE:
-                return None
-            row[u] = v
-            row[v] = u
-    except Exception:  # a malformed edge; its error is raised on the reread
-        return None
-    return maps
-
-
-def _checked_maps(d, n, edges):
-    """The color maps of an edge list, read in two loops that raise the
-    first fault: a bad color, endpoint or loop before a short list, and a
-    short list before a repeated color."""
+    # every color below d is a perfect matching
+    short = d * n > 2 * len(edges)
+    maps = None if short else [[NO_EDGE] * n for _ in range(d + 1)]
+    fault = None
     for u, v, c in edges:
         if not (0 <= c <= d):
             raise InvalidColorError(f"color {c} outside 0..{d}")
@@ -146,20 +121,25 @@ def _checked_maps(d, n, edges):
                 f"edge ({u},{v},{c}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise LoopEdgeError(f"loop at vertex {u} with color {c}")
-    # every color below d is a perfect matching, so a short edge list is
-    # rejected before the color maps are allocated
-    if d * n > 2 * len(edges):
+        if short or fault is not None:
+            continue
+        try:
+            row = maps[c]
+            if row[u] != NO_EDGE or row[v] != NO_EDGE:
+                raise DuplicateColorError(
+                    f"vertex {u if row[u] != NO_EDGE else v} meets two "
+                    f"color-{c} edges")
+            row[u] = v
+            row[v] = u
+        except (DuplicateColorError, TypeError) as exc:  # TypeError: a float
+            fault = exc
+    if short:
         raise MissingColorError(
             f"{len(edges)} edges cannot give {n} vertices "
             f"every color below {d}")
-    maps = [[NO_EDGE] * n for _ in range(d + 1)]
-    for u, v, c in edges:
-        if maps[c][u] != NO_EDGE or maps[c][v] != NO_EDGE:
-            raise DuplicateColorError(
-                f"vertex {u if maps[c][u] != NO_EDGE else v} meets two color-{c} edges")
-        maps[c][u] = v
-        maps[c][v] = u
-    return maps
+    if fault is not None:
+        raise fault
+    return _graph(d, maps)
 
 
 def _from_maps(dimension, maps, require_connected=True) -> ColoredGraph:
@@ -399,35 +379,23 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     """Decomposition on three or more colors: the components of the mask
     without its top color when that one is memoized, as it is when colors
     are queried in ascending bitmask order, and else of its two lowest
-    colors, a walk; united along the edges of each color above."""
+    colors, a walk; united along the edges of each color above, where a
+    missing edge makes its vertex's component irregular.  Union by least
+    index keeps every component's parent pointer at or below its own
+    index, so numbering the roots in index order numbers the united
+    components by least vertex, as the given ones are, and a root's least
+    vertex is its united component's."""
     color_set = _colors_of(mask)
     i = len(color_set) - 1
     prefix = mask ^ 1 << color_set[i]
     if prefix not in graph._memo:
         i, prefix = 2, 1 << color_set[0] | 1 << color_set[1]
     base = _residues_by_mask(graph, prefix)
-    return _unite(color_set, base.labels, list(base.regular),
-                  [enumerate(graph.color_maps[top]) for top in color_set[i:]],
-                  base.least)
-
-
-def _unite(color_set: tuple[int, ...], labels: tuple[int, ...],
-           whole: list[bool], rows: Iterable[Iterable[tuple[int, int]]],
-           least: tuple[int, ...]) -> ResidueDecomposition:
-    """The components labelled by ``labels`` (numbered by least vertex,
-    ``whole`` flagging the regular ones) united along the edges of each
-    row of (vertex, mate) pairs, as ``enumerate`` gives them from a color
-    map: a pair counts when the mate is the lower vertex, and a mate
-    NO_EDGE makes the vertex's component irregular.  Union by least index
-    keeps every component's parent pointer at or below its own index, so
-    numbering the roots in index order numbers the united components by
-    least vertex, as the given ones are.  The root is the component of
-    least index, so its least vertex in ``least`` is the united
-    component's."""
+    labels, whole, least = base.labels, list(base.regular), base.least
     up = list(range(len(whole)))
     united = False
-    for row in rows:
-        for v, w in row:
+    for top in color_set[i:]:
+        for v, w in enumerate(graph.color_maps[top]):
             if w < v:  # each edge once, and every missing edge (NO_EDGE < 0)
                 if w == NO_EDGE:
                     whole[labels[v]] = False

@@ -11,7 +11,7 @@ from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
-                   _residues_by_mask, _root, _unite, _without)
+                   _residues_by_mask, _root, _without)
 from .errors import (
     InternalInconsistencyError,
     InvalidColorError,
@@ -183,23 +183,12 @@ def insert_1_dipole(graph: ColoredGraph, edge: tuple[int, int], color: int
 
 def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
     """Join the two boundary ends of every maximal {color, d}-path by a new
-    final-color edge.  Returns the capped (regular) graph and the added
-    edges, listed by the least vertex of the path they close; colors are
-    not swapped."""
+    final-color edge.  Returns the capped (regular) graph, with an empty
+    memo, and the added edges, listed by the least vertex of the path they
+    close; colors are not swapped."""
     d = graph.dimension
     final, added = _capped_final(graph, color)
-    capped = _from_maps(d, graph.color_maps[:d] + (final,))
-    # the input's decompositions are the capped graph's: as they are without
-    # color d, and with it once united along the added edges (u < v, so
-    # each as its pair (v, u)); every component of the regular capped
-    # graph is regular
-    joins = [(v, u) for u, v in added]
-    memo = capped._memo
-    for m, dec in graph._memo.copy().items():
-        if isinstance(m, int):
-            memo[m] = _unite(dec.color_set, dec.labels, [True] * dec.count,
-                             (joins,), dec.least) if m >> d & 1 else dec
-    return capped, added
+    return _from_maps(d, graph.color_maps[:d] + (final,)), added
 
 
 def _capped_final(graph: ColoredGraph, color: int
@@ -241,9 +230,9 @@ def regularize(graph: ColoredGraph, singular_color: int
 
     The result is built once, from the input's checked maps and the new
     capped final-color map swapped into place, which alone is checked;
-    it is ``swap_colors(cap_boundary(graph, c)[0], c, d)`` with an empty
-    memo, and no capped graph or memo copy.  Each added edge joins the
-    ends of an odd-length path: connectivity and bipartiteness carry over."""
+    it is ``swap_colors(cap_boundary(graph, c)[0], c, d)``, with no capped
+    graph built.  Each added edge joins the ends of an odd-length path:
+    connectivity and bipartiteness carry over."""
     if graph.is_regular:
         raise NoBoundaryError("graph is already regular")
     final, added = _capped_final(graph, singular_color)

@@ -59,6 +59,42 @@ def map_fault(maps, no_edge=-1):
     return None
 
 
+class EdgeFault(Exception):
+    """A fault ``edge_maps`` names; its args are the name of the gemkit
+    error class and the message."""
+
+
+def edge_maps(dimension, num_vertices, edges, no_edge=-1):
+    """The color maps of an edge list, read in two loops that raise the
+    first fault as an ``EdgeFault``: a bad color, endpoint or loop before
+    a list too short to give every vertex every color below d, and a
+    short list before a repeated color.  An item that cannot index the
+    maps (a float) raises its own error in the second loop."""
+    d, n = dimension, num_vertices
+    for u, v, c in edges:
+        if not (0 <= c <= d):
+            raise EdgeFault("InvalidColorError", f"color {c} outside 0..{d}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeFault("LoopEdgeError",
+                            f"edge ({u},{v},{c}) has an endpoint outside "
+                            f"0..{n - 1}")
+        if u == v:
+            raise EdgeFault("LoopEdgeError", f"loop at vertex {u} with color {c}")
+    if d * n > 2 * len(edges):  # checked before the maps are allocated
+        raise EdgeFault("MissingColorError",
+                        f"{len(edges)} edges cannot give {n} vertices "
+                        f"every color below {d}")
+    maps = [[no_edge] * n for _ in range(d + 1)]
+    for u, v, c in edges:
+        if maps[c][u] != no_edge or maps[c][v] != no_edge:
+            raise EdgeFault("DuplicateColorError",
+                            f"vertex {u if maps[c][u] != no_edge else v} "
+                            f"meets two color-{c} edges")
+        maps[c][u] = v
+        maps[c][v] = u
+    return maps
+
+
 def count_components(num_vertices, edges, colors):
     return len(bfs_components(num_vertices, edges, colors))
 

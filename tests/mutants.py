@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 
 
 CATALOG = "tests/test_catalog_index.py"
+CORE = "tests/test_core.py"
 MOVES = "tests/test_moves.py"
 PI1 = "tests/test_pi1.py"
 
@@ -122,6 +123,21 @@ MUTANTS = (
            "return pres", "return replace(pres)",
            (f"{PI1}::TestWordBuilds::test_trivial_pairs_build_no_words",),
            "every presentation builds its words, also one the counts decide"),
+    Mutant("edge-reader-raises-repeat-at-once", "core.py", "_build",
+           "fault = exc", "raise exc",
+           (f"{CORE}::TestOnePassChecks::test_deferred_fault_precedence",),
+           "a repeated color or a float item is named before a range fault "
+           "after it"),
+    Mutant("edge-reader-ignores-short-list", "core.py", "_build",
+           "d * n > 2 * len(edges)", "False",
+           (f"{CORE}::TestOnePassChecks::test_deferred_fault_precedence",),
+           "a short edge list is filled into maps, and its repeated color or "
+           "first missing color is named"),
+    Mutant("from-maps-raises-involution-at-once", "core.py", "_from_maps",
+           "broken = f'vertex {w} meets two color-{c} edges'",
+           "raise DuplicateColorError(f'vertex {w} meets two color-{c} edges')",
+           (f"{CORE}::TestOnePassChecks::test_map_fault_precedence",),
+           "a broken involution is named before a loop in a later map"),
 )
 
 

@@ -105,8 +105,13 @@ def reference_from_maps(d, maps):
 
 
 def kept_build(d, n, edges):
-    """The edge path through the kept two loops alone."""
-    return reference_from_maps(d, core._checked_maps(d, n, list(edges)))
+    """The edge path through the brute-force two loops of ``edge_maps``."""
+    try:
+        maps = bf.edge_maps(d, n, list(edges))
+    except bf.EdgeFault as fault:
+        name, message = fault.args
+        raise getattr(errors, name)(message) from None
+    return reference_from_maps(d, maps)
 
 
 MAP_FAULTS = ("fixed point", "minus two", "n", "broken involution")
@@ -152,8 +157,8 @@ def corrupt_edges(edges, d, n, kind, rng):
 class TestOnePassChecks:
     """The one-pass map check raises the class and message of the first
     fault in the brute-force list of every fault, and the one-loop edge
-    check those of the kept two loops, and both build equal graphs on
-    valid input."""
+    check those of the brute-force two loops, and both build equal graphs
+    on valid input."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
@@ -222,6 +227,27 @@ class TestOnePassChecks:
             validate(4, 10 ** 12, edges)
         assert outcome(kept_build, 4, 10 ** 12, edges) == (error,
                                                            str(info.value))
+
+    @pytest.mark.parametrize("edges, error, message", [
+        # a float item and a repeated color are kept until every edge is
+        # read, so a range fault after them comes first
+        ([(0.0, 1, 0), (0, 1, 1), (1, 1, 2), (0, 1, 3)], LoopEdgeError,
+         "loop at vertex 1 with color 2"),
+        ([(0, 1, 0), (0, 1, 1.0), (0, 1, 9), (0, 1, 3)], InvalidColorError,
+         "color 9 outside 0..4"),
+        ([(0, 1, 0), (0, 1, 0), (0, 7, 1), (0, 1, 3)], LoopEdgeError,
+         "edge (0,7,1) has an endpoint outside 0..1"),
+        # a short list is named before a repeated color, and by its length
+        ([(0, 1, 0), (0, 1, 0), (0, 1, 1)], MissingColorError,
+         "3 edges cannot give 2 vertices every color below 4"),
+        ([(0, 1, c) for c in range(3)], MissingColorError,
+         "3 edges cannot give 2 vertices every color below 4"),
+    ])
+    def test_deferred_fault_precedence(self, edges, error, message):
+        with pytest.raises(error) as info:
+            validate(4, 2, edges)
+        assert str(info.value) == message
+        assert outcome(kept_build, 4, 2, edges) == (error, message)
 
     def test_float_vertex_takes_the_exception_path(self):
         edges = [(0.0, 1, c) for c in range(5)]
