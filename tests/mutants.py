@@ -50,7 +50,10 @@ class Mutant(NamedTuple):
 
 
 CATALOG = "tests/test_catalog_index.py"
+CLI = "tests/test_cli.py"
 CORE = "tests/test_core.py"
+INVARIANTS = "tests/test_invariants.py"
+MEMO = "tests/test_residue_memo.py"
 MOVES = "tests/test_moves.py"
 PI1 = "tests/test_pi1.py"
 
@@ -138,6 +141,17 @@ MUTANTS = (
            "raise DuplicateColorError(f'vertex {w} meets two color-{c} edges')",
            (f"{CORE}::TestOnePassChecks::test_map_fault_precedence",),
            "a broken involution is named before a loop in a later map"),
+    Mutant("count-reads-gdot-as-one", "core.py", "_count",
+           "return 1, 0", "return 1, 1",
+           (f"{CLI}::test_info_matches_the_oracle_on_seeded_gems",
+            f"{MEMO}::TestCountClosure::test_one_component_counted_without_a_kernel"),
+           "a one-component residue holding d on a gem with boundary is "
+           "counted as regular"),
+    Mutant("doubled-row-packs-base-0x8000", "invariants.py", "_doubled_row",
+           "0 < base < 0x8000", "0 < base <= 0x8000",
+           (f"{INVARIANTS}::TestDoubledRow::test_bounds_of_the_lanes",),
+           "a base of 0x8000 goes onto the packed path, whose lanes then "
+           "overflow"),
 )
 
 

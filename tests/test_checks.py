@@ -28,6 +28,7 @@ from gemkit import (
     validate,
 )
 from gemkit import checks
+from gemkit.cli import main
 from gemkit.errors import (
     DimensionError,
     DisconnectedError,
@@ -38,7 +39,7 @@ from gemkit.errors import (
     PreconditionError,
     ResidueShapeError,
 )
-from gemkit.gemio import read_gem
+from gemkit.gemio import read_gem, write_gem
 from gemkit.invariants import (_doubled_genera, euler_characteristic,
                                invariant_report)
 from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
@@ -232,6 +233,34 @@ class TestCountPath:
         flag = invariant_report(g).bound_checks["capping_identities"]
         assert flag is True
         assert all(check_regularization_identities(g, c).ok for c in range(4))
+
+    def test_cli_matches_the_oracle_on_seeded_gems(self, tmp_path, capsys):
+        """``check --suite lemma`` and the catalog flag on 200 seeded d = 4
+        boundary gems of p 4..48, each checked by a fresh ``main`` call."""
+
+        def run(*argv):
+            code = main(["--json", *argv])
+            return code, json.loads(capsys.readouterr().out)
+
+        rng = random.Random(577)
+        gem, store = str(tmp_path / "capping.gem"), str(tmp_path / "capping.jsonl")
+        for k in range(200):
+            p = rng.randint(4, 48)
+            g = random_boundary_gem(4, p, rng.randrange(p), seed=rng.randrange(2 ** 32))
+            write_gem(g, gem)
+            edges = list(g.edges())
+            want = {str(c): bf.regularization_identities(4, g.num_vertices, edges, c)
+                    for c in range(4)}
+            code, check = run("check", gem, "--suite", "lemma")
+            _, added = run("catalog", "add", store, gem)
+            flag = added["record"]["bound_checks"]["capping_identities"]
+            lemma_ok = all(r["lemma_ok"] for r in want.values())
+            where = f"gem {k} (p = {p})"
+            assert check["by_color"] == want, \
+                f"{where}: check --suite lemma differs from the oracle"
+            assert code == (0 if lemma_ok else 1), f"{where}: exit code {code}"
+            assert flag == all(r["ok"] for r in want.values()), \
+                f"{where}: the catalog flag differs from the oracle"
 
 
 class TestOmegaPairing:

@@ -3,18 +3,22 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemkit import validate
+from gemkit import random_boundary_gem, random_gem, validate
 from gemkit.cli import build_parser, main
 from gemkit.gemio import read_gem, write_gem
 
+import bruteforce as bf
 import malformed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1065,6 +1069,49 @@ class TestPipelines:
         assert code == 0
         assert capsys.readouterr().out.strip() == (
             "corollary identities: hold for all 4 color choices")
+
+
+def test_info_matches_the_oracle_on_seeded_gems(tmp_path, capsys):
+    """``info``'s residue counts, f-vector, Euler characteristic and genus
+    table on 300 seeded gems of d = 5..7 and p = 1..4, half with
+    boundary."""
+    rng = random.Random(577)
+    gem = str(tmp_path / "info.gem")
+    for k in range(300):
+        d, p = rng.randint(5, 7), rng.randint(1, 4)
+        seed = rng.randrange(2 ** 32)
+        g = (random_boundary_gem(d, p, rng.randrange(p), seed=seed) if k % 2
+             else random_gem(d, p, seed=seed))
+        write_gem(g, gem)
+        code = main(["--json", "info", gem])
+        r = json.loads(capsys.readouterr().out)
+        n, edges = g.num_vertices, list(g.edges())
+
+        def counts(size):
+            return {"".join(map(str, s)): [bf.count_components(n, edges, set(s)),
+                                           bf.count_regular_components(n, edges, set(s))]
+                    for s in combinations(range(d + 1), size)}
+
+        fv = bf.f_vector(d, n, edges)
+        want = {"g_pairs": counts(2), "g_triples": counts(3), "f_vector": list(fv),
+                "chi": sum((-1) ** h * x for h, x in enumerate(fv))}
+        # the genus at every order at d = 5 and 6; at d = 7 at 40 seeded
+        # orders, the rest read off the printed table, whose labels must
+        # be every order's, in order
+        oracle = bf.rho_closed if g.is_regular else bf.rho_boundary
+        orders = bf.cyclic_classes(d)
+        sample = orders if d < 7 else random.Random(seed).sample(orders, 40)
+        rho = {",".join(map(str, eps)): oracle(d, n, edges, eps) for eps in sample}
+        printed = r.get("rho", {})
+        if d == 7 and list(printed) == [",".join(map(str, eps)) for eps in orders]:
+            rho = {**{label: Fraction(v) for label, v in printed.items()}, **rho}
+        want["rho"] = {label: str(value) for label, value in rho.items()}
+        want["rho_min"] = str(min(rho.values()))
+        want["omega_g"] = str(sum(rho.values())) if g.is_regular else None
+        where = f"gem {k} (d = {d}, p = {p})"
+        assert code == 0, f"{where}: exit code {code}"
+        for key, value in want.items():
+            assert r.get(key) == value, f"{where}: info's {key} differs from the oracle"
 
 
 class TestExitRule:

@@ -1,6 +1,9 @@
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,10 @@ from gemkit import (
     euler_characteristic,
     f_vector,
     order_two_gem,
+    presentation,
     random_boundary_gem,
     random_gem,
+    rank_bounds,
     residues,
     rho_table,
     validate,
@@ -31,7 +36,7 @@ from gemkit.errors import (
     NotRegularError,
     TooManyOrdersError,
 )
-from gemkit.gemio import read_gem
+from gemkit.gemio import read_gem, write_gem
 from gemkit.moves import (
     DipoleSite,
     RegularizationRecord,
@@ -589,6 +594,48 @@ class TestFullContraction:
             with pytest.raises(TooManyOrdersError):
                 full_contraction(g)
         assert full_contraction(g, verify=False) == order_two_gem(10)
+
+    def test_large_gems_match_the_step_by_step_loop(self, tmp_path):
+        """The 2002-vertex grown S⁴ gem and the 610-vertex grown shell,
+        capped on color 0: each grown gem is the checked build of its own
+        maps, ``gemkit contract`` in a fresh process gives the step-by-step
+        loop's gem, and the grown S⁴'s rank bounds are the Tietze oracle's."""
+        grown = grow_by_insertions(order_two_gem(4), 1000, random.Random(1))
+        shell = grow_by_insertions(read_gem(GEMS / "shell.gem"), 300,
+                                   random.Random(2))
+        assert (grown.num_vertices, shell.num_vertices) == (2002, 610)
+        # insertion builds each gem from its maps unchecked: the checked
+        # build of the same maps must give the same graph and flags
+        for name, g in (("grown2002", grown), ("shell", shell)):
+            want = core._from_maps(g.dimension, [list(row) for row in g.color_maps])
+            assert (g, g.is_regular, g.is_bipartite) == (
+                want, want.is_regular, want.is_bipartite), \
+                f"{name}: differs from the checked build"
+        write_gem(grown, tmp_path / "grown2002.gem")
+        write_gem(regularize(shell, singular_color=0)[0], tmp_path / "shell.gem")
+        for name in ("grown2002", "shell"):
+            source = tmp_path / f"{name}.gem"
+            target = tmp_path / f"{name}-contracted.gem"
+            # the timeout only guards against a hang; it is not a speed gate
+            done = subprocess.run([sys.executable, "-m", "gemkit.cli", "--json",
+                                   "contract", str(source), "-o", str(target)],
+                                  capture_output=True, text=True, timeout=300,
+                                  cwd=GEMS.parent)
+            assert done.returncode == 0, f"{name}: contract exit code " \
+                f"{done.returncode}\n{done.stderr}"
+            g = read_gem(source)
+            while (site := moves._first_site(g)) is not None:
+                g = cancel_1_dipole(g, site)
+            assert read_gem(target) == g, f"{name}: differs from step by step"
+        # one-letter relators name all 389..414 generators of each pair,
+        # more than the 200-pass budget: the Tietze loop runs, not the
+        # short-circuit, and its upper bound matches the sequential oracle
+        g = read_gem(tmp_path / "grown2002.gem")
+        for i, j in combinations(g.colors, 2):
+            pres = presentation(g, i, j)
+            got = rank_bounds(pres)  # before the oracle reads the words
+            want = (0, bf.tietze_simplify(pres.num_generators, pres.relators)[0])
+            assert got == want, f"pair {i},{j}: rank bounds"
 
 
 def inner_first(graph):

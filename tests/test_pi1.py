@@ -16,6 +16,7 @@ from gemkit import (
     random_gem,
     rank_bounds,
     tietze_simplify,
+    validate,
 )
 from gemkit import pi1
 from gemkit.boundary import boundary_graph
@@ -617,6 +618,57 @@ class TestCountTest:
             uppers.append(rank_bounds(pres))
         assert uppers == [(0, u) for u in (196, 214, 199, 192, 211,
                                            196, 189, 214, 207, 192)]
+
+
+def test_regularize_and_rank_brackets_match_the_oracles():
+    """On 200 seeded boundary gems of d = 2..6, half of them grown balls
+    (bipartite), the other half random: each capped gem is the oracle's,
+    the count test decides as the word test, and at d = 4 the rank
+    brackets are the oracle's Smith rank and sequential Tietze count."""
+    rng = random.Random(577)
+    bipartite = nontrivial = decided = 0
+    for k in range(200):
+        d, p = 2 + k % 5, rng.randint(2, 10)
+        seed = rng.randrange(2 ** 32)
+        # a grown ball is bipartite; a random boundary gem seldom is
+        g = (grow_by_insertions(ball_gem(d), p, random.Random(seed)) if k % 2
+             else random_boundary_gem(d, p, rng.randrange(p), seed=seed))
+        bipartite += g.is_bipartite
+        n, edges = g.num_vertices, list(g.edges())
+        for c in range(d):
+            out, _ = regularize(g, singular_color=c)
+            swap = {c: d, d: c}
+            capped = [(u, v, swap.get(col, col)) for u, v, col in edges] + [
+                (u, v, c) for u, v in bf.capping_edges(d, n, edges, c)]
+            want = validate(d, n, capped)
+            assert (out, out.is_regular, out.is_bipartite) == (
+                want, want.is_regular, want.is_bipartite), \
+                f"gem {k} (d = {d}), color {c}: regularize differs from the oracle"
+            for i, j in combinations(out.colors, 2):
+                where = f"gem {k}, color {c}, pair {i},{j}"
+                # the count test decides before any word is read, the
+                # word test once the words are built
+                pres = presentation(out, i, j)
+                counted = pi1._trivial(pres, 200)
+                got = rank_bounds(pres) if d == 4 else None
+                relators = pres.relators
+                decided += counted
+                assert counted == pi1._trivial(pres, 200), \
+                    f"{where}: the count test reads {counted}, the word test does not"
+                if d != 4:
+                    continue
+                gens = pres.num_generators
+                # the exponent-sum rows; repeated and zero rows span nothing more
+                matrix = {tuple(sum((t > 0) - (t < 0) for t in w if abs(t) == x)
+                                for x in range(1, gens + 1)) for w in relators}
+                diag = bf.smith_diagonal(sorted(matrix - {(0,) * gens}))
+                lower = gens - len(diag) + sum(e > 1 for e in diag)
+                upper = bf.tietze_simplify(gens, relators)[0]
+                nontrivial += upper > 0
+                assert got == (lower, upper), f"{where}: rank bounds"
+    # the sweep's reach: bipartite gems, d = 4 groups the Tietze loop does
+    # not kill, and pairs (of 10600) the one-letter relators decide
+    assert (bipartite, nontrivial, decided) == (114, 46, 9929)
 
 
 @pytest.fixture
