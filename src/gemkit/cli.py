@@ -25,9 +25,7 @@ from . import checks, gemio, moves, pi1
 from .boundary import boundary_graph
 from .core import ColoredGraph, classify_vertices
 from .errors import GemError, ParseError, ValidationError
-from .gemio import _canonical
 from .invariants import (
-    JSONText,
     enumerate_cyclic_permutations,
     euler_characteristic,
     f_vector,
@@ -41,41 +39,6 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
-
-
-def _encoded(value) -> str:
-    """``_canonical(value)``, with top-level lists of records encoded one
-    item at a time: encoding a long catalog scan in one call holds all its
-    small pieces at once, about seven times the text.  A list with no
-    ``JSONText``, dict or list item is encoded in one call.  A
-    ``JSONText`` value or list item is spliced as it is."""
-    if isinstance(value, JSONText):
-        return value
-    if isinstance(value, list) and any(isinstance(item, (JSONText, dict, list))
-                                       for item in value):
-        return "[" + ",".join(item if isinstance(item, JSONText) else _canonical(item)
-                              for item in value) + "]"
-    return _canonical(value)
-
-
-def _payload_json(payload: dict) -> str:
-    """The text of ``_canonical(payload)`` for string keys, where an
-    ``JSONText`` value stands for the JSON it holds.  Each run of other
-    values that are not lists, in sorted key order, is encoded by one
-    ``_canonical`` call, its braces dropped; a ``JSONText`` or list value
-    is spliced by ``_encoded``."""
-    parts, run = [], {}
-    for key, value in sorted(payload.items()):
-        if isinstance(value, (JSONText, list)):
-            if run:
-                parts.append(_canonical(run)[1:-1])
-                run = {}
-            parts.append(_canonical(key) + ":" + _encoded(value))
-        else:
-            run[key] = value
-    if run:
-        parts.append(_canonical(run)[1:-1])
-    return "{" + ",".join(parts) + "}"
 
 
 def cmd_validate(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
@@ -93,7 +56,7 @@ def cmd_validate(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
 
 def cmd_info(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     report = invariant_report(graph)
-    payload = report.to_jsonable(encoded_rho=True)
+    payload = report._json_fields()
     human = [
         f"dimension {report.dimension}, 2p = {report.num_vertices} "
         f"(p_bar={report.p_bar}, p_dot={report.p_dot})",
@@ -185,7 +148,7 @@ def cmd_genus(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     if args.all_perms and args.json:
         payload["table"] = table.json()
     elif args.all_perms:  # the table is in canonical order
-        human += [f"  ({label}) -> {v}" for label, v in table.labelled().items()]
+        human += [f"  ({eps.label()}) -> {v}" for eps, v in table.by_order().items()]
     return payload, human
 
 
@@ -379,7 +342,7 @@ def cmd_catalog(graph, args) -> tuple[dict, list[str]]:
             raise ParseError("catalog add takes no --where")
         graph = gemio.read_gem(args.file)
         # the record as the text it was stored or found as
-        digest, text, _, added = gemio._catalog_add(args.store, graph, args.name)
+        digest, text, added = gemio._catalog_add(args.store, graph, args.name)
         return ({"action": "add", "ok": True, "added": added, "record": text},
                 [("added " if added else "already present: ") + digest])
     if args.file is not None:
@@ -481,7 +444,7 @@ def _run(args) -> int:
     payload, human = args.func(graph, args)
     payload["command"] = args.command
     if args.json:
-        print(_payload_json(payload))
+        print(gemio._payload_json(payload))
     else:
         for line in human:
             print(line)

@@ -45,6 +45,42 @@ def _canonical(value) -> str:
     return _CANONICAL.encode(value)
 
 
+def _encoded(value) -> str:
+    """``_canonical(value)``, with top-level lists of records encoded one
+    item at a time: encoding a long catalog scan in one call holds all its
+    small pieces at once, about seven times the text.  A list with no
+    ``JSONText``, dict or list item is encoded in one call.  A
+    ``JSONText`` value or list item is spliced as it is."""
+    if isinstance(value, JSONText):
+        return value
+    if isinstance(value, list) and any(isinstance(item, (JSONText, dict, list))
+                                       for item in value):
+        return "[" + ",".join(item if isinstance(item, JSONText) else _canonical(item)
+                              for item in value) + "]"
+    return _canonical(value)
+
+
+def _payload_json(payload: dict) -> str:
+    """The text of ``_canonical(payload)`` for string keys, where an
+    ``JSONText`` value stands for the JSON it holds: the one writer of
+    ``--json`` output and of catalog records.  Each run of other values
+    that are not lists, in sorted key order, is encoded by one
+    ``_canonical`` call, its braces dropped; a ``JSONText`` or list value
+    is spliced by ``_encoded``."""
+    parts, run = [], {}
+    for key, value in sorted(payload.items()):
+        if isinstance(value, (JSONText, list)):
+            if run:
+                parts.append(_canonical(run)[1:-1])
+                run = {}
+            parts.append(_canonical(key) + ":" + _encoded(value))
+        else:
+            run[key] = value
+    if run:
+        parts.append(_canonical(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
 @dataclass(frozen=True)
 class GemFile:
     dimension: int
@@ -58,15 +94,6 @@ class GemFile:
                         for u, v, c in self.edges], key=_COLOR_THEN_ENDS)
         return GemFile(self.dimension, self.vertices, tuple(edges),
                        self.name, self.metadata)
-
-    def to_jsonable(self) -> dict:
-        out = {"dimension": self.dimension, "vertices": self.vertices,
-               "edges": [list(e) for e in self.edges]}
-        if self.name is not None:
-            out["name"] = self.name
-        if self.metadata:
-            out["metadata"] = self.metadata
-        return out
 
     def digest(self) -> str:
         """Content hash of the canonical graph data (name excluded)."""
@@ -209,13 +236,14 @@ def export_dot(graph: ColoredGraph, path: str | Path,
 
 
 def catalog_record(graph: ColoredGraph, name: Optional[str] = None) -> dict:
-    return _record(graph, _graph_digest(graph), name)
+    """The record ``catalog add`` stores for the gem, decoded."""
+    return json.loads(_payload_json(_record(graph, _graph_digest(graph), name)))
 
 
 def _record(graph: ColoredGraph, digest: str, name: Optional[str]) -> dict:
-    record = {"digest": digest, "name": name}
-    record.update(invariant_report(graph).to_jsonable())
-    return record
+    """The record as ``_payload_json`` writes it, its tables ``JSONText``."""
+    return {"digest": digest, "name": name,
+            **invariant_report(graph)._json_fields()}
 
 
 def _load_line(line: str):
@@ -277,17 +305,15 @@ def catalog_add(store_path: str | Path, graph: ColoredGraph,
     store index answers for the bytes it covers and ``find`` searches the
     rest (see ``_StoreIndex``); a store it does not cover is searched
     whole, with no index built."""
-    _, text, record, added = _catalog_add(store_path, graph, name)
-    return (json.loads(text) if record is None else record), added
+    _, text, added = _catalog_add(store_path, graph, name)
+    return json.loads(text), added
 
 
 def _catalog_add(store_path: str | Path, graph: ColoredGraph,
-                 name: Optional[str]
-                 ) -> tuple[str, JSONText, Optional[dict], bool]:
-    """``catalog_add``: the gem's digest, the record's canonical text, the
-    record when this call built or decoded it (None when the index held
-    its text) and whether it was appended.  When the index covers the
-    whole store, the appended line goes into it with its text."""
+                 name: Optional[str]) -> tuple[str, JSONText, bool]:
+    """``catalog_add``: the gem's digest, the record's canonical text and
+    whether it was appended.  When the index covers the whole store, the
+    appended line goes into it with its text."""
     global _INDEX
     digest = _graph_digest(graph)
     # created when missing, but never touched: a duplicate keeps its mtime
@@ -300,14 +326,14 @@ def _catalog_add(store_path: str | Path, graph: ColoredGraph,
                 covered, rest = _read_after(fh, index.data)
                 at = index.digests.get(digest) if covered else None
                 if at is not None:
-                    return digest, index.text(at), None, False
+                    return digest, index.text(at), False
             existing = _find_record(rest, digest)
             if existing is not None:
-                return digest, JSONText(_canonical(existing)), existing, False
+                return digest, JSONText(_canonical(existing)), False
             record = _record(graph, digest, name)
-            text = JSONText(_canonical(record))
+            text = JSONText(_payload_json(record))
             stamp = datetime.now(timezone.utc).isoformat()
-            # the line is _canonical({**record, "added_at": stamp}): the
+            # the line is the text of {**record, "added_at": stamp}: the
             # stamp's key sorts before every key of a record
             line = ('{"added_at":%s,%s\n' % (_canonical(stamp), text[1:])
                     ).encode("ascii")
@@ -327,7 +353,7 @@ def _catalog_add(store_path: str | Path, graph: ColoredGraph,
                             raise
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    return digest, text, record, True
+    return digest, text, True
 
 
 _OPS: dict[str, Callable] = {
@@ -402,13 +428,13 @@ def _holds(value, op, literal) -> bool:
 
 
 def _line_value(rec: dict, field: str):
-    """``_value`` of a field of a record as a scan decodes its canonical
-    line: a list or object value is read back from its canonical text,
-    since the key order of a dict built in memory may coerce to other
-    text."""
+    """``_value`` of a field of a record ``_record`` built, as a scan
+    decodes its canonical line: a ``JSONText`` value is decoded.  The
+    record's one other object, ``"bound_checks"``, is built in sorted key
+    order, so it coerces to the text its decoded line does."""
     value = rec.get(field, _MISSING)
-    if isinstance(value, (dict, list)):
-        value = json.loads(_canonical(value))
+    if isinstance(value, JSONText):
+        value = json.loads(value)
     return value if value is _MISSING else _coerce(value)
 
 
@@ -506,7 +532,8 @@ class _StoreIndex:
     def add_own(self, line: bytes, record: dict, stamp: str,
                 text: JSONText) -> None:
         """Index ``line``, appended to a store the index covered whole:
-        ``record`` with ``"added_at"`` ``stamp``, whose text is ``text``."""
+        ``record`` with ``"added_at"`` ``stamp``, whose text is ``text``;
+        its ``JSONText`` values are decoded for the columns."""
         start = len(self.data)
         self.data += line
         self.lines += 1

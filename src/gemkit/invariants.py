@@ -7,13 +7,14 @@ since it would mean the input was not what it claimed to be.
 
 from __future__ import annotations
 
+import json
 import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, combinations, permutations
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_graph
@@ -328,17 +329,10 @@ class GenusTable(NamedTuple):
                                    for k, value in enumerate(self.doubled)
                                    if value == best]
 
-    def labelled(self) -> dict[str, str]:
-        """Order label -> genus text, in sweep order."""
-        text = {value: str(Fraction(value, 2)) for value in set(self.doubled)}
-        # each piece but the last holds one label, between '{"' or ',"' and '":'
-        labels = map(itemgetter(slice(2, -2)), self.sweep.pieces[:-1])
-        return dict(zip(labels, map(text.__getitem__, self.doubled)))
-
     def json(self) -> JSONText:
-        """The canonical JSON text of ``labelled()``: the sweep's pieces
-        joined with one quoted string per distinct value, and no label or
-        order built."""
+        """The canonical JSON text of order label -> genus text: the
+        sweep's pieces joined with one quoted string per distinct value,
+        and no label or order built."""
         quoted = {value: f'"{Fraction(value, 2)}"' for value in set(self.doubled)}
         parts = [None] * (2 * self.sweep.count + 1)
         parts[::2] = self.sweep.pieces
@@ -469,19 +463,10 @@ class InvariantReport:
     def rho_by_perm(self) -> dict[CyclicPermutation, Fraction]:
         return GenusTable(self._sweep, self._doubled).by_order()
 
-    def to_jsonable(self, encoded_rho: bool = False) -> dict:
-        """The JSON form; with ``encoded_rho`` its genus table and its two
-        count tables are given as ``JSONText``, for a writer that splices
-        them, and not as dicts."""
-        table = GenusTable(self._sweep, self._doubled)
-        if encoded_rho:
-            sets = _color_sets(self.dimension)
-            g_pairs = _filled(sets.pair_json, self.g_pairs)
-            g_triples = _filled(sets.triple_json, self.g_triples)
-        else:
-            g_pairs = {_set_label(k): list(v) for k, v in sorted(self.g_pairs.items())}
-            g_triples = {_set_label(k): list(v)
-                         for k, v in sorted(self.g_triples.items())}
+    def _json_fields(self) -> dict:
+        """The JSON form, its genus table and its two count tables given
+        as ``JSONText`` for a writer to splice."""
+        sets = _color_sets(self.dimension)
         return {
             "dimension": self.dimension,
             "vertices": self.num_vertices,
@@ -491,15 +476,20 @@ class InvariantReport:
             "regular": self.is_regular,
             "bipartite": self.is_bipartite,
             "boundary_components": self.boundary_components,
-            "g_pairs": g_pairs,
-            "g_triples": g_triples,
+            "g_pairs": _filled(sets.pair_json, self.g_pairs),
+            "g_triples": _filled(sets.triple_json, self.g_triples),
             "f_vector": list(self.f_vector),
             "chi": self.chi,
-            "rho": table.json() if encoded_rho else table.labelled(),
+            "rho": GenusTable(self._sweep, self._doubled).json(),
             "rho_min": str(self.rho_min),
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
         }
+
+    def to_jsonable(self) -> dict:
+        """The JSON form, each text of ``_json_fields`` decoded."""
+        return {key: json.loads(value) if isinstance(value, JSONText) else value
+                for key, value in self._json_fields().items()}
 
 
 def _filled(template: tuple[str, tuple[tuple[int, ...], ...]],
@@ -511,9 +501,8 @@ def _filled(template: tuple[str, tuple[tuple[int, ...], ...]],
                                                          ordered))))
 
 
-@cache
 def _set_label(colors: tuple[int, ...]) -> str:
-    """The digits of a color set, ``"012"``: one string per set, shared."""
+    """The digits of a color set, ``"012"``."""
     return "".join(map(str, colors))
 
 

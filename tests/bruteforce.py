@@ -2,7 +2,9 @@
 
 Everything here works on raw edge lists (lists of ``(u, v, color)`` triples)
 with plain BFS and exhaustive subset enumeration, deliberately sharing no
-code with the package under test.
+code with the package under test.  ``report_form`` is the one exception:
+it builds a report's JSON form as dicts, from the package's own counts
+and genus table, as a reference for the report's spliced JSON text.
 """
 
 import json
@@ -525,6 +527,35 @@ def tietze_simplify(num_generators, relators, max_passes=200):
     words = {tuple(number[t] if t > 0 else -number[-t] for t in w)
              for w in words if w}
     return len(survivors), sorted(words, key=lambda w: (len(w), w))
+
+
+def report_form(graph):
+    """The decoded JSON form of ``invariant_report(graph)``, built as
+    dicts: the count tables from ``count_g`` on every color pair and
+    triple of 0..d, the genus table from ``rho_table``, keyed by their
+    labels in sorted order, and the other fields from the report."""
+    from gemkit import count_g, invariant_report, rho_table
+
+    rep = invariant_report(graph)
+    d = graph.dimension
+
+    def counts(size):
+        return {"".join(map(str, colors)): list(count_g(graph, colors))
+                for colors in combinations(range(d + 1), size)}
+
+    return {
+        "dimension": d, "vertices": graph.num_vertices,
+        "p": rep.p, "p_bar": rep.p_bar, "p_dot": rep.p_dot,
+        "regular": graph.is_regular, "bipartite": graph.is_bipartite,
+        "boundary_components": rep.boundary_components,
+        "g_pairs": counts(2), "g_triples": counts(3),
+        "f_vector": list(rep.f_vector), "chi": rep.chi,
+        "rho": {eps.label(): str(value)
+                for eps, value in rho_table(graph).items()},
+        "rho_min": str(rep.rho_min),
+        "omega_g": None if rep.omega_g is None else str(rep.omega_g),
+        "bound_checks": dict(sorted(rep.bound_checks.items())),
+    }
 
 
 S4_2 = dict(dimension=4, vertices=2,

@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 CATALOG = "tests/test_catalog_index.py"
 CLI = "tests/test_cli.py"
 CORE = "tests/test_core.py"
+GEMIO = "tests/test_gemio.py"
 INVARIANTS = "tests/test_invariants.py"
 MEMO = "tests/test_residue_memo.py"
 MOVES = "tests/test_moves.py"
@@ -152,6 +153,21 @@ MUTANTS = (
            (f"{INVARIANTS}::TestDoubledRow::test_bounds_of_the_lanes",),
            "a base of 0x8000 goes onto the packed path, whose lanes then "
            "overflow"),
+    Mutant("report-json-drops-g-triples", "invariants.py",
+           "InvariantReport._json_fields",
+           "_filled(sets.triple_json, self.g_triples)", "JSONText('{}')",
+           (f"{GEMIO}::TestCatalog::test_record_is_the_dict_form",),
+           "reports and catalog records are written with an empty g_triples "
+           "table"),
+    Mutant("line-value-reads-jsontext-as-text", "gemio.py", "_line_value",
+           "isinstance(value, JSONText)", "False",
+           (f"{CATALOG}::TestAgainstColdRead::test_table_filter_after_own_adds",),
+           "a filter on a table reads a record this process appended as its "
+           "JSON text"),
+    Mutant("catalog-add-returns-text-tables", "gemio.py", "catalog_add",
+           "json.loads(text)", "_record(graph, _graph_digest(graph), name)",
+           (f"{GEMIO}::TestCatalog::test_record_is_the_dict_form",),
+           "catalog add returns the record it builds, its tables JSON text"),
 )
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import threading
@@ -326,6 +327,20 @@ class TestAgainstColdRead:
         assert catalog_add(store, POOL[2], name="again") == (RECORDS[2], False)
         assert catalog_scan(store) == ([RECORDS[2]], [])
 
+    @pytest.mark.parametrize("field", ["g_pairs", "rho", "bound_checks"])
+    def test_table_filter_after_own_adds(self, tmp_path, field):
+        """A filter on an object, named before this process appends lines,
+        reads each appended record's object as a cold read of its line
+        does: decoded from its JSON text, its keys in the line's order."""
+        store = tmp_path / "store.jsonl"
+        store.touch()
+        filters = (f"{field}={RECORDS[2][field]}",)
+        cli_scan(store, filters)  # the field's column is made before the adds
+        for k, graph in enumerate(POOL):
+            catalog_add(store, graph, name=f"pool{k}")
+        assert_scan_matches_oracle(store, filters, cli_first=True)
+        assert RECORDS[2] in catalog_scan(store, filters)[0]
+
     def test_scan_cut_short_leaves_no_partial_index(self, tmp_path,
                                                    monkeypatch):
         """An exception while an append is indexed drops the index, so the
@@ -361,16 +376,17 @@ class TestAgainstColdRead:
 
 @pytest.fixture
 def loads_calls(monkeypatch):
-    """A cold index, and the number of json.loads calls made so far."""
+    """A cold index, and the store lines decoded so far: the calls of
+    ``gemio._load_line``, each with the stripped text of its line."""
     monkeypatch.setattr(gemio, "_INDEX", gemio._StoreIndex())
     calls = []
-    real_loads = json.loads
+    real_load = gemio._load_line
 
-    def counting_loads(text, *args, **kwargs):
-        calls.append(text)
-        return real_loads(text, *args, **kwargs)
+    def counting_load(line):
+        calls.append(line)
+        return real_load(line)
 
-    monkeypatch.setattr(gemio.json, "loads", counting_loads)
+    monkeypatch.setattr(gemio, "_load_line", counting_load)
     return calls
 
 
@@ -388,7 +404,7 @@ def store_lines(store: Path) -> set[str]:
 
 
 def decoded(calls: list, store: Path) -> list[str]:
-    """The calls of ``json.loads`` that decoded a line of the store."""
+    """The lines of the store among the decoded ``calls``."""
     lines = store_lines(store)
     return [text for text in calls if text in lines]
 
@@ -528,6 +544,25 @@ class TestLineForm:
         assert text == oracle.scan_text(compact, filters)
         for _ in range(2):  # cold, then from the index
             assert cli_scan(spaced, filters) == text
+
+
+def test_fresh_processes_find_a_record_with_a_blank_before_its_line_end(
+        tmp_path):
+    """Each add and the scan reads the store cold, in a process of its own:
+    the second add finds the record whose line ends in a "\\x1c" blank."""
+    store = tmp_path / "dedupe.jsonl"
+
+    def run(*argv) -> dict:
+        done = subprocess.run([sys.executable, "-m", "gemkit.cli", "--json",
+                               "catalog", *argv], capture_output=True,
+                              text=True, cwd=GEMS.parent)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    assert run("add", str(store), "gems/s4_2.gem")["added"] is True
+    store.write_bytes(store.read_bytes()[:-1] + b"\x1c\n")
+    assert run("add", str(store), "gems/s4_2.gem")["added"] is False
+    assert run("scan", str(store))["count"] == 1
 
 
 def test_threads_share_the_index(tmp_path):

@@ -704,8 +704,7 @@ class TestPipelines:
 
     def test_payload_json_matches_one_call(self, tmp_path):
         from gemkit import ball_gem, order_two_gem
-        from gemkit.cli import _payload_json
-        from gemkit.gemio import catalog_add, catalog_scan
+        from gemkit.gemio import _payload_json, catalog_add, catalog_scan
 
         store = tmp_path / "store.jsonl"
         for graph in (order_two_gem(4), ball_gem(4), ball_gem(3)):
@@ -718,7 +717,7 @@ class TestPipelines:
             payload, sort_keys=True, separators=(",", ":"))
 
     def test_payload_json_splices_encoded_text(self):
-        from gemkit.cli import _payload_json
+        from gemkit.gemio import _payload_json
         from gemkit.invariants import JSONText
 
         rho = {"0,1,2": "1/2", "0,2,1": "0"}
@@ -736,7 +735,7 @@ class TestPipelines:
         ``JSONText`` value spliced, a list of plain scalars encoded in one
         call, and any other list one item at a time, so no call sees a
         whole top-level list that holds text, dicts or lists."""
-        from gemkit import cli
+        from gemkit import gemio
         from gemkit.gemio import _canonical
         from gemkit.invariants import JSONText
 
@@ -754,8 +753,8 @@ class TestPipelines:
             return _canonical(value)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_canonical", recording)
-            text = cli._payload_json(payload)
+            mp.setattr(gemio, "_canonical", recording)
+            text = gemio._payload_json(payload)
         assert text == _canonical({k: decoded(v) for k, v in payload.items()})
 
         def itemwise(value):
@@ -784,11 +783,11 @@ class TestPipelines:
         """``info`` encodes its plain values in three runs around the
         f-vector, encoded in one call, and the spliced count and genus
         tables."""
-        from gemkit import cli
+        from gemkit import gemio
         from gemkit.gemio import _canonical
 
         seen = []
-        monkeypatch.setattr(cli, "_canonical",
+        monkeypatch.setattr(gemio, "_canonical",
                             lambda value: seen.append(value) or _canonical(value))
         assert main(["--json", "info", str(GEMS / "b4_2.gem")]) == 0
         payload = json.loads(capsys.readouterr().out)

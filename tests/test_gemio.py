@@ -1,6 +1,7 @@
 import json
 import operator
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gemkit import ball_gem, gemio, order_two_gem, random_boundary_gem
+from gemkit import (ball_gem, gemio, invariant_report, order_two_gem,
+                    random_boundary_gem)
 from gemkit.errors import ParseError, ValidationError
 from gemkit.gemio import (
     GemFile,
@@ -160,7 +162,7 @@ class TestBulkEdgeCheck:
     def test_raises_like_the_kept_loop(self, d, p, seed, with_boundary,
                                        faults, rng):
         g = sample_gem(d, p, seed, with_boundary)
-        doc = gemfile_from_graph(g).to_jsonable()
+        doc = json.loads(format_gemfile(gemfile_from_graph(g)))
         for kind in faults:
             corrupt_item(doc["edges"], kind, rng)
         text = json.dumps(doc)
@@ -553,6 +555,26 @@ class TestCatalog:
         rec = catalog_record(s4, "s4")
         assert rec["rho_min"] == "0" and rec["omega_g"] == "0"
         assert rec["f_vector"] == [5, 10, 10, 5, 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 3), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_record_is_the_dict_form(self, d, p, seed, with_boundary):
+        """The report's dict form, the record and the record ``catalog
+        add`` returns, appended or found, are the tables built as dicts;
+        the record's spliced text is their canonical encoding."""
+        g = sample_gem(d, p, seed, with_boundary)
+        form = bf.report_form(g)
+        digest = gemio._graph_digest(g)
+        record = {"digest": digest, "name": "g", **form}
+        assert invariant_report(g).to_jsonable() == form
+        assert catalog_record(g, "g") == record
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Path(tmp) / "store.jsonl"
+            assert catalog_add(store, g, name="g") == (record, True)
+            assert catalog_add(store, g, name="again") == (record, False)
+        assert gemio._payload_json(gemio._record(g, digest, "g")) == json.dumps(
+            record, sort_keys=True, separators=(",", ":"))
 
 
 class TestExportDot:
