@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .boundary import BoundaryGraph, boundary_graph
-from .core import (ColoredGraph, ResidueDecomposition, _residues_by_mask,
-                   _root, classify_vertices, count_g, residues)
+from .core import (ColoredGraph, _joined_count, _residues_by_mask,
+                   classify_vertices, count_g, residues)
 from .errors import (
     DimensionError,
     InvalidColorError,
@@ -218,20 +218,6 @@ def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
         capped_row=capped_row,
         slots=tuple(k for k, (_, b) in enumerate(sweep.pairs) if b == d),
     )
-
-
-def _joined_count(dec: ResidueDecomposition, added) -> int:
-    """The component count of a residue with color d once the capping
-    edges ``added`` are in: the input's count less the unions the edges
-    make over its labels, counted with no labels built."""
-    labels, up = dec.labels, list(range(dec.count))
-    count = dec.count
-    for u, v in added:
-        x, y = _root(up, labels[u]), _root(up, labels[v])
-        if x != y:
-            up[x] = y
-            count -= 1
-    return count
 
 
 def _capping_rows(graph: ColoredGraph, c: int) -> _CappingRows:

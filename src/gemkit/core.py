@@ -441,6 +441,20 @@ def _root(up: list[int], k: int) -> int:
     return k
 
 
+def _joined_count(dec: ResidueDecomposition, added) -> int:
+    """The component count of a residue once the vertex pairs ``added``
+    are joined as well: its count less the unions the pairs make over its
+    labels, counted with no labels built."""
+    labels, up = dec.labels, list(range(dec.count))
+    count = dec.count
+    for u, v in added:
+        x, y = _root(up, labels[u]), _root(up, labels[v])
+        if x != y:
+            up[x] = y
+            count -= 1
+    return count
+
+
 def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:
     """(g, g_dot): total and regular component counts of the residue."""
     return _count(graph, _color_mask(graph, colors))

@@ -392,11 +392,21 @@ def _huge_exponent(text: str) -> bool:
 
 
 def _coerce(value):
+    """The value a filter compares: a list or object, and text that starts
+    with "[" or "{" and decodes as JSON, as its canonical JSON text; a
+    whole number as an int, other numeric text as a rational."""
     if isinstance(value, bool) or value is None:
         return value
     if type(value) is int:
         return value  # compares as Fraction(str(value)) would
+    if isinstance(value, (list, dict)):
+        return _canonical(value)
     text = str(value)
+    if text.startswith(("[", "{")):
+        try:
+            return _canonical(json.loads(text))
+        except (ValueError, RecursionError):
+            pass  # not JSON: compared as text
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     if text.lower() in ("none", "null"):
@@ -425,17 +435,6 @@ def _holds(value, op, literal) -> bool:
         return op(value, literal)
     except TypeError:
         return False
-
-
-def _line_value(rec: dict, field: str):
-    """``_value`` of a field of a record ``_record`` built, as a scan
-    decodes its canonical line: a ``JSONText`` value is decoded.  The
-    record's one other object, ``"bound_checks"``, is built in sorted key
-    order, so it coerces to the text its decoded line does."""
-    value = rec.get(field, _MISSING)
-    if isinstance(value, JSONText):
-        value = json.loads(value)
-    return value if value is _MISSING else _coerce(value)
 
 
 class _StoreIndex:
@@ -533,7 +532,7 @@ class _StoreIndex:
                 text: JSONText) -> None:
         """Index ``line``, appended to a store the index covered whole:
         ``record`` with ``"added_at"`` ``stamp``, whose text is ``text``;
-        its ``JSONText`` values are decoded for the columns."""
+        its ``JSONText`` values coerce as the objects they hold."""
         start = len(self.data)
         self.data += line
         self.lines += 1
@@ -543,7 +542,7 @@ class _StoreIndex:
         if self.columns:
             stored = {**record, "added_at": stamp}
             for field, column in self.columns.items():
-                column.append(_line_value(stored, field))
+                column.append(_value(stored, field))
 
     def _record(self, i: int) -> dict:
         return _line_record(self.data[self.line_spans[2 * i]:self.line_spans[2 * i + 1]])

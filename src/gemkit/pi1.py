@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import eq
 from typing import Optional
 
-from .core import ColoredGraph, _count, _residues_by_mask, _root
+from .core import ColoredGraph, _count, _joined_count, _residues_by_mask, _root
 from .errors import InvalidColorPairError
 
 Word = tuple[int, ...]
@@ -158,20 +160,33 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
 
 def _trivial(pres: GroupPresentation, max_passes: int) -> bool:
     """Whether ``tietze_simplify`` gives the trivial presentation with no
-    pass run: one-letter relators name every generator, the budget has a
-    pass for each, and a word (g) is only touched when g is eliminated.
-    A presentation whose words are not built yet is decided from counts."""
+    pass run: the budget has a pass for each generator, and two-letter
+    relators join every generator to one with a one-letter relator.  A
+    word (g) is only touched when g is eliminated, and a word (a, ±b)
+    becomes (±b) when a is: so while a generator is left a one-letter word
+    is left, each pass deletes a generator by one, and after a pass per
+    generator every word is empty.  A presentation whose words are not
+    built yet is decided from its graph."""
     graph = pres.__dict__.get("_graph")
     if graph is not None:
         return _trivial_by_counts(pres, graph, max_passes)
     gens = pres.num_generators
-    return gens <= max_passes and {abs(w[0]) for w in pres.relators
-                                   if len(w) == 1}.issuperset(range(1, gens + 1))
+    if gens > max_passes:
+        return False
+    up = list(range(gens + 1))
+    units = []
+    for w in pres.relators:
+        if len(w) == 1:
+            units.append(abs(w[0]))
+        elif len(w) == 2:
+            up[_root(up, abs(w[0]))] = _root(up, abs(w[1]))
+    return {_root(up, g) for g in units}.issuperset(
+        _root(up, g) for g in range(1, gens + 1))
 
 
 def _trivial_by_counts(pres: GroupPresentation, graph: ColoredGraph,
                        max_passes: int) -> bool:
-    """``_trivial`` from three residue counts, with no word built.
+    """``_trivial`` from residue counts, with no word built.
 
     A cycle word has even length, so the one-letter relators are the tree
     relators, one per generator the spanning forest keeps.  The forest
@@ -181,14 +196,31 @@ def _trivial_by_counts(pres: GroupPresentation, graph: ColoredGraph,
     components as the gem, c: an edge of a color other than i stays in a
     residue without i, one of color i in a residue without j.  So the
     forest keeps g(Γ_î) + g(Γ_ĵ) − c generators, and every one exactly
-    when that is g(Γ_îĵ)."""
+    when that is g(Γ_îĵ).
+
+    Otherwise the two-letter relators are read off the twins, vertices
+    v ≠ w with mate_i(v) = mate_j(v) = w, each pair a 2-cycle.  Their j-edge
+    lies in a residue without i and their i-edge in one without j, so
+    their generators are parallel edges of that graph, of which the
+    forest keeps at most one.  With J the generator count once every twin
+    pair is united, J ≥ g(Γ_î) + g(Γ_ĵ) − c, and every class holds a kept
+    generator exactly when the two are equal."""
     gens = pres.num_generators
+    if gens > max_passes:
+        return False
     i, j = pres.color_pair
     full = (1 << graph.dimension + 1) - 1
-    components = graph._memo.get("components", 1)
-    return gens <= max_passes and gens == (
-        _count(graph, full ^ 1 << i)[0] + _count(graph, full ^ 1 << j)[0]
-        - components)
+    kept = (_count(graph, full ^ 1 << i)[0] + _count(graph, full ^ 1 << j)[0]
+            - graph._memo.get("components", 1))
+    if gens == kept:
+        return True
+    # only color d may miss a vertex, so the rows of two colors never
+    # agree on NO_EDGE
+    mate_i, mate_j = graph.color_maps[i], graph.color_maps[j]
+    twins = [(v, mate_i[v]) for v in compress(range(graph.num_vertices),
+                                              map(eq, mate_i, mate_j))]
+    return bool(twins) and _joined_count(
+        _residues_by_mask(graph, full ^ 1 << i ^ 1 << j), twins) == kept
 
 
 def tietze_simplify(pres: GroupPresentation, max_passes: int = _PASSES

@@ -95,13 +95,13 @@ MUTANTS = (
             "::test_boundary_graph_of_two_components_is_refused",),
            "a split of a graph of several components is built unchecked"),
     Mutant("trivial-test-ignores-budget", "pi1.py", "_trivial",
-           "gens <= max_passes", "True",
+           "gens > max_passes", "False",
            (f"{PI1}::TestRankBounds::test_unit_relators_at_the_pass_budget",),
            "a group is trivial though the pass budget cannot delete every "
            "generator"),
     Mutant("trivial-test-without-superset", "pi1.py", "_trivial",
-           "{abs(w[0]) for w in pres.relators if len(w) == 1}"
-           ".issuperset(range(1, gens + 1))", "True",
+           "{_root(up, g) for g in units}"
+           ".issuperset(_root(up, g) for g in range(1, gens + 1))", "True",
            (f"{PI1}::TestRankBounds::test_z_plus_torsion",),
            "every group within the pass budget is trivial"),
     Mutant("presentation-generator-mask-drops-a-color", "pi1.py",
@@ -119,10 +119,21 @@ MUTANTS = (
            (f"{PI1}::TestCountTest::test_boundary_graphs_of_several_components",),
            "the count test takes a graph of several components as connected"),
     Mutant("count-test-ignores-budget", "pi1.py", "_trivial_by_counts",
-           "gens <= max_passes", "True",
+           "gens > max_passes", "False",
            (f"{PI1}::TestCountTest::test_covered_past_the_budget_goes_to_tietze",),
            "a group the counts cover is trivial though the pass budget cannot "
            "delete every generator"),
+    Mutant("word-test-ignores-two-letter-relators", "pi1.py", "_trivial",
+           "len(w) == 2", "False",
+           (f"{PI1}::test_regularize_and_rank_brackets_match_the_oracles",),
+           "the word test joins no generators, and decides fewer groups "
+           "than the graph test"),
+    Mutant("twin-scan-skipped", "pi1.py", "_trivial_by_counts",
+           "compress(range(graph.num_vertices), map(eq, mate_i, mate_j))",
+           "()",
+           (f"{PI1}::TestWordBuilds::test_trivial_pairs_build_no_words",),
+           "a group that only two-letter relators decide builds its words "
+           "and runs the Tietze loop"),
     Mutant("presentation-builds-words-eagerly", "pi1.py", "presentation",
            "return pres", "return replace(pres)",
            (f"{PI1}::TestWordBuilds::test_trivial_pairs_build_no_words",),
@@ -159,11 +170,11 @@ MUTANTS = (
            (f"{GEMIO}::TestCatalog::test_record_is_the_dict_form",),
            "reports and catalog records are written with an empty g_triples "
            "table"),
-    Mutant("line-value-reads-jsontext-as-text", "gemio.py", "_line_value",
-           "isinstance(value, JSONText)", "False",
-           (f"{CATALOG}::TestAgainstColdRead::test_table_filter_after_own_adds",),
-           "a filter on a table reads a record this process appended as its "
-           "JSON text"),
+    Mutant("coerce-lists-as-repr", "gemio.py", "_coerce",
+           "isinstance(value, (list, dict))", "False",
+           (f"{CATALOG}::test_table_filters_compare_json_values",),
+           "a filter on a list or object field compares the stored value's "
+           "repr text"),
     Mutant("catalog-add-returns-text-tables", "gemio.py", "catalog_add",
            "json.loads(text)", "_record(graph, _graph_digest(graph), name)",
            (f"{GEMIO}::TestCatalog::test_record_is_the_dict_form",),

@@ -331,10 +331,10 @@ class TestAgainstColdRead:
     def test_table_filter_after_own_adds(self, tmp_path, field):
         """A filter on an object, named before this process appends lines,
         reads each appended record's object as a cold read of its line
-        does: decoded from its JSON text, its keys in the line's order."""
+        does: the canonical JSON text of the decoded object."""
         store = tmp_path / "store.jsonl"
         store.touch()
-        filters = (f"{field}={RECORDS[2][field]}",)
+        filters = (f"{field}={json.dumps(RECORDS[2][field])}",)
         cli_scan(store, filters)  # the field's column is made before the adds
         for k, graph in enumerate(POOL):
             catalog_add(store, graph, name=f"pool{k}")
@@ -544,6 +544,53 @@ class TestLineForm:
         assert text == oracle.scan_text(compact, filters)
         for _ in range(2):  # cold, then from the index
             assert cli_scan(spaced, filters) == text
+
+
+def json_forms(value) -> list[str]:
+    """The compact JSON text ``--json`` prints and a store holds, and a
+    spaced one with any object's keys in reverse order."""
+    reverse = (dict(reversed(value.items())) if isinstance(value, dict)
+               else value)
+    return [json.dumps(value, sort_keys=True, separators=(",", ":")),
+            json.dumps(reverse)]
+
+
+@pytest.mark.parametrize("field", ["f_vector", "g_pairs", "g_triples", "rho",
+                                   "bound_checks"])
+def test_table_filters_compare_json_values(tmp_path, field):
+    """A filter on a list or object field finds exactly the records whose
+    value ``json.loads`` of its text equals, whatever the text's spacing or
+    key order: in this process through the index, and cold in a fresh
+    process.  A dict's ``repr`` text, which is not JSON, finds none."""
+    store = tmp_path / "store.jsonl"
+    for k, graph in enumerate(POOL):
+        catalog_add(store, graph, name=f"pool{k}")
+    stored = [json.loads(line) for line in store.read_text().splitlines()]
+
+    def names(where) -> list[str]:
+        records, warnings = catalog_scan(store, [where])
+        assert warnings == []
+        return [rec["name"] for rec in records]
+
+    def cold(where) -> list[str]:
+        done = subprocess.run([sys.executable, "-m", "gemkit.cli", "--json",
+                               "catalog", "scan", str(store), "--where", where],
+                              capture_output=True, text=True, cwd=GEMS.parent)
+        assert done.returncode == 0, done.stderr
+        return [rec["name"] for rec in json.loads(done.stdout)["records"]]
+
+    for k, record in enumerate(RECORDS):
+        for text in json_forms(record[field]):
+            want = [rec["name"] for rec in stored
+                    if rec[field] == json.loads(text)]
+            assert f"pool{k}" in want
+            assert names(f"{field}={text}") == want, text
+            assert names(f"{field}!={text}") == [
+                rec["name"] for rec in stored if rec["name"] not in want]
+            if k == 1:
+                assert cold(f"{field}={text}") == want, text
+        if isinstance(record[field], dict):
+            assert names(f"{field}={record[field]}") == []
 
 
 def test_fresh_processes_find_a_record_with_a_blank_before_its_line_end(

@@ -18,6 +18,18 @@ def test_every_mutant_applies(mutant):
         assert (mutants.ROOT / node_id.split("::")[0]).is_file()
 
 
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_tests_are_named_in_their_files(mutant):
+    """Each node id names a class or function its file defines, so a test
+    renamed away fails here, not only when the gate runs."""
+    assert mutant.tests
+    for node_id in mutant.tests:
+        path, *names = node_id.split("::")
+        tree = ast.parse((mutants.ROOT / path).read_text(encoding="utf-8"))
+        qualname = ".".join(names).split("[")[0]
+        mutants._find_function(tree, qualname)  # LookupError if missing
+
+
 def test_names_are_unique():
     names = [m.name for m in mutants.MUTANTS]
     assert len(names) == len(set(names))

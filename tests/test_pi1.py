@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,13 @@ from gemkit import (
 from gemkit import pi1
 from gemkit.boundary import boundary_graph
 from gemkit.errors import InvalidColorPairError
+from gemkit.gemio import read_gem
 from gemkit.moves import insert_1_dipole, regularize
 from gemkit.pi1 import _smith_diagonal
 
 import bruteforce as bf
 from corpus import grow_by_insertions, k33_graph, manifold_boundary_corpus
+from test_cli import GEMS
 
 
 def make_pres(gens, relators):
@@ -198,6 +201,24 @@ def unit_killed_presentations(draw):
     return make_pres(gens, order), draw(st.sampled_from([0, gens - 1, gens, 200]))
 
 
+@st.composite
+def short_word_presentations(draw):
+    """Many one- and two-letter relators, a few longer words, shuffled and
+    split between the two relator tuples, and a pass budget of 200, n or
+    n - 1."""
+    gens = draw(st.integers(1, 9))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    words = draw(st.lists(letter.map(lambda t: (t,)), min_size=1,
+                          max_size=gens))
+    words += draw(st.lists(st.tuples(letter, letter), max_size=2 * gens))
+    words += draw(st.lists(st.lists(letter, min_size=3, max_size=8).map(tuple),
+                           max_size=3))
+    words = draw(st.permutations(words))
+    cut = draw(st.integers(0, len(words)))
+    pres = GroupPresentation(gens, tuple(words[:cut]), tuple(words[cut:]))
+    return pres, draw(st.sampled_from([200, gens, gens - 1]))
+
+
 class TestTietzeOracle:
     """The one-letter passes and the set of words give the sequential
     loop's output pass for pass."""
@@ -213,6 +234,23 @@ class TestTietzeOracle:
         want = bf.tietze_simplify(pres.num_generators, pres.relators, max_passes)
         assert (out.num_generators, list(out.relators)) == want
         assert out.tree_relators == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(short_word_presentations())
+    def test_two_letter_closure_is_the_loop(self, drawn):
+        """Where two-letter relators join every generator to a one-letter
+        one within the budget, the sequential loop deletes every
+        generator, and the loop gives exactly the trivial presentation
+        that ``tietze_simplify`` returns without it."""
+        pres, max_passes = drawn
+        if not pi1._trivial(pres, max_passes):
+            return
+        gens = pres.num_generators
+        assert bf.tietze_simplify(gens, pres.relators, max_passes)[0] == 0
+        out = tietze_simplify(pres, max_passes)
+        with mock.patch.object(pi1, "_trivial", lambda pres, max_passes: False):
+            looped = tietze_simplify(pres, max_passes)
+        assert (looped, repr(looped)) == (out, repr(out))
 
     @pytest.mark.parametrize("gens, survivors", [(200, 0), (201, 1)])
     def test_unit_budget_edge(self, gens, survivors):
@@ -626,7 +664,7 @@ def test_regularize_and_rank_brackets_match_the_oracles():
     the count test decides as the word test, and at d = 4 the rank
     brackets are the oracle's Smith rank and sequential Tietze count."""
     rng = random.Random(577)
-    bipartite = nontrivial = decided = 0
+    bipartite = nontrivial = by_units = decided = 0
     for k in range(200):
         d, p = 2 + k % 5, rng.randint(2, 10)
         seed = rng.randrange(2 ** 32)
@@ -652,12 +690,15 @@ def test_regularize_and_rank_brackets_match_the_oracles():
                 counted = pi1._trivial(pres, 200)
                 got = rank_bounds(pres) if d == 4 else None
                 relators = pres.relators
+                gens = pres.num_generators
+                by_units += gens <= 200 and {
+                    abs(w[0]) for w in relators if len(w) == 1
+                }.issuperset(range(1, gens + 1))
                 decided += counted
                 assert counted == pi1._trivial(pres, 200), \
                     f"{where}: the count test reads {counted}, the word test does not"
                 if d != 4:
                     continue
-                gens = pres.num_generators
                 # the exponent-sum rows; repeated and zero rows span nothing more
                 matrix = {tuple(sum((t > 0) - (t < 0) for t in w if abs(t) == x)
                                 for x in range(1, gens + 1)) for w in relators}
@@ -667,8 +708,9 @@ def test_regularize_and_rank_brackets_match_the_oracles():
                 nontrivial += upper > 0
                 assert got == (lower, upper), f"{where}: rank bounds"
     # the sweep's reach: bipartite gems, d = 4 groups the Tietze loop does
-    # not kill, and pairs (of 10600) the one-letter relators decide
-    assert (bipartite, nontrivial, decided) == (114, 46, 9929)
+    # not kill, and pairs (of 10600) the one-letter relators decide alone
+    # and once two-letter relators join their generators
+    assert (bipartite, nontrivial, by_units, decided) == (114, 46, 9929, 10324)
 
 
 @pytest.fixture
@@ -687,23 +729,22 @@ def word_builds(monkeypatch):
 
 class TestWordBuilds:
     def test_trivial_pairs_build_no_words(self, word_builds):
-        """On 20 grown balls regularized at color 0, as the benchmark's
-        contraction reads them, a pair the one-letter relators cover
-        builds no words, and any other pair builds them once."""
+        """On 20 grown balls and 20 grown copies of ``gems/shell.gem``,
+        regularized at color 0 as the benchmark's contraction reads them:
+        the words decide every pair trivial, and ``rank_bounds`` reads
+        (0, 0) with no word built."""
         rng = random.Random(34)
         trivial = 0
-        for _ in range(20):
-            g = grow_by_insertions(ball_gem(4), rng.randint(10, 50), rng)
-            g = regularize(g, singular_color=0)[0]
-            for i, j in combinations(g.colors, 2):
-                covered = pi1._trivial(replace(presentation(g, i, j)), 200)
-                del word_builds[:]
-                bounds = rank_bounds(presentation(g, i, j))
-                assert len(word_builds) == (not covered), (i, j)
-                if covered:
-                    trivial += 1
-                    assert bounds == (0, 0)
-        assert trivial >= 150
+        for start in (ball_gem(4), read_gem(GEMS / "shell.gem")):
+            for _ in range(20):
+                g = grow_by_insertions(start, rng.randint(10, 50), rng)
+                g = regularize(g, singular_color=0)[0]
+                for i, j in combinations(g.colors, 2):
+                    trivial += pi1._trivial(replace(presentation(g, i, j)), 200)
+                    del word_builds[:]
+                    assert rank_bounds(presentation(g, i, j)) == (0, 0), (i, j)
+                    assert word_builds == [], (i, j)
+        assert trivial == 400
 
     @pytest.mark.parametrize("read", ["tietze", "abelianization", "pretty",
                                       "eq", "hash", "rank bounds"])
