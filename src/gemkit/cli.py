@@ -57,6 +57,8 @@ def cmd_validate(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
 def cmd_info(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     report = invariant_report(graph)
     payload = report._json_fields()
+    if args.json:  # only the payload is printed
+        return payload, []
     human = [
         f"dimension {report.dimension}, 2p = {report.num_vertices} "
         f"(p_bar={report.p_bar}, p_dot={report.p_dot})",

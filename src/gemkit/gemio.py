@@ -45,40 +45,44 @@ def _canonical(value) -> str:
     return _CANONICAL.encode(value)
 
 
-def _encoded(value) -> str:
-    """``_canonical(value)``, with top-level lists of records encoded one
-    item at a time: encoding a long catalog scan in one call holds all its
-    small pieces at once, about seven times the text.  A list with no
-    ``JSONText``, dict or list item is encoded in one call.  A
-    ``JSONText`` value or list item is spliced as it is."""
-    if isinstance(value, JSONText):
-        return value
-    if isinstance(value, list) and any(isinstance(item, (JSONText, dict, list))
-                                       for item in value):
-        return "[" + ",".join(item if isinstance(item, JSONText) else _canonical(item)
-                              for item in value) + "]"
-    return _canonical(value)
-
-
 def _payload_json(payload: dict) -> str:
-    """The text of ``_canonical(payload)`` for string keys, where an
-    ``JSONText`` value stands for the JSON it holds: the one writer of
-    ``--json`` output and of catalog records.  Each run of other values
-    that are not lists, in sorted key order, is encoded by one
-    ``_canonical`` call, its braces dropped; a ``JSONText`` or list value
-    is spliced by ``_encoded``."""
-    parts, run = [], {}
+    """The text of ``_canonical(payload)`` for string keys, where a
+    ``JSONText`` value or list item stands for the JSON it holds: the one
+    writer of ``--json`` output and of catalog records.
+
+    Each run of other values that are not lists, in sorted key order, is
+    encoded by one ``_canonical`` call, its braces dropped.  A
+    ``JSONText`` value is spliced as it is.  A list with a ``JSONText``,
+    dict or list item is written one item at a time: encoding a long
+    catalog scan in one call holds all its small pieces at once, about
+    seven times the text.  Any other list is one ``_canonical`` call.
+    Every piece and comma goes into one list, joined once."""
+    out, run = ["{"], {}
     for key, value in sorted(payload.items()):
         if isinstance(value, (JSONText, list)):
             if run:
-                parts.append(_canonical(run)[1:-1])
+                out += (_canonical(run)[1:-1], ",")
                 run = {}
-            parts.append(_canonical(key) + ":" + _encoded(value))
+            out += (_canonical(key), ":")
+            if isinstance(value, JSONText):
+                out.append(value)
+            elif any(isinstance(item, (JSONText, dict, list)) for item in value):
+                out.append("[")
+                for item in value:
+                    out += (item if isinstance(item, JSONText) else _canonical(item),
+                            ",")
+                out[-1] = "]"  # the comma after the last item
+            else:
+                out.append(_canonical(value))
+            out.append(",")
         else:
             run[key] = value
     if run:
-        parts.append(_canonical(run)[1:-1])
-    return "{" + ",".join(parts) + "}"
+        out += (_canonical(run)[1:-1], ",")
+    if len(out) > 1:
+        out.pop()  # the comma after the last piece
+    out.append("}")
+    return "".join(out)
 
 
 @dataclass(frozen=True)

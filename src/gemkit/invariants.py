@@ -12,9 +12,9 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, combinations, permutations
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_graph
@@ -274,6 +274,18 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
     Adding a color to a residue only merges its components, so a residue
     is connected when one on a color fewer is; only the other complements
     of two or more colors are decomposed."""
+    return _f_vector(graph, None)
+
+
+def _f_vector(graph: ColoredGraph,
+              counts: Optional[dict[int, tuple[int, int]]]) -> tuple[int, ...]:
+    """``f_vector``; given a dict, the pass also stores (g, g_dot) under
+    the mask of each color pair and triple its rows hold, every one but
+    the full mask at d = 2.  A decomposed mask gives its own counts.  A
+    connected one gives ``_count``'s one-component rule: its component
+    holds every vertex, and each color below d meets every vertex, so it
+    is irregular exactly when the mask holds d and the graph has a
+    boundary."""
     d, n = graph.dimension, graph.num_vertices
     if d > _MAX_F_VECTOR_D:  # 2^(d+1) as a power: its digits may pass str()'s limit
         raise PreconditionError(
@@ -287,18 +299,27 @@ def f_vector(graph: ColoredGraph) -> tuple[int, ...]:
         fv[d - 1] += count
         if count == 1:
             connected.add(1 << c)
+    # pairs and triples have f-vector index d - 2 and d - 3; with no dict
+    # no row reaches the bound
+    low = d + 1 if counts is None else d - 3
+    top = 0 if graph.is_regular else 1 << d
     # the rows ascend, so a mask is decomposed only when the mask without
     # its top color is disconnected, and so decomposed before it, and
     # every merge unites along one color
     for mask, h, smaller in _color_sets(d).rows:
         if connected.isdisjoint(smaller):
-            count = _residues_by_mask(graph, mask).count
+            dec = _residues_by_mask(graph, mask)
+            count = dec.count
             if count == 1:
                 connected.add(mask)
             fv[h] += count
+            if h >= low:
+                counts[mask] = count, dec.regular_count
         else:
             connected.add(mask)
             fv[h] += 1
+            if h >= low:
+                counts[mask] = (1, 0) if mask & top else (1, 1)
     return tuple(fv)
 
 
@@ -332,11 +353,14 @@ class GenusTable(NamedTuple):
     def json(self) -> JSONText:
         """The canonical JSON text of order label -> genus text: the
         sweep's pieces joined with one quoted string per distinct value,
-        and no label or order built."""
-        quoted = {value: f'"{Fraction(value, 2)}"' for value in set(self.doubled)}
+        looked up in one call, and no label, order or Fraction built."""
+        doubled = self.doubled
+        quoted = {v: f'"{v}/2"' if v & 1 else f'"{v // 2}"' for v in set(doubled)}
         parts = [None] * (2 * self.sweep.count + 1)
         parts[::2] = self.sweep.pieces
-        parts[1::2] = map(quoted.__getitem__, self.doubled)
+        # itemgetter of one key gives the value, not a tuple
+        parts[1::2] = (itemgetter(*doubled)(quoted) if len(doubled) > 1
+                       else [quoted[doubled[0]]])
         return JSONText("".join(parts))
 
 
@@ -536,10 +560,12 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     # first: too many orders raise before any residue is decomposed
     sweep, doubled = _doubled_genera(graph)
     cls = classify_vertices(graph)
-    sets, count = _color_sets(graph.dimension), partial(_count, graph)
-    pairs = dict(zip(sets.pairs, map(count, sets.pair_masks)))
-    triples = dict(zip(sets.triples, map(count, sets.triple_masks)))
-    fv = f_vector(graph)
+    sets, counts = _color_sets(graph.dimension), {}
+    fv = _f_vector(graph, counts)
+    if graph.dimension == 2:  # the one triple is every color, no f-vector row
+        counts[7] = _count(graph, 7)
+    pairs = dict(zip(sets.pairs, map(counts.__getitem__, sets.pair_masks)))
+    triples = dict(zip(sets.triples, map(counts.__getitem__, sets.triple_masks)))
     chi = sum((-1) ** h * n for h, n in enumerate(fv))
     return InvariantReport(
         dimension=graph.dimension,

@@ -17,7 +17,7 @@ from operator import eq
 from typing import Optional
 
 from .core import ColoredGraph, _count, _joined_count, _residues_by_mask, _root
-from .errors import InvalidColorPairError
+from .errors import InvalidColorPairError, PreconditionError
 
 Word = tuple[int, ...]
 _PASSES = 200  # the default Tietze pass budget
@@ -31,6 +31,18 @@ class GroupPresentation:
     color_pair: Optional[tuple[int, int]] = None
     compact_manifold_reading: Optional[bool] = None
     singular_manifold_reading: Optional[bool] = None
+
+    def __post_init__(self):
+        """Every letter is ±1..num_generators, so each reader meets the
+        same words; ``presentation`` builds its own past this check."""
+        gens = self.num_generators
+        if gens < 0:
+            raise PreconditionError(f"negative generator count {gens}")
+        for word in self.relators:
+            for t in word:
+                if not 0 < abs(t) <= gens:
+                    raise PreconditionError(
+                        f"letter {t} in relator {word} is not ±1..{gens}")
 
     def __getattr__(self, name):
         """The relator words of a presentation from ``presentation``, built

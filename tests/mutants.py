@@ -155,8 +155,8 @@ MUTANTS = (
            "a broken involution is named before a loop in a later map"),
     Mutant("count-reads-gdot-as-one", "core.py", "_count",
            "return 1, 0", "return 1, 1",
-           (f"{CLI}::test_info_matches_the_oracle_on_seeded_gems",
-            f"{MEMO}::TestCountClosure::test_one_component_counted_without_a_kernel"),
+           (f"{MEMO}::TestCountClosure::test_one_component_counted_without_a_kernel",
+            f"{MEMO}::TestCountClosure::test_counts_match_bruteforce"),
            "a one-component residue holding d on a gem with boundary is "
            "counted as regular"),
     Mutant("doubled-row-packs-base-0x8000", "invariants.py", "_doubled_row",
@@ -179,6 +179,22 @@ MUTANTS = (
            "json.loads(text)", "_record(graph, _graph_digest(graph), name)",
            (f"{GEMIO}::TestCatalog::test_record_is_the_dict_form",),
            "catalog add returns the record it builds, its tables JSON text"),
+    Mutant("f-vector-pass-reads-gdot-as-one", "invariants.py", "_f_vector",
+           "(1, 0) if mask & top else (1, 1)", "(1, 1)",
+           (f"{INVARIANTS}::TestFVector::test_pass_counts_every_pair_and_triple",
+            f"{CLI}::test_info_matches_the_oracle_on_seeded_gems"),
+           "a connected residue holding d on a gem with boundary is stored "
+           "as regular by the f-vector pass"),
+    Mutant("genus-json-floors-odd-values", "invariants.py", "GenusTable.json",
+           "f'\"{v}/2\"'", "f'\"{v // 2}\"'",
+           (f"{INVARIANTS}::TestGenusTableJson::test_negative_zero_and_odd_values",
+            f"{INVARIANTS}::TestPairTable::test_report_json_equals_per_order_formulas"),
+           "an odd doubled genus is quoted as its floor half"),
+    Mutant("payload-json-drops-comma-after-spliced", "gemio.py", "_payload_json",
+           "out.append(',')", "None",
+           (f"{CLI}::TestPipelines::test_payload_json_edge_cases",
+            f"{GEMIO}::TestCatalog::test_record_is_the_dict_form"),
+           "no comma between a spliced value or list and the piece after it"),
 )
 
 

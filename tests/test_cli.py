@@ -727,6 +727,32 @@ class TestPipelines:
         assert encoded == json.dumps({**payload, "rho": rho}, sort_keys=True,
                                      separators=(",", ":"))
 
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"b": _json_text([1, {"c": None}]), "a": _json_text({"x": "\u00e9"})},
+        {"empty": [], "n": 1},
+        {"records": [{"b": 1, "a": None}, _json_text({"z": [2]}), {"c": [3]},
+                     _json_text("t")]},
+        {"a": _json_text(3), "b": 1, "c": None, "d": [_json_text(4)], "e": 5},
+    ], ids=["empty", "spliced-only", "empty-list", "mixed-list",
+            "run-after-spliced"])
+    def test_payload_json_edge_cases(self, payload):
+        """The pieces of the one joined list meet at the right commas and
+        brackets: no piece, spliced values only, an empty list, a list of
+        dicts and text, and a run after a spliced value."""
+        from gemkit.gemio import _canonical, _payload_json
+        from gemkit.invariants import JSONText
+
+        def decoded(value):
+            if isinstance(value, JSONText):
+                return json.loads(value)
+            if isinstance(value, list):
+                return [decoded(item) for item in value]
+            return value
+
+        assert _payload_json(payload) == _canonical(
+            {key: decoded(value) for key, value in payload.items()})
+
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(max_size=4), PAYLOAD_VALUES, max_size=8))
     def test_payload_json_encodes_runs(self, payload):
@@ -795,6 +821,53 @@ class TestPipelines:
         # "rho", and the f-vector
         assert len(seen) == 3 + 4 + 1
         assert payload["f_vector"] in seen
+
+    # ``gemkit info`` on the bundled gems, as printed without --json
+    INFO_LINES = {
+        "b4_2": ("dimension 4, 2p = 2 (p_bar=1, p_dot=0)",
+                 "regular: False, bipartite: True, boundary components: 1",
+                 "f-vector: (5, 10, 10, 6, 2), chi = 1",
+                 "rho_min = 0",
+                 "g (pairs): 01:1/1, 02:1/1, 03:1/1, 04:1/0, 12:1/1, 13:1/1, "
+                 "14:1/0, 23:1/1, 24:1/0, 34:1/0"),
+        "b4_2_regularized": (
+            "dimension 4, 2p = 2 (p_bar=0, p_dot=1)",
+            "regular: True, bipartite: True, boundary components: 0",
+            "f-vector: (5, 10, 10, 5, 2), chi = 2",
+            "rho_min = 0, omega_G = 0",
+            "g (pairs): 01:1/1, 02:1/1, 03:1/1, 04:1/1, 12:1/1, 13:1/1, "
+            "14:1/1, 23:1/1, 24:1/1, 34:1/1"),
+        "k33": ("dimension 2, 2p = 6 (p_bar=0, p_dot=3)",
+                "regular: True, bipartite: True, boundary components: 0",
+                "f-vector: (3, 9, 6), chi = 0",
+                "rho_min = 1, omega_G = 1",
+                "g (pairs): 01:1/1, 02:1/1, 12:1/1"),
+        "s4_2": ("dimension 4, 2p = 2 (p_bar=0, p_dot=1)",
+                 "regular: True, bipartite: True, boundary components: 0",
+                 "f-vector: (5, 10, 10, 5, 2), chi = 2",
+                 "rho_min = 0, omega_G = 0",
+                 "g (pairs): 01:1/1, 02:1/1, 03:1/1, 04:1/1, 12:1/1, 13:1/1, "
+                 "14:1/1, 23:1/1, 24:1/1, 34:1/1"),
+        "shell": ("dimension 4, 2p = 10 (p_bar=2, p_dot=3)",
+                  "regular: False, bipartite: True, boundary components: 2",
+                  "f-vector: (9, 26, 34, 27, 10), chi = 0",
+                  "rho_min = 0",
+                  "g (pairs): 01:3/3, 02:3/3, 03:3/3, 04:4/2, 12:3/3, 13:3/3, "
+                  "14:4/2, 23:3/3, 24:4/2, 34:4/2"),
+        "shell_h2": ("dimension 4, 2p = 8 (p_bar=2, p_dot=2)",
+                     "regular: False, bipartite: True, boundary components: 2",
+                     "f-vector: (8, 22, 28, 22, 8), chi = 0",
+                     "rho_min = 0",
+                     "g (pairs): 01:1/1, 02:2/2, 03:2/2, 04:2/0, 12:3/3, "
+                     "13:3/3, 14:3/1, 23:4/4, 24:4/2, 34:4/2"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INFO_LINES))
+    def test_info_human_lines(self, capsys, name):
+        """The human lines, which ``--json`` does not build."""
+        assert main(["info", str(GEMS / f"{name}.gem")]) == 0
+        assert capsys.readouterr().out == "".join(
+            line + "\n" for line in self.INFO_LINES[name])
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_genus_table_is_the_canonical_encoding(self, tmp_path, capsys, d):

@@ -12,6 +12,7 @@ import bruteforce as bf
 from gemkit import (
     CyclicPermutation,
     ball_gem,
+    count_g,
     enumerate_cyclic_permutations,
     euler_characteristic,
     f_vector,
@@ -75,6 +76,73 @@ class TestFVector:
     def test_matches_bruteforce(self, d, p, seed, boundary):
         g = _gem(d, p, max(0, p - 2), seed, boundary)
         assert f_vector(g) == bf.f_vector(d, g.num_vertices, list(g.edges()))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 4), st.integers(0, 3),
+           st.integers(0, 2 ** 20), st.booleans(), st.booleans())
+    def test_pass_counts_every_pair_and_triple(self, d, p, p_dot, seed,
+                                               boundary, warm):
+        """Given a dict, the f-vector pass stores (g, g_dot) of every color
+        pair and triple but d = 2's full one, equal to ``count_g`` on a
+        fresh copy of the gem and to the brute-force counts.  A warm gem
+        has its pairs decomposed first, as ``invariant_report`` has."""
+        import gemkit.invariants as inv
+
+        g = _gem(d, p, p_dot, seed, boundary)
+        n, edges = g.num_vertices, list(g.edges())
+        if warm:
+            inv._doubled_genera(g)
+        counts = {}
+        assert inv._f_vector(g, counts) == bf.f_vector(d, n, edges)
+        sets = [colors for size in (2, 3)
+                for colors in combinations(range(d + 1), size) if size <= d]
+        assert sorted(counts) == sorted(inv._mask_of(colors) for colors in sets)
+        fresh = validate(d, n, edges)
+        for colors in sets:
+            want = (bf.count_components(n, edges, set(colors)),
+                    bf.count_regular_components(n, edges, set(colors)))
+            assert counts[inv._mask_of(colors)] == count_g(fresh, colors) == want
+
+
+class TestGenusTableJson:
+    """``GenusTable.json`` quotes each doubled value v as the text of
+    Fraction(v, 2), in the canonical encoding of the label -> text dict."""
+
+    @staticmethod
+    def fraction_text(sweep, doubled):
+        return json.dumps({eps.label(): str(Fraction(v, 2))
+                           for eps, v in zip(sweep.orders, doubled)},
+                          sort_keys=True, separators=(",", ":"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_equals_the_fraction_texts(self, d, data):
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(d)
+        doubled = data.draw(st.lists(st.integers(-9, 9) | st.integers(),
+                                     min_size=sweep.count, max_size=sweep.count))
+        assert inv.GenusTable(sweep, doubled).json() == self.fraction_text(
+            sweep, doubled)
+
+    @pytest.mark.parametrize("d", [3, 4, 6, 7])
+    def test_negative_zero_and_odd_values(self, d):
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(d)
+        doubled = [k % 7 - 3 for k in range(sweep.count)]  # -3..3
+        assert inv.GenusTable(sweep, doubled).json() == self.fraction_text(
+            sweep, doubled)
+
+    @pytest.mark.parametrize("value", [-3, -2, 0, 1, 4])
+    def test_one_order_sweep(self, value):
+        import gemkit.invariants as inv
+
+        sweep = inv._sweep(2)
+        assert sweep.count == 1
+        assert inv.GenusTable(sweep, [value]).json() == self.fraction_text(
+            sweep, [value])
 
 
 class TestRho:

@@ -21,7 +21,7 @@ from gemkit import (
 )
 from gemkit import pi1
 from gemkit.boundary import boundary_graph
-from gemkit.errors import InvalidColorPairError
+from gemkit.errors import InvalidColorPairError, PreconditionError
 from gemkit.gemio import read_gem
 from gemkit.moves import insert_1_dipole, regularize
 from gemkit.pi1 import _smith_diagonal
@@ -105,6 +105,42 @@ class TestPresentation:
                     abelianization_rank(presentation(g, i, j)))
                 for i, j in combinations(range(g.dimension + 1), 2)}
             assert len(values) == 1
+
+
+class TestLetters:
+    """A presentation's letters are ±1..num_generators and its generator
+    count is not negative, checked when it is built; ``presentation``
+    builds its own past the check."""
+
+    @pytest.mark.parametrize("gens,cycles,tree", [
+        (1, ((1,), (5,)), ()),
+        (1, ((1,), (0,)), ()),
+        (2, ((1, -3),), ()),
+        (2, (), ((2,), (-3,))),
+        (-1, (), ()),
+    ])
+    def test_readers_meet_one_error_at_construction(self, gens, cycles, tree):
+        readers = (rank_bounds, lambda pres: tietze_simplify(pres, 0),
+                   abelianization_rank)
+        messages = set()
+        for reader in readers:
+            with pytest.raises(PreconditionError) as exc:
+                reader(GroupPresentation(gens, cycles, tree))
+            assert exc.traceback[-1].name == "__post_init__"
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_replace_is_checked(self):
+        pres = make_pres(2, [(1, -2), (2,)])
+        assert rank_bounds(pres) == (0, 0)
+        with pytest.raises(PreconditionError):
+            replace(pres, num_generators=1)
+
+    def test_presentations_of_gems_pass_the_check(self):
+        g = random_boundary_gem(4, 6, 2, seed=5)
+        for i, j in combinations(range(5), 2):
+            pres = presentation(g, i, j)
+            assert replace(pres) == pres  # built again, through the check
 
 
 class TestSpanningForest:
