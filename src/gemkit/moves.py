@@ -7,12 +7,14 @@ All rewrites return new graphs; inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
                    _residues_by_mask, _root, _without)
 from .errors import (
+    DisconnectedError,
     InternalInconsistencyError,
     InvalidColorError,
     NoBoundaryError,
@@ -46,12 +48,6 @@ def find_1_dipoles(graph: ColoredGraph) -> list[DipoleSite]:
     """All 1-dipoles, ordered by color then least vertex; on a gem with
     boundary, edges whose cancellation disconnects it are left out."""
     return list(_sites(graph))
-
-
-def _first_site(graph: ColoredGraph) -> Optional[DipoleSite]:
-    """The first site ``find_1_dipoles`` lists, or None.  Colors past it
-    are not decomposed."""
-    return next(_sites(graph), None)
 
 
 def _sites(graph: ColoredGraph) -> Iterator[DipoleSite]:
@@ -268,18 +264,37 @@ def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
     Removing two vertices keeps the order of the rest, so the first site
     by (color, least vertex) is the one the step-by-step search finds.
 
-    With ``verify`` the result must keep the input's genus table and
-    Euler characteristic and hold no site; on a miss the steps are
-    replayed, checked one by one, so the error names the first bad site.
-    The input's invariants are read before the pass, so a dimension too
-    high for either is refused before any step."""
+    With ``verify`` the result must keep the input's Euler characteristic
+    and genus table and hold no site.  A miss raises
+    InternalInconsistencyError naming the first check that failed, in
+    this order: the characteristic's two values, the first cyclic order
+    whose genus moved with its two genera, or the first site left.  The
+    input's invariants are read before the pass, so a dimension too high
+    for either is refused before any step, and so is a graph of several
+    components (a boundary graph, built without the check)."""
     if not graph.is_regular:
         raise NotRegularError("full contraction is defined for regular gems")
-    before = _invariants(graph) if verify else None
+    components = graph._memo.get("components", 1)
+    if components != 1:
+        raise DisconnectedError(f"{components} connected components")
+    if not verify:
+        return _contract(graph)
+    genera, chi = _doubled_genera(graph), euler_characteristic(graph)
     out = _contract(graph)
-    if verify and (_invariants(out) != before
-                   or _first_site(out) is not None):
-        raise _first_failed_step(graph)
+    after, out_chi = _doubled_genera(out).doubled, euler_characteristic(out)
+    if out_chi != chi:
+        raise InternalInconsistencyError(
+            f"contraction moved the Euler characteristic: {chi} -> {out_chi}")
+    if after != genera.doubled:
+        k = next(k for k, pair in enumerate(zip(genera.doubled, after))
+                 if pair[0] != pair[1])
+        raise InternalInconsistencyError(
+            f"contraction moved the genus at order "
+            f"{genera.sweep.order(k).label()}: "
+            f"{Fraction(genera.doubled[k], 2)} -> {Fraction(after[k], 2)}")
+    site = next(_sites(out), None)
+    if site is not None:
+        raise InternalInconsistencyError(f"contraction left a 1-dipole: {site}")
     return out
 
 
@@ -321,29 +336,3 @@ def _next_site(maps, labels, up, heaps, alive) -> Optional[tuple[int, int, int]]
                 return c, x, y
             heappop(heap)
     return None
-
-
-def _invariants(graph: ColoredGraph) -> tuple:
-    """The genus table, twice each genus, and the Euler characteristic."""
-    return _doubled_genera(graph)[1], euler_characteristic(graph)
-
-
-def _first_failed_step(graph: ColoredGraph) -> InternalInconsistencyError:
-    """The error naming the first cancellation from ``graph`` that moves an
-    invariant or removes other than two vertices, checked step by step."""
-    genera, chi = _invariants(graph)
-    current = graph
-    while (site := _first_site(current)) is not None:
-        out = cancel_1_dipole(current, site)
-        if euler_characteristic(out) != chi:
-            return InternalInconsistencyError(
-                f"Euler characteristic changed cancelling {site}")
-        if _doubled_genera(out)[1] != genera:
-            return InternalInconsistencyError(
-                f"genus table changed cancelling {site}")
-        if out.num_vertices != current.num_vertices - 2:
-            return InternalInconsistencyError(
-                f"cancelling {site} did not remove two vertices")
-        current = out
-    return InternalInconsistencyError(
-        "a contraction check failed, but no step failed on replay")

@@ -5,16 +5,19 @@ Each mutant names a module of ``src/gemkit``, a function in it, the
 source of one node in that function, what replaces the node, and the
 tests that must fail once it is in.  For each mutant the script copies
 ``src/``, ``tests/``, ``gems/`` and ``pyproject.toml`` to a temporary
-directory, applies the mutant to the copy, runs its tests there, and
-prints one row: the mutant, then the first test that caught it, or
-``SURVIVED``.
+directory, applies the mutant to the copy, and runs all its tests there
+in one pytest call that does not stop at a failure.  Every listed test
+must fail: the script prints, per listed test, the first of its cases
+that failed, or ``PASSED`` and the test, and the seconds each mutant
+took.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
     python tests/mutants.py --list      # names and what each one breaks
 
-Exit code 0 when every mutant run was caught, 1 when one survived, 2
-when a mutant no longer applies to the source or names no test.
+Exit code 0 when every listed test of every mutant failed, 1 when one
+passed, 2 when a mutant no longer applies to the source or names no
+test.
 
 The list only grows.  A fast path comes with mutants of its guards; a
 mutant that survives is either equivalent to the original, which the
@@ -31,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -195,6 +199,33 @@ MUTANTS = (
            (f"{CLI}::TestPipelines::test_payload_json_edge_cases",
             f"{GEMIO}::TestCatalog::test_record_is_the_dict_form"),
            "no comma between a spliced value or list and the piece after it"),
+    Mutant("end-check-skips-euler", "moves.py", "full_contraction",
+           "out_chi != chi", "False",
+           (f"{MOVES}::TestVerifyPass::test_euler_characteristic_change",
+            f"{MOVES}::TestEndCheck::test_faulty_pass_fails_the_end_check"),
+           "a contraction that moved the Euler characteristic is named by "
+           "another check, or passes"),
+    Mutant("end-check-skips-genus", "moves.py", "full_contraction",
+           "after != genera.doubled", "False",
+           (f"{MOVES}::TestVerifyPass::test_genus_table_change",
+            f"{MOVES}::TestEndCheck::test_faulty_pass_fails_the_end_check"),
+           "a contraction that moved only the genus table passes"),
+    Mutant("end-check-skips-site", "moves.py", "full_contraction",
+           "site is not None", "False",
+           (f"{MOVES}::TestVerifyPass::test_site_left",
+            f"{MOVES}::TestEndCheck::test_faulty_pass_fails_the_end_check"),
+           "a contraction that left a 1-dipole passes"),
+    Mutant("contract-heap-top-ignores-dead-ends", "moves.py", "_next_site",
+           "alive[x]", "True",
+           (f"{MOVES}::TestOnePass::test_same_as_stepwise_loop",
+            f"{MOVES}::TestEndCheck::test_same_output_as_stepwise"),
+           "a heap entry whose first end was cancelled is taken as a site"),
+    Mutant("contraction-ignores-components", "moves.py", "full_contraction",
+           "components != 1", "False",
+           (f"{MOVES}::TestFullContraction"
+            "::test_several_components_refused_before_any_step",),
+           "a graph of several components is read and contracted before "
+           "it is refused, or comes back unchanged"),
 )
 
 
@@ -257,30 +288,44 @@ def _copy_tree(workdir: Path) -> None:
             shutil.copy2(source, workdir / name)
 
 
-def run(mutant: Mutant, workdir: Path) -> Optional[str]:
-    """Apply the mutant to a copy in ``workdir`` and run its tests: the
-    first test that failed, or None when all passed.  Raises LookupError
-    when the mutant does not apply or its tests are not found."""
+def run(mutant: Mutant, workdir: Path) -> dict[str, Optional[str]]:
+    """Apply the mutant to a copy in ``workdir`` and run all its tests:
+    each listed test mapped to the first of its cases that failed, or to
+    None when it passed.  Raises LookupError when the mutant does not
+    apply or its tests are not found."""
     mutated = mutated_source(mutant)
     _copy_tree(workdir)
     (workdir / "src" / "gemkit" / mutant.module).write_text(mutated,
                                                            encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
                "no:cacheprovider", *mutant.tests]
     try:
         done = subprocess.run(command, cwd=workdir, env=env, text=True,
                               capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return f"timeout after {TIMEOUT_S} s"
-    if done.returncode == 0:
-        return None
+        return dict.fromkeys(mutant.tests, f"timeout after {TIMEOUT_S} s")
     if done.returncode in (4, 5):  # a node id not found, or no test
         raise LookupError(f"{mutant.name}: its tests did not run\n"
                           + done.stdout[-2000:] + done.stderr[-2000:])
-    failed = re.search(r"^FAILED (\S+)", done.stdout, re.MULTILINE)
-    return failed[1] if failed else f"pytest exit code {done.returncode}"
+    caught = _caught(mutant.tests, done.stdout)
+    if done.returncode and not any(caught.values()):  # no summary to read
+        return dict.fromkeys(mutant.tests, f"pytest exit code {done.returncode}")
+    return caught
+
+
+def _caught(tests: tuple[str, ...], stdout: str) -> dict[str, Optional[str]]:
+    """Each listed test mapped to the first case of it that pytest's short
+    summary reports as failed or in error, or None.  A case is the test,
+    one of its parametrized cases or methods, or a file that failed to
+    collect."""
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.MULTILINE)
+    return {test: next((case for case in failed
+                        if case == test
+                        or case.startswith((test + "[", test + "::"))
+                        or test.startswith(case + "::")), None)
+            for test in tests}
 
 
 def main(argv=None) -> int:
@@ -299,20 +344,24 @@ def main(argv=None) -> int:
         for m in chosen:
             print(f"{m.name:<{width}}  {m.module}:{m.function}  {m.breaks}")
         return 0
-    survived = 0
+    missed, started = 0, time.perf_counter()
     print(f"{'mutant':<{width}}  caught by")
     for mutant in chosen:
+        start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="gemkit-mutant-") as tmp:
             try:
                 caught = run(mutant, Path(tmp))
             except LookupError as exc:
                 print(f"{mutant.name:<{width}}  ERROR: {exc}")
                 return 2
-        survived += caught is None
-        print(f"{mutant.name:<{width}}  {caught or 'SURVIVED'}", flush=True)
-    print(f"{len(chosen)} mutants: {len(chosen) - survived} caught, "
-          f"{survived} survived")
-    return 1 if survived else 0
+        rows = [case or f"PASSED {test}" for test, case in caught.items()]
+        missed += None in caught.values()
+        rows[0] += f"  ({time.perf_counter() - start:.1f} s)"
+        for name, row in zip([mutant.name] + [""] * len(rows), rows):
+            print(f"{name:<{width}}  {row}", flush=True)
+    print(f"{len(chosen)} mutants: {len(chosen) - missed} caught by every "
+          f"listed test, {missed} not, in {time.perf_counter() - started:.0f} s")
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gemkit import (
+    abelianization_rank,
     ball_gem,
     boundary_component_count,
     boundary_graph,
+    check_bound_on_gem,
     euler_characteristic,
     f_vector,
     order_two_gem,
@@ -568,6 +570,31 @@ class TestFullContraction:
         with pytest.raises(NotRegularError):
             full_contraction(b4)
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_several_components_refused_before_any_step(self, monkeypatch,
+                                                        verify):
+        """A regular graph of two components, contracted already (the
+        shell's boundary graph) or holding sites (two copies of a grown
+        3-sphere gem), is refused from its memo's component count before
+        any invariant is read or any step taken."""
+        def refused(*args):
+            raise AssertionError("reached")
+
+        contracted = boundary_graph(read_gem(GEMS / "shell.gem")).graph
+        one = grow_by_insertions(order_two_gem(3), 3, random.Random(1))
+        n = one.num_vertices
+        twice = core._from_maps(3, [[*row, *(v + n for v in row)]
+                                    for row in one.color_maps],
+                                require_connected=False)
+        assert (contracted.num_vertices, len(find_1_dipoles(contracted))) == (4, 0)
+        assert (twice.num_vertices, len(find_1_dipoles(twice))) == (16, 12)
+        for name in ("_contract", "_doubled_genera", "euler_characteristic"):
+            monkeypatch.setattr(moves, name, refused)
+        for g in (contracted, twice):
+            with pytest.raises(DisconnectedError,
+                               match="^2 connected components$"):
+                full_contraction(g, verify=verify)
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 20))
     def test_contraction_of_grown_sphere_gems(self, seed):
@@ -624,7 +651,7 @@ class TestFullContraction:
             assert done.returncode == 0, f"{name}: contract exit code " \
                 f"{done.returncode}\n{done.stderr}"
             g = read_gem(source)
-            while (site := moves._first_site(g)) is not None:
+            while (site := first_site(g)) is not None:
                 g = cancel_1_dipole(g, site)
             assert read_gem(target) == g, f"{name}: differs from step by step"
         # one-letter relators name all 389..414 generators of each pair,
@@ -636,6 +663,12 @@ class TestFullContraction:
             got = rank_bounds(pres)  # before the oracle reads the words
             want = (0, bf.tietze_simplify(pres.num_generators, pres.relators)[0])
             assert got == want, f"pair {i},{j}: rank bounds"
+
+
+def first_site(graph):
+    """The first site ``find_1_dipoles`` lists, or None; colors past it
+    are not decomposed."""
+    return next(moves._sites(graph), None)
 
 
 def inner_first(graph):
@@ -653,7 +686,7 @@ class TestFirstSite:
         rng = random.Random(seed)
         for g in (random_gem(d, p, seed=seed),
                   grow_by_insertions(order_two_gem(d), inserts, rng)):
-            assert moves._first_site(g) == inner_first(g)
+            assert first_site(g) == inner_first(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 7), st.integers(0, 2 ** 20),
@@ -664,16 +697,16 @@ class TestFirstSite:
         for g in (random_boundary_gem(d, p, seed % p, seed=seed),
                   grow_by_insertions(ball_gem(d), inserts, rng)):
             sites = find_1_dipoles(g)
-            assert moves._first_site(g) == (sites[0] if sites else None)
+            assert first_site(g) == (sites[0] if sites else None)
 
     def test_none_without_sites(self, s4):
-        assert moves._first_site(s4) is None
-        assert moves._first_site(full_contraction(random_gem(4, 3, seed=0))) is None
+        assert first_site(s4) is None
+        assert first_site(full_contraction(random_gem(4, 3, seed=0))) is None
 
     def test_only_final_color_sites(self, s4):
         g, site, _ = insert_1_dipole(s4, (0, 1), 4)
         assert {s.color for s in find_1_dipoles(g)} == {4}
-        assert moves._first_site(g) == DipoleSite(4, (0, 1)) == inner_first(g)
+        assert first_site(g) == DipoleSite(4, (0, 1)) == inner_first(g)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_along_shell_contractions(self, seed):
@@ -681,19 +714,40 @@ class TestFirstSite:
         g = grow_by_insertions(shell_gem(), 8, random.Random(seed))
         g, _ = regularize(g, singular_color=seed % 4)
         final_only = 0
-        while (site := moves._first_site(g)) is not None:
+        while (site := first_site(g)) is not None:
             assert site == inner_first(g)
             final_only += site.color == g.dimension
             g = cancel_1_dipole(g, site)
         assert inner_first(g) is None and final_only
 
 
-HONEST_REPLAY = "a contraction check failed, but no step failed on replay"
+def oracle_miss(graph, result):
+    """What the verified contraction must raise when its pass turns
+    ``graph`` into ``result``, from the oracle's readings: a moved Euler
+    characteristic, else the first cyclic order whose genus moved, else
+    the first 1-dipole left; None when the oracle accepts the result."""
+    d = graph.dimension
+    n, edges = graph.num_vertices, list(graph.edges())
+    m, out_edges = result.num_vertices, list(result.edges())
+    chi, out_chi = (bf.euler_characteristic(d, n, edges),
+                    bf.euler_characteristic(d, m, out_edges))
+    if chi != out_chi:
+        return f"contraction moved the Euler characteristic: {chi} -> {out_chi}"
+    for eps in bf.cyclic_classes(d):
+        rho, out_rho = (bf.rho_closed(d, n, edges, eps),
+                        bf.rho_closed(d, m, out_edges, eps))
+        if rho != out_rho:
+            return (f"contraction moved the genus at order "
+                    f"{','.join(map(str, eps))}: {rho} -> {out_rho}")
+    site = bf.first_1_dipole(d, m, out_edges)
+    return None if site is None else (
+        f"contraction left a 1-dipole: "
+        f"DipoleSite(color={site[0]}, vertices=({site[1]}, {site[2]}))")
 
 
 class TestVerifyPass:
-    """A contraction pass whose result moved an invariant fails the end
-    check; the replay cancels honestly, so the error says so."""
+    """A contraction pass whose result moved an invariant or kept a site
+    fails the end check, which names what moved or the site left."""
 
     def run_with(self, monkeypatch, g, result):
         monkeypatch.setattr(moves, "_contract", lambda graph: result)
@@ -709,17 +763,30 @@ class TestVerifyPass:
         other = full_contraction(random_gem(4, 4, seed=48))
         g = grow_by_insertions(start, 3, random.Random(4))
         assert rho_table(other) == rho_table(g)
-        assert euler_characteristic(other) == euler_characteristic(g) + 1
-        assert moves._first_site(other) is None
-        assert self.run_with(monkeypatch, g, other) == HONEST_REPLAY
+        chi = euler_characteristic(g)
+        assert euler_characteristic(other) == chi + 1
+        assert first_site(other) is None
+        message = self.run_with(monkeypatch, g, other)
+        assert message == oracle_miss(g, other) == (
+            f"contraction moved the Euler characteristic: {chi} -> {chi + 1}")
 
     def test_genus_table_change(self, monkeypatch):
         g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
         other = random_gem(4, 2, seed=0)
         assert euler_characteristic(other) == 2
         assert rho_table(other) != rho_table(order_two_gem(4))
-        assert moves._first_site(other) is None
-        assert self.run_with(monkeypatch, g, other) == HONEST_REPLAY
+        assert first_site(other) is None
+        message = self.run_with(monkeypatch, g, other)
+        assert message == oracle_miss(g, other)
+        assert message.startswith("contraction moved the genus at order ")
+
+    def test_site_left(self, monkeypatch):
+        """A pass that returns its input keeps both invariants, and the
+        end check names the input's first site."""
+        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
+        message = self.run_with(monkeypatch, g, g)
+        assert message == oracle_miss(g, g) == (
+            f"contraction left a 1-dipole: {first_site(g)}")
 
 
 def contraction_gem(kind, d, inserts, seed):
@@ -738,39 +805,9 @@ def contraction_gem(kind, d, inserts, seed):
     return regularize(g, singular_color=rng.randrange(g.dimension))[0]
 
 
-def oracle_contraction(graph, cancel=None):
-    """``bf.contraction_stepwise`` of the graph, with ``cancel`` (a
-    ``cancel_1_dipole``) run on graphs built from its edge lists."""
-    d = graph.dimension
-
-    def on_edges(n, edges, color, u, v):
-        out = cancel(ColoredGraph.from_edges(d, n, edges),
-                     DipoleSite(color, (u, v)))
-        return out.num_vertices, list(out.edges())
-
-    return bf.contraction_stepwise(d, graph.num_vertices, list(graph.edges()),
-                                   None if cancel is None else on_edges)
-
-
-def oracle_accepts(graph, result):
-    """Whether the oracle finds that ``result`` keeps the Euler
-    characteristic and every genus of ``graph`` and holds no 1-dipole."""
-    d = graph.dimension
-
-    def invariants(h):
-        n, edges = h.num_vertices, list(h.edges())
-        return (bf.euler_characteristic(d, n, edges),
-                [bf.rho_closed(d, n, edges, eps) for eps in bf.cyclic_classes(d)])
-
-    return (invariants(result) == invariants(graph)
-            and bf.first_1_dipole(d, result.num_vertices,
-                                  list(result.edges())) is None)
-
-
 class TestEndCheck:
     """The verified contraction compares the invariants at its ends and
-    checks that no site is left; on a miss it replays step by step, and
-    raises what the per-step check finds."""
+    checks that no site is left, and raises on the first that fails."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["grown", "random", "ball", "shell"]),
@@ -779,7 +816,8 @@ class TestEndCheck:
         g = contraction_gem(kind, d, inserts, seed)
         out = full_contraction(g)
         assert out == full_contraction(g, verify=False)
-        n, edges, message = oracle_contraction(g)
+        n, edges, message = bf.contraction_stepwise(
+            g.dimension, g.num_vertices, list(g.edges()))
         assert message is None
         assert (out.num_vertices, list(out.edges())) == (n, edges)
 
@@ -787,12 +825,16 @@ class TestEndCheck:
     @given(st.sampled_from(["grown", "ball", "shell"]), st.integers(1, 8),
            st.integers(0, 2 ** 20), st.integers(0, 30),
            st.sampled_from(["input", "skip", "random", "swap"]))
+    @example("grown", 1, 1, 0, "random")  # the Euler characteristic moves
+    @example("ball", 1, 2, 0, "swap")  # the genus moves, first at order 2
+    @example("grown", 1, 0, 0, "input")  # both keep, and a site is left
     def test_faulty_pass_fails_the_end_check(self, kind, inserts, seed, k,
                                              fault):
         """A pass that returns a wrong graph: its input, the graph after
         only its first k steps, a random gem, or the right graph with two
         colors swapped.  The contraction raises exactly when the oracle
-        finds a moved invariant or a 1-dipole left in it."""
+        finds a moved invariant or a 1-dipole left in it, and names the
+        first of these the oracle finds."""
         g = contraction_gem(kind, 4, inserts, seed)
         right = full_contraction(g)
         if fault == "random":
@@ -803,94 +845,24 @@ class TestEndCheck:
             wrong = g
             steps = (g.num_vertices - right.num_vertices) // 2
             for _ in range(k % steps if fault == "skip" and steps else 0):
-                wrong = cancel_1_dipole(wrong, moves._first_site(wrong))
+                wrong = cancel_1_dipole(wrong, first_site(wrong))
+        want = oracle_miss(g, wrong)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moves, "_contract", lambda graph: wrong)
-            if oracle_accepts(g, wrong):
+            if want is None:
                 assert full_contraction(g) is wrong
             else:
-                with pytest.raises(InternalInconsistencyError, match=re.escape(
-                        HONEST_REPLAY)):
+                with pytest.raises(InternalInconsistencyError) as err:
                     full_contraction(g)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["grown", "ball", "shell"]), st.integers(1, 8),
-           st.integers(0, 2 ** 20), st.integers(0, 30),
-           st.sampled_from(["input", "skip", "random", "swap"]))
-    @example("ball", 2, 9, 0, "swap")  # only the genus table moves
-    def test_replay_names_the_stepwise_site(self, kind, inserts, seed, k,
-                                            fault):
-        """The replay with a cancel that returns a wrong graph at the k-th
-        step of the honest contraction: its input, the next step's output,
-        a random gem, or the right graph with two colors swapped."""
-        g = contraction_gem(kind, 4, inserts, seed)
-        real = moves.cancel_1_dipole
-        inputs = []
-
-        def recording(graph, site):
-            inputs.append(graph)
-            return real(graph, site)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moves, "cancel_1_dipole", recording)
-            honest = moves._first_failed_step(g)
-        assert str(honest) == HONEST_REPLAY
-        if not inputs:  # the gem was contracted already
-            assert moves._first_site(g) is None
-            return
-        target = inputs[k % len(inputs)]
-
-        def wrong(graph, site):
-            if fault == "input":
-                return graph
-            out = real(graph, site)
-            if fault == "skip":
-                nxt = moves._first_site(out)
-                return out if nxt is None else real(out, nxt)
-            if fault == "random":
-                return random_gem(4, 1 + seed % 5, seed=seed)
-            return swap_colors(out, 0, 1 + seed % 4)
-
-        def faulty(graph, site):
-            return (wrong if graph == target else real)(graph, site)
-
-        _, _, message = oracle_contraction(g, faulty)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moves, "cancel_1_dipole", faulty)
-            replayed = moves._first_failed_step(g)
-        assert str(replayed) == (message or HONEST_REPLAY)
-
-    @pytest.mark.parametrize("verify", [True, False])
-    def test_cancel_returning_its_input_raises(self, monkeypatch, verify):
-        """A pass and a cancel that each return their input: the end check
-        finds the site left, and the replay names it for removing no
-        vertex.  Unverified, the input comes back and nothing is replayed."""
-        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
-        site, calls = moves._first_site(g), []
-
-        def stuck(graph, s):
-            calls.append(s)
-            if len(calls) > 100:
-                raise AssertionError("the replay did not stop")
-            return graph
-
-        monkeypatch.setattr(moves, "_contract", lambda graph: graph)
-        monkeypatch.setattr(moves, "cancel_1_dipole", stuck)
-        if verify:
-            with pytest.raises(InternalInconsistencyError, match=re.escape(
-                    f"cancelling {site} did not remove two vertices")):
-                full_contraction(g)
-        else:
-            assert full_contraction(g, verify=False) is g
-        assert calls == ([site] if verify else [])
+                assert str(err.value) == want
 
 
 def stepwise(graph):
     """The step-by-step contraction the one pass replaces: cancel
-    ``_first_site`` until none is left.  The graph, or its error's class."""
+    the first site until none is left.  The graph, or its error's class."""
     try:
         for _ in range(graph.num_vertices // 2 + 1):
-            site = moves._first_site(graph)
+            site = first_site(graph)
             if site is None:
                 return graph
             graph = cancel_1_dipole(graph, site)
@@ -950,3 +922,68 @@ class TestShellPipeline:
         for c in range(4):
             out, _ = regularize(shell, singular_color=c)
             assert euler_characteristic(out) - euler_characteristic(shell) == 2
+
+
+# 4-colored gems of closed 3-manifolds on 8 vertices, written out as
+# random_gem(3, 4, seed=1408) and seed=1754 draw them: S¹×S² (bipartite)
+# and its non-bipartite twin S¹ ×~ S²
+S1_X_S2 = ((0, 2, 1), (0, 2, 3), (0, 3, 2), (0, 5, 0), (1, 3, 1), (1, 4, 0),
+           (1, 4, 2), (1, 5, 3), (2, 6, 2), (2, 7, 0), (3, 6, 0), (3, 6, 3),
+           (4, 6, 1), (4, 7, 3), (5, 7, 1), (5, 7, 2))
+S1_TWISTED_S2 = ((0, 1, 3), (0, 3, 1), (0, 3, 2), (0, 4, 0), (1, 6, 1),
+                 (1, 7, 0), (1, 7, 2), (2, 4, 2), (2, 6, 0), (2, 6, 3),
+                 (2, 7, 1), (3, 5, 0), (3, 7, 3), (4, 5, 1), (4, 5, 3),
+                 (5, 6, 2))
+THREE_MANIFOLDS = pytest.mark.parametrize(
+    "edges, bipartite", [(S1_X_S2, True), (S1_TWISTED_S2, False)],
+    ids=["S1xS2", "S1-twisted-S2"])
+
+
+def double(edges, n=8):
+    """Two copies of an n-vertex 4-colored gem of a closed 3-manifold N,
+    each vertex joined to its copy by color 4: a regular gem of the
+    suspension of N, whose two {0..3}-residues are the links N of the two
+    cone points."""
+    return ColoredGraph.from_edges(4, 2 * n, [
+        *edges, *((u + n, v + n, c) for u, v, c in edges),
+        *((v, v + n, 4) for v in range(n))])
+
+
+class TestDoubles:
+    """The doubles of S¹×S² and S¹ ×~ S², regular gems of M̂ for
+    M = N × I with (χ, m, h, m̂) = (0, 1, 2, 0): the input on which the
+    contraction cancels a color-4 site between the two singular links."""
+
+    @THREE_MANIFOLDS
+    def test_the_three_manifold(self, edges, bipartite):
+        """Every 3-residue of N is a 2-sphere, so N is a closed
+        3-manifold, and each color pair presents a group of H₁ = Z."""
+        n3 = ColoredGraph.from_edges(3, 8, edges)
+        assert (n3.is_regular, n3.is_bipartite) == (True, bipartite)
+        for c in n3.colors:
+            rest = sorted(set(n3.colors) - {c})
+            for comp in residues(n3, rest).components:
+                index = {v: k for k, v in enumerate(comp)}
+                inner = [(index[u], index[v], rest.index(k))
+                         for u, v, k in edges if k in rest and u in index]
+                assert bf.euler_characteristic(2, len(comp), inner) == 2
+        for i, j in combinations(n3.colors, 2):
+            assert abelianization_rank(presentation(n3, i, j)) == (1, [])
+
+    @THREE_MANIFOLDS
+    def test_double_meets_its_bound(self, edges, bipartite):
+        g = double(edges)
+        assert (g.num_vertices, g.is_regular, g.is_bipartite) == (16, True,
+                                                                  bipartite)
+        assert len(residues(g, range(4)).components) == 2
+        report = check_bound_on_gem(g, 0, 1, 2, 0)
+        assert report.genus_bound == 3 and report.ok
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+    @THREE_MANIFOLDS
+    def test_contraction_keeps_both_links(self, edges, bipartite):
+        """Cancelling a color-4 site whose two {0..3}-residues are both
+        links N joins them into one link N # N: today the contraction
+        ends on 14 vertices and one {0..3}-residue."""
+        out = full_contraction(double(edges))
+        assert len(residues(out, range(4)).components) == 2

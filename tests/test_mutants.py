@@ -42,6 +42,26 @@ def test_a_node_read_twice_is_refused():
         mutants.mutated_source(twice)
 
 
+def test_each_listed_test_is_read_apart():
+    """A listed test is caught by a failed case of its own, a method of a
+    listed class, or its file failing to collect; one that passed reads
+    None, whatever the others read."""
+    stdout = ("...F\n"
+              "FAILED tests/a.py::TestX::test_y[1] - AssertionError: no\n"
+              "ERROR tests/b.py - ImportError: no\n"
+              "1 failed, 3 passed, 1 error in 0.1s\n")
+    tests = ("tests/a.py::TestX", "tests/a.py::TestX::test_y",
+             "tests/a.py::TestX::test_yy", "tests/a.py::test_z",
+             "tests/b.py::test_w")
+    assert mutants._caught(tests, stdout) == {
+        "tests/a.py::TestX": "tests/a.py::TestX::test_y[1]",
+        "tests/a.py::TestX::test_y": "tests/a.py::TestX::test_y[1]",
+        "tests/a.py::TestX::test_yy": None,
+        "tests/a.py::test_z": None,
+        "tests/b.py::test_w": "tests/b.py"}
+
+
 def test_one_mutant_is_caught(tmp_path):
     mutant = {m.name: m for m in mutants.MUTANTS}["digest-map-without-bytes-check"]
-    assert mutants.run(mutant, tmp_path) == mutant.tests[0] + "[False]"
+    assert mutants.run(mutant, tmp_path) == {
+        mutant.tests[0]: mutant.tests[0] + "[False]"}
