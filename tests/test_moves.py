@@ -856,6 +856,28 @@ class TestEndCheck:
                     full_contraction(g)
                 assert str(err.value) == want
 
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_cancel_returning_its_input_raises(self, monkeypatch, verify):
+        """A pass and a cancel that each return their input: the end check
+        names the site left without calling the cancel.  Unverified, the
+        input comes back and the cancel is not called either."""
+        g = grow_by_insertions(order_two_gem(4), 3, random.Random(4))
+        site, calls = first_site(g), []
+
+        def stuck(graph, s):
+            calls.append(s)
+            return graph
+
+        monkeypatch.setattr(moves, "_contract", lambda graph: graph)
+        monkeypatch.setattr(moves, "cancel_1_dipole", stuck)
+        if verify:
+            with pytest.raises(InternalInconsistencyError, match=re.escape(
+                    f"contraction left a 1-dipole: {site}")):
+                full_contraction(g)
+        else:
+            assert full_contraction(g, verify=False) is g
+        assert calls == []
+
 
 def stepwise(graph):
     """The step-by-step contraction the one pass replaces: cancel
