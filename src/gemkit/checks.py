@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .boundary import BoundaryGraph, boundary_graph
+from .boundary import boundary_graph
 from .core import (ColoredGraph, _joined_count, _residues_by_mask,
                    classify_vertices, count_g, residues)
 from .errors import (
@@ -35,7 +35,6 @@ from .invariants import (
     _doubled_genera,
     _doubled_row,
     _sweep,
-    _Sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
     gurau_degree,
@@ -157,123 +156,90 @@ def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     return all(t == 4 for t in twice)
 
 
-class _CappingRecord(NamedTuple):
-    """What the capping checks of one boundary gem share, whatever the
-    singular color.  Counts are keyed by color bitmask: ``counts`` holds
-    the boundary graph's on one and on two colors below d, ``triples``
-    its count on three when every component there is a 2-sphere gem and
-    None otherwise, and ``mixed[i]`` the input's (g, g_dot) on {i, d}.
-    ``doubled`` is twice the input's genus per order of ``sweep``, and
-    ``ends`` each order's two colors next to d.  ``capped_row`` is the
-    capped gem's pair-count row with its pairs {i, d} left at 0, and
-    ``slots[i]`` the position of {i, d} in it."""
-
-    boundary: BoundaryGraph
-    p_bar: int
-    counts: dict[int, int]
-    triples: dict[int, Optional[int]]
-    mixed: tuple[tuple[int, int], ...]
-    sweep: _Sweep
-    doubled: list[int]
-    ends: tuple[tuple[int, int], ...]
-    capped_row: list[int]
-    slots: tuple[int, ...]
+def _capping_rows(graph: ColoredGraph) -> tuple[_CappingRows, ...]:
+    """The capping checks of a boundary gem for each singular color 0..d-1,
+    built once per graph and kept in the graph's memo under a key no color
+    bitmask takes."""
+    rows = graph._memo.get("capping")
+    if rows is None:
+        rows = graph._memo["capping"] = tuple(_build_capping_rows(graph))
+    return rows
 
 
-def _capping_record(graph: ColoredGraph) -> _CappingRecord:
-    """The capping record, built once per graph and kept in the graph's
-    memo under a key no color bitmask takes."""
-    record = graph._memo.get("capping")
-    if record is None:
-        record = graph._memo["capping"] = _build_capping_record(graph)
-    return record
-
-
-def _build_capping_record(graph: ColoredGraph) -> _CappingRecord:
-    d = graph.dimension
-    # the genus table first: its order limit refuses before any other work
-    sweep, doubled = _doubled_genera(graph)
-    bg = boundary_graph(graph)
-    counts = {1 << a | 1 << b: _residues_by_mask(bg.graph, 1 << a | 1 << b).count
-              for a in range(d) for b in range(a, d)}
-    triples = {}
-    for tri in combinations(range(d), 3):
-        mask = 1 << tri[0] | 1 << tri[1] | 1 << tri[2]
-        triples[mask] = (_residues_by_mask(bg.graph, mask).count
-                         if _spherical_triple(bg.graph, frozenset(tri)) else None)
-    mixed = tuple(count_g(graph, (i, d)) for i in range(d))
-    # capping keeps every residue without color d, and a regular capped gem
-    # reads no boundary counts
-    capped_row = [0 if b == d else _residues_by_mask(graph, 1 << a | 1 << b).count
-                  for a, b in sweep.pairs] + [0] * len(sweep.pairs)
-    return _CappingRecord(
-        boundary=bg,
-        p_bar=classify_vertices(graph).p_bar,
-        counts=counts,
-        triples=triples,
-        mixed=mixed,
-        sweep=sweep,
-        doubled=doubled,
-        ends=tuple(zip(sweep.flat[::d], sweep.flat[d - 1::d])),
-        capped_row=capped_row,
-        slots=tuple(k for k, (_, b) in enumerate(sweep.pairs) if b == d),
-    )
-
-
-def _capping_rows(graph: ColoredGraph, c: int) -> _CappingRows:
-    """The capping checks on a boundary gem for a valid singular color c.
+def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
+    """The capping checks of a boundary gem, one singular color after the
+    other, from inputs read once.
 
     The capped gem keeps the input's residues without color d, and one
     with d is the input's joined along the capping edges, so every count
     is the input's count, less its unions.  The capped gem's genus table
     is summed from its pair-count row; capping joins the ends of
-    odd-length paths, so it is bipartite exactly when the input is."""
+    odd-length paths, so it is bipartite exactly when the input is.
+    Counts are keyed by color bitmask: ``counts`` holds the boundary
+    graph's on one and two colors below d, ``triples`` its count on three
+    when every component there is a 2-sphere gem and None otherwise."""
     d = graph.dimension
-    rec = _capping_record(graph)
-    p_bar, counts = rec.p_bar, rec.counts
-    added = _capped_final(graph, c)[1]
-    capped = [_joined_count(_residues_by_mask(graph, 1 << i | 1 << d), added)
-              for i in range(d)]
+    # the genus table first: its order limit refuses before any other work
+    sweep, doubled = _doubled_genera(graph)
+    bgraph = boundary_graph(graph).graph
+    counts = {1 << a | 1 << b: _residues_by_mask(bgraph, 1 << a | 1 << b).count
+              for a in range(d) for b in range(a, d)}
+    triples = {}
+    for tri in combinations(range(d), 3):
+        mask = 1 << tri[0] | 1 << tri[1] | 1 << tri[2]
+        triples[mask] = (_residues_by_mask(bgraph, mask).count
+                         if _spherical_triple(bgraph, frozenset(tri)) else None)
+    mixed = [count_g(graph, (i, d)) for i in range(d)]  # (g, g_dot) on {i, d}
+    p_bar = classify_vertices(graph).p_bar
+    # capping keeps every residue without color d, and a regular capped gem
+    # reads no boundary counts: the pairs {i, d} are filled in per color
+    capped_row = [0 if b == d else _residues_by_mask(graph, 1 << a | 1 << b).count
+                  for a, b in sweep.pairs] + [0] * len(sweep.pairs)
+    slots = [k for k, (_, b) in enumerate(sweep.pairs) if b == d]
+    ends = list(zip(sweep.flat[::d], sweep.flat[d - 1::d]))  # colors next to d
+    base = 2 + (d - 1) * (graph.num_vertices // 2)
+    for c in range(d):
+        added = _capped_final(graph, c)[1]
+        capped = [_joined_count(_residues_by_mask(graph, 1 << i | 1 << d), added)
+                  for i in range(d)]
 
-    lemma_mixed = {i: (capped[i], rec.mixed[i][1] + counts[1 << i | 1 << c])
-                   for i in range(d) if i != c}
-    g_cd, gdot_cd = rec.mixed[c]
-    lemma_singular = (capped[c], g_cd, gdot_cd + p_bar)
-    lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
-                and capped[c] == g_cd == gdot_cd + p_bar)
+        lemma_mixed = {i: (capped[i], mixed[i][1] + counts[1 << i | 1 << c])
+                       for i in range(d) if i != c}
+        g_cd, gdot_cd = mixed[c]
+        lemma_singular = (capped[c], g_cd, gdot_cd + p_bar)
+        lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
+                    and capped[c] == g_cd == gdot_cd + p_bar)
 
-    row = list(rec.capped_row)
-    for k, count in zip(rec.slots, capped):
-        row[k] = count
-    doubled_capped = _doubled_row(rec.sweep, row,
-                                  2 + (d - 1) * (graph.num_vertices // 2),
-                                  graph.is_bipartite)
-    # by the two colors next to d: whether c is one of them, and what the
-    # universal and (None where inapplicable) paper forms add to twice rho
-    shifts = {}
-    for e0, e_last in set(rec.ends):
-        dg_ends = counts[1 << e0 | 1 << e_last]
-        universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
-                     - counts[1 << e_last | 1 << c])
-        if c == e0 or c == e_last:
-            shifts[e0, e_last] = True, universal, 0
-        else:
-            dg_triple = rec.triples[1 << e0 | 1 << e_last | 1 << c]
-            shifts[e0, e_last] = False, universal, (
-                None if dg_triple is None else 2 * (dg_ends - dg_triple))
-    transfer = []
-    transfer_ok = True
-    for ends, doubled_in, doubled_cap in zip(rec.ends, rec.doubled,
-                                             doubled_capped):
-        adjacent, universal, paper = shifts[ends]
-        universal += doubled_in
-        if paper is not None:
-            paper += doubled_in
-        transfer.append((adjacent, doubled_in, doubled_cap, universal, paper))
-        transfer_ok = (transfer_ok and doubled_cap == universal
-                       and (paper is None or doubled_cap == paper))
-    return _CappingRows(added, lemma_mixed, lemma_singular, lemma_ok,
-                        transfer, transfer_ok)
+        row = list(capped_row)
+        for k, count in zip(slots, capped):
+            row[k] = count
+        doubled_capped = _doubled_row(sweep, row, base, graph.is_bipartite)
+        # by the two colors next to d: whether c is one of them, and what
+        # the universal and (None where inapplicable) paper forms add to
+        # twice rho
+        shifts = {}
+        for e0, e_last in set(ends):
+            dg_ends = counts[1 << e0 | 1 << e_last]
+            universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
+                         - counts[1 << e_last | 1 << c])
+            if c == e0 or c == e_last:
+                shifts[e0, e_last] = True, universal, 0
+            else:
+                dg_triple = triples[1 << e0 | 1 << e_last | 1 << c]
+                shifts[e0, e_last] = False, universal, (
+                    None if dg_triple is None else 2 * (dg_ends - dg_triple))
+        transfer = []
+        transfer_ok = True
+        for pair, doubled_in, doubled_cap in zip(ends, doubled, doubled_capped):
+            adjacent, universal, paper = shifts[pair]
+            universal += doubled_in
+            if paper is not None:
+                paper += doubled_in
+            transfer.append((adjacent, doubled_in, doubled_cap, universal, paper))
+            transfer_ok = (transfer_ok and doubled_cap == universal
+                           and (paper is None or doubled_cap == paper))
+        yield _CappingRows(added, lemma_mixed, lemma_singular, lemma_ok,
+                           transfer, transfer_ok)
 
 
 def _chi_delta(graph: ColoredGraph, added) -> int:
@@ -301,18 +267,18 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     be a union of sphere gems; when that fails the case is recorded as
     inapplicable and only the universal half-integer transfer is checked.
 
-    What does not depend on the color is read from the graph's capping
-    record, the capped gem's counts from the input's (no capped graph is
-    built), and genus values are compared as twice-genus integers.
+    The rows of every color are built on the first call and kept in the
+    graph's memo; the capped gem's counts are read from the input's (no
+    capped graph is built), and genus values are compared as twice-genus
+    integers.
     """
     d = graph.dimension
     c = singular_color
-    if graph.is_regular:  # before the genus table the record reads first
+    if graph.is_regular:  # before the genus table the rows read first
         raise NoBoundaryError("graph is regular: empty boundary")
     if not 0 <= c < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    rows = _capping_rows(graph, c)
-    rec = _capping_record(graph)
+    rows = _capping_rows(graph)[c]
 
     values = {value for row in rows.transfer for value in row[1:]}
     values.discard(None)
@@ -326,14 +292,14 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
             paper_ok=None if paper is None else doubled_cap == paper,
             universal_rhs=halves[universal], universal_ok=doubled_cap == universal)
         for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
-            rec.sweep.orders, rows.transfer))
+            _sweep(d).orders, rows.transfer))
 
     chi_delta = _chi_delta(graph, rows.added)
-    h = rec.boundary.num_components
+    h = boundary_graph(graph).num_components
     return RegularizationIdentityReport(
         singular_color=c,
         h=h,
-        p_bar=rec.p_bar,
+        p_bar=classify_vertices(graph).p_bar,
         lemma_mixed=rows.lemma_mixed,
         lemma_singular=rows.lemma_singular,
         lemma_ok=rows.lemma_ok,

@@ -54,6 +54,7 @@ class Mutant(NamedTuple):
 
 
 CATALOG = "tests/test_catalog_index.py"
+CHECKS = "tests/test_checks.py"
 CLI = "tests/test_cli.py"
 CORE = "tests/test_core.py"
 GEMIO = "tests/test_gemio.py"
@@ -226,6 +227,75 @@ MUTANTS = (
             "::test_several_components_refused_before_any_step",),
            "a graph of several components is read and contracted before "
            "it is refused, or comes back unchanged"),
+    Mutant("capping-drops-an-edge", "moves.py", "_capped_final",
+           "return final, added", "return final, added[1:]",
+           (f"{CHECKS}::TestRegularizationIdentities::test_b4_all_colors",
+            f"{MOVES}::TestRegularize::test_lemma_counts_on_capped_graph"),
+           "the capping checks read one capping edge fewer than the capped "
+           "gem has"),
+    Mutant("chi-delta-skips-a-mask", "checks.py", "_chi_delta",
+           "(1 << d + 1) - 1", "(1 << d + 1) - 2",
+           (f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph",),
+           "the capping check's chi change leaves out the residue on every "
+           "color but 0"),
+    Mutant("lemma-prediction-drops-the-boundary-count", "checks.py",
+           "_build_capping_rows",
+           "mixed[i][1] + counts[1 << i | 1 << c]", "mixed[i][1]",
+           (f"{CHECKS}::TestRegularizationIdentities::test_b4_lemma_values",
+            f"{CHECKS}::TestRegularizationIdentities::test_lemma_universal"),
+           "the lemma predicts the capped count on {i, d} without the "
+           "boundary graph's count on {i, c}"),
+    Mutant("paper-form-reads-the-pair-count", "checks.py",
+           "_build_capping_rows",
+           "triples[1 << e0 | 1 << e_last | 1 << c]",
+           "counts[1 << e0 | 1 << e_last]",
+           (f"{CHECKS}::TestRegularizationIdentities::test_transfer_universal_parts",
+            f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph"),
+           "the paper form reads the boundary graph's count on the ends "
+           "in place of its count on the ends and c"),
+    Mutant("joined-count-skips-a-union", "core.py", "_joined_count",
+           "up[x] = y", "pass",
+           (f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph",),
+           "a capped count is lowered for each join without uniting"),
+    Mutant("joined-count-off-by-one", "core.py", "_joined_count",
+           "count = dec.count", "count = dec.count - 1",
+           (f"{CHECKS}::TestRegularizationIdentities::test_b4_lemma_values",
+            f"{CHECKS}::TestRegularizationIdentities::test_b4_all_colors"),
+           "every capped count on a color set with d is one too low"),
+    Mutant("doubled-row-moves-the-last-entry", "invariants.py", "_doubled_row",
+           "lanes.tolist()",
+           "[v + 2 * (k == n - 1) for k, v in enumerate(lanes.tolist())]",
+           (f"{INVARIANTS}::TestRho::test_s4_all_zero",
+            f"{INVARIANTS}::TestRho::test_k33_torus"),
+           "the genus of the last order of the sweep is one too high"),
+    Mutant("merge-reverses-the-root-numbers", "core.py", "_merge",
+           "tuple([up[k] for k in labels])",
+           "tuple([len(regular) - 1 - up[k] for k in labels])",
+           (f"{MEMO}::TestLeastVertices::test_kept_by_the_kernels",
+            f"{MEMO}::TestLabelsFirstSearch::test_every_mask_matches_oracles"),
+           "a merge numbers its united components against their least "
+           "vertices"),
+    Mutant("merge-reverses-the-least-vertices", "core.py", "_merge",
+           "tuple([least[k] for k in roots])",
+           "tuple([least[k] for k in roots[::-1]])",
+           (f"{MEMO}::TestLeastVertices::test_kept_by_the_kernels",),
+           "a merge lists its components' least vertices in reverse"),
+    Mutant("merge-always-walks-its-base", "core.py", "_merge",
+           "prefix not in graph._memo", "True",
+           (f"{MEMO}::TestLatticeOrder::test_merge_base",),
+           "a merge starts from the two lowest colors also when the mask "
+           "without its top color is memoized"),
+    Mutant("walk-takes-a-path-end-as-closed", "core.py", "_walk",
+           "v != NO_EDGE and u == start", "u == start",
+           (f"{MEMO}::TestLabelsFirstSearch::test_every_mask_matches_oracles",),
+           "a path that starts at a vertex missing the first color is "
+           "taken as a cycle and walked one way"),
+    Mutant("payload-json-keeps-the-run-past-a-list", "gemio.py", "_payload_json",
+           "if run:\n    out += (_canonical(run)[1:-1], ',')\n    run = {}",
+           "pass",
+           (f"{CLI}::TestPipelines::test_payload_json_edge_cases",),
+           "values before a spliced value or list are written after it, "
+           "out of key order"),
 )
 
 

@@ -115,9 +115,9 @@ class TestRegularizationIdentities:
 
 
 class TestCappingRecord:
-    """The capping checks read what does not depend on the singular color
-    from one record per graph; every color's report equals the slow path
-    that rebuilds everything, before and after the memo is filled."""
+    """The capping checks of every singular color are built in one pass
+    per graph; every color's report equals the slow path that rebuilds
+    everything, before and after the memo is filled."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 5), st.integers(2, 7), st.integers(0, 2 ** 20),
@@ -219,8 +219,20 @@ class TestCountPath:
             assert report.to_jsonable() == slow_capping_form(g, c, report)
             assert report.to_jsonable() == bf.regularization_identities(
                 d, g.num_vertices, edges, c)
-            assert checks._capping_rows(g, c).ok == report.ok
+            assert checks._capping_rows(g)[c].ok == report.ok
             assert cap_boundary(g, c)[0].is_bipartite == g.is_bipartite
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_least_capped_genus_is_the_regularized_min_rho(self, d, seed):
+        """Regularizing swaps c and d after capping, which only permutes
+        the cyclic orders: min rho of ``regularize(g, c)`` is half the
+        least capped value in row c."""
+        g = random_boundary_gem(d, 6, seed % 6, seed=seed)
+        for c, row in enumerate(checks._capping_rows(g)):
+            regular, _ = regularize(g, c)
+            assert min(_doubled_genera(regular).doubled) == min(
+                doubled_cap for _, _, doubled_cap, _, _ in row.transfer)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2 ** 20), st.booleans())

@@ -189,7 +189,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite", ["lemma", "corollary"])
     @pytest.mark.parametrize("d", [60, 5000])
     def test_huge_capping_check_is_three(self, tmp_path, capsys, suite, d):
-        """The capping record reads the genus table first, so the order
+        """The capping rows read the genus table first, so the order
         limit refuses the dimension before any residue is decomposed."""
         import time
 

@@ -3,7 +3,7 @@ and merges along the color lattice in any query order, agree with an
 uncached search and the brute-force oracle, rewrites (capping too) start
 from an empty memo, and a full invariant report decomposes each color
 subset of each graph once, builds no capped graph, and builds the
-boundary graph, the capping record and the vertex classification once.
+boundary graph, the capping rows and the vertex classification once.
 Counts read through ``count_g`` take a residue with a connected one a
 color smaller as one component, undecomposed."""
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from gemkit import boundary, checks, core, moves
 from gemkit.boundary import boundary_graph
+from gemkit.checks import check_regularization_identities
 from gemkit.core import (ball_gem, count_g, order_two_gem, random_boundary_gem,
                          random_gem, residues)
 from gemkit.invariants import (_doubled_genera, f_vector, invariant_report,
@@ -258,6 +259,27 @@ class TestLatticeOrder:
         for graph in (g, capped, cancelled):
             self.check_every_mask(graph, rng)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_merge_base(self, monkeypatch, d):
+        """A merge reads the decomposition of its mask without the top
+        color when that one is memoized, and else the two lowest colors'."""
+        g = random_boundary_gem(d, 6, 2, seed=d)
+        full = (1 << d + 1) - 1
+        read = []
+        real = core._residues_by_mask
+
+        def reading(graph, mask):
+            read.append(mask)
+            return real(graph, mask)
+
+        monkeypatch.setattr(core, "_residues_by_mask", reading)
+        core._merge(g, full)
+        assert read == [0b11]
+        residues(g, range(d))
+        read.clear()
+        core._merge(g, full)
+        assert read == [full ^ 1 << d]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_paths_walked_from_their_middle(self, seed):
         g = random_boundary_gem(4, 12, 5, seed=seed)
@@ -289,14 +311,14 @@ class TestWorkCount:
             built.append(g)
             return real_build(g)
 
-        records, triples, caps, builds = [], [], [], []
-        real_record = checks._build_capping_record
+        capping, triples, caps, builds = [], [], [], []
+        real_rows = checks._build_capping_rows
         real_triple = checks._spherical_triple
         real_cap = moves.cap_boundary
 
-        def counting_record(g):
-            records.append(g)
-            return real_record(g)
+        def counting_rows(g):
+            capping.append(g)
+            return real_rows(g)
 
         def counting_triple(bgraph, triple):
             triples.append(triple)
@@ -324,7 +346,7 @@ class TestWorkCount:
         monkeypatch.setattr(core, "_walk", counting(core._walk))
         monkeypatch.setattr(core, "_merge", counting(core._merge))
         monkeypatch.setattr(boundary, "_build_boundary_graph", counting_build)
-        monkeypatch.setattr(checks, "_build_capping_record", counting_record)
+        monkeypatch.setattr(checks, "_build_capping_rows", counting_rows)
         monkeypatch.setattr(checks, "_spherical_triple", counting_triple)
         monkeypatch.setattr(moves, "cap_boundary", counting_cap)
         for module in (core, moves, boundary):
@@ -340,11 +362,48 @@ class TestWorkCount:
         assert caps == [] and builds == [graph.dimension - 1]
         assert {id(g) for g, _ in decomposed} == {
             id(graph), id(boundary_graph(graph).graph)}
-        assert len(records) == 1 and records[0] is graph
+        assert capping == [graph]
         assert len(triples) <= comb(graph.dimension, 3)
         # the vertices are classified once, and the boundary read from it
         assert len(classified) == 1
         assert graph.boundary_vertices() is classified[0][0]
+
+    @staticmethod
+    def count_capping_builds(monkeypatch):
+        built = []
+        real_rows = checks._build_capping_rows
+
+        def counting_rows(g):
+            built.append(g)
+            return real_rows(g)
+
+        monkeypatch.setattr(checks, "_build_capping_rows", counting_rows)
+        return built
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_capping_rows_built_once_per_gem(self, monkeypatch, seed):
+        """The report's flag builds the rows of every singular color, and
+        each capping report after it reads them."""
+        built = self.count_capping_builds(monkeypatch)
+        graph = random_boundary_gem(4, 12, 5, seed=seed)
+        invariant_report(graph)
+        assert built == [graph]
+        rows = graph._memo["capping"]
+        for c in range(4):
+            check_regularization_identities(graph, c)
+        assert built == [graph] and graph._memo["capping"] is rows
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_color_builds_every_row(self, monkeypatch, d):
+        built = self.count_capping_builds(monkeypatch)
+        graph = random_boundary_gem(d, 6, 2, seed=d)
+        check_regularization_identities(graph, d - 1)
+        assert built == [graph]
+        rows = graph._memo["capping"]
+        assert len(rows) == d
+        for c in range(d):
+            check_regularization_identities(graph, c)
+        assert built == [graph] and graph._memo["capping"] is rows
 
 
 class TestSmallMasks:
