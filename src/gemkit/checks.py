@@ -34,6 +34,7 @@ from .invariants import (
     GenusTable,
     _doubled_genera,
     _doubled_row,
+    _Sweep,
     _sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
@@ -156,17 +157,23 @@ def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     return all(t == 4 for t in twice)
 
 
-def _capping_rows(graph: ColoredGraph) -> tuple[_CappingRows, ...]:
-    """The capping checks of a boundary gem for each singular color 0..d-1,
-    built once per graph and kept in the graph's memo under a key no color
-    bitmask takes."""
-    rows = graph._memo.get("capping")
-    if rows is None:
-        rows = graph._memo["capping"] = tuple(_build_capping_rows(graph))
-    return rows
+def _capping_rows(graph: ColoredGraph
+                  ) -> tuple[_Sweep, tuple[_CappingRows, ...]]:
+    """The sweep a boundary gem's capping checks were summed on, which no
+    cache keeps above d = 8, and their rows for each singular color
+    0..d-1: built once per graph and kept in its memo under a key no
+    color bitmask takes."""
+    capping = graph._memo.get("capping")
+    if capping is None:
+        # the genus table first: its order limit refuses before any other work
+        genera = _doubled_genera(graph)
+        capping = graph._memo["capping"] = (
+            genera.sweep, tuple(_build_capping_rows(graph, genera)))
+    return capping
 
 
-def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
+def _build_capping_rows(graph: ColoredGraph, genera: GenusTable
+                        ) -> Iterator[_CappingRows]:
     """The capping checks of a boundary gem, one singular color after the
     other, from inputs read once.
 
@@ -179,8 +186,7 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
     graph's on one and two colors below d, ``triples`` its count on three
     when every component there is a 2-sphere gem and None otherwise."""
     d = graph.dimension
-    # the genus table first: its order limit refuses before any other work
-    sweep, doubled = _doubled_genera(graph)
+    sweep, doubled = genera
     bgraph = boundary_graph(graph).graph
     counts = {1 << a | 1 << b: _residues_by_mask(bgraph, 1 << a | 1 << b).count
               for a in range(d) for b in range(a, d)}
@@ -268,7 +274,8 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     inapplicable and only the universal half-integer transfer is checked.
 
     The rows of every color are built on the first call and kept in the
-    graph's memo; the capped gem's counts are read from the input's (no
+    graph's memo with the sweep they were summed on, whose orders the
+    report reads; the capped gem's counts are read from the input's (no
     capped graph is built), and genus values are compared as twice-genus
     integers.
     """
@@ -278,9 +285,10 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
         raise NoBoundaryError("graph is regular: empty boundary")
     if not 0 <= c < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    rows = _capping_rows(graph)[c]
+    sweep, rows = _capping_rows(graph)
+    row = rows[c]
 
-    values = {value for row in rows.transfer for value in row[1:]}
+    values = {value for case in row.transfer for value in case[1:]}
     values.discard(None)
     halves = {value: Fraction(value, 2) for value in values}
     cases = tuple(
@@ -292,19 +300,19 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
             paper_ok=None if paper is None else doubled_cap == paper,
             universal_rhs=halves[universal], universal_ok=doubled_cap == universal)
         for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
-            _sweep(d).orders, rows.transfer))
+            sweep.orders, row.transfer))
 
-    chi_delta = _chi_delta(graph, rows.added)
+    chi_delta = _chi_delta(graph, row.added)
     h = boundary_graph(graph).num_components
     return RegularizationIdentityReport(
         singular_color=c,
         h=h,
         p_bar=classify_vertices(graph).p_bar,
-        lemma_mixed=rows.lemma_mixed,
-        lemma_singular=rows.lemma_singular,
-        lemma_ok=rows.lemma_ok,
+        lemma_mixed=row.lemma_mixed,
+        lemma_singular=row.lemma_singular,
+        lemma_ok=row.lemma_ok,
         transfer=cases,
-        transfer_ok=rows.transfer_ok,
+        transfer_ok=row.transfer_ok,
         chi_delta=chi_delta,
         chi_law_ok=chi_delta == h,
     )

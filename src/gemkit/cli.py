@@ -177,9 +177,10 @@ def cmd_pi1(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
     pres = pi1.presentation(graph, i, j)
     if args.simplify:
         pres = pi1.tietze_simplify(pres)
+    # the upper end first, so a trivial group is decided from the graph
+    upper = pi1.tietze_simplify(pres).num_generators
     free_rank, divisors = pi1.abelianization_rank(pres)
     lower = free_rank + len(divisors)
-    upper = pi1.tietze_simplify(pres).num_generators
     payload = {
         "ok": True, "pair": [min(i, j), max(i, j)],
         "generators": pres.num_generators,

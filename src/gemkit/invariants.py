@@ -551,8 +551,8 @@ def _parameter_free_checks(graph: ColoredGraph, doubled: list[int],
         out["dehn_sommerville"] = checks._dehn_sommerville_ok(
             graph, fv, chi, sum(g for g, _ in triples.values()))
     else:
-        out["capping_identities"] = all(row.ok
-                                        for row in checks._capping_rows(graph))
+        out["capping_identities"] = all(
+            row.ok for row in checks._capping_rows(graph)[1])
     return out
 
 

@@ -172,33 +172,10 @@ def _substitute(word: Word, gen: int, image: Word) -> Word:
 
 def _trivial(pres: GroupPresentation, max_passes: int) -> bool:
     """Whether ``tietze_simplify`` gives the trivial presentation with no
-    pass run: the budget has a pass for each generator, and two-letter
-    relators join every generator to one with a one-letter relator.  A
-    word (g) is only touched when g is eliminated, and a word (a, ±b)
-    becomes (±b) when a is: so while a generator is left a one-letter word
-    is left, each pass deletes a generator by one, and after a pass per
-    generator every word is empty.  A presentation whose words are not
-    built yet is decided from its graph."""
-    graph = pres.__dict__.get("_graph")
-    if graph is not None:
-        return _trivial_by_counts(pres, graph, max_passes)
-    gens = pres.num_generators
-    if gens > max_passes:
-        return False
-    up = list(range(gens + 1))
-    units = []
-    for w in pres.relators:
-        if len(w) == 1:
-            units.append(abs(w[0]))
-        elif len(w) == 2:
-            up[_root(up, abs(w[0]))] = _root(up, abs(w[1]))
-    return {_root(up, g) for g in units}.issuperset(
-        _root(up, g) for g in range(1, gens + 1))
-
-
-def _trivial_by_counts(pres: GroupPresentation, graph: ColoredGraph,
-                       max_passes: int) -> bool:
-    """``_trivial`` from residue counts, with no word built.
+    pass run, read off the graph of a presentation whose words are not
+    built yet: the budget has a pass for each generator, and every
+    generator is joined to a one-letter relator by two-letter ones.  A
+    presentation with no graph returns False, and the passes decide it.
 
     A cycle word has even length, so the one-letter relators are the tree
     relators, one per generator the spanning forest keeps.  The forest
@@ -217,6 +194,9 @@ def _trivial_by_counts(pres: GroupPresentation, graph: ColoredGraph,
     forest keeps at most one.  With J the generator count once every twin
     pair is united, J ≥ g(Γ_î) + g(Γ_ĵ) − c, and every class holds a kept
     generator exactly when the two are equal."""
+    graph = pres.__dict__.get("_graph")
+    if graph is None:
+        return False
     gens = pres.num_generators
     if gens > max_passes:
         return False

@@ -477,6 +477,27 @@ def _cyclic_reduce(word):
     return tuple(out)
 
 
+def trivial_by_words(num_generators, relators, max_passes=200):
+    """Whether the Tietze loop deletes every generator by one-letter
+    passes alone: the budget has a pass for each generator, and each
+    generator is reached from one with a one-letter relator along
+    relators of two letters, read as built (a longer word that reduces to
+    two letters is not used).  Reached generators are spread one
+    two-letter relator at a time until none is added."""
+    if num_generators > max_passes:
+        return False
+    reached = {abs(w[0]) for w in relators if len(w) == 1}
+    pairs = [{abs(t) for t in w} for w in relators if len(w) == 2]
+    grown = True
+    while grown:
+        grown = False
+        for pair in pairs:
+            if pair & reached and not pair <= reached:
+                reached |= pair
+                grown = True
+    return reached >= set(range(1, num_generators + 1))
+
+
 def tietze_simplify(num_generators, relators, max_passes=200):
     """The sequential Tietze loop: each pass sorts the distinct nonempty
     words by (length, word), takes the first with a generator occurring

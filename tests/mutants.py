@@ -19,9 +19,11 @@ Exit code 0 when every listed test of every mutant failed, 1 when one
 passed, 2 when a mutant no longer applies to the source or names no
 test.
 
-The list only grows.  A fast path comes with mutants of its guards; a
-mutant that survives is either equivalent to the original, which the
-change that finds it explains, or a sign that a test is missing.
+The list only grows, but for a mutant whose code is deleted or that
+mutates the same node as another.  A fast path comes with mutants of
+its guards; a mutant that survives is either equivalent to the
+original, which the change that finds it explains, or a sign that a
+test is missing.
 """
 
 from __future__ import annotations
@@ -101,14 +103,17 @@ MUTANTS = (
            "a split of a graph of several components is built unchecked"),
     Mutant("trivial-test-ignores-budget", "pi1.py", "_trivial",
            "gens > max_passes", "False",
-           (f"{PI1}::TestRankBounds::test_unit_relators_at_the_pass_budget",),
-           "a group is trivial though the pass budget cannot delete every "
-           "generator"),
-    Mutant("trivial-test-without-superset", "pi1.py", "_trivial",
-           "{_root(up, g) for g in units}"
-           ".issuperset(_root(up, g) for g in range(1, gens + 1))", "True",
-           (f"{PI1}::TestRankBounds::test_z_plus_torsion",),
-           "every group within the pass budget is trivial"),
+           (f"{PI1}::TestCountTest::test_covered_past_the_budget_goes_to_tietze",),
+           "a group the graph covers is trivial though the pass budget cannot "
+           "delete every generator"),
+    Mutant("trivial-test-takes-built-words-as-trivial", "pi1.py", "_trivial",
+           "if graph is None:\n    return False",
+           "if graph is None:\n        return True",
+           (f"{PI1}::TestCountTest::test_built_words_go_to_the_passes",
+            f"{PI1}::TestRankBounds::test_z_plus_torsion",
+            f"{PI1}::TestTietzeOracle::test_pinned_example"),
+           "every presentation with no graph, its words built or read, is "
+           "taken as trivial"),
     Mutant("presentation-generator-mask-drops-a-color", "pi1.py",
            "presentation", "full ^ pair", "full ^ 1 << i",
            (f"{PI1}::TestPresentation::test_k33_torus_group",),
@@ -119,21 +124,11 @@ MUTANTS = (
            (f"{PI1}::TestPresentation::test_k33_torus_group",),
            "the words read the residues missing one color of the pair as "
            "generators"),
-    Mutant("count-test-assumes-one-component", "pi1.py", "_trivial_by_counts",
+    Mutant("count-test-assumes-one-component", "pi1.py", "_trivial",
            "graph._memo.get('components', 1)", "1",
            (f"{PI1}::TestCountTest::test_boundary_graphs_of_several_components",),
            "the count test takes a graph of several components as connected"),
-    Mutant("count-test-ignores-budget", "pi1.py", "_trivial_by_counts",
-           "gens > max_passes", "False",
-           (f"{PI1}::TestCountTest::test_covered_past_the_budget_goes_to_tietze",),
-           "a group the counts cover is trivial though the pass budget cannot "
-           "delete every generator"),
-    Mutant("word-test-ignores-two-letter-relators", "pi1.py", "_trivial",
-           "len(w) == 2", "False",
-           (f"{PI1}::test_regularize_and_rank_brackets_match_the_oracles",),
-           "the word test joins no generators, and decides fewer groups "
-           "than the graph test"),
-    Mutant("twin-scan-skipped", "pi1.py", "_trivial_by_counts",
+    Mutant("twin-scan-skipped", "pi1.py", "_trivial",
            "compress(range(graph.num_vertices), map(eq, mate_i, mate_j))",
            "()",
            (f"{PI1}::TestWordBuilds::test_trivial_pairs_build_no_words",),

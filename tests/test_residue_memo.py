@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from gemkit import boundary, checks, core, moves
+from gemkit import boundary, checks, core, invariants, moves
 from gemkit.boundary import boundary_graph
 from gemkit.checks import check_regularization_identities
 from gemkit.core import (ball_gem, count_g, order_two_gem, random_boundary_gem,
@@ -316,9 +316,9 @@ class TestWorkCount:
         real_triple = checks._spherical_triple
         real_cap = moves.cap_boundary
 
-        def counting_rows(g):
+        def counting_rows(g, genera):
             capping.append(g)
-            return real_rows(g)
+            return real_rows(g, genera)
 
         def counting_triple(bgraph, triple):
             triples.append(triple)
@@ -373,9 +373,9 @@ class TestWorkCount:
         built = []
         real_rows = checks._build_capping_rows
 
-        def counting_rows(g):
+        def counting_rows(g, genera):
             built.append(g)
-            return real_rows(g)
+            return real_rows(g, genera)
 
         monkeypatch.setattr(checks, "_build_capping_rows", counting_rows)
         return built
@@ -400,10 +400,29 @@ class TestWorkCount:
         check_regularization_identities(graph, d - 1)
         assert built == [graph]
         rows = graph._memo["capping"]
-        assert len(rows) == d
+        assert len(rows[1]) == d
         for c in range(d):
             check_regularization_identities(graph, c)
         assert built == [graph] and graph._memo["capping"] is rows
+
+    def test_one_sweep_per_gem_past_the_kept_sweeps(self, monkeypatch):
+        """With no sweep kept above d = 3, the capping reports of all four
+        colors of a d = 4 gem read their orders from the one sweep the
+        rows were summed on."""
+        built = []
+        real_build = invariants._build_sweep
+
+        def counting_build(d):
+            built.append(d)
+            return real_build(d)
+
+        monkeypatch.setattr(invariants, "_SWEEP_CACHE_MAX_D", 3)
+        monkeypatch.setattr(invariants, "_sweeps", {})
+        monkeypatch.setattr(invariants, "_build_sweep", counting_build)
+        graph = random_boundary_gem(4, 6, 2, seed=5)
+        for c in range(4):
+            check_regularization_identities(graph, c)
+        assert built == [4]
 
 
 class TestSmallMasks:
