@@ -19,9 +19,8 @@ Exit code 0 when every listed test of every mutant failed, 1 when one
 passed, 2 when a mutant no longer applies to the source or names no
 test.
 
-The list only grows, but for a mutant whose code is deleted or that
-mutates the same node as another.  A fast path comes with mutants of
-its guards; a mutant that survives is either equivalent to the
+The list only grows, but for a mutant whose code is deleted.  A fast
+path comes with mutants of its guards; a mutant that survives is either equivalent to the
 original, which the change that finds it explains, or a sign that a
 test is missing.
 """
@@ -128,6 +127,11 @@ MUTANTS = (
            "graph._memo.get('components', 1)", "1",
            (f"{PI1}::TestCountTest::test_boundary_graphs_of_several_components",),
            "the count test takes a graph of several components as connected"),
+    Mutant("count-test-ignores-budget", "pi1.py", "_trivial",
+           "gens > max_passes", "gens > max_passes + 1",
+           (f"{PI1}::TestCountTest::test_covered_past_the_budget_goes_to_tietze",),
+           "a group the counts cover is trivial with one generator more than "
+           "the pass budget deletes"),
     Mutant("twin-scan-skipped", "pi1.py", "_trivial",
            "compress(range(graph.num_vertices), map(eq, mate_i, mate_j))",
            "()",

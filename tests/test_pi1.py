@@ -700,6 +700,7 @@ class TestCountTest:
             assert pres.num_generators > 200
             assert pi1._trivial(pres, pres.num_generators)
             assert not pi1._trivial(pres, 200)
+            assert not pi1._trivial(pres, pres.num_generators - 1)
             uppers.append(rank_bounds(pres))
         assert uppers == [(0, u) for u in (196, 214, 199, 192, 211,
                                            196, 189, 214, 207, 192)]
