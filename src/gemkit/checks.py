@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import sub
 from typing import Iterator, NamedTuple, Optional
 
 from .boundary import boundary_graph
@@ -32,12 +33,11 @@ from .errors import (
 from .invariants import (
     CyclicPermutation,
     GenusTable,
-    _doubled_genera,
     _doubled_row,
-    _Sweep,
     _sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
+    genus_table,
     gurau_degree,
 )
 from .moves import _capped_final, full_contraction
@@ -108,15 +108,17 @@ class _CappingRows(NamedTuple):
     integers and without a capped graph.  ``added`` are the capping edges;
     ``lemma_mixed[i]`` is the capped count on {i, d} and its prediction,
     and ``lemma_singular`` the capped and input counts on {c, d} and their
-    prediction.  ``transfer`` holds per order of the sweep whether c is
-    next to d, twice the input's and the capped gem's genus, and twice the
-    universal and (None where inapplicable) paper predictions."""
+    prediction.  ``doubled_capped`` is twice the capped gem's genus at each
+    order, and ``shifts`` holds per pair of colors next to d whether c is
+    one of them and what the universal and (None where inapplicable) paper
+    forms add to twice the input's genus."""
 
     added: tuple[tuple[int, int], ...]
     lemma_mixed: dict[int, tuple[int, int]]
     lemma_singular: tuple[int, int, int]
     lemma_ok: bool
-    transfer: list[tuple[bool, int, int, int, Optional[int]]]
+    doubled_capped: list[int]
+    shifts: dict[tuple[int, int], tuple[bool, int, Optional[int]]]
     transfer_ok: bool
 
     @property
@@ -157,23 +159,16 @@ def _spherical_triple(bgraph: ColoredGraph, triple: frozenset[int]) -> bool:
     return all(t == 4 for t in twice)
 
 
-def _capping_rows(graph: ColoredGraph
-                  ) -> tuple[_Sweep, tuple[_CappingRows, ...]]:
-    """The sweep a boundary gem's capping checks were summed on, which no
-    cache keeps above d = 8, and their rows for each singular color
-    0..d-1: built once per graph and kept in its memo under a key no
-    color bitmask takes."""
+def _capping_rows(graph: ColoredGraph) -> tuple[_CappingRows, ...]:
+    """A boundary gem's capping rows, one per singular color 0..d-1, built
+    once per graph and kept in its memo under a key no color mask takes."""
     capping = graph._memo.get("capping")
     if capping is None:
-        # the genus table first: its order limit refuses before any other work
-        genera = _doubled_genera(graph)
-        capping = graph._memo["capping"] = (
-            genera.sweep, tuple(_build_capping_rows(graph, genera)))
+        capping = graph._memo["capping"] = tuple(_build_capping_rows(graph))
     return capping
 
 
-def _build_capping_rows(graph: ColoredGraph, genera: GenusTable
-                        ) -> Iterator[_CappingRows]:
+def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
     """The capping checks of a boundary gem, one singular color after the
     other, from inputs read once.
 
@@ -186,7 +181,8 @@ def _build_capping_rows(graph: ColoredGraph, genera: GenusTable
     graph's on one and two colors below d, ``triples`` its count on three
     when every component there is a 2-sphere gem and None otherwise."""
     d = graph.dimension
-    sweep, doubled = genera
+    # the genus table first: its order limit refuses before any other work
+    sweep, doubled = genus_table(graph)
     bgraph = boundary_graph(graph).graph
     counts = {1 << a | 1 << b: _residues_by_mask(bgraph, 1 << a | 1 << b).count
               for a in range(d) for b in range(a, d)}
@@ -220,9 +216,7 @@ def _build_capping_rows(graph: ColoredGraph, genera: GenusTable
         for k, count in zip(slots, capped):
             row[k] = count
         doubled_capped = _doubled_row(sweep, row, base, graph.is_bipartite)
-        # by the two colors next to d: whether c is one of them, and what
-        # the universal and (None where inapplicable) paper forms add to
-        # twice rho
+        # by the two colors next to d, as ``_CappingRows.shifts`` holds them
         shifts = {}
         for e0, e_last in set(ends):
             dg_ends = counts[1 << e0 | 1 << e_last]
@@ -234,18 +228,12 @@ def _build_capping_rows(graph: ColoredGraph, genera: GenusTable
                 dg_triple = triples[1 << e0 | 1 << e_last | 1 << c]
                 shifts[e0, e_last] = False, universal, (
                     None if dg_triple is None else 2 * (dg_ends - dg_triple))
-        transfer = []
-        transfer_ok = True
-        for pair, doubled_in, doubled_cap in zip(ends, doubled, doubled_capped):
-            adjacent, universal, paper = shifts[pair]
-            universal += doubled_in
-            if paper is not None:
-                paper += doubled_in
-            transfer.append((adjacent, doubled_in, doubled_cap, universal, paper))
-            transfer_ok = (transfer_ok and doubled_cap == universal
-                           and (paper is None or doubled_cap == paper))
+        # what capping adds to twice the genus, once per distinct ends
+        transfer_ok = all(
+            delta == shifts[pair][1] and shifts[pair][2] in (None, delta)
+            for pair, delta in set(zip(ends, map(sub, doubled_capped, doubled))))
         yield _CappingRows(added, lemma_mixed, lemma_singular, lemma_ok,
-                           transfer, transfer_ok)
+                           doubled_capped, shifts, transfer_ok)
 
 
 def _chi_delta(graph: ColoredGraph, added) -> int:
@@ -274,9 +262,9 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     inapplicable and only the universal half-integer transfer is checked.
 
     The rows of every color are built on the first call and kept in the
-    graph's memo with the sweep they were summed on, whose orders the
-    report reads; the capped gem's counts are read from the input's (no
-    capped graph is built), and genus values are compared as twice-genus
+    graph's memo beside its genus table, whose sweep gives the report's
+    orders; the capped gem's counts are read from the input's (no capped
+    graph is built), and genus values are compared as twice-genus
     integers.
     """
     d = graph.dimension
@@ -285,22 +273,26 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
         raise NoBoundaryError("graph is regular: empty boundary")
     if not 0 <= c < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    sweep, rows = _capping_rows(graph)
-    row = rows[c]
-
-    values = {value for case in row.transfer for value in case[1:]}
-    values.discard(None)
-    halves = {value: Fraction(value, 2) for value in values}
+    row = _capping_rows(graph)[c]
+    sweep, doubled = genus_table(graph)
+    # each order's shifts, by the two colors next to d
+    shifts = list(map(row.shifts.__getitem__,
+                      zip(sweep.flat[::d], sweep.flat[d - 1::d])))
+    universal = [value + shift[1] for value, shift in zip(doubled, shifts)]
+    paper = [None if shift[2] is None else value + shift[2]
+             for value, shift in zip(doubled, shifts)]
+    halves = {value: None if value is None else Fraction(value, 2)
+              for value in {*doubled, *row.doubled_capped, *universal, *paper}}
     cases = tuple(
         TransferCase(
-            eps=eps, adjacent=adjacent, rho_input=halves[doubled_in],
-            rho_capped=halves[doubled_cap],
-            paper_rhs=None if paper is None else halves[paper],
-            paper_applicable=paper is not None,
-            paper_ok=None if paper is None else doubled_cap == paper,
-            universal_rhs=halves[universal], universal_ok=doubled_cap == universal)
-        for eps, (adjacent, doubled_in, doubled_cap, universal, paper) in zip(
-            sweep.orders, row.transfer))
+            eps=eps, adjacent=shift[0], rho_input=halves[doubled_in],
+            rho_capped=halves[doubled_cap], paper_rhs=halves[paper_in],
+            paper_applicable=paper_in is not None,
+            paper_ok=None if paper_in is None else doubled_cap == paper_in,
+            universal_rhs=halves[universal_in],
+            universal_ok=doubled_cap == universal_in)
+        for eps, shift, doubled_in, doubled_cap, universal_in, paper_in in zip(
+            sweep.orders, shifts, doubled, row.doubled_capped, universal, paper))
 
     chi_delta = _chi_delta(graph, row.added)
     h = boundary_graph(graph).num_components
@@ -400,7 +392,7 @@ def check_omega_pairing(graph: ColoredGraph) -> OmegaPairingReport:
     times it is the G-degree.  The sums are taken of twice-genus
     integers."""
     _require_regular_4(graph, "the G-degree pairing")
-    sweep, doubled = _doubled_genera(graph)
+    sweep, doubled = genus_table(graph)
     omega = sum(doubled)
     sums = [doubled[k] + doubled[j] for k, j in enumerate(_partner_indices())]
     values = set(sums)
@@ -423,6 +415,11 @@ def _omega_pairing_ok(doubled: list[int]) -> bool:
 # lower bounds
 
 
+def _require_ranks(m: int, m_hat: int) -> None:
+    if m < 0 or m_hat < 0:
+        raise PreconditionError("group ranks must be non-negative")
+
+
 def lower_bound_thm(chi_m: int, m: int, h: int, m_hat: int) -> tuple[int, int]:
     """Lower bounds for the weighted genus and weighted G-degree of a
     compact 4-manifold from its Euler characteristic, fundamental-group
@@ -430,8 +427,7 @@ def lower_bound_thm(chi_m: int, m: int, h: int, m_hat: int) -> tuple[int, int]:
     if h < 1:
         raise PreconditionError(
             f"bound is stated for at least one boundary component, got h={h}")
-    if m < 0 or m_hat < 0:
-        raise PreconditionError("group ranks must be non-negative")
+    _require_ranks(m, m_hat)
     genus_bound = 2 * chi_m + 3 * m + 2 * h - 4 + 2 * m_hat
     return genus_bound, 12 * genus_bound
 
@@ -466,7 +462,7 @@ def check_bound_on_gem(graph: ColoredGraph, chi_m: int, m: int, h: int,
     """
     _require_regular_4(graph, "the bound checker")
     genus_bound, gdegree_bound = lower_bound_thm(chi_m, m, h, m_hat)
-    sweep, doubled = _doubled_genera(graph)
+    sweep, doubled = genus_table(graph)
     twice_omega = sum(doubled)
     twice_slack = [value - 2 * genus_bound for value in doubled]
 
@@ -510,6 +506,7 @@ def check_semisimple(graph: ColoredGraph, m: int, m_hat: int, h: int
     residues minimal) and list the cyclic orders witnessing weak
     semi-simplicity."""
     _require_regular_4(graph, "semi-simplicity")
+    _require_ranks(m, m_hat)
     k = count_g(graph, range(4))[0]
     if k != h:
         raise ResidueShapeError(

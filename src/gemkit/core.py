@@ -44,9 +44,10 @@ class ColoredGraph:
     color_maps: tuple[tuple[int, ...], ...]
     is_regular: bool = field(compare=False)
     is_bipartite: bool = field(compare=False)
-    # residue decompositions by color bitmask, the vertex classification
-    # and the boundary graph, filled on first use, and the component count
-    # of a graph built without the connectivity check; dropped with the graph
+    # residue decompositions by color bitmask, the vertex classification,
+    # the boundary graph, the genus table and the capping rows, filled on
+    # first use, and the component count of a graph built without the
+    # connectivity check; dropped with the graph
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 

@@ -136,7 +136,8 @@ _PAD = 255
 # their orders and pieces once built: by tracemalloc 0.25 MiB at d=7 and
 # 2.1 MiB at d=8 for info, 0.71 and 5.9 MiB with the orders.  A d=9 sweep
 # would keep 20 MiB, 56 MiB with its orders, and rebuilds in about 0.2 s,
-# so larger ones are rebuilt on each call.
+# so a larger one is rebuilt on each call; ``genus_table`` makes one call
+# per graph and keeps the sweep with the table in the graph's memo.
 _SWEEP_CACHE_MAX_D = 8
 _sweeps: dict[int, _Sweep] = {}
 
@@ -364,15 +365,19 @@ class GenusTable(NamedTuple):
         return JSONText("".join(parts))
 
 
-def _doubled_genera(graph: ColoredGraph) -> GenusTable:
-    """The sweep of the graph's dimension and twice the genus for each of
-    its orders, read from the graph's pair table.
+def genus_table(graph: ColoredGraph) -> GenusTable:
+    """The sweep of the graph's dimension and twice the genus at each of
+    its orders, read from the graph's pair table: built once per graph and
+    kept in its memo, whose readers share the list and never change it.
 
     At an order, 2 - 2·rho sums the counts of its d+1 consecutive pairs
     and (1 - d)·p; with boundary, regular components only, (1 - d)·p_dot
     + (2 - d)·p_bar and the boundary graph's count on the two colors next
     to d.  So all pair counts are read once and each order sums its own.
     """
+    table = graph._memo.get("genus")
+    if table is not None:
+        return table
     d = graph.dimension
     sweep = _sweep(d)
     masks = _color_sets(d).pair_masks
@@ -388,8 +393,9 @@ def _doubled_genera(graph: ColoredGraph) -> GenusTable:
         ends = [0 if mask & top else _residues_by_mask(bgraph, mask).count
                 for mask in masks]
         base = 2 + (d - 1) * cls.p_dot + (d - 2) * cls.p_bar
-    return GenusTable(sweep, _doubled_row(sweep, counts + ends, base,
-                                          graph.is_bipartite))
+    table = graph._memo["genus"] = GenusTable(
+        sweep, _doubled_row(sweep, counts + ends, base, graph.is_bipartite))
+    return table
 
 
 def _doubled_row(sweep: _Sweep, row: list[int], base: int, bipartite: bool
@@ -435,25 +441,20 @@ def rho_table(graph: ColoredGraph) -> dict[CyclicPermutation, Fraction]:
     """Genus of the regular embedding for every cyclic order, keyed in
     canonical (sorted) order: ``rho_table(graph)[eps]`` is the genus at
     eps."""
-    return _doubled_genera(graph).by_order()
-
-
-def genus_table(graph: ColoredGraph) -> GenusTable:
-    """The genus at every cyclic order, from one sweep."""
-    return _doubled_genera(graph)
+    return genus_table(graph).by_order()
 
 
 def regular_genus(graph: ColoredGraph) -> tuple[Fraction, list[CyclicPermutation]]:
     """Minimum genus over all cyclic orders, with the argmin list in
     canonical order."""
-    return _doubled_genera(graph).minimum()
+    return genus_table(graph).minimum()
 
 
 def gurau_degree(graph: ColoredGraph) -> Fraction:
     """Sum of the genus values over all d!/2 cyclic orders."""
     if not graph.is_regular:
         raise NotRegularError("G-degree is defined for regular graphs")
-    return Fraction(sum(_doubled_genera(graph)[1]), 2)
+    return Fraction(sum(genus_table(graph).doubled), 2)
 
 
 @dataclass(frozen=True)
@@ -552,13 +553,13 @@ def _parameter_free_checks(graph: ColoredGraph, doubled: list[int],
             graph, fv, chi, sum(g for g, _ in triples.values()))
     else:
         out["capping_identities"] = all(
-            row.ok for row in checks._capping_rows(graph)[1])
+            row.ok for row in checks._capping_rows(graph))
     return out
 
 
 def invariant_report(graph: ColoredGraph) -> InvariantReport:
     # first: too many orders raise before any residue is decomposed
-    sweep, doubled = _doubled_genera(graph)
+    sweep, doubled = genus_table(graph)
     cls = classify_vertices(graph)
     sets, counts = _color_sets(graph.dimension), {}
     fv = _f_vector(graph, counts)

@@ -22,7 +22,7 @@ from .errors import (
     NotADipoleError,
     NotRegularError,
 )
-from .invariants import _doubled_genera, euler_characteristic
+from .invariants import euler_characteristic, genus_table
 
 
 @dataclass(frozen=True, order=True)
@@ -279,9 +279,9 @@ def full_contraction(graph: ColoredGraph, verify: bool = True) -> ColoredGraph:
         raise DisconnectedError(f"{components} connected components")
     if not verify:
         return _contract(graph)
-    genera, chi = _doubled_genera(graph), euler_characteristic(graph)
+    genera, chi = genus_table(graph), euler_characteristic(graph)
     out = _contract(graph)
-    after, out_chi = _doubled_genera(out).doubled, euler_characteristic(out)
+    after, out_chi = genus_table(out).doubled, euler_characteristic(out)
     if out_chi != chi:
         raise InternalInconsistencyError(
             f"contraction moved the Euler characteristic: {chi} -> {out_chi}")

@@ -252,6 +252,15 @@ MUTANTS = (
             f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph"),
            "the paper form reads the boundary graph's count on the ends "
            "in place of its count on the ends and c"),
+    Mutant("report-universal-sums-the-capped-row", "checks.py",
+           "check_regularization_identities",
+           "[value + shift[1] for value, shift in zip(doubled, shifts)]",
+           "[value + shift[1] for value, shift in zip(row.doubled_capped, shifts)]",
+           (f"{CHECKS}::TestRegularizationIdentities::test_transfer_universal_parts",
+            f"{CHECKS}::TestCountPath::test_cli_matches_the_oracle_on_seeded_gems",
+            f"{CLI}::TestGolden::test_matches_golden"),
+           "a report's universal prediction adds its shift to the capped "
+           "gem's twice genus in place of the input's"),
     Mutant("joined-count-skips-a-union", "core.py", "_joined_count",
            "up[x] = y", "pass",
            (f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph",),

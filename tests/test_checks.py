@@ -40,7 +40,7 @@ from gemkit.errors import (
     ResidueShapeError,
 )
 from gemkit.gemio import read_gem, write_gem
-from gemkit.invariants import (_doubled_genera, euler_characteristic,
+from gemkit.invariants import (euler_characteristic, genus_table,
                                invariant_report)
 from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
                           regularize)
@@ -170,7 +170,7 @@ def bipartite_boundary_gem(d, p, p_dot, rng):
 def slow_capping_form(g, c, report):
     """The report's JSON form with every value of the capped gem read
     from a capped graph: ``cap_boundary``, then ``residues``,
-    ``_doubled_genera`` and ``euler_characteristic`` on it; every flag
+    ``genus_table`` and ``euler_characteristic`` on it; every flag
     compared anew."""
     d = g.dimension
     capped, _ = cap_boundary(g, c)
@@ -181,7 +181,7 @@ def slow_capping_form(g, c, report):
     lemma_ok = (all(lhs == rhs for lhs, rhs in lemma_mixed.values())
                 and len(set(lemma_singular)) == 1)
     transfer = []
-    for case, doubled in zip(out["transfer"], _doubled_genera(capped).doubled):
+    for case, doubled in zip(out["transfer"], genus_table(capped).doubled):
         rho = Fraction(doubled, 2)
         paper = case["paper_rhs"]
         transfer.append({**case, "rho_capped": str(rho),
@@ -219,7 +219,7 @@ class TestCountPath:
             assert report.to_jsonable() == slow_capping_form(g, c, report)
             assert report.to_jsonable() == bf.regularization_identities(
                 d, g.num_vertices, edges, c)
-            assert checks._capping_rows(g)[1][c].ok == report.ok
+            assert checks._capping_rows(g)[c].ok == report.ok
             assert cap_boundary(g, c)[0].is_bipartite == g.is_bipartite
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -229,10 +229,9 @@ class TestCountPath:
         the cyclic orders: min rho of ``regularize(g, c)`` is half the
         least capped value in row c."""
         g = random_boundary_gem(d, 6, seed % 6, seed=seed)
-        for c, row in enumerate(checks._capping_rows(g)[1]):
+        for c, row in enumerate(checks._capping_rows(g)):
             regular, _ = regularize(g, c)
-            assert min(_doubled_genera(regular).doubled) == min(
-                doubled_cap for _, _, doubled_cap, _, _ in row.transfer)
+            assert min(genus_table(regular).doubled) == min(row.doubled_capped)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2 ** 20), st.booleans())
@@ -377,6 +376,22 @@ class TestSemisimple:
         g = validate(4, 4, edges)  # graph minus color 4 has two components
         with pytest.raises(ResidueShapeError):
             check_semisimple(g, m=0, m_hat=0, h=1)
+
+    @pytest.mark.parametrize("m, m_hat", [(-1, 0), (0, -3), (-2, -2)])
+    def test_negative_ranks_refused(self, s4, b4, m, m_hat):
+        """Negative group ranks are refused as ``lower_bound_thm`` refuses
+        them, after the dimension and regularity checks and before the
+        residue shape is read."""
+        for call in (lambda: check_semisimple(s4, m, m_hat, 1),
+                     lambda: check_semisimple(s4, m, m_hat, 5),
+                     lambda: lower_bound_thm(2, m, 1, m_hat)):
+            with pytest.raises(PreconditionError) as exc:
+                call()
+            assert str(exc.value) == "group ranks must be non-negative"
+        with pytest.raises(DimensionError):
+            check_semisimple(order_two_gem(3), m, m_hat, 1)
+        with pytest.raises(NotRegularError):
+            check_semisimple(b4, m, m_hat, 1)
 
 
 def oracle_triple_table(graph, m, m_hat):

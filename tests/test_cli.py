@@ -888,19 +888,21 @@ class TestPipelines:
                 expected, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_genus_all_perms_sweeps_once(self, capsys, monkeypatch):
+        """The table is built once, by one sum over the sweep, for both
+        the minimum and the table."""
         from gemkit import invariants
 
-        calls = []
-        real = invariants._doubled_genera
+        sums = []
+        real = invariants._doubled_row
 
-        def counting(graph):
-            calls.append(graph)
-            return real(graph)
+        def counting(sweep, row, base, bipartite):
+            sums.append(sweep.dimension)
+            return real(sweep, row, base, bipartite)
 
-        monkeypatch.setattr(invariants, "_doubled_genera", counting)
+        monkeypatch.setattr(invariants, "_doubled_row", counting)
         argv = ["--json", "genus", str(GEMS / "k33.gem"), "--all-perms"]
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(sums) == 1
         assert capsys.readouterr().out.encode() == run_cli(*argv)[1]
 
     def test_genus_all_perms_human_lines_are_the_table(self, capsys):

@@ -92,7 +92,7 @@ class TestFVector:
         g = _gem(d, p, p_dot, seed, boundary)
         n, edges = g.num_vertices, list(g.edges())
         if warm:
-            inv._doubled_genera(g)
+            inv.genus_table(g)
         counts = {}
         assert inv._f_vector(g, counts) == bf.f_vector(d, n, edges)
         sets = [colors for size in (2, 3)
@@ -390,8 +390,10 @@ class TestPairTable:
         genera = [rho_table(g)[first] for g in gems]
         monkeypatch.setattr(inv, "_residues_by_mask", shifted)
         for g, genus in zip(gems, genera):
+            # a fresh copy: the gem's own memo keeps its unpatched table
+            fresh = validate(g.dimension, g.num_vertices, list(g.edges()))
             with pytest.raises(NonIntegralGenusError) as exc:
-                rho_table(g)
+                rho_table(fresh)
             assert str(exc.value) == (
                 f"bipartite graph produced genus {genus - Fraction(1, 2)} "
                 f"at {first.order}")

@@ -588,7 +588,7 @@ class TestFullContraction:
                                 require_connected=False)
         assert (contracted.num_vertices, len(find_1_dipoles(contracted))) == (4, 0)
         assert (twice.num_vertices, len(find_1_dipoles(twice))) == (16, 12)
-        for name in ("_contract", "_doubled_genera", "euler_characteristic"):
+        for name in ("_contract", "genus_table", "euler_characteristic"):
             monkeypatch.setattr(moves, name, refused)
         for g in (contracted, twice):
             with pytest.raises(DisconnectedError,

@@ -3,7 +3,8 @@ and merges along the color lattice in any query order, agree with an
 uncached search and the brute-force oracle, rewrites (capping too) start
 from an empty memo, and a full invariant report decomposes each color
 subset of each graph once, builds no capped graph, and builds the
-boundary graph, the capping rows and the vertex classification once.
+boundary graph, the capping rows and the vertex classification once, and
+the genus table once per gem across all its readers.
 Counts read through ``count_g`` take a residue with a connected one a
 color smaller as one component, undecomposed."""
 
@@ -21,7 +22,7 @@ from gemkit.boundary import boundary_graph
 from gemkit.checks import check_regularization_identities
 from gemkit.core import (ball_gem, count_g, order_two_gem, random_boundary_gem,
                          random_gem, residues)
-from gemkit.invariants import (_doubled_genera, f_vector, invariant_report,
+from gemkit.invariants import (f_vector, genus_table, invariant_report,
                                rho_table)
 from gemkit.moves import (
     cancel_1_dipole,
@@ -316,9 +317,9 @@ class TestWorkCount:
         real_triple = checks._spherical_triple
         real_cap = moves.cap_boundary
 
-        def counting_rows(g, genera):
+        def counting_rows(g):
             capping.append(g)
-            return real_rows(g, genera)
+            return real_rows(g)
 
         def counting_triple(bgraph, triple):
             triples.append(triple)
@@ -373,9 +374,9 @@ class TestWorkCount:
         built = []
         real_rows = checks._build_capping_rows
 
-        def counting_rows(g, genera):
+        def counting_rows(g):
             built.append(g)
-            return real_rows(g, genera)
+            return real_rows(g)
 
         monkeypatch.setattr(checks, "_build_capping_rows", counting_rows)
         return built
@@ -400,10 +401,57 @@ class TestWorkCount:
         check_regularization_identities(graph, d - 1)
         assert built == [graph]
         rows = graph._memo["capping"]
-        assert len(rows[1]) == d
+        assert len(rows) == d
         for c in range(d):
             check_regularization_identities(graph, c)
         assert built == [graph] and graph._memo["capping"] is rows
+
+    def test_one_genus_table_per_gem(self, monkeypatch):
+        """The report, every color's capping report, the pairing check, a
+        verified contraction and the bound check on its output share one
+        genus table per gem, kept in its memo; no reader changes the kept
+        list, which equals a fresh copy's table."""
+        sums = []
+        real_row = invariants._doubled_row
+
+        def counting_row(sweep, row, base, bipartite):
+            sums.append(sweep.dimension)
+            return real_row(sweep, row, base, bipartite)
+
+        # the capping rows sum their capped rows through checks' own name
+        monkeypatch.setattr(invariants, "_doubled_row", counting_row)
+        bounded = random_boundary_gem(4, 12, 5, seed=1)
+        invariant_report(bounded)
+        for c in range(4):
+            check_regularization_identities(bounded, c)
+        regular = random_gem(4, 5, seed=5)
+        checks.check_omega_pairing(regular)
+        out = moves.full_contraction(regular, verify=True)
+        assert out.num_vertices < regular.num_vertices
+        checks.check_bound_on_gem(out, 2, 0, 1, 0)
+        gems = (bounded, regular, out)
+        assert len(sums) == len(gems)
+        for g in gems:
+            table = g._memo["genus"]
+            assert genus_table(g) is table
+            fresh = core.validate(g.dimension, g.num_vertices, list(g.edges()))
+            assert table == genus_table(fresh)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_rows_keep_only_what_their_color_changes(self, d):
+        """Each kept row holds the capped gem's twice genus at every order
+        and one shift per pair of colors next to d: no per-order tuple."""
+        graph = random_boundary_gem(d, 3, 1, seed=d)
+        rows = checks._capping_rows(graph)
+        sweep = genus_table(graph).sweep
+        ends = set(zip(sweep.flat[::d], sweep.flat[d - 1::d]))
+        assert len(rows) == d
+        for row in rows:
+            assert len(row.doubled_capped) == sweep.count
+            assert all(type(value) is int for value in row.doubled_capped)
+            assert set(row.shifts) == ends
+            assert not [value for value in row if isinstance(value, list)
+                        and value is not row.doubled_capped]
 
     def test_one_sweep_per_gem_past_the_kept_sweeps(self, monkeypatch):
         """With no sweep kept above d = 3, the capping reports of all four
@@ -473,7 +521,7 @@ class TestCountClosure:
                                      rng):
         g = sample_gem(d, p, seed, with_boundary)
         if start == "genera":
-            _doubled_genera(g)
+            genus_table(g)
         elif start == "report":
             invariant_report(g)
         edges = list(g.edges())
