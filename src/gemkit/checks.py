@@ -40,7 +40,7 @@ from .invariants import (
     genus_table,
     gurau_degree,
 )
-from .moves import _capped_final, full_contraction
+from .moves import _capping_edges, full_contraction
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,10 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
     # the genus table first: its order limit refuses before any other work
     sweep, doubled = genus_table(graph)
     bgraph = boundary_graph(graph).graph
-    counts = {1 << a | 1 << b: _residues_by_mask(bgraph, 1 << a | 1 << b).count
+    p_bar = classify_vertices(graph).p_bar
+    # each color of the boundary graph matches its 2 p_bar vertices
+    counts = {1 << a | 1 << b: p_bar if a == b else
+              _residues_by_mask(bgraph, 1 << a | 1 << b).count
               for a in range(d) for b in range(a, d)}
     triples = {}
     for tri in combinations(range(d), 3):
@@ -192,16 +195,16 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
         triples[mask] = (_residues_by_mask(bgraph, mask).count
                          if _spherical_triple(bgraph, frozenset(tri)) else None)
     mixed = [count_g(graph, (i, d)) for i in range(d)]  # (g, g_dot) on {i, d}
-    p_bar = classify_vertices(graph).p_bar
     # capping keeps every residue without color d, and a regular capped gem
     # reads no boundary counts: the pairs {i, d} are filled in per color
     capped_row = [0 if b == d else _residues_by_mask(graph, 1 << a | 1 << b).count
                   for a, b in sweep.pairs] + [0] * len(sweep.pairs)
     slots = [k for k, (_, b) in enumerate(sweep.pairs) if b == d]
     ends = list(zip(sweep.flat[::d], sweep.flat[d - 1::d]))  # colors next to d
+    pairs = set(ends)
     base = 2 + (d - 1) * (graph.num_vertices // 2)
     for c in range(d):
-        added = _capped_final(graph, c)[1]
+        added = _capping_edges(graph, c)
         capped = [_joined_count(_residues_by_mask(graph, 1 << i | 1 << d), added)
                   for i in range(d)]
 
@@ -218,7 +221,7 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
         doubled_capped = _doubled_row(sweep, row, base, graph.is_bipartite)
         # by the two colors next to d, as ``_CappingRows.shifts`` holds them
         shifts = {}
-        for e0, e_last in set(ends):
+        for e0, e_last in pairs:
             dg_ends = counts[1 << e0 | 1 << e_last]
             universal = (p_bar + dg_ends - counts[1 << e0 | 1 << c]
                          - counts[1 << e_last | 1 << c])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -302,12 +303,43 @@ def _without(graph: ColoredGraph, *colors: int) -> ResidueDecomposition:
 
 def _residues_by_mask(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
     """``residues`` on a bitmask of colors already known to be in 0..d:
-    a walk for at most two colors, else a merge onto a decomposed prefix."""
+    a walk for at most two colors.  On more, a mask with a memoized
+    one-component residue a color smaller is written as one component
+    directly, its labels all 0, and any other is a merge onto a
+    decomposed prefix."""
     dec = graph._memo.get(mask)
     if dec is None:
-        kernel = _walk if mask.bit_count() <= 2 else _merge
-        dec = graph._memo[mask] = kernel(graph, mask)
+        if mask.bit_count() <= 2:
+            dec = _walk(graph, mask)
+        else:
+            regular = _one_component_regular(graph, mask)
+            dec = (_merge(graph, mask) if regular is None else
+                   ResidueDecomposition._unchecked(
+                       _colors_of(mask), (regular,), (0,) * graph.num_vertices,
+                       (0,)))
+        graph._memo[mask] = dec
     return dec
+
+
+def _decompose(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
+    """The decomposition on a mask by a kernel, not memoized: a walk for
+    at most two colors, else a merge onto a decomposed prefix."""
+    return (_walk if mask.bit_count() <= 2 else _merge)(graph, mask)
+
+
+def _one_component_regular(graph: ColoredGraph, mask: int) -> bool | None:
+    """None unless a residue a color smaller than the mask is memoized as
+    one component; then the mask's residue is one component too, as
+    adding a color only merges components, and this is whether it is
+    regular.  The component holds every vertex and each color below d
+    meets every vertex, so it is irregular exactly when the mask holds d
+    and the graph has a boundary."""
+    memo = graph._memo
+    for smaller in _one_smaller(mask):
+        sub = memo.get(smaller)
+        if sub is not None and sub.count == 1:
+            return graph.is_regular or not mask >> graph.dimension & 1
+    return None
 
 
 @cache
@@ -429,8 +461,10 @@ def _merge(graph: ColoredGraph, mask: int) -> ResidueDecomposition:
             up[k] = m = up[r]
             if not whole[k]:
                 regular[m] = False
+    # one gather relabels every vertex: a graph has at least two, so the
+    # getter returns a tuple
     return ResidueDecomposition._unchecked(
-        color_set, tuple(regular), tuple([up[k] for k in labels]),
+        color_set, tuple(regular), itemgetter(*labels)(up),
         tuple([least[k] for k in roots]))
 
 
@@ -449,7 +483,11 @@ def _joined_count(dec: ResidueDecomposition, added) -> int:
     labels, up = dec.labels, list(range(dec.count))
     count = dec.count
     for u, v in added:
-        x, y = _root(up, labels[u]), _root(up, labels[v])
+        x, y = labels[u], labels[v]
+        while up[x] != x:  # each root found as ``_root`` does, inline
+            up[x] = x = up[up[x]]
+        while up[y] != y:
+            up[y] = y = up[up[y]]
         if x != y:
             up[x] = y
             count -= 1
@@ -464,23 +502,16 @@ def count_g(graph: ColoredGraph, colors: Iterable[int]) -> tuple[int, int]:
 def _count(graph: ColoredGraph, mask: int) -> tuple[int, int]:
     """(g, g_dot) on a bitmask of colors already known to be in 0..d.
 
-    Adding a color to a residue only merges its components, so a residue
-    is connected when one on a color fewer is.  On a memo miss, a mask
-    with a memoized one-component residue a color smaller is counted as
-    one component, with no decomposition made or kept.  The component
-    holds every vertex and each color below d meets every vertex, so it
-    is irregular exactly when the mask holds d and the graph has a
-    boundary."""
+    On a memo miss, a mask with a memoized one-component residue a color
+    smaller is counted as one component, with no decomposition made or
+    kept."""
     memo = graph._memo
     dec = memo.get(mask)
     if dec is None:
-        for smaller in _one_smaller(mask):
-            sub = memo.get(smaller)
-            if sub is not None and sub.count == 1:
-                if graph.is_regular or not mask >> graph.dimension & 1:
-                    return 1, 1
-                return 1, 0
-        dec = _residues_by_mask(graph, mask)
+        regular = _one_component_regular(graph, mask)
+        if regular is not None:
+            return 1, 1 if regular else 0
+        dec = memo[mask] = _decompose(graph, mask)
     return dec.count, dec.regular_count
 
 

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import ColoredGraph, validate
 from .errors import GemError, ParseError, StoreCorruptError, ValidationError
@@ -102,22 +102,30 @@ class GemFile:
     def digest(self) -> str:
         """Content hash of the canonical graph data (name excluded)."""
         c = self.canonical()
-        return _digest(c.dimension, c.vertices, c.edges)
+        return _digest(c.dimension, c.vertices,
+                       tuple(chain.from_iterable(c.edges)))
 
 
-def _digest(dimension: int, vertices: int,
-            edges: Iterable[tuple[int, int, int]]) -> str:
-    """The content hash of graph data whose edges are in canonical order;
-    JSON writes an edge tuple as a list."""
-    payload = _canonical({"dimension": dimension, "vertices": vertices,
-                          "edges": list(edges)})
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+def _digest(dimension: int, vertices: int, flat: Sequence[int]) -> str:
+    """The content hash of graph data, from its edges in canonical order
+    flattened: u, v and the color of each edge in turn, all integers.
+    The hashed text is what ``_canonical`` writes of the object with keys
+    dimension, edges (a list of [u, v, color] lists) and vertices, made
+    by one ``%`` format."""
+    text = ('{"dimension":%d,"edges":[' + ("[%d,%d,%d]," * (len(flat) // 3))[:-1]
+            + '],"vertices":%d}') % (dimension, *flat, vertices)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _graph_digest(graph: ColoredGraph) -> str:
-    """The digest of the graph's gem file, from the edges the graph lists
-    in canonical order already, so they are not sorted again."""
-    return _digest(graph.dimension, graph.num_vertices, graph.edges())
+    """The digest of the graph's gem file, read off the color maps in
+    canonical edge order, so no edge is sorted or built as a tuple."""
+    flat = []
+    for c, row in enumerate(graph.color_maps):
+        for u, v in enumerate(row):
+            if v > u:
+                flat += (u, v, c)
+    return _digest(graph.dimension, graph.num_vertices, flat)
 
 
 def gemfile_from_graph(graph: ColoredGraph, name: Optional[str] = None) -> GemFile:

@@ -190,26 +190,37 @@ def cap_boundary(graph: ColoredGraph, color: int) -> tuple[ColoredGraph, tuple]:
 def _capped_final(graph: ColoredGraph, color: int
                   ) -> tuple[list[int], tuple[tuple[int, int], ...]]:
     """The final-color map of the graph capped along ``color`` and the
-    added edges, after checking the color and then that the graph has a
-    boundary."""
+    added edges of ``_capping_edges``."""
+    added = _capping_edges(graph, color)
+    final = list(graph.color_maps[graph.dimension])
+    for u, v in added:
+        final[u], final[v] = v, u
+    return final, added
+
+
+def _capping_edges(graph: ColoredGraph, color: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """The edges capping the graph along ``color``, after checking the
+    color and then that the graph has a boundary: the two boundary
+    vertices of each {color, d}-residue that holds any, listed by the
+    residue's least vertex.  Each such residue is a path whose ends are
+    its boundary vertices, so a residue holding other than two is an
+    inconsistency, and every boundary vertex is capped."""
     d = graph.dimension
     if not 0 <= color < d:
         raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
     if graph.is_regular:
         raise NoBoundaryError("graph is regular: empty boundary")
-    # a boundary vertex ends the {color, d}-path through it, so each path's
-    # residue holds its two ends; residues are numbered by least vertex
     labels = _residues_by_mask(graph, 1 << color | 1 << d).labels
     ends = {}
     for v in graph.boundary_vertices():
         ends.setdefault(labels[v], []).append(v)
-    added = tuple(tuple(ends[k]) for k in sorted(ends))
-    final = list(graph.color_maps[d])
-    for u, v in added:
-        final[u], final[v] = v, u
-    if NO_EDGE in final:
-        raise InternalInconsistencyError("capping left boundary vertices")
-    return final, added
+    for held in ends.values():
+        if len(held) != 2:
+            raise InternalInconsistencyError(
+                f"the {{{color},{d}}}-residue of vertex {held[0]} holds "
+                f"{len(held)} boundary vertices")
+    return tuple(tuple(ends[k]) for k in sorted(ends))
 
 
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:

@@ -7,6 +7,7 @@ it builds a report's JSON form as dicts, from the package's own counts
 and genus table, as a reference for the report's spliced JSON text.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -285,6 +286,18 @@ def gem_text(dimension, num_vertices, edges, name=None, metadata=None):
             lines.append(f'  "{key}": {json.dumps(doc[key], sort_keys=True)}{comma}')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def digest(dimension, num_vertices, edges):
+    """The catalog digest of graph data as the JSON encoder writes it:
+    sha256 of the compact, key-sorted JSON object holding the dimension,
+    the vertex count and the edges, each with its lesser end first, by
+    color then ends."""
+    doc = {"dimension": dimension, "vertices": num_vertices,
+           "edges": sorted(([min(u, v), max(u, v), c] for u, v, c in edges),
+                           key=lambda e: (e[2], e[0], e[1]))}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def rho_closed(dimension, num_vertices, edges, eps):

@@ -158,7 +158,7 @@ MUTANTS = (
            (f"{CORE}::TestOnePassChecks::test_map_fault_precedence",),
            "a broken involution is named before a loop in a later map"),
     Mutant("count-reads-gdot-as-one", "core.py", "_count",
-           "return 1, 0", "return 1, 1",
+           "1 if regular else 0", "1",
            (f"{MEMO}::TestCountClosure::test_one_component_counted_without_a_kernel",
             f"{MEMO}::TestCountClosure::test_counts_match_bruteforce"),
            "a one-component residue holding d on a gem with boundary is "
@@ -226,12 +226,26 @@ MUTANTS = (
             "::test_several_components_refused_before_any_step",),
            "a graph of several components is read and contracted before "
            "it is refused, or comes back unchanged"),
-    Mutant("capping-drops-an-edge", "moves.py", "_capped_final",
-           "return final, added", "return final, added[1:]",
-           (f"{CHECKS}::TestRegularizationIdentities::test_b4_all_colors",
-            f"{MOVES}::TestRegularize::test_lemma_counts_on_capped_graph"),
-           "the capping checks read one capping edge fewer than the capped "
-           "gem has"),
+    Mutant("capping-drops-an-edge", "moves.py", "_capping_edges",
+           "return tuple(tuple(ends[k]) for k in sorted(ends))",
+           "return tuple(tuple(ends[k]) for k in sorted(ends))[1:]",
+           (f"{CLI}::TestGolden::test_matches_golden",
+            f"{MOVES}::TestRegularize::test_lemma_counts_on_capped_graph",
+            f"{MOVES}::TestRegularize::test_one_build_matches_cap_then_swap"),
+           "regularize, cap_boundary and the capping checks all read one "
+           "capping edge fewer than the boundary needs"),
+    Mutant("capping-edges-skip-the-pairing-check", "moves.py", "_capping_edges",
+           "len(held) != 2", "False",
+           (f"{MOVES}::TestRegularize::test_three_boundary_ends_in_one_residue_raise",),
+           "a residue holding three boundary vertices gives a capping "
+           "'edge' of three ends, which fails to unpack"),
+    Mutant("capping-rows-miscount-one-color", "checks.py", "_build_capping_rows",
+           "p_bar if a == b else _residues_by_mask(bgraph, 1 << a | 1 << b).count",
+           "p_bar + 1 if a == b else _residues_by_mask(bgraph, 1 << a | 1 << b).count",
+           (f"{CHECKS}::TestRegularizationIdentities::test_transfer_universal_parts",
+            f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph"),
+           "the rows take the boundary graph's count on one color as one "
+           "more than its p_bar edges"),
     Mutant("chi-delta-skips-a-mask", "checks.py", "_chi_delta",
            "(1 << d + 1) - 1", "(1 << d + 1) - 2",
            (f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph",),
@@ -277,8 +291,8 @@ MUTANTS = (
             f"{INVARIANTS}::TestRho::test_k33_torus"),
            "the genus of the last order of the sweep is one too high"),
     Mutant("merge-reverses-the-root-numbers", "core.py", "_merge",
-           "tuple([up[k] for k in labels])",
-           "tuple([len(regular) - 1 - up[k] for k in labels])",
+           "itemgetter(*labels)(up)",
+           "itemgetter(*labels)([len(regular) - 1 - m for m in up])",
            (f"{MEMO}::TestLeastVertices::test_kept_by_the_kernels",
             f"{MEMO}::TestLabelsFirstSearch::test_every_mask_matches_oracles"),
            "a merge numbers its united components against their least "
@@ -298,6 +312,21 @@ MUTANTS = (
            (f"{MEMO}::TestLabelsFirstSearch::test_every_mask_matches_oracles",),
            "a path that starts at a vertex missing the first color is "
            "taken as a cycle and walked one way"),
+    Mutant("one-component-reads-every-mask-as-regular", "core.py",
+           "_one_component_regular",
+           "graph.is_regular or not mask >> graph.dimension & 1", "True",
+           (f"{MEMO}::TestOneComponentWrite::test_two_vertex_gems",
+            f"{MEMO}::TestOneComponentWrite::test_matches_the_kernels_and_the_search",
+            f"{MEMO}::TestCountClosure::test_one_component_counted_without_a_kernel"),
+           "a one-component residue holding d on a gem with boundary, "
+           "written or counted undecomposed, is taken as regular"),
+    Mutant("digest-drops-the-last-edge", "gemio.py", "_digest",
+           "(dimension, *flat, vertices)",
+           "(dimension, *flat[:-3], *flat[-6:-3], vertices)",
+           (f"{GEMIO}::TestDigestOracle::test_both_paths_match_the_oracle",
+            f"{CLI}::TestGolden::test_catalog_matches_golden"),
+           "the digest text leaves out the last edge, writing the edge "
+           "before it twice"),
     Mutant("payload-json-keeps-the-run-past-a-list", "gemio.py", "_payload_json",
            "if run:\n    out += (_canonical(run)[1:-1], ',')\n    run = {}",
            "pass",

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gemkit import (
@@ -47,6 +47,11 @@ from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
 
 import bruteforce as bf
 from corpus import grow_by_insertions, k33_graph, shell_apart_corpus
+
+
+# the slow capping tests fail on their first failing example: shrinking
+# one of their gems reruns every color's oracle, for minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def torus_block_graph():
@@ -119,7 +124,7 @@ class TestCappingRecord:
     per graph; every color's report equals the slow path that rebuilds
     everything, before and after the memo is filled."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(st.integers(3, 5), st.integers(2, 7), st.integers(0, 2 ** 20),
            st.booleans(), st.randoms(use_true_random=False))
     def test_every_color_matches_the_slow_path(self, d, p, seed, report_first,
@@ -202,7 +207,7 @@ class TestCountPath:
     a capped graph and the brute-force oracle, and the catalog flag equals
     the reports' ``ok``."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
            st.booleans())
     def test_reports_match_the_capped_graph(self, d, p, seed, bipartite):

@@ -1,6 +1,7 @@
 import json
 import operator
 import os
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gemkit import (ball_gem, gemio, invariant_report, order_two_gem,
                     random_boundary_gem)
+from gemkit.core import ColoredGraph
 from gemkit.errors import ParseError, ValidationError
 from gemkit.gemio import (
     GemFile,
@@ -239,6 +241,45 @@ class TestDigest:
         assert gemio._graph_digest(g) == GemFile(d, g.num_vertices,
                                                  tuple(edges)).digest()
         assert gemio._graph_digest(g) == gemfile_from_graph(g).digest()
+
+
+def digest_sample(d, p, seed, with_boundary):
+    """A gem of any dimension from 1 up: above 1 a sampled one, and at 1
+    the alternating cycle or, with boundary, path on 2p vertices in a
+    seeded order."""
+    if d > 1:
+        return sample_gem(d, p, seed, with_boundary)
+    order = random.Random(seed).sample(range(2 * p), 2 * p)
+    edges = [(order[k], order[k + 1], k % 2) for k in range(2 * p - 1)]
+    if not with_boundary:
+        edges.append((order[-1], order[0], 1))
+    return ColoredGraph.from_edges(1, 2 * p, edges)
+
+
+class TestDigestOracle:
+    """``_digest`` writes with one format the text the JSON encoder
+    writes: both digest paths equal the oracle's hash of ``json.dumps``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2 ** 20),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_both_paths_match_the_oracle(self, d, p, seed, with_boundary,
+                                         rng):
+        g = digest_sample(d, p, seed, with_boundary)
+        n, edges = g.num_vertices, list(g.edges())
+        want = bf.digest(d, n, edges)
+        assert gemio._graph_digest(g) == want
+        assert gemfile_from_graph(g).digest() == want
+        shuffled = [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                    for u, v, c in edges]
+        rng.shuffle(shuffled)
+        assert GemFile(d, n, tuple(shuffled)).digest() == want
+        assert GemFile(d, n, tuple(edges[::-1])).digest() == want
+
+    @pytest.mark.parametrize("dimension,vertices", [(4, 2), (1, 0), (0, 5)])
+    def test_no_edges(self, dimension, vertices):
+        assert GemFile(dimension, vertices, ()).digest() == bf.digest(
+            dimension, vertices, [])
 
 
 JSON_VALUES = st.recursive(

@@ -51,6 +51,7 @@ from gemkit.moves import (
     swap_colors,
 )
 
+import gemkit.checks as checks
 import gemkit.core as core
 import gemkit.moves as moves
 from gemkit.core import NO_EDGE, ColoredGraph
@@ -498,6 +499,36 @@ class TestRegularize:
             with pytest.raises(InternalInconsistencyError,
                                match="^capping gave no perfect matching$"):
                 regularize(g, singular_color=1)
+
+    @pytest.mark.parametrize("reader", ["regularize", "capping rows"])
+    def test_three_boundary_ends_in_one_residue_raise(self, reader):
+        """``_capping_edges`` pairs the boundary vertices of each {c, d}-
+        residue; labels that put a third boundary vertex in one residue
+        are an inconsistency for every reader, not a capping edge."""
+        g = random_boundary_gem(4, 6, 2, seed=5)
+        c, d = 1, 4
+        real = moves._residues_by_mask
+        dec = core._residues_by_mask(g, 1 << c | 1 << d)
+        b = g.boundary_vertices()
+        labels = list(dec.labels)
+        moved = next(v for v in b if labels[v] != labels[b[0]])
+        labels[moved] = labels[b[0]]
+
+        def relabelled(graph, mask):
+            if graph is g and mask == 1 << c | 1 << d:
+                return core.ResidueDecomposition(dec.color_set, dec.regular,
+                                                 tuple(labels))
+            return real(graph, mask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_residues_by_mask", relabelled)
+            with pytest.raises(InternalInconsistencyError,
+                               match=rf"^the \{{1,4\}}-residue of vertex {b[0]} "
+                                     "holds 3 boundary vertices$"):
+                if reader == "regularize":
+                    regularize(g, singular_color=c)
+                else:
+                    checks._capping_rows(g)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))

@@ -570,6 +570,53 @@ class TestCountClosure:
             assert g._memo == memo
 
 
+class TestOneComponentWrite:
+    """A mask of three colors or more with a memoized one-component
+    residue a color smaller is written as one component with no merge,
+    equal to the kernels' decomposition and the search's; its component
+    is irregular exactly when the mask holds d on a gem with boundary."""
+
+    @staticmethod
+    def decompose_ascending(g, monkeypatch):
+        """Decompose every mask in ascending order, each mask of three
+        colors or more with a one-component residue a color smaller under
+        a merge that raises; the number of such masks."""
+        def merge(graph, mask):
+            raise AssertionError(f"merged mask {mask}")
+
+        d, written = g.dimension, 0
+        for mask in range(2 ** (d + 1)):
+            if mask.bit_count() < 3 or not any(
+                    g._memo[mask ^ 1 << c].count == 1
+                    for c in core._colors_of(mask)):
+                core._residues_by_mask(g, mask)
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(core, "_merge", merge)
+                dec = core._residues_by_mask(g, mask)
+            written += 1
+            assert dec == core._decompose(g, mask) == bfs_decompose(g, mask)
+            assert dec.least == core._decompose(g, mask).least == (0,)
+            assert dec.regular == (g.is_regular or not mask >> d & 1,)
+        return written
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 7), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_matches_the_kernels_and_the_search(self, d, p, seed,
+                                                with_boundary):
+        with pytest.MonkeyPatch.context() as mp:
+            self.decompose_ascending(sample_gem(d, p, seed, with_boundary), mp)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_two_vertex_gems(self, monkeypatch, d):
+        # a color below d is the one component, so every mask of three
+        # colors or more is written
+        for g in (order_two_gem(d), ball_gem(d)):
+            assert self.decompose_ascending(g, monkeypatch) == sum(
+                comb(d + 1, k) for k in range(3, d + 2))
+
+
 def test_concurrent_readers_share_one_graph():
     """Threads reading one graph race on its memo; every write stores the
     value any other thread would compute, so all see the serial answers."""
