@@ -2,8 +2,9 @@
 
 The boundary graph of a member of G_d lives on the boundary vertices;
 two of them are joined by a color-j edge exactly when the parent joins
-them by a path alternating colors j and d.  Each component is a regular
-d-colored graph encoding one boundary component.
+them by a path alternating colors j and d: an edge capping along j,
+paired here for the boundary graph and for capping alike.  Each
+component is a regular d-colored graph encoding one boundary component.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NO_EDGE, ColoredGraph, _from_maps, _renumbered, residues
-from .errors import InternalInconsistencyError, NoBoundaryError
+from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
+                   _residues_by_mask, residues)
+from .errors import (InternalInconsistencyError, InvalidColorError,
+                     NoBoundaryError)
 
 
 @dataclass(frozen=True)
@@ -54,25 +57,39 @@ def boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
 def _build_boundary_graph(graph: ColoredGraph) -> BoundaryGraph:
     d = graph.dimension
     boundary = graph.boundary_vertices()
-    if not boundary:
-        raise NoBoundaryError("graph is regular: empty boundary")
+    index = {v: i for i, v in enumerate(boundary)}
     maps = [[NO_EDGE] * len(boundary) for _ in range(d)]
     for j in range(d):
-        # a boundary vertex ends the {j, d}-path through it, so the
-        # boundary vertices of each {j, d}-residue come in one pair
-        labels = residues(graph, {j, d}).labels
-        first = {}
-        for i, v in enumerate(boundary):
-            k = first.pop(labels[v], None)
-            if k is None:
-                first[labels[v]] = i
-            else:
-                maps[j][k], maps[j][i] = i, k
-        if first:
-            raise InternalInconsistencyError(
-                f"{len(first)} {{{j},{d}}}-residue(s) hold one boundary vertex")
+        # the capping edges along j join the boundary vertices j-adjacent here
+        for u, v in _capping_edges(graph, j):
+            maps[j][index[u]], maps[j][index[v]] = index[v], index[u]
     bgraph = _from_maps(d - 1, maps, require_connected=False)
     return BoundaryGraph(bgraph, boundary, residues(bgraph, range(d)).labels)
+
+
+def _capping_edges(graph: ColoredGraph, color: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """The edges capping the graph along ``color``, after checking the
+    color and then that the graph has a boundary: the two boundary
+    vertices of each {color, d}-residue that holds any, listed by the
+    residue's least vertex.  Each such residue is a path whose ends are
+    its boundary vertices, so a residue holding other than two is an
+    inconsistency, and every boundary vertex is capped."""
+    d = graph.dimension
+    if not 0 <= color < d:
+        raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
+    if graph.is_regular:
+        raise NoBoundaryError("graph is regular: empty boundary")
+    labels = _residues_by_mask(graph, 1 << color | 1 << d).labels
+    ends = {}
+    for v in graph.boundary_vertices():
+        ends.setdefault(labels[v], []).append(v)
+    for held in ends.values():
+        if len(held) != 2:
+            raise InternalInconsistencyError(
+                f"the {{{color},{d}}}-residue of vertex {held[0]} holds "
+                f"{len(held)} boundary vertices")
+    return tuple(tuple(ends[k]) for k in sorted(ends))
 
 
 def boundary_g(graph: ColoredGraph, colors: Iterable[int]) -> int:

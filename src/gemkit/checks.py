@@ -40,7 +40,7 @@ from .invariants import (
     genus_table,
     gurau_degree,
 )
-from .moves import _capping_edges, full_contraction
+from .moves import full_contraction
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,14 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
     odd-length paths, so it is bipartite exactly when the input is.
     Counts are keyed by color bitmask: ``counts`` holds the boundary
     graph's on one and two colors below d, ``triples`` its count on three
-    when every component there is a 2-sphere gem and None otherwise."""
+    when every component there is a 2-sphere gem and None otherwise.  The
+    capping edges along c are the boundary graph's color-c edges, read on
+    the input's vertices, so no color is paired again."""
     d = graph.dimension
     # the genus table first: its order limit refuses before any other work
     sweep, doubled = genus_table(graph)
-    bgraph = boundary_graph(graph).graph
+    bg = boundary_graph(graph)
+    bgraph, parent = bg.graph, bg.parent_vertex_map
     p_bar = classify_vertices(graph).p_bar
     # each color of the boundary graph matches its 2 p_bar vertices
     counts = {1 << a | 1 << b: p_bar if a == b else
@@ -204,7 +207,8 @@ def _build_capping_rows(graph: ColoredGraph) -> Iterator[_CappingRows]:
     pairs = set(ends)
     base = 2 + (d - 1) * (graph.num_vertices // 2)
     for c in range(d):
-        added = _capping_edges(graph, c)
+        added = tuple((parent[i], parent[k])
+                      for i, k in enumerate(bgraph.color_maps[c]) if i < k)
         capped = [_joined_count(_residues_by_mask(graph, 1 << i | 1 << d), added)
                   for i in range(d)]
 

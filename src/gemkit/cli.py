@@ -358,9 +358,11 @@ def cmd_catalog(graph, args) -> tuple[dict, list[str]]:
     else:
         records, warnings = gemio.catalog_scan(args.store, args.where or ())
         human = [f"{len(records)} record(s)"]
-        human += [f"  {r['digest'][:12]}  {r.get('name') or '-'}  "
-                  f"rho_min={r.get('rho_min')} omega_G={r.get('omega_g')}"
-                  for r in records]
+        for r in records:  # no text digest shows '-', as no name does
+            digest = r.get("digest")
+            digest = digest[:12] if isinstance(digest, str) else "-"
+            human.append(f"  {digest}  {r.get('name') or '-'}  rho_min="
+                         f"{r.get('rho_min')} omega_G={r.get('omega_g')}")
         human += [f"warning: corrupt line {w.line_number}" for w in warnings]
     payload = {"action": "scan", "ok": True,
                "count": len(records), "records": records,

@@ -11,12 +11,11 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
-from .core import (NO_EDGE, ColoredGraph, _from_maps, _renumbered,
-                   _residues_by_mask, _root, _without)
+from .boundary import _capping_edges
+from .core import NO_EDGE, ColoredGraph, _from_maps, _renumbered, _root, _without
 from .errors import (
     DisconnectedError,
     InternalInconsistencyError,
-    InvalidColorError,
     NoBoundaryError,
     NoSuchEdgeError,
     NotADipoleError,
@@ -196,31 +195,6 @@ def _capped_final(graph: ColoredGraph, color: int
     for u, v in added:
         final[u], final[v] = v, u
     return final, added
-
-
-def _capping_edges(graph: ColoredGraph, color: int
-                   ) -> tuple[tuple[int, int], ...]:
-    """The edges capping the graph along ``color``, after checking the
-    color and then that the graph has a boundary: the two boundary
-    vertices of each {color, d}-residue that holds any, listed by the
-    residue's least vertex.  Each such residue is a path whose ends are
-    its boundary vertices, so a residue holding other than two is an
-    inconsistency, and every boundary vertex is capped."""
-    d = graph.dimension
-    if not 0 <= color < d:
-        raise InvalidColorError(f"singular color must lie in 0..{d - 1}")
-    if graph.is_regular:
-        raise NoBoundaryError("graph is regular: empty boundary")
-    labels = _residues_by_mask(graph, 1 << color | 1 << d).labels
-    ends = {}
-    for v in graph.boundary_vertices():
-        ends.setdefault(labels[v], []).append(v)
-    for held in ends.values():
-        if len(held) != 2:
-            raise InternalInconsistencyError(
-                f"the {{{color},{d}}}-residue of vertex {held[0]} holds "
-                f"{len(held)} boundary vertices")
-    return tuple(tuple(ends[k]) for k in sorted(ends))
 
 
 def swap_colors(graph: ColoredGraph, a: int, b: int) -> ColoredGraph:

@@ -54,6 +54,7 @@ class Mutant(NamedTuple):
     breaks: str                # what the mutant breaks, in a few words
 
 
+BOUNDARY = "tests/test_boundary.py"
 CATALOG = "tests/test_catalog_index.py"
 CHECKS = "tests/test_checks.py"
 CLI = "tests/test_cli.py"
@@ -226,19 +227,28 @@ MUTANTS = (
             "::test_several_components_refused_before_any_step",),
            "a graph of several components is read and contracted before "
            "it is refused, or comes back unchanged"),
-    Mutant("capping-drops-an-edge", "moves.py", "_capping_edges",
+    Mutant("capping-drops-an-edge", "boundary.py", "_capping_edges",
            "return tuple(tuple(ends[k]) for k in sorted(ends))",
            "return tuple(tuple(ends[k]) for k in sorted(ends))[1:]",
-           (f"{CLI}::TestGolden::test_matches_golden",
+           (f"{BOUNDARY}::TestBoundaryGraph::test_b4",
+            f"{CLI}::TestGolden::test_matches_golden",
             f"{MOVES}::TestRegularize::test_lemma_counts_on_capped_graph",
             f"{MOVES}::TestRegularize::test_one_build_matches_cap_then_swap"),
-           "regularize, cap_boundary and the capping checks all read one "
-           "capping edge fewer than the boundary needs"),
-    Mutant("capping-edges-skip-the-pairing-check", "moves.py", "_capping_edges",
-           "len(held) != 2", "False",
-           (f"{MOVES}::TestRegularize::test_three_boundary_ends_in_one_residue_raise",),
-           "a residue holding three boundary vertices gives a capping "
-           "'edge' of three ends, which fails to unpack"),
+           "the boundary graph, regularize, cap_boundary and the capping "
+           "checks all read one capping edge fewer than the boundary needs"),
+    Mutant("capping-edges-skip-the-pairing-check", "boundary.py",
+           "_capping_edges", "len(held) != 2", "False",
+           (f"{MOVES}::TestRegularize"
+            "::test_four_boundary_ends_in_one_residue_raise[boundary graph]",
+            f"{MOVES}::TestRegularize"
+            "::test_three_boundary_ends_in_one_residue_raise[regularize]"),
+           "a residue holding three or four boundary vertices gives a "
+           "capping 'edge' of as many ends, which fails to unpack"),
+    Mutant("capping-rows-drop-an-edge", "checks.py", "_build_capping_rows",
+           "i < k", "0 < i < k",
+           (f"{MEMO}::TestWorkCount::test_rows_cap_with_the_edges_of_regularize",),
+           "the capping rows read every color's boundary-graph edge at "
+           "boundary vertex 0 as no capping edge"),
     Mutant("capping-rows-miscount-one-color", "checks.py", "_build_capping_rows",
            "p_bar if a == b else _residues_by_mask(bgraph, 1 << a | 1 << b).count",
            "p_bar + 1 if a == b else _residues_by_mask(bgraph, 1 << a | 1 << b).count",
@@ -426,8 +436,10 @@ def _caught(tests: tuple[str, ...], stdout: str) -> dict[str, Optional[str]]:
     """Each listed test mapped to the first case of it that pytest's short
     summary reports as failed or in error, or None.  A case is the test,
     one of its parametrized cases or methods, or a file that failed to
-    collect."""
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.MULTILINE)
+    collect; a case id may hold spaces, and ends before " - " and the
+    message."""
+    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", stdout,
+                        re.MULTILINE)
     return {test: next((case for case in failed
                         if case == test
                         or case.startswith((test + "[", test + "::"))

@@ -353,6 +353,22 @@ class TestExitCodes:
             assert [r["name"] for r in payload["records"]] == ["s4_2", "b4_2"]
             assert payload["corrupt_lines"] == [2]
 
+    def test_record_without_a_text_digest_scans(self, tmp_path, capsys):
+        """The human scan shows '-' for a record with no digest or one that
+        is not text, as it does for no name, and exits 0; the JSON scan
+        returns the records as stored."""
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"x": 1}\n{"digest": 5, "name": "five"}\n')
+        assert main(["catalog", "scan", str(store)]) == 0
+        assert capsys.readouterr().out == (
+            "2 record(s)\n"
+            "  -  -  rho_min=None omega_G=None\n"
+            "  -  five  rho_min=None omega_G=None\n")
+        assert main(["--json", "catalog", "scan", str(store)]) == 0
+        assert capsys.readouterr().out == (
+            '{"action":"scan","command":"catalog","corrupt_lines":[],"count":2,'
+            '"ok":true,"records":[{"x":1},{"digest":5,"name":"five"}]}\n')
+
     def test_huge_exponent_filter_is_two_before_the_store(self, tmp_path,
                                                           capsys):
         # the store is a directory: reading it would fail with another error

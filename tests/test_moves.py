@@ -51,6 +51,7 @@ from gemkit.moves import (
     swap_colors,
 )
 
+import gemkit.boundary as boundary
 import gemkit.checks as checks
 import gemkit.core as core
 import gemkit.moves as moves
@@ -500,19 +501,23 @@ class TestRegularize:
                                match="^capping gave no perfect matching$"):
                 regularize(g, singular_color=1)
 
-    @pytest.mark.parametrize("reader", ["regularize", "capping rows"])
-    def test_three_boundary_ends_in_one_residue_raise(self, reader):
-        """``_capping_edges`` pairs the boundary vertices of each {c, d}-
-        residue; labels that put a third boundary vertex in one residue
-        are an inconsistency for every reader, not a capping edge."""
+    READERS = ("regularize", "capping rows", "boundary graph")
+
+    @staticmethod
+    def raise_on_joined_ends(reader, joined):
+        """Relabel the {1, 4}-residues of a boundary gem so that the
+        residue of its least boundary vertex also holds the ``joined``
+        boundary vertices, read through ``boundary._residues_by_mask``,
+        and require ``reader`` to raise naming that residue."""
         g = random_boundary_gem(4, 6, 2, seed=5)
         c, d = 1, 4
-        real = moves._residues_by_mask
+        real = boundary._residues_by_mask
         dec = core._residues_by_mask(g, 1 << c | 1 << d)
         b = g.boundary_vertices()
         labels = list(dec.labels)
-        moved = next(v for v in b if labels[v] != labels[b[0]])
-        labels[moved] = labels[b[0]]
+        moved = joined(labels, b)
+        for v in moved:
+            labels[v] = labels[b[0]]
 
         def relabelled(graph, mask):
             if graph is g and mask == 1 << c | 1 << d:
@@ -521,14 +526,34 @@ class TestRegularize:
             return real(graph, mask)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moves, "_residues_by_mask", relabelled)
+            mp.setattr(boundary, "_residues_by_mask", relabelled)
             with pytest.raises(InternalInconsistencyError,
                                match=rf"^the \{{1,4\}}-residue of vertex {b[0]} "
-                                     "holds 3 boundary vertices$"):
+                                     rf"holds {2 + len(moved)} boundary "
+                                     "vertices$"):
                 if reader == "regularize":
                     regularize(g, singular_color=c)
-                else:
+                elif reader == "capping rows":
                     checks._capping_rows(g)
+                else:
+                    boundary_graph(g)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_three_boundary_ends_in_one_residue_raise(self, reader):
+        """``_capping_edges`` pairs the boundary vertices of each {c, d}-
+        residue; labels that put a third boundary vertex in one residue
+        are an inconsistency for every reader, not a capping edge."""
+        self.raise_on_joined_ends(reader, lambda labels, b: [
+            next(v for v in b if labels[v] != labels[b[0]])])
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_four_boundary_ends_in_one_residue_raise(self, reader):
+        """Labels that join two paths into one residue of four boundary
+        vertices are refused too, not paired two by two."""
+        def other_path(labels, b):
+            k = next(labels[v] for v in b if labels[v] != labels[b[0]])
+            return [v for v in b if labels[v] == k]
+        self.raise_on_joined_ends(reader, other_path)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 20), st.integers(0, 3))

@@ -65,3 +65,14 @@ def test_one_mutant_is_caught(tmp_path):
     mutant = {m.name: m for m in mutants.MUTANTS}["digest-map-without-bytes-check"]
     assert mutants.run(mutant, tmp_path) == {
         mutant.tests[0]: mutant.tests[0] + "[False]"}
+
+
+def test_a_case_id_with_spaces_is_read_whole():
+    stdout = ("FAILED tests/a.py::test_y[a b] - ValueError: x - y\n"
+              "FAILED tests/a.py::test_z[c d]\n")
+    tests = ("tests/a.py::test_y[a b]", "tests/a.py::test_z[c d]",
+             "tests/a.py::test_y[a]")
+    assert mutants._caught(tests, stdout) == {
+        "tests/a.py::test_y[a b]": "tests/a.py::test_y[a b]",
+        "tests/a.py::test_z[c d]": "tests/a.py::test_z[c d]",
+        "tests/a.py::test_y[a]": None}

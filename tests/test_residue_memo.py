@@ -29,6 +29,7 @@ from gemkit.moves import (
     cap_boundary,
     find_1_dipoles,
     insert_1_dipole,
+    regularize,
     swap_colors,
 )
 
@@ -452,6 +453,49 @@ class TestWorkCount:
             assert set(row.shifts) == ends
             assert not [value for value in row if isinstance(value, list)
                         and value is not row.doubled_capped]
+
+    @staticmethod
+    def count_pairings(monkeypatch):
+        paired = []
+        real = boundary._capping_edges
+
+        def counting(graph, color):
+            paired.append(color)
+            return real(graph, color)
+
+        for module in (boundary, moves):
+            monkeypatch.setattr(module, "_capping_edges", counting)
+        return paired
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_pair_no_color_again(self, monkeypatch, seed):
+        """The boundary graph pairs the ends of each color once, and the
+        capping rows read its maps with no pairing of their own."""
+        paired = self.count_pairings(monkeypatch)
+        graph = random_boundary_gem(4, 12, 5, seed=seed)
+        boundary_graph(graph)
+        assert paired == [0, 1, 2, 3]
+        checks._capping_rows(graph)
+        assert paired == [0, 1, 2, 3]
+        invariant_report(random_boundary_gem(4, 12, 5, seed=seed))
+        assert paired == [0, 1, 2, 3] * 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_rows_cap_with_the_edges_of_regularize(self, d):
+        for seed in range(3):
+            graph = random_boundary_gem(d, 5, 2, seed=seed)
+            rows = checks._capping_rows(graph)
+            for c in range(d):
+                fresh = random_boundary_gem(d, 5, 2, seed=seed)
+                assert set(rows[c].added) == set(
+                    regularize(fresh, c)[1].added_edges)
+
+    def test_capping_builds_no_boundary_graph(self, monkeypatch):
+        paired = self.count_pairings(monkeypatch)
+        graph = random_boundary_gem(4, 12, 5, seed=3)
+        regularize(graph, 1)
+        cap_boundary(graph, 2)
+        assert "boundary" not in graph._memo and paired == [1, 2]
 
     def test_one_sweep_per_gem_past_the_kept_sweeps(self, monkeypatch):
         """With no sweep kept above d = 3, the capping reports of all four
