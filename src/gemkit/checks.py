@@ -33,7 +33,10 @@ from .errors import (
 from .invariants import (
     CyclicPermutation,
     GenusTable,
+    JSONText,
     _doubled_row,
+    _JSONForm,
+    _quoted,
     _sweep,
     enumerate_cyclic_permutations,
     euler_characteristic,
@@ -47,16 +50,10 @@ from .moves import full_contraction
 # report encoding
 
 
-def _key(key) -> str:
-    if isinstance(key, tuple):
-        return "".join(map(str, key))
-    return str(_jsonable(key))
-
-
 def _jsonable(value):
     """The JSON form of a report value: a Fraction as text, an order by
-    its label, a sequence as a list, a dict in sorted key order with text
-    keys (a color tuple as its digits) and a report as its own form."""
+    its label, a sequence as a list and a dict in sorted key order with
+    text keys (a color tuple as its digits)."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, CyclicPermutation):
@@ -64,17 +61,16 @@ def _jsonable(value):
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {_key(k): _jsonable(v) for k, v in sorted(value.items())}
-    if isinstance(value, _Report):
-        return value.to_jsonable()
+        return {"".join(map(str, k)) if isinstance(k, tuple) else str(_jsonable(k)):
+                _jsonable(v) for k, v in sorted(value.items())}
     return value
 
 
-class _Report:
+class _Report(_JSONForm):
     """A check report: its JSON form holds every field, then ``ok`` when
     the report defines it."""
 
-    def to_jsonable(self) -> dict:
+    def _json_fields(self) -> dict:
         out = {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
         if hasattr(type(self), "ok"):
             out["ok"] = self.ok
@@ -84,23 +80,11 @@ class _Report:
 # ---------------------------------------------------------------------------
 # capping identities
 
-
-@dataclass(frozen=True)
-class TransferCase(_Report):
-    eps: CyclicPermutation
-    adjacent: bool                 # chosen color cyclically adjacent to d
-    rho_input: Fraction
-    rho_capped: Fraction
-    paper_rhs: Optional[Fraction]  # None when the paper form does not apply
-    paper_applicable: bool
-    paper_ok: Optional[bool]
-    universal_rhs: Fraction
-    universal_ok: bool
-
-    def to_jsonable(self) -> dict:
-        out = super().to_jsonable()
-        out["case"] = "adjacent" if out.pop("adjacent") else "nonadjacent"
-        return out
+# one order's transfer case, its keys in sorted order
+_TRANSFER_CASE = ('{"case":"%s","eps":%s,"paper_applicable":%s,"paper_ok":%s,'
+                  '"paper_rhs":%s,"rho_capped":%s,"rho_input":%s,'
+                  '"universal_ok":%s,"universal_rhs":%s}')
+_JSON_BOOL = ("false", "true")
 
 
 class _CappingRows(NamedTuple):
@@ -136,7 +120,7 @@ class RegularizationIdentityReport(_Report):
     lemma_mixed: dict[int, tuple[int, int]]   # i -> (capped g_id, predicted)
     lemma_singular: tuple[int, int, int]      # (capped g_cd, input g_cd, predicted)
     lemma_ok: bool
-    transfer: tuple[TransferCase, ...]
+    transfer: JSONText                        # one case per order, in sweep order
     transfer_ok: bool
     chi_delta: int
     chi_law_ok: bool
@@ -272,7 +256,8 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     graph's memo beside its genus table, whose sweep gives the report's
     orders; the capped gem's counts are read from the input's (no capped
     graph is built), and genus values are compared as twice-genus
-    integers.
+    integers.  The transfer cases are written as JSON text from those
+    integers and the sweep's label pieces, with no per-order object.
     """
     d = graph.dimension
     c = singular_color
@@ -288,18 +273,17 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
     universal = [value + shift[1] for value, shift in zip(doubled, shifts)]
     paper = [None if shift[2] is None else value + shift[2]
              for value, shift in zip(doubled, shifts)]
-    halves = {value: None if value is None else Fraction(value, 2)
-              for value in {*doubled, *row.doubled_capped, *universal, *paper}}
-    cases = tuple(
-        TransferCase(
-            eps=eps, adjacent=shift[0], rho_input=halves[doubled_in],
-            rho_capped=halves[doubled_cap], paper_rhs=halves[paper_in],
-            paper_applicable=paper_in is not None,
-            paper_ok=None if paper_in is None else doubled_cap == paper_in,
-            universal_rhs=halves[universal_in],
-            universal_ok=doubled_cap == universal_in)
-        for eps, shift, doubled_in, doubled_cap, universal_in, paper_in in zip(
-            sweep.orders, shifts, doubled, row.doubled_capped, universal, paper))
+    quoted = {None: "null", **_quoted(
+        {*doubled, *row.doubled_capped, *universal, *paper} - {None})}
+    cases = [  # a label piece ``,"0,2,1,3":`` holds the quoted label inside
+        _TRANSFER_CASE % (
+            "adjacent" if shift[0] else "nonadjacent", piece[1:-1],
+            _JSON_BOOL[paper_in is not None],
+            "null" if paper_in is None else _JSON_BOOL[doubled_cap == paper_in],
+            quoted[paper_in], quoted[doubled_cap], quoted[doubled_in],
+            _JSON_BOOL[doubled_cap == universal_in], quoted[universal_in])
+        for piece, shift, doubled_in, doubled_cap, universal_in, paper_in in zip(
+            sweep.pieces, shifts, doubled, row.doubled_capped, universal, paper)]
 
     chi_delta = _chi_delta(graph, row.added)
     h = boundary_graph(graph).num_components
@@ -310,7 +294,7 @@ def check_regularization_identities(graph: ColoredGraph, singular_color: int
         lemma_mixed=row.lemma_mixed,
         lemma_singular=row.lemma_singular,
         lemma_ok=row.lemma_ok,
-        transfer=cases,
+        transfer=JSONText("[" + ",".join(cases) + "]"),
         transfer_ok=row.transfer_ok,
         chi_delta=chi_delta,
         chi_law_ok=chi_delta == h,

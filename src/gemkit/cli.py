@@ -18,6 +18,7 @@ byte-identical across runs on the same input.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ from .boundary import boundary_graph
 from .core import ColoredGraph, classify_vertices
 from .errors import GemError, ParseError, ValidationError
 from .invariants import (
+    JSONText,
     enumerate_cyclic_permutations,
     euler_characteristic,
     f_vector,
@@ -248,11 +250,12 @@ def _dipole_mismatch(sites: list[dict]) -> str:
 
 def _mismatches(suite: str, report, d: int) -> list[str]:
     """The values of one color's capping report that miss their prediction."""
-    if suite == "corollary":
-        return [f"order {t.eps.label()}: rho_cap = {t.rho_capped}, "
-                + (f"universal rhs = {t.universal_rhs}" if not t.universal_ok
-                   else f"paper rhs = {t.paper_rhs}")
-                for t in report.transfer if not t.universal_ok or t.paper_ok is False]
+    if suite == "corollary":  # the transfer text is decoded on failure only
+        return [f"order {t['eps']}: rho_cap = {t['rho_capped']}, "
+                + (f"universal rhs = {t['universal_rhs']}" if not t["universal_ok"]
+                   else f"paper rhs = {t['paper_rhs']}")
+                for t in json.loads(report.transfer)
+                if not t["universal_ok"] or t["paper_ok"] is False]
     out = [f"g_{i}{d} = {lhs} after capping, predicted {rhs}"
            for i, (lhs, rhs) in sorted(report.lemma_mixed.items()) if lhs != rhs]
     if len(set(report.lemma_singular)) > 1:
@@ -281,8 +284,9 @@ def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
         failing = [c for c, r in reports.items()
                    if not (r.lemma_ok if suite == "lemma" else r.transfer_ok)]
         ok = not failing
-        payload = {"suite": suite, "ok": ok,
-                   "by_color": {str(c): r.to_jsonable() for c, r in reports.items()}}
+        payload = {"suite": suite, "ok": ok, "by_color": JSONText(gemio._payload_json(
+            {str(c): JSONText(gemio._payload_json(r._json_fields()))
+             for c, r in reports.items()}))}
         if ok:
             human = [f"{suite} identities: hold for all {graph.dimension} "
                      f"color choices"]

@@ -333,6 +333,20 @@ class JSONText(str):
     for a writer to splice as it is."""
 
 
+class _JSONForm:
+    """A report's two JSON forms: ``_json_fields()`` gives a long table as
+    ``JSONText`` for a writer to splice, and ``to_jsonable()`` decodes it."""
+
+    def to_jsonable(self) -> dict:
+        return {key: json.loads(value) if isinstance(value, JSONText) else value
+                for key, value in self._json_fields().items()}
+
+
+def _quoted(doubled: Iterable[int]) -> dict[int, str]:
+    """Each distinct twice-genus value's quoted genus: ``"3/2"`` for 3."""
+    return {v: f'"{v}/2"' if v & 1 else f'"{v // 2}"' for v in set(doubled)}
+
+
 class GenusTable(NamedTuple):
     """Twice the genus at every order of a sweep, in sweep order; the
     forms of the table that reports and the command line print."""
@@ -356,7 +370,7 @@ class GenusTable(NamedTuple):
         sweep's pieces joined with one quoted string per distinct value,
         looked up in one call, and no label, order or Fraction built."""
         doubled = self.doubled
-        quoted = {v: f'"{v}/2"' if v & 1 else f'"{v // 2}"' for v in set(doubled)}
+        quoted = _quoted(doubled)
         parts = [None] * (2 * self.sweep.count + 1)
         parts[::2] = self.sweep.pieces
         # itemgetter of one key gives the value, not a tuple
@@ -458,7 +472,7 @@ def gurau_degree(graph: ColoredGraph) -> Fraction:
 
 
 @dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_JSONForm):
     """Bundle of per-gem invariants for reports and catalog records.
 
     ``bound_checks`` holds the parameter-free identity checks that apply
@@ -510,11 +524,6 @@ class InvariantReport:
             "omega_g": None if self.omega_g is None else str(self.omega_g),
             "bound_checks": dict(sorted(self.bound_checks.items())),
         }
-
-    def to_jsonable(self) -> dict:
-        """The JSON form, each text of ``_json_fields`` decoded."""
-        return {key: json.loads(value) if isinstance(value, JSONText) else value
-                for key, value in self._json_fields().items()}
 
 
 def _filled(template: tuple[str, tuple[tuple[int, ...], ...]],

@@ -190,7 +190,7 @@ MUTANTS = (
             f"{CLI}::test_info_matches_the_oracle_on_seeded_gems"),
            "a connected residue holding d on a gem with boundary is stored "
            "as regular by the f-vector pass"),
-    Mutant("genus-json-floors-odd-values", "invariants.py", "GenusTable.json",
+    Mutant("genus-json-floors-odd-values", "invariants.py", "_quoted",
            "f'\"{v}/2\"'", "f'\"{v // 2}\"'",
            (f"{INVARIANTS}::TestGenusTableJson::test_negative_zero_and_odd_values",
             f"{INVARIANTS}::TestPairTable::test_report_json_equals_per_order_formulas"),
@@ -285,6 +285,25 @@ MUTANTS = (
             f"{CLI}::TestGolden::test_matches_golden"),
            "a report's universal prediction adds its shift to the capped "
            "gem's twice genus in place of the input's"),
+    Mutant("transfer-floors-an-odd-genus", "checks.py",
+           "check_regularization_identities",
+           "_quoted({*doubled, *row.doubled_capped, *universal, *paper} - {None})",
+           "{v: f'\"{v // 2}\"' for v in "
+           "{*doubled, *row.doubled_capped, *universal, *paper} - {None}}",
+           (f"{CHECKS}::TestRegularizationIdentities"
+            "::test_transfer_reads_the_per_order_genus",
+            f"{CHECKS}::TestRegularizationIdentities"
+            "::test_transfer_flags_read_their_own_prediction"),
+           "a half-integral genus is written as the integer below it in a "
+           "report's transfer list"),
+    Mutant("transfer-paper-ok-reads-the-universal-form", "checks.py",
+           "check_regularization_identities",
+           "_JSON_BOOL[doubled_cap == paper_in]",
+           "_JSON_BOOL[doubled_cap == universal_in]",
+           (f"{CHECKS}::TestRegularizationIdentities"
+            "::test_transfer_flags_read_their_own_prediction",),
+           "a transfer case's paper_ok is written from the universal form's "
+           "comparison"),
     Mutant("joined-count-skips-a-union", "core.py", "_joined_count",
            "up[x] = y", "pass",
            (f"{CHECKS}::TestCountPath::test_reports_match_the_capped_graph",),

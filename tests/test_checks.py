@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from gemkit.errors import (
     PreconditionError,
     ResidueShapeError,
 )
-from gemkit.gemio import read_gem, write_gem
+from gemkit.gemio import _canonical, read_gem, write_gem
 from gemkit.invariants import (euler_characteristic, genus_table,
                                invariant_report)
 from gemkit.moves import (cap_boundary, full_contraction, insert_1_dipole,
@@ -79,9 +82,9 @@ class TestRegularizationIdentities:
         # c = 2 with order (0,2,1,3,4): nonadjacent case with both boundary
         # counts equal to one, so the capped genus stays zero
         report = check_regularization_identities(b4, 2)
-        case = {t.eps: t for t in report.transfer}[CyclicPermutation((0, 2, 1, 3, 4))]
-        assert not case.adjacent and case.paper_applicable
-        assert case.rho_input == 0 and case.paper_rhs == 0 and case.rho_capped == 0
+        case = {t["eps"]: t for t in report.to_jsonable()["transfer"]}["0,2,1,3,4"]
+        assert case["case"] == "nonadjacent" and case["paper_applicable"]
+        assert case["rho_input"] == case["paper_rhs"] == case["rho_capped"] == "0"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 2 ** 20), st.integers(0, 3))
@@ -94,12 +97,12 @@ class TestRegularizationIdentities:
     def test_transfer_universal_parts(self, p, seed, c):
         g = random_boundary_gem(4, p, max(0, p - 3), seed=seed)
         report = check_regularization_identities(g, c)
-        for case in report.transfer:
-            assert case.universal_ok
-            if case.adjacent:
-                assert case.rho_capped == case.rho_input
-            elif case.paper_applicable:
-                assert case.paper_ok
+        for case in report.to_jsonable()["transfer"]:
+            assert case["universal_ok"]
+            if case["case"] == "adjacent":
+                assert case["rho_capped"] == case["rho_input"]
+            elif case["paper_applicable"]:
+                assert case["paper_ok"]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 7), st.integers(0, 2 ** 20),
@@ -109,14 +112,39 @@ class TestRegularizationIdentities:
         # of the brute-force oracles, case by case in canonical order
         g = random_boundary_gem(4, p, p_dot % p, seed=seed)
         capped, _ = cap_boundary(g, c)
-        report = check_regularization_identities(g, c)
+        transfer = check_regularization_identities(g, c).to_jsonable()["transfer"]
         orders = enumerate_cyclic_permutations(4)
         n, edges = g.num_vertices, list(g.edges())
         capped_edges = list(capped.edges())
-        assert [case.eps for case in report.transfer] == orders
-        assert [(case.rho_input, case.rho_capped) for case in report.transfer] == [
-            (bf.rho_boundary(4, n, edges, eps.order),
-             bf.rho_closed(4, n, capped_edges, eps.order)) for eps in orders]
+        assert [case["eps"] for case in transfer] == [eps.label() for eps in orders]
+        assert [(case["rho_input"], case["rho_capped"]) for case in transfer] == [
+            (str(bf.rho_boundary(4, n, edges, eps.order)),
+             str(bf.rho_closed(4, n, capped_edges, eps.order))) for eps in orders]
+
+    @pytest.mark.parametrize("moved", ["universal", "paper"])
+    def test_transfer_flags_read_their_own_prediction(self, moved):
+        """A row whose universal or paper shift is one too high fails that
+        form alone at every order it applies to, and writes its
+        prediction half a genus above the capped genus."""
+        g = random_boundary_gem(4, 6, 2, seed=3)
+        c = 0
+        rows = list(checks._capping_rows(g))
+        step = {"universal": (1, 0), "paper": (0, 1)}[moved]
+        rows[c] = rows[c]._replace(shifts={
+            pair: (adjacent, universal + step[0],
+                   None if paper is None else paper + step[1])
+            for pair, (adjacent, universal, paper) in rows[c].shifts.items()})
+        g._memo["capping"] = tuple(rows)
+        transfer = check_regularization_identities(g, c).to_jsonable()["transfer"]
+        assert any(case["paper_applicable"] for case in transfer)
+        half = Fraction(1, 2)
+        for case in transfer:
+            assert case["universal_ok"] is (moved == "paper")
+            assert case["paper_ok"] is (None if not case["paper_applicable"]
+                                        else moved == "universal")
+            rhs = case[f"{moved}_rhs"]
+            if rhs is not None:
+                assert Fraction(rhs) == Fraction(case["rho_capped"]) + half
 
 
 class TestCappingRecord:
@@ -226,6 +254,33 @@ class TestCountPath:
                 d, g.num_vertices, edges, c)
             assert checks._capping_rows(g)[c].ok == report.ok
             assert cap_boundary(g, c)[0].is_bipartite == g.is_bipartite
+
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.booleans())
+    def test_payload_is_the_canonical_decoded_form(self, d, p, seed, bipartite):
+        """``--json check`` splices each color's transfer text; the
+        payload is, byte for byte, one canonical encoding of the decoded
+        reports."""
+        rng = random.Random(seed)
+        if bipartite:
+            g = bipartite_boundary_gem(d, p, rng.randrange(p), rng)
+        else:
+            g = random_boundary_gem(d, max(p, 2), seed % max(p, 2), seed=seed)
+        reports = {str(c): check_regularization_identities(g, c).to_jsonable()
+                   for c in range(d)}
+        with tempfile.TemporaryDirectory() as tmp:
+            gem = str(Path(tmp) / "g.gem")
+            write_gem(g, gem)
+            for suite, flag in (("lemma", "lemma_ok"), ("corollary", "transfer_ok")):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["--json", "check", gem, "--suite", suite])
+                ok = all(r[flag] for r in reports.values())
+                assert out.getvalue() == _canonical(
+                    {"by_color": reports, "command": "check", "ok": ok,
+                     "suite": suite}) + "\n"
+                assert code == (0 if ok else 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", range(5))

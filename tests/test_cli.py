@@ -1010,6 +1010,21 @@ class TestPipelines:
         assert len(json.loads(capsys.readouterr().out)["rho"]) == len(
             invariants._sweeps[d].orders)
 
+    @pytest.mark.parametrize("suite", ["lemma", "corollary"])
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_capping_suites_build_no_order_object(self, tmp_path, capsys,
+                                                  monkeypatch, d, suite):
+        from gemkit import invariants, random_boundary_gem
+
+        path = tmp_path / "g.gem"
+        write_gem(random_boundary_gem(d, 3, 1, seed=d), path)
+        monkeypatch.setattr(invariants, "_sweeps", {})
+        assert main(["--json", "check", str(path), "--suite", suite]) == 0
+        assert "orders" not in vars(invariants._sweeps[d])
+        by_color = json.loads(capsys.readouterr().out)["by_color"]
+        assert [len(by_color[str(c)]["transfer"]) for c in range(d)] == [
+            invariants._sweeps[d].count] * d
+
     def test_check_names_first_mismatch(self, capsys, monkeypatch):
         from dataclasses import replace
 
@@ -1017,26 +1032,28 @@ class TestPipelines:
 
         real = checks.check_regularization_identities
 
+        def edited(report, k, key, step, flag):
+            """The report's transfer text with case k's prediction ``key``
+            moved by ``step`` and its check ``flag`` false."""
+            cases = report.to_jsonable()["transfer"]
+            cases[k] = {**cases[k], key: str(Fraction(cases[k][key]) + step),
+                        flag: False}
+            return _json_text(cases)
+
         def mismatched(graph, color):
             report = real(graph, color)
             if color == 1:  # one lemma count and one universal transfer
                 lhs, rhs = report.lemma_mixed[0]
-                case = report.transfer[2]
                 return replace(
                     report, lemma_mixed={**report.lemma_mixed, 0: (lhs, rhs + 1)},
-                    lemma_ok=False, transfer_ok=False, transfer=(
-                        *report.transfer[:2],
-                        replace(case, universal_rhs=case.universal_rhs + 1,
-                                universal_ok=False),
-                        *report.transfer[3:]))
+                    lemma_ok=False, transfer_ok=False, transfer=edited(
+                        report, 2, "universal_rhs", 1, "universal_ok"))
             if color == 3:  # the singular count and one paper transfer
                 capped, g_cd, predicted = report.lemma_singular
-                case = report.transfer[0]
                 return replace(
                     report, lemma_singular=(capped, g_cd, predicted + 2),
-                    lemma_ok=False, transfer_ok=False, transfer=(
-                        replace(case, paper_rhs=case.paper_rhs - 1,
-                                paper_ok=False), *report.transfer[1:]))
+                    lemma_ok=False, transfer_ok=False, transfer=edited(
+                        report, 0, "paper_rhs", -1, "paper_ok"))
             return report
 
         gem = str(GEMS / "b4_2.gem")
@@ -1050,13 +1067,19 @@ class TestPipelines:
             f"  color 1: g_04 = {lhs} after capping, predicted {rhs + 1}",
             f"  color 3: lemma_singular = ({capped}, {g_cd}, {predicted + 2})"]
         assert main(["check", gem, "--suite", "corollary"]) == 1
-        u, p = one.transfer[2], three.transfer[0]
+        u = one.to_jsonable()["transfer"][2]
+        p = three.to_jsonable()["transfer"][0]
         assert capsys.readouterr().out.splitlines() == [
             "corollary identities: VIOLATED for color(s) 1, 3 of 4",
-            f"  color 1: order {u.eps.label()}: rho_cap = {u.rho_capped}, "
-            f"universal rhs = {u.universal_rhs + 1}",
-            f"  color 3: order {p.eps.label()}: rho_cap = {p.rho_capped}, "
-            f"paper rhs = {p.paper_rhs - 1}"]
+            f"  color 1: order {u['eps']}: rho_cap = {u['rho_capped']}, "
+            f"universal rhs = {Fraction(u['universal_rhs']) + 1}",
+            f"  color 3: order {p['eps']}: rho_cap = {p['rho_capped']}, "
+            f"paper rhs = {Fraction(p['paper_rhs']) - 1}"]
+        # --json splices each edited text as it is
+        assert main(["--json", "check", gem, "--suite", "corollary"]) == 1
+        by_color = json.loads(capsys.readouterr().out)["by_color"]
+        assert [by_color[str(c)] for c in range(4)] == [
+            mismatched(read_gem(gem), c).to_jsonable() for c in range(4)]
 
     def test_omega_failure_names_first_differing_order(self, capsys, monkeypatch):
         from dataclasses import replace
@@ -1088,7 +1111,7 @@ class TestPipelines:
             assert main(["--json", "check", gem, "--suite", "omega"]) == 1
             payload = json.loads(capsys.readouterr().out)
             assert payload == {"command": "check", "suite": "omega", "ok": False,
-                               **checks._jsonable(broken(real(read_gem(gem))))}
+                               **broken(real(read_gem(gem))).to_jsonable()}
 
     def test_dehn_failure_names_chi_and_triple_sum(self, capsys, monkeypatch):
         from gemkit import checks
