@@ -284,9 +284,11 @@ def cmd_check(graph: ColoredGraph, args) -> tuple[dict, list[str]]:
         failing = [c for c, r in reports.items()
                    if not (r.lemma_ok if suite == "lemma" else r.transfer_ok)]
         ok = not failing
-        payload = {"suite": suite, "ok": ok, "by_color": JSONText(gemio._payload_json(
-            {str(c): JSONText(gemio._payload_json(r._json_fields()))
-             for c, r in reports.items()}))}
+        payload = {"suite": suite, "ok": ok}
+        if args.json:  # only the payload is printed, so only it is built
+            payload["by_color"] = JSONText(gemio._payload_json(
+                {str(c): JSONText(gemio._payload_json(r._json_fields()))
+                 for c, r in reports.items()}))
         if ok:
             human = [f"{suite} identities: hold for all {graph.dimension} "
                      f"color choices"]

@@ -18,8 +18,8 @@ from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .boundary import boundary_component_count, boundary_graph
-from .core import (NO_EDGE, ColoredGraph, _count, _one_smaller,
-                   _residues_by_mask, classify_vertices)
+from .core import (NO_EDGE, ColoredGraph, _one_smaller, _residues_by_mask,
+                   classify_vertices, count_g)
 from .errors import (NonIntegralGenusError, NotRegularError,
                      PreconditionError, TooManyOrdersError)
 
@@ -283,10 +283,10 @@ def _f_vector(graph: ColoredGraph,
     """``f_vector``; given a dict, the pass also stores (g, g_dot) under
     the mask of each color pair and triple its rows hold, every one but
     the full mask at d = 2.  A decomposed mask gives its own counts.  A
-    connected one gives ``_count``'s one-component rule: its component
-    holds every vertex, and each color below d meets every vertex, so it
-    is irregular exactly when the mask holds d and the graph has a
-    boundary."""
+    connected one gives ``core._residues_by_mask``'s one-component rule,
+    here with no decomposition kept: its component holds every vertex,
+    and each color below d meets every vertex, so it is irregular exactly
+    when the mask holds d and the graph has a boundary."""
     d, n = graph.dimension, graph.num_vertices
     if d > _MAX_F_VECTOR_D:  # 2^(d+1) as a power: its digits may pass str()'s limit
         raise PreconditionError(
@@ -573,7 +573,7 @@ def invariant_report(graph: ColoredGraph) -> InvariantReport:
     sets, counts = _color_sets(graph.dimension), {}
     fv = _f_vector(graph, counts)
     if graph.dimension == 2:  # the one triple is every color, no f-vector row
-        counts[7] = _count(graph, 7)
+        counts[7] = count_g(graph, range(3))
     pairs = dict(zip(sets.pairs, map(counts.__getitem__, sets.pair_masks)))
     triples = dict(zip(sets.triples, map(counts.__getitem__, sets.triple_masks)))
     chi = sum((-1) ** h * n for h, n in enumerate(fv))

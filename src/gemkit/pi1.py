@@ -16,7 +16,7 @@ from itertools import compress
 from operator import eq
 from typing import Optional
 
-from .core import ColoredGraph, _count, _joined_count, _residues_by_mask, _root
+from .core import ColoredGraph, _joined_count, _residues_by_mask, _root
 from .errors import InvalidColorPairError, PreconditionError
 
 Word = tuple[int, ...]
@@ -100,7 +100,8 @@ def presentation(graph: ColoredGraph, i: int, j: int,
     # fields set past the frozen init; the words are left to __getattr__
     pres = object.__new__(GroupPresentation)
     pres.__dict__.update(
-        num_generators=_count(graph, full ^ pair)[0], color_pair=(i, j),
+        num_generators=_residues_by_mask(graph, full ^ pair).count,
+        color_pair=(i, j),
         compact_manifold_reading=tag_a, singular_manifold_reading=tag_b,
         _graph=graph)
     return pres
@@ -202,7 +203,8 @@ def _trivial(pres: GroupPresentation, max_passes: int) -> bool:
         return False
     i, j = pres.color_pair
     full = (1 << graph.dimension + 1) - 1
-    kept = (_count(graph, full ^ 1 << i)[0] + _count(graph, full ^ 1 << j)[0]
+    kept = (_residues_by_mask(graph, full ^ 1 << i).count
+            + _residues_by_mask(graph, full ^ 1 << j).count
             - graph._memo.get("components", 1))
     if gens == kept:
         return True

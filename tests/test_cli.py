@@ -1025,6 +1025,22 @@ class TestPipelines:
         assert [len(by_color[str(c)]["transfer"]) for c in range(d)] == [
             invariants._sweeps[d].count] * d
 
+    @pytest.mark.parametrize("suite", ["lemma", "corollary"])
+    def test_human_capping_suites_build_no_payload_text(self, capsys,
+                                                        monkeypatch, suite):
+        """Only ``--json`` prints the payload, so only it builds the
+        ``by_color`` text; the human run prints its one line, and its exit
+        code still reads the payload's "ok"."""
+        from gemkit import gemio
+
+        def refused(payload):
+            raise AssertionError("payload text built")
+
+        monkeypatch.setattr(gemio, "_payload_json", refused)
+        assert main(["check", str(GEMS / "b4_2.gem"), "--suite", suite]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{suite} identities: hold for all 4 color choices"]
+
     def test_check_names_first_mismatch(self, capsys, monkeypatch):
         from dataclasses import replace
 

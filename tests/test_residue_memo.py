@@ -5,8 +5,9 @@ from an empty memo, and a full invariant report decomposes each color
 subset of each graph once, builds no capped graph, and builds the
 boundary graph, the capping rows and the vertex classification once, and
 the genus table once per gem across all its readers.
-Counts read through ``count_g`` take a residue with a connected one a
-color smaller as one component, undecomposed."""
+Counts read through ``count_g`` read the same memo: a residue with a
+connected one a color smaller is kept as one component, with no kernel
+called."""
 
 import sys
 import threading
@@ -547,10 +548,10 @@ class TestSmallMasks:
 
 
 class TestCountClosure:
-    """``count_g``, and ``checks._triple_counts`` through it, count a
-    residue as one component, with no decomposition made or kept, when a
-    residue on a color fewer is memoized as one component; the counts
-    equal the oracle's whatever the memo holds."""
+    """``count_g``, and ``checks._triple_counts`` through it, read
+    ``core._residues_by_mask``: a residue is kept as one component, with
+    no kernel called, when a residue on a color fewer is memoized as one
+    component; the counts equal the oracle's whatever the memo holds."""
 
     @staticmethod
     def oracle(g, edges, colors):
@@ -584,14 +585,23 @@ class TestCountClosure:
     @given(st.integers(2, 7), st.integers(1, 7), st.integers(0, 2 ** 20),
            st.booleans())
     def test_report_keeps_no_needless_merge(self, d, p, seed, with_boundary):
-        """No residue of three or more colors is kept beside one on a color
-        fewer kept as one component, whose count already gives its own."""
+        """No residue is merged, on the gem or on a graph built from it,
+        while one on a color fewer is kept as one component, whose count
+        already gives its own."""
+        needless, merge = [], core._merge
+
+        def recording_merge(graph, mask):
+            memo = graph._memo
+            if any(m in memo and memo[m].count == 1
+                   for m in core._one_smaller(mask)):
+                needless.append(mask)
+            return merge(graph, mask)
+
         g = sample_gem(d, p, seed, with_boundary)
-        invariant_report(g)
-        memo = {m: dec for m, dec in g._memo.items() if isinstance(m, int)}
-        assert not [m for m in memo if m.bit_count() >= 3
-                    and any(m ^ 1 << c in memo and memo[m ^ 1 << c].count == 1
-                            for c in core._colors_of(m))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_merge", recording_merge)
+            invariant_report(g)
+        assert not needless
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_one_component_counted_without_a_kernel(self, monkeypatch, d):
@@ -603,6 +613,7 @@ class TestCountClosure:
             residues(g, {0, 1})
             residues(g, {0, d})
             memo = dict(g._memo)
+            counted = set()
             with monkeypatch.context() as mp:
                 mp.setattr(core, "_walk", kernel)
                 mp.setattr(core, "_merge", kernel)
@@ -611,7 +622,14 @@ class TestCountClosure:
                     assert count_g(g, colors) == self.oracle(g, edges, colors)
                     assert count_g(g, colors) == (
                         1, int(g.is_regular or d not in colors))
-            assert g._memo == memo
+                    counted.add(sum(1 << c for c in colors))
+            # the memo gains exactly the counted masks, each one component
+            # with labels all 0, and keeps what it held
+            gained = {m: dec for m, dec in g._memo.items() if m not in memo}
+            assert set(gained) == counted - set(memo)
+            assert all(dec.count == 1 and dec.labels == (0,) * g.num_vertices
+                       for dec in gained.values())
+            assert all(g._memo[m] is dec for m, dec in memo.items())
 
 
 class TestOneComponentWrite:
@@ -639,8 +657,9 @@ class TestOneComponentWrite:
                 mp.setattr(core, "_merge", merge)
                 dec = core._residues_by_mask(g, mask)
             written += 1
-            assert dec == core._decompose(g, mask) == bfs_decompose(g, mask)
-            assert dec.least == core._decompose(g, mask).least == (0,)
+            merged = core._merge(g, mask)
+            assert dec == merged == bfs_decompose(g, mask)
+            assert dec.least == merged.least == (0,)
             assert dec.regular == (g.is_regular or not mask >> d & 1,)
         return written
 
